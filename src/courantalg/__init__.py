@@ -13,10 +13,6 @@ from .poly import (
     Derivation,
     MultiDerivation,
     Poly,
-    Rational,
-    der_apply,
-    der_commutator,
-    poly_arith,
     sym_product_of_derivations,
 )
 from .modules import (
@@ -35,7 +31,6 @@ from .rothstein import (
     ConnectionChange,
     ModuleMap,
     RothElement,
-    connection_change_iso,
     roth_bracket,
     roth_pushforward,
     roth_wedge,

@@ -4,8 +4,8 @@ A document is a single JSON object with a versioned schema field declaring a
 coefficient backend, one metric module, a connection, named elements, and a
 command list.  Exit code 0 means every verification command passed, 1 means
 a mathematical verification failed, 2 means the document was rejected before
-computation.  Machine-readable reports are byte-identical across runs of the
-same document; wall-clock timings appear only in the human format.
+computation.  Reports are byte-identical across runs of the same document
+and seed; neither output format carries wall-clock timings.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from fractions import Fraction
 
 from .cmaps import (
@@ -54,6 +53,18 @@ def _fail(msg: str, where: str = "") -> "DocumentError":
     return DocumentError(("%s: %s" % (where, msg)) if where else msg)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return _is_int(value) and value >= 0
+
+
+def _is_list_of(value, kind) -> bool:
+    return isinstance(value, list) and all(isinstance(v, kind) for v in value)
+
+
 class ProblemDocument:
     """Parsed and validated problem document."""
 
@@ -66,7 +77,9 @@ class ProblemDocument:
         self.standard_n = None
         module_spec = raw.get("module")
         if isinstance(module_spec, dict) and "standard" in module_spec:
-            self.standard_n = int(module_spec["standard"])
+            self.standard_n = module_spec["standard"]
+            if not _is_int(self.standard_n) or self.standard_n < 1:
+                raise _fail("standard needs a positive integer", "module")
             cs = make_standard_courant(self.standard_n)
             self.backend = cs.module.backend
             self.module = cs.module
@@ -78,7 +91,10 @@ class ProblemDocument:
             self.connection = self._parse_connection(raw.get("connection"))
             self.structure = None
         self.elements: dict[str, object] = {}
-        for name, spec in (raw.get("elements") or {}).items():
+        elements = raw.get("elements") or {}
+        if not isinstance(elements, dict):
+            raise _fail("elements must be an object", "elements")
+        for name, spec in elements.items():
             self.elements[name] = self._parse_element(name, spec)
         self.commands = raw.get("commands") or []
         if not isinstance(self.commands, list):
@@ -92,8 +108,8 @@ class ProblemDocument:
         kind = spec.get("kind")
         if kind in ("freepoly", "poly", "free"):
             names = spec.get("vars")
-            if names is None:
-                raise _fail("freepoly backend needs a vars list", "backend")
+            if not _is_list_of(names, str) or len(set(names)) != len(names):
+                raise _fail("freepoly backend needs a list of distinct vars", "backend")
             return Backend.free(len(names), tuple(names))
         if kind in ("dualnum", "dual"):
             return Backend.dual(spec.get("var", "eps"))
@@ -103,10 +119,13 @@ class ProblemDocument:
         if not isinstance(spec, dict):
             raise _fail("missing module section")
         gram_rows = spec.get("gram")
-        if gram_rows is None:
-            raise _fail("module needs a gram matrix", "module")
-        gram = [[parse_poly(str(v), self.backend) for v in row] for row in gram_rows]
+        if not _is_list_of(gram_rows, list):
+            raise _fail("module needs a gram matrix (a list of rows)", "module")
+        for key, kind in (("basis", str), ("internal_degrees", int)):
+            if spec.get(key) is not None and not (_is_list_of(spec[key], kind) and len(spec[key]) == len(gram_rows)):
+                raise _fail("%s must list one entry per gram row" % key, "module")
         try:
+            gram = [[parse_poly(str(v), self.backend) for v in row] for row in gram_rows]
             return MetricModule(
                 self.backend,
                 gram,
@@ -117,12 +136,14 @@ class ProblemDocument:
             raise _fail(str(ex), "module")
 
     def _parse_connection(self, spec) -> Connection:
+        if spec is not None and not isinstance(spec, dict):
+            raise _fail("connection must be an object", "connection")
         if spec is None or spec.get("kind") == "flat":
             return Connection.flat(self.module)
         kind = spec.get("kind")
         if kind in ("christoffel", "metrize", "metrize-of"):
             gamma_raw = spec.get("gamma")
-            if gamma_raw is None:
+            if not _is_list_of(gamma_raw, list):
                 raise _fail("connection needs a gamma table", "connection")
             try:
                 gamma = [
@@ -140,7 +161,7 @@ class ProblemDocument:
         raise _fail("unknown connection kind %r" % kind, "connection")
 
     def _parse_module_element(self, coeffs) -> ModuleElement:
-        if len(coeffs) != self.module.rank:
+        if not isinstance(coeffs, list) or len(coeffs) != self.module.rank:
             raise _fail("module element needs %d coefficients" % self.module.rank)
         return ModuleElement(self.module, [parse_poly(str(c), self.backend) for c in coeffs])
 
@@ -194,12 +215,12 @@ class ProblemDocument:
                 return quartic_from_biderivation(self.module, P)
         except DocumentError:
             raise
-        except (KeyError, ValueError, TypeError) as ex:
+        except (KeyError, ValueError, TypeError, AttributeError) as ex:
             raise _fail("element %r: %s" % (name, ex), "elements")
         raise _fail("unknown element type %r" % kind, "elements")
 
     def lookup(self, name: str):
-        if name not in self.elements:
+        if not isinstance(name, str) or name not in self.elements:
             raise _fail("unresolved element reference %r" % name, "commands")
         return self.elements[name]
 
@@ -251,20 +272,17 @@ class CommandRunner:
         self.truncation = truncation
         self.seed = seed
         self.records: list[dict] = []
-        self.timings: list[float] = []
         self.failed_verification = False
 
     def run(self) -> dict:
         for i, cmd in enumerate(self.doc.commands):
-            if not isinstance(cmd, dict) or "op" not in cmd:
+            if not isinstance(cmd, dict) or not isinstance(cmd.get("op"), str):
                 raise _fail("command %d needs an op" % i, "commands")
             op = cmd["op"].replace("_", "-")
             handler = getattr(self, "cmd_" + op.replace("-", "_"), None)
             if handler is None:
                 raise _fail("unknown command op %r" % cmd["op"], "commands")
-            start = time.monotonic()
             record = handler(cmd)
-            self.timings.append(time.monotonic() - start)
             record["op"] = op
             self.records.append(record)
         return {
@@ -276,11 +294,30 @@ class CommandRunner:
 
     def _structure(self, cmd) -> CourantStructure:
         if "element" in cmd:
-            m = self.doc.lookup_cochain(cmd["element"])
+            m = self._element(cmd)
             return CourantStructure.from_cochain(m, self.doc.connection, check=False)
         if self.doc.structure is not None:
             return self.doc.structure
         raise _fail("command needs an element or a standard module", "commands")
+
+    @staticmethod
+    def _arg(cmd, key, default=None, valid=None):
+        """cmd[key] (or the default when given), rejected unless valid(value) holds."""
+        if key not in cmd and default is None:
+            raise _fail("%s needs %r" % (cmd["op"], key), "commands")
+        value = cmd.get(key, default)
+        if valid is not None and not valid(value):
+            raise _fail("%s: bad %r value %r" % (cmd["op"], key, value), "commands")
+        return value
+
+    def _element(self, cmd, key="element") -> Cochain:
+        return self.doc.lookup_cochain(self._arg(cmd, key))
+
+    def _bind(self, cmd, value):
+        """Name the result for later commands when the command asks for it."""
+        name = self._arg(cmd, "name", "", lambda v: isinstance(v, str))
+        if name:
+            self.doc.elements[name] = value
 
     def _mark(self, ok: bool):
         if not ok:
@@ -289,8 +326,9 @@ class CommandRunner:
     # -- command handlers ------------------------------------------------
 
     def cmd_verify_courant(self, cmd) -> dict:
-        m = self.doc.lookup_cochain(cmd["element"]) if "element" in cmd else self.doc.structure.cochain
-        ok, report = verify_courant(m, depth=cmd.get("depth", 1))
+        depth = self._arg(cmd, "depth", 1, _is_count)
+        m = self._element(cmd) if "element" in cmd else self._structure(cmd).cochain
+        ok, report = verify_courant(m, depth=depth)
         self._mark(ok)
         return {
             "status": "ok",
@@ -301,18 +339,13 @@ class CommandRunner:
         }
 
     def cmd_bracket(self, cmd) -> dict:
-        lhs = self.doc.lookup_cochain(cmd["lhs"])
-        rhs = self.doc.lookup_cochain(cmd["rhs"])
-        out = cbracket(lhs, rhs)
-        name = cmd.get("name")
-        if name:
-            self.doc.elements[name] = out
+        out = cbracket(self._element(cmd, "lhs"), self._element(cmd, "rhs"))
+        self._bind(cmd, out)
         return {"status": "ok", "zero": out.is_zero(), "result": _describe(out)}
 
     def cmd_wedge(self, cmd) -> dict:
-        lhs = self.doc.lookup_cochain(cmd["lhs"])
-        rhs = self.doc.lookup_cochain(cmd["rhs"])
-        mode = cmd.get("mode", "both")
+        mode = self._arg(cmd, "mode", "both", lambda v: v in ("both", "recursive", "shuffle"))
+        lhs, rhs = self._element(cmd, "lhs"), self._element(cmd, "rhs")
         if mode == "both":
             rec = cmap_wedge(lhs, rhs, "recursive")
             shu = cmap_wedge(lhs, rhs, "shuffle")
@@ -322,17 +355,15 @@ class CommandRunner:
         else:
             out = cmap_wedge(lhs, rhs, mode)
             agree = None
-        name = cmd.get("name")
-        if name:
-            self.doc.elements[name] = out
+        self._bind(cmd, out)
         record = {"status": "ok", "result": _describe(out)}
         if agree is not None:
             record["modes_agree"] = agree
         return record
 
     def cmd_symbol_tower(self, cmd) -> dict:
-        c = self.doc.lookup_cochain(cmd["element"])
-        depth = cmd.get("depth", 1)
+        depth = self._arg(cmd, "depth", 1, _is_count)
+        c = self._element(cmd)
         try:
             tower = symbol_tower(to_form(c), depth=depth)
         except ValueError as ex:
@@ -344,16 +375,14 @@ class CommandRunner:
         return {"status": "ok", "verdict": True, "level_sizes": levels, "probe_bound": depth}
 
     def cmd_j_map(self, cmd) -> dict:
-        phi = self.doc.lookup_roth(cmd["element"])
+        phi = self.doc.lookup_roth(self._arg(cmd, "element"))
         image = apply_J(phi, self.doc.connection)
-        name = cmd.get("name")
-        if name:
-            self.doc.elements[name] = image
+        self._bind(cmd, image)
         return {"status": "ok", "result": _describe(image)}
 
     def cmd_j_invert(self, cmd) -> dict:
-        c = self.doc.lookup_cochain(cmd["element"])
-        degree = int(cmd.get("degree", c.degree))
+        c = self._element(cmd)
+        degree = self._arg(cmd, "degree", c.degree, _is_int)
         if degree != c.degree:
             raise _fail("element degree %d does not match requested %d" % (c.degree, degree))
         if degree == 3:
@@ -364,13 +393,11 @@ class CommandRunner:
             raise _fail("closed-form inversion supports degrees 2 and 3")
         round_trip = apply_J(phi, self.doc.connection) == c
         self._mark(round_trip)
-        name = cmd.get("name")
-        if name:
-            self.doc.elements[name] = phi
+        self._bind(cmd, phi)
         return {"status": "ok", "round_trip": round_trip, "preimage": roth_to_text(phi)}
 
     def cmd_chat_membership(self, cmd) -> dict:
-        c = self.doc.lookup_cochain(cmd["element"])
+        c = self._element(cmd)
         res = chat_membership(c, self.doc.connection, cap=self.truncation)
         record = {
             "status": "ok",
@@ -385,9 +412,12 @@ class CommandRunner:
         return record
 
     def cmd_cohomology(self, cmd) -> dict:
+        def is_window(v):
+            return _is_list_of(v, int) and len(v) == 2
+
+        r_lo, r_hi = self._arg(cmd, "r", [0, 5], is_window)
+        d_lo, d_hi = self._arg(cmd, "d", [-3, 3], is_window)
         cs = self._structure(cmd)
-        r_lo, r_hi = cmd.get("r", [0, 5])
-        d_lo, d_hi = cmd.get("d", [-3, 3])
         dims = cohomology_dims(cs, range(r_lo, r_hi + 1), range(d_lo, d_hi + 1))
         table = [
             {
@@ -411,8 +441,9 @@ class CommandRunner:
     def cmd_mc_extend(self, cmd) -> dict:
         from .deform import mc_residuals
 
+        names = self._arg(cmd, "series", [], lambda v: isinstance(v, list))
         cs = self._structure(cmd)
-        series = DeformationSeries(cs, [self.doc.lookup_roth(n) for n in cmd.get("series", [])])
+        series = DeformationSeries(cs, [self.doc.lookup_roth(n) for n in names])
         residuals = mc_residuals(series)
         valid, bad_order = mc_series_valid(series)
         if not valid:
@@ -447,7 +478,7 @@ class CommandRunner:
         membership = chat_membership(bad, conn, cap=self.truncation)
         rng = random.Random(self.seed)
         degree3_members = 0
-        trials = int(cmd.get("degree3_trials", 5))
+        trials = self._arg(cmd, "degree3_trials", 5, _is_count)
         for _ in range(trials):
             sym = () if rng.random() < 0.5 else (0,)
             coeff = Poly(backend, {(0,): Fraction(rng.randint(-3, 3)),
@@ -481,7 +512,7 @@ def run_document(raw: dict, truncation: int | None = None, seed: int = 0) -> tup
     return report, (0 if report["ok"] else 1)
 
 
-def format_human(report: dict, timings=None) -> str:
+def format_human(report: dict) -> str:
     lines = []
     if "error" in report:
         return "document rejected: %s" % report["error"]
@@ -489,8 +520,6 @@ def format_human(report: dict, timings=None) -> str:
         head = "[%d] %s: %s" % (i, rec["op"], rec.get("status"))
         if "verdict" in rec:
             head += "  verdict=%s" % rec["verdict"]
-        if timings:
-            head += "  (%.3fs)" % timings[i]
         lines.append(head)
         for k, v in sorted(rec.items()):
             if k in ("op", "status", "verdict"):

@@ -28,7 +28,7 @@ import itertools
 from fractions import Fraction
 
 from .modules import MetricModule, ModuleElement, ModuleError, inner
-from .poly import Backend, Derivation, Poly, num_der_generators
+from .poly import Backend, Derivation, Poly, der_generator_var, exponents_of_degree, num_der_generators
 from .rothstein import ModuleMap
 
 LevelTable = dict[tuple[tuple[int, ...], tuple[int, ...]], Poly]
@@ -50,10 +50,9 @@ def _clean_levels(levels: dict[int, LevelTable]) -> dict[int, LevelTable]:
 class Cochain:
     """Degree-r element of the quasi-Courant complex (immutable)."""
 
-    __slots__ = ("module", "degree", "levels", "provenance", "source", "_hash", "_memo", "_marg_cache")
+    __slots__ = ("module", "degree", "levels", "_hash", "_memo", "_marg_cache")
 
-    def __init__(self, module: MetricModule, degree: int, levels: dict[int, LevelTable],
-                 provenance: str = "raw", source=None):
+    def __init__(self, module: MetricModule, degree: int, levels: dict[int, LevelTable]):
         if degree < 0:
             levels = {}
         for p, table in levels.items():
@@ -65,8 +64,6 @@ class Cochain:
         self.module = module
         self.degree = degree
         self.levels = _clean_levels(levels)
-        self.provenance = provenance
-        self.source = source
         self._hash = None
         self._memo = {}
         self._marg_cache = {}
@@ -90,8 +87,7 @@ class Cochain:
         return Cochain(module, 1, {0: table})
 
     @staticmethod
-    def from_tables(module: MetricModule, degree: int, value_table, symbol_table=None,
-                    provenance: str = "raw") -> "Cochain":
+    def from_tables(module: MetricModule, degree: int, value_table, symbol_table=None) -> "Cochain":
         """Degree 2 or 3 element from a value table on basis tuples plus its symbol.
 
         value_table maps (r-1)-tuples of basis indices to ModuleElements;
@@ -117,13 +113,12 @@ class Cochain:
                 if d is None:
                     continue
                 for j in range(ngen):
-                    gv = Poly.var(backend, _gen_var_index(backend, j))
-                    lvl1[((j,), tuple(key))] = d(gv)
+                    lvl1[((j,), tuple(key))] = d(der_generator_var(backend, j))
             levels[1] = lvl1
-        return Cochain(module, degree, levels, provenance)
+        return Cochain(module, degree, levels)
 
     @staticmethod
-    def from_callable(module: MetricModule, degree: int, fn, provenance: str = "raw") -> "Cochain":
+    def from_callable(module: MetricModule, degree: int, fn) -> "Cochain":
         """Degree 2 or 3 element from an evaluation callable, symbol inferred.
 
         fn takes degree-1 ModuleElements and returns a ModuleElement.  The
@@ -144,8 +139,7 @@ class Cochain:
         for key in itertools.product(range(module.rank), repeat=degree - 2):
             coeffs = []
             for j in range(ngen):
-                g = Poly.var(backend, _gen_var_index(backend, j))
-                gx = wx.scale(g)
+                gx = wx.scale(der_generator_var(backend, j))
                 if degree == 2:
                     val = inner(fn(gx), wy) + inner(gx, fn(wy))
                 else:
@@ -153,20 +147,12 @@ class Cochain:
                     val = inner(fn(gx, wy) + fn(wy, gx), u)
                 coeffs.append(val)
             symbol_table[key] = _derivation_from_values(backend, coeffs)
-        return Cochain.from_tables(module, degree, value_table, symbol_table, provenance)
+        return Cochain.from_tables(module, degree, value_table, symbol_table)
 
     # -- structural ------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.levels
-
-    def max_level(self) -> int:
-        if self.module.backend.nvars == 0:
-            return 0
-        return self.degree // 2
-
-    def with_provenance(self, provenance: str, source=None) -> "Cochain":
-        return Cochain(self.module, self.degree, self.levels, provenance, source)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cochain):
@@ -353,8 +339,7 @@ class Cochain:
         ngen = num_der_generators(backend)
         coeffs = []
         for j in range(ngen):
-            g = Poly.var(backend, _gen_var_index(backend, j))
-            coeffs.append(self.eval_level(1, (g,), tuple(args)))
+            coeffs.append(self.eval_level(1, (der_generator_var(backend, j),), tuple(args)))
         return _derivation_from_values(backend, coeffs)
 
 
@@ -415,44 +400,45 @@ def insert(c: Cochain, x: ModuleElement) -> Cochain:
     new_degree = c.degree - 1
     if c.is_zero() or x.is_zero():
         return Cochain.zero(module, new_degree)
-    cache = c._marg_cache.setdefault("_insert", {})
-    hit = cache.get(x)
-    if hit is not None:
-        return hit
+    basis_idx = _basis_index(x)
+    if basis_idx is None:
+        def entries_at(gvars):
+            return lambda bargs: c._eval_sder(
+                len(gvars), gvars, (), (x,) + tuple(module.basis(b) for b in bargs))
+
+        return _tabulate(module, new_degree, entries_at)
+    # basis insertion just re-keys the stored tables
+    levels: dict[int, LevelTable] = {}
+    for p, table in c.levels.items():
+        if 2 * p > new_degree:
+            continue
+        levels[p] = {
+            (gens, args[1:]): v
+            for (gens, args), v in table.items()
+            if args and args[0] == basis_idx
+        }
+    return Cochain(module, new_degree, levels)
+
+
+def _tabulate(module: MetricModule, degree: int, entries_at) -> Cochain:
+    """The cochain of the given degree with the tower entries entries_at yields.
+
+    For each level p and sorted generator tuple, entries_at receives the
+    generator variables and returns the map from basis-index tuples to the
+    level-p entries, or None when all of them vanish.
+    """
     backend = module.backend
     ngen = num_der_generators(backend)
     levels: dict[int, LevelTable] = {}
-    basis_idx = _basis_index(x)
-    if basis_idx is not None:
-        # basis insertion just re-keys the stored tables
-        for p, table in c.levels.items():
-            if 2 * p > new_degree:
+    for p in range(degree // 2 + 1):
+        table = levels[p] = {}
+        for gens in itertools.combinations_with_replacement(range(ngen), p):
+            entry = entries_at(tuple(der_generator_var(backend, j) for j in gens))
+            if entry is None:
                 continue
-            sliced = {
-                (gens, args[1:]): v
-                for (gens, args), v in table.items()
-                if args and args[0] == basis_idx
-            }
-            if sliced:
-                levels[p] = sliced
-    else:
-        for p in range(0, new_degree // 2 + 1):
-            if p > 0 and ngen == 0:
-                break
-            nargs = new_degree - 2 * p
-            table: LevelTable = {}
-            for gens in itertools.combinations_with_replacement(range(ngen), p):
-                gvars = tuple(Poly.var(backend, _gen_var_index(backend, j)) for j in gens)
-                for bargs in itertools.product(range(module.rank), repeat=nargs):
-                    margs = (x,) + tuple(module.basis(b) for b in bargs)
-                    val = c._eval_sder(p, gvars, (), margs)
-                    if not val.is_zero():
-                        table[(tuple(gens), bargs)] = val
-            if table:
-                levels[p] = table
-    out = Cochain(module, new_degree, levels)
-    cache[x] = out
-    return out
+            for bargs in itertools.product(range(module.rank), repeat=degree - 2 * p):
+                table[(gens, bargs)] = entry(bargs)
+    return Cochain(module, degree, levels)
 
 
 def _basis_index(x: ModuleElement) -> int | None:
@@ -519,7 +505,7 @@ def cbracket(a: Cochain, b: Cochain) -> Cochain:
         out = _compose_from_slices(
             module,
             n,
-            lambda eb: _bracket_insert_step(a, b, eb, s),
+            _insertion_level(module, lambda eb: _bracket_insert_step(a, b, eb, s)),
             lambda j: cbracket(generator_slice(a, j), b) + cbracket(a, generator_slice(b, j)),
         )
     _BRACKET_CACHE[key] = out
@@ -533,35 +519,38 @@ def _bracket_insert_step(a: Cochain, b: Cochain, eb: ModuleElement, s: int) -> C
     return first + cbracket(a, cbracket(b, Cochain.from_module_element(eb)))
 
 
-def _compose_from_slices(module: MetricModule, degree: int, insert_fn, gen_fn) -> Cochain:
-    """Assemble a cochain of the given degree from its insertions and slices.
-
-    insert_fn(e_b) must return i_{e_b} of the target element; gen_fn(j) its
-    bracket with the j-th algebra generator.  Level 0 stacks the insertion
-    forms; level p >= 1 stacks level p-1 of the generator slices.
-    """
-    backend = module.backend
-    levels: dict[int, LevelTable] = {}
+def _insertion_level(module: MetricModule, insert_fn) -> LevelTable:
+    """Level 0 of a cochain stacked from its insertions insert_fn(e_b)."""
     lvl0: LevelTable = {}
     for b in range(module.rank):
-        part = insert_fn(module.basis(b))
-        for (gens, args), v in part.levels.get(0, {}).items():
+        for (gens, args), v in insert_fn(module.basis(b)).levels.get(0, {}).items():
             lvl0[((), (b,) + args)] = v
-    if lvl0:
-        levels[0] = lvl0
-    ngen = num_der_generators(backend)
-    if ngen and degree >= 2:
+    return lvl0
+
+
+def _compose_from_slices(module: MetricModule, degree: int, lvl0: LevelTable, gen_fn) -> Cochain:
+    """Assemble a cochain of the given degree from its level 0 and its slices.
+
+    gen_fn(j) must return the bracket of the target element with the j-th
+    algebra generator; level p >= 1 stacks level p-1 of those slices.
+    """
+    levels: dict[int, LevelTable] = {0: lvl0}
+    if degree >= 2:
+        ngen = num_der_generators(module.backend)
         slices = [gen_fn(j) for j in range(ngen)]
         for p in range(1, degree // 2 + 1):
-            table: LevelTable = {}
+            table = levels[p] = {}
             for j in range(ngen):
                 for (gens, args), v in slices[j].levels.get(p - 1, {}).items():
                     if gens and gens[0] < j:
                         continue  # counted by the smaller leading generator
                     table[(tuple(sorted((j,) + gens)), args)] = v
-            if table:
-                levels[p] = table
     return Cochain(module, degree, levels)
+
+
+def _wedge_slice(a: Cochain, b: Cochain, j: int) -> Cochain:
+    """The wedge product's bracket with the j-th algebra generator."""
+    return cwedge(generator_slice(a, j), b) + cwedge(a, generator_slice(b, j))
 
 
 def cwedge(a: Cochain, b: Cochain) -> Cochain:
@@ -589,10 +578,8 @@ def cwedge(a: Cochain, b: Cochain) -> Cochain:
             first = -first
         return first + cwedge(a, cbracket(b, Cochain.from_module_element(eb)))
 
-    def gen_fn(j):
-        return cwedge(generator_slice(a, j), b) + cwedge(a, generator_slice(b, j))
-
-    out = _compose_from_slices(module, n, insert_fn, gen_fn)
+    out = _compose_from_slices(module, n, _insertion_level(module, insert_fn),
+                               lambda j: _wedge_slice(a, b, j))
     _WEDGE_CACHE[key] = out
     return out
 
@@ -638,26 +625,8 @@ def cwedge_shuffle(a: Cochain, b: Cochain) -> Cochain:
                 continue
             w1 = a.omega(tuple(basis_args[i] for i in blk2) + (last,))
             total = total + Fraction(sgn) * (w2 * w1)
-        if not total.is_zero():
-            lvl0[((), args)] = total
-    levels: dict[int, LevelTable] = {0: lvl0} if lvl0 else {}
-    backend = module.backend
-    ngen = num_der_generators(backend)
-    if ngen and n >= 2:
-        slices = [
-            cwedge(generator_slice(a, j), b) + cwedge(a, generator_slice(b, j))
-            for j in range(ngen)
-        ]
-        for p in range(1, n // 2 + 1):
-            table: LevelTable = {}
-            for j in range(ngen):
-                for (gens, args2), v in slices[j].levels.get(p - 1, {}).items():
-                    if gens and gens[0] < j:
-                        continue
-                    table[(tuple(sorted((j,) + gens)), args2)] = v
-            if table:
-                levels[p] = table
-    return Cochain(module, n, levels)
+        lvl0[((), args)] = total
+    return _compose_from_slices(module, n, lvl0, lambda j: _wedge_slice(a, b, j))
 
 
 def cmap_wedge(a: Cochain, b: Cochain, mode: str = "recursive") -> Cochain:
@@ -671,26 +640,13 @@ def cmap_wedge(a: Cochain, b: Cochain, mode: str = "recursive") -> Cochain:
 # -- verification -----------------------------------------------------------
 
 
-def _probe_monomials(backend: Backend, depth: int):
-    """All monomials of total degree <= depth (the unit first)."""
-    out = [Poly.one(backend)]
-    if backend.nvars == 0:
-        return out
-    max_eps = 1 if backend.is_dual else depth
-    for total in range(1, depth + 1):
-        for exp in itertools.product(range(total + 1), repeat=backend.nvars):
-            if sum(exp) != total:
-                continue
-            if backend.is_dual and exp[0] > max_eps:
-                continue
-            out.append(Poly.monomial(backend, exp))
-    return out
-
-
 def probe_elements(module: MetricModule, depth: int):
+    """Basis elements times every monomial of total degree <= depth (the unit first)."""
+    backend = module.backend
     return [
-        module.basis(b).scale(mono)
-        for mono in _probe_monomials(module.backend, depth)
+        module.basis(b).scale(Poly.monomial(backend, exp))
+        for total in range(depth + 1)
+        for exp in exponents_of_degree(backend, total)
         for b in range(module.rank)
     ]
 
@@ -812,7 +768,7 @@ def symbol_tower(form: CochainForm, depth: int = 1) -> SymbolTower:
     if ngen == 0:
         return tower
     probes = probe_elements(module, depth)
-    gen_vars = [Poly.var(backend, _gen_var_index(backend, j)) for j in range(ngen)]
+    gen_vars = [der_generator_var(backend, j) for j in range(ngen)]
     for p in range(0, c.degree // 2):
         nargs = c.degree - 2 * p
         if nargs < 2:
@@ -860,27 +816,14 @@ def cmap_pushforward(c: Cochain, gmap: ModuleMap) -> Cochain:
         raise ModuleError("module mismatch")
     g = gmap.algebra_map
     ginv = g.inverse()
-    backend_dst = dst.backend
-    ngen = num_der_generators(backend_dst)
     pre_basis = [gmap.left_inverse(dst.basis(b)) for b in range(dst.rank)]
-    levels: dict[int, LevelTable] = {}
-    for p in range(0, c.degree // 2 + 1):
-        if p > 0 and ngen == 0:
-            break
-        nargs = c.degree - 2 * p
-        table: LevelTable = {}
-        for gens in itertools.combinations_with_replacement(range(ngen), p):
-            src_gvars = tuple(
-                ginv(Poly.var(backend_dst, _gen_var_index(backend_dst, j))) for j in gens
-            )
-            for bargs in itertools.product(range(dst.rank), repeat=nargs):
-                margs = tuple(pre_basis[b] for b in bargs)
-                val = c._eval_sder(p, src_gvars, (), margs)
-                if not val.is_zero():
-                    table[(tuple(gens), bargs)] = g(val)
-        if table:
-            levels[p] = table
-    return Cochain(dst, c.degree, levels, provenance=c.provenance)
+
+    def entries_at(gvars):
+        src_gvars = tuple(ginv(v) for v in gvars)
+        return lambda bargs: g(c._eval_sder(
+            len(gvars), src_gvars, (), tuple(pre_basis[b] for b in bargs)))
+
+    return _tabulate(dst, c.degree, entries_at)
 
 
 class DerivationTail:
@@ -930,8 +873,7 @@ class DerivationTail:
         c = self.cochain
         module = c.module
         backend = module.backend
-        gen_polys = [Poly.var(backend, _gen_var_index(backend, j))
-                     for j in range(num_der_generators(backend))]
+        gen_polys = [der_generator_var(backend, j) for j in range(num_der_generators(backend))]
         probes = probe_elements(module, depth)
         for args in itertools.product(range(module.rank), repeat=c.degree - 3):
             basis_args = tuple(module.basis(b) for b in args)
@@ -974,7 +916,7 @@ def quartic_from_biderivation(module: MetricModule, P) -> Cochain:
     ngen = num_der_generators(backend)
     lvl2: LevelTable = {}
     for gens in itertools.combinations_with_replacement(range(ngen), 2):
-        gvars = [Poly.var(backend, _gen_var_index(backend, j)) for j in gens]
+        gvars = [der_generator_var(backend, j) for j in gens]
         val = P(gvars[0], gvars[1])
         if not val.is_zero():
             lvl2[(tuple(gens), ())] = val

@@ -11,14 +11,13 @@ basis elements carry the module's declared internal degrees).
 from __future__ import annotations
 
 import itertools
-import time
 from fractions import Fraction
 
 from . import linalg
 from .cmaps import Cochain, cbracket, cmap_verify
 from .modules import Connection, MetricModule, ModuleElement, ModuleError, inner
-from .poly import Backend, Poly, num_der_generators
-from .rothstein import AlgebraMap, ModuleMap, RothElement, roth_bracket
+from .poly import Backend, Poly, exponents_of_degree
+from .rothstein import AlgebraMap, ModuleMap, RothElement, graded_monomials, roth_bracket
 from .symbol_map import apply_J, invert_J_deg3
 
 
@@ -281,36 +280,11 @@ def roth_internal_degrees(phi: RothElement) -> set[int]:
 
 def enumerate_chain_basis(module: MetricModule, r: int, d: int):
     """Monomials of the degree-r bucket with internal degree d (a finite set)."""
-    backend = module.backend
-    ngen = num_der_generators(backend)
-    basis = []
-    for p in range(r // 2 + 1):
-        k = r - 2 * p
-        if k > module.rank or (p > 0 and ngen == 0):
-            continue
-        for sym in itertools.combinations_with_replacement(range(ngen), p):
-            for ext in itertools.combinations(range(module.rank), k):
-                need = d + p - sum(module.internal_degrees[a] for a in ext)
-                if need < 0:
-                    continue
-                for exp in _exps_of_total(backend, need):
-                    if backend.is_dual and p >= 1 and exp != (0,) * backend.nvars:
-                        continue
-                    basis.append((exp, sym, ext))
-    return sorted(basis)
+    def exponents(sym, ext):
+        need = d + len(sym) - sum(module.internal_degrees[a] for a in ext)
+        return exponents_of_degree(module.backend, need)
 
-
-def _exps_of_total(backend: Backend, total: int):
-    if backend.nvars == 0:
-        return [()] if total == 0 else []
-    out = []
-    for exp in itertools.product(range(total + 1), repeat=backend.nvars):
-        if sum(exp) != total:
-            continue
-        if backend.is_dual and exp[0] > 1:
-            continue
-        out.append(exp)
-    return out
+    return sorted(graded_monomials(module, r, exponents))
 
 
 class GradedComplexBlock:
@@ -359,7 +333,6 @@ def cohomology_dims(cs: CourantStructure, r_range, d_range) -> dict:
     blocks: dict[tuple[int, int], GradedComplexBlock] = {}
     for d in d_range:
         for r in list(r_range):
-            start = time.monotonic()
             if (r, d) not in blocks:
                 blocks[(r, d)] = delta_block(cs, r, d)
             if (r - 1, d) not in blocks:
@@ -377,7 +350,6 @@ def cohomology_dims(cs: CourantStructure, r_range, d_range) -> dict:
                 "chain_dim": nsrc,
                 "rank_out": rk,
                 "rank_in": prev_rank,
-                "seconds": time.monotonic() - start,
             }
     return results
 

@@ -311,38 +311,43 @@ def lambda2_pair(module: MetricModule, xi: dict[tuple[int, int], Poly], x: Modul
     return out
 
 
-def raise_lambda2(module: MetricModule, form) -> dict[tuple[int, int], Poly]:
-    """The xi in Lambda^2 E with <xi, e_a ^ e_b> = form(a, b) for a < b.
+def raise_exterior(module: MetricModule, k: int, form) -> dict[tuple[int, ...], Poly]:
+    """The xi in Lambda^k E with <xi, e_I> = form[I] for increasing I.
 
-    form must be the table of an antisymmetric A-bilinear map on basis pairs.
-    Raising happens slotwise through the inverse gram.
+    form maps every k-tuple of basis indices to the value of an alternating
+    A-multilinear map; it is rejected unless each adjacent swap flips its
+    sign.  Raising happens slotwise through the inverse gram.
     """
     m = module.rank
     ginv = module.gram_inv
-    out: dict[tuple[int, int], Poly] = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            s = Poly.zero(module.backend)
-            for c in range(m):
-                for d in range(m):
-                    val = form(c, d)
-                    if val.is_zero():
-                        continue
-                    s = s + val * ginv[c][a] * ginv[d][b]
-            if not s.is_zero():
-                out[(a, b)] = s
+    for src, val in form.items():
+        for i in range(k - 1):
+            if form[src[:i] + (src[i + 1], src[i]) + src[i + 2:]] != -val:
+                raise ModuleError("form to raise is not alternating")
+    out: dict[tuple[int, ...], Poly] = {}
+    for target in itertools.combinations(range(m), k):
+        s = Poly.zero(module.backend)
+        for src in itertools.product(range(m), repeat=k):
+            val = form[src]
+            if val.is_zero():
+                continue
+            for b, a in zip(src, target):
+                val = val * ginv[b][a]
+            s = s + val
+        if not s.is_zero():
+            out[target] = s
     return out
 
 
 def curvature(conn: Connection) -> Curvature:
     """r(D, E) from the operator curvature, validated against the pairing."""
+    if conn._curvature is not None:
+        return conn._curvature
     if not conn.is_metric():
         raise ModuleError("curvature in bivector form needs a metric connection")
     module = conn.module
-    backend = module.backend
-    ngen = num_der_generators(backend)
-    if conn._curvature is not None:
-        return conn._curvature
+    pairs = list(itertools.product(range(module.rank), repeat=2))
+    ngen = num_der_generators(module.backend)
     table = {}
     for i in range(ngen):
         for j in range(i + 1, ngen):
@@ -351,17 +356,12 @@ def curvature(conn: Connection) -> Curvature:
             for a in range(module.rank):
                 op[a] = conn.nabla_gen(i, conn.nabla_gen(j, module.basis(a))) \
                     - conn.nabla_gen(j, conn.nabla_gen(i, module.basis(a)))
-            pairing = [[inner(op[a], module.basis(b)) for b in range(module.rank)] for a in range(module.rank)]
-            for a in range(module.rank):
-                for b in range(module.rank):
-                    if pairing[a][b] != -pairing[b][a]:
-                        raise ModuleError("operator curvature pairing not antisymmetric")
-            xi = raise_lambda2(module, lambda c, d: pairing[c][d])
+            pairing = {(a, b): inner(op[a], module.basis(b)) for a, b in pairs}
+            xi = raise_exterior(module, 2, pairing)
             # dual computation: the pairing route must reproduce <R(.,.)x, y>
-            for a in range(module.rank):
-                for b in range(module.rank):
-                    if lambda2_pair(module, xi, module.basis(a), module.basis(b)) != pairing[a][b]:
-                        raise ModuleError("curvature bivector fails the pairing cross-check")
+            for (a, b), v in pairing.items():
+                if lambda2_pair(module, xi, module.basis(a), module.basis(b)) != v:
+                    raise ModuleError("curvature bivector fails the pairing cross-check")
             if xi:
                 table[(i, j)] = xi
     cur = Curvature(conn, table)

@@ -7,10 +7,9 @@ Q[x_1..x_n] and the dual numbers Q[eps]/(eps^2).  Everything downstream
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator
-
-Rational = Fraction
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
@@ -399,25 +398,11 @@ def der_generator_var(backend: Backend, i: int) -> Poly:
     return Poly.var(backend, 0 if backend.is_dual else i)
 
 
-def poly_arith(a: Poly, b: Poly, op: str) -> Poly:
-    """Dispatch table for the three scalar operations."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "scale":
-        if not b.is_constant():
-            raise ValueError("scale expects a constant second operand")
-        return a.scale(b.constant_part())
-    raise ValueError("unknown op %r" % op)
-
-
-def der_apply(d: Derivation, a: Poly) -> Poly:
-    return d(a)
-
-
-def der_commutator(d: Derivation, e: Derivation) -> Derivation:
-    return d.commutator(e)
+def exponents_of_degree(backend: Backend, total: int) -> Iterator[tuple[int, ...]]:
+    """Exponent tuples of one total degree, in product order; eps^2 = 0 over DualNum."""
+    for exp in itertools.product(range(total + 1), repeat=backend.nvars):
+        if sum(exp) == total and not (backend.is_dual and exp[0] > 1):
+            yield exp
 
 
 class MultiDerivation:
@@ -513,8 +498,6 @@ def sym_product_of_derivations(ds: list[Derivation]) -> MultiDerivation:
     (D_1 v ... v D_p)(a_1,...,a_p) = sum over permutations of prod D_i(a_j).
     Over the dual numbers this map is identically zero for p >= 2.
     """
-    import itertools
-
     backend = ds[0].backend
     p = len(ds)
     ngen = num_der_generators(backend)

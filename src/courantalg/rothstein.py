@@ -13,6 +13,7 @@ through nabla and the curvature bivector r.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .modules import (
@@ -22,7 +23,7 @@ from .modules import (
     ModuleError,
     curvature,
     inner,
-    raise_lambda2,
+    raise_exterior,
 )
 from .poly import Backend, Derivation, Poly, num_der_generators
 
@@ -108,9 +109,6 @@ class RothElement:
     def degrees(self) -> set[int]:
         return {2 * len(sym) + len(ext) for (sym, ext) in self.terms}
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def degree(self) -> int:
         degs = self.degrees()
         if len(degs) > 1:
@@ -195,6 +193,23 @@ class RothElement:
 
 def roth_wedge(a: RothElement, b: RothElement) -> RothElement:
     return a.wedge(b)
+
+
+def graded_monomials(module: MetricModule, degree: int, exponents):
+    """(exp, sym, ext) spanning the degree bucket, in (p, sym, ext, exp) order.
+
+    Each key of p Der factors and degree - 2p module factors is paired with
+    the exponent tuples exponents(sym, ext) offers; over the dual numbers eps
+    times a Der factor dies.
+    """
+    backend = module.backend
+    ngen = num_der_generators(backend)
+    for p in range(degree // 2 + 1):
+        for sym in itertools.combinations_with_replacement(range(ngen), p):
+            for ext in itertools.combinations(range(module.rank), degree - 2 * p):
+                for exp in exponents(sym, ext):
+                    if not (backend.is_dual and sym and exp[0]):
+                        yield exp, sym, ext
 
 
 # -- the Poisson bracket -------------------------------------------------
@@ -342,16 +357,12 @@ class ConnectionChange:
         module = source.module
         if not source.is_metric() or not target.is_metric():
             raise ModuleError("connection change needs two metric connections")
-        ngen = num_der_generators(module.backend)
+        pairs = list(itertools.product(range(module.rank), repeat=2))
         table = []
-        for i in range(ngen):
+        for i in range(num_der_generators(module.backend)):
             diff = [source.gamma[i][a] - target.gamma[i][a] for a in range(module.rank)]
-            pairing = [[inner(diff[a], module.basis(b)) for b in range(module.rank)] for a in range(module.rank)]
-            for a in range(module.rank):
-                for b in range(module.rank):
-                    if pairing[a][b] != -pairing[b][a]:
-                        raise ModuleError("difference tensor is not antisymmetric")
-            table.append(raise_lambda2(module, lambda c, d: pairing[c][d]))
+            pairing = {(a, b): inner(diff[a], module.basis(b)) for a, b in pairs}
+            table.append(raise_exterior(module, 2, pairing))
         self.module = module
         self.source = source
         self.target = target
@@ -381,10 +392,6 @@ class ConnectionChange:
             n += 1
             fact *= n
         return out
-
-
-def connection_change_iso(phi: RothElement, change: ConnectionChange) -> RothElement:
-    return change.exp_t(phi)
 
 
 # -- push forward ---------------------------------------------------------

@@ -18,11 +18,12 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .cmaps import Cochain, LevelTable, _gen_var_index, generator_slice
-from .modules import Connection, MetricModule, ModuleElement, ModuleError, inner, raise_lambda2
-from .poly import Backend, Poly, num_der_generators
+from .cmaps import Cochain, _tabulate, generator_slice
+from .modules import Connection, MetricModule, ModuleElement, ModuleError, inner, raise_exterior
+from .poly import Poly, exponents_of_degree, num_der_generators
 from .rothstein import (
     RothElement,
+    graded_monomials,
     nested_bracket_with_modules,
     nested_bracket_with_scalars,
 )
@@ -33,40 +34,15 @@ def apply_J(phi: RothElement, conn: Connection) -> Cochain:
     module = phi.module
     if conn.module != module:
         raise ModuleError("connection lives on a different module")
-    backend = module.backend
-    degree = phi.degree()
-    ngen = num_der_generators(backend)
     basis = module.basis_elements()
-    levels: dict[int, LevelTable] = {}
-    for p in range(0, degree // 2 + 1):
-        if p > 0 and ngen == 0:
-            break
-        nargs = degree - 2 * p
-        table: LevelTable = {}
-        for gens in itertools.combinations_with_replacement(range(ngen), p):
-            gvars = [Poly.var(backend, _gen_var_index(backend, j)) for j in gens]
-            chi = nested_bracket_with_scalars(phi, gvars, conn)
-            if chi.is_zero():
-                continue
-            for bargs in itertools.product(range(module.rank), repeat=nargs):
-                rho = nested_bracket_with_modules(chi, [basis[b] for b in bargs], conn)
-                val = rho.scalar_part()
-                if not val.is_zero():
-                    table[(tuple(gens), bargs)] = val
-        if table:
-            levels[p] = table
-    return Cochain(module, degree, levels, provenance="structural", source=phi)
 
+    def entries_at(gvars):
+        chi = nested_bracket_with_scalars(phi, gvars, conn)
+        if chi.is_zero():
+            return None
+        return lambda bargs: nested_bracket_with_modules(chi, [basis[b] for b in bargs], conn).scalar_part()
 
-class JImage:
-    """A source element together with its verified image."""
-
-    __slots__ = ("source", "target", "connection")
-
-    def __init__(self, source: RothElement, target: Cochain, connection: Connection):
-        self.source = source
-        self.target = target
-        self.connection = connection
+    return _tabulate(module, phi.degree(), entries_at)
 
 
 def invert_J_deg2(c: Cochain, conn: Connection) -> RothElement:
@@ -84,39 +60,15 @@ def invert_J_deg2(c: Cochain, conn: Connection) -> RothElement:
     sigma = c.symbol(())
     basis = module.basis_elements()
     values = [c(x) for x in basis]
-    pairing = [
-        [inner(conn.nabla(sigma, basis[a]) - values[a], basis[b]) for b in range(module.rank)]
-        for a in range(module.rank)
-    ]
-    for a in range(module.rank):
-        for b in range(module.rank):
-            if pairing[a][b] != -pairing[b][a]:
-                raise ValueError("degree-2 element fails the metric antisymmetry check")
-    xi = raise_lambda2(module, lambda a, b: pairing[a][b])
+    pairing = {
+        (a, b): inner(conn.nabla(sigma, basis[a]) - values[a], basis[b])
+        for a, b in itertools.product(range(module.rank), repeat=2)
+    }
+    xi = raise_exterior(module, 2, pairing)
     phi = RothElement.from_lambda2(module, xi) - RothElement.from_derivation(module, sigma)
     if apply_J(phi, conn) != c:
         raise ValueError("degree-2 inversion round trip failed")
     return phi
-
-
-def _raise_form(module: MetricModule, k: int, form) -> dict[tuple[int, ...], Poly]:
-    """xi in the k-th exterior power with <xi, e_I> = form(I) for increasing I."""
-    ginv = module.gram_inv
-    m = module.rank
-    out: dict[tuple[int, ...], Poly] = {}
-    for target in itertools.combinations(range(m), k):
-        s = Poly.zero(module.backend)
-        for src in itertools.product(range(m), repeat=k):
-            val = form(src)
-            if val.is_zero():
-                continue
-            factor = Poly.one(module.backend)
-            for b, a in zip(src, target):
-                factor = factor * ginv[b][a]
-            s = s + val * factor
-        if not s.is_zero():
-            out[target] = s
-    return out
 
 
 def derivation_tail(c: Cochain) -> list[ModuleElement]:
@@ -163,15 +115,11 @@ def invert_J_deg3(c: Cochain, conn: Connection) -> RothElement:
         if not generator_slice(t_elem, j).is_zero():
             raise ValueError("degree-3 remainder has a residual symbol; invalid input")
     basis = module.basis_elements()
-    theta_vals = {}
-    for idx in itertools.product(range(module.rank), repeat=3):
-        theta_vals[idx] = t_elem.omega(tuple(basis[b] for b in idx))
-    for idx, v in theta_vals.items():
-        for i in range(2):
-            swapped = idx[:i] + (idx[i + 1], idx[i]) + idx[i + 2:]
-            if theta_vals[swapped] != -v:
-                raise ValueError("degree-3 remainder pairing is not alternating")
-    xi = _raise_form(module, 3, lambda src: -theta_vals[src])
+    minus_theta = {
+        idx: -t_elem.omega(tuple(basis[b] for b in idx))
+        for idx in itertools.product(range(module.rank), repeat=3)
+    }
+    xi = raise_exterior(module, 3, minus_theta)
     phi = RothElement(module, {((), key): val for key, val in xi.items()}) - der_part
     if apply_J(phi, conn) != c:
         raise ValueError("degree-3 inversion round trip failed")
@@ -184,40 +132,14 @@ def invert_J_deg3(c: Cochain, conn: Connection) -> RothElement:
 def _roth_monomial_basis(module: MetricModule, degree: int, cap: int):
     """Monomial basis of the degree bucket with coefficient degree <= cap."""
     backend = module.backend
-    ngen = num_der_generators(backend)
-    out = []
-    for p in range(degree // 2 + 1):
-        k = degree - 2 * p
-        if k > module.rank:
-            continue
-        if p > 0 and ngen == 0:
-            continue
-        for sym in itertools.combinations_with_replacement(range(ngen), p):
-            for ext in itertools.combinations(range(module.rank), k):
-                for mono in _monomials_up_to(backend, cap):
-                    if backend.is_dual and p >= 1 and mono != (0,) * backend.nvars:
-                        continue  # eps times a Der factor dies
-                    out.append(
-                        RothElement(
-                            module,
-                            {(sym, ext): Poly.monomial(backend, mono)},
-                        )
-                    )
-    return out
 
+    def exponents(sym, ext):
+        return (exp for total in range(cap + 1) for exp in exponents_of_degree(backend, total))
 
-def _monomials_up_to(backend: Backend, cap: int):
-    unit = (0,) * backend.nvars
-    yield unit
-    if backend.nvars == 0:
-        return
-    for total in range(1, cap + 1):
-        for exp in itertools.product(range(total + 1), repeat=backend.nvars):
-            if sum(exp) != total:
-                continue
-            if backend.is_dual and exp[0] > 1:
-                continue
-            yield exp
+    return [
+        RothElement(module, {(sym, ext): Poly.monomial(backend, exp)})
+        for exp, sym, ext in graded_monomials(module, degree, exponents)
+    ]
 
 
 def _flatten(c: Cochain, coords: dict, grow: bool) -> dict[tuple, Fraction]:
@@ -334,8 +256,7 @@ def lambda_check(phi: RothElement, conn: Connection, cap: int = 2) -> bool:
     """
     module = phi.module
     backend = module.backend
-    monos = [Poly.monomial(backend, e) for e in _monomials_up_to(backend, cap)
-             if e != (0,) * backend.nvars]
+    monos = [Poly.monomial(backend, e) for t in range(1, cap + 1) for e in exponents_of_degree(backend, t)]
     present = sorted({len(sym) for (sym, ext) in phi.terms if len(sym) >= 1})
     for p in present:
         part = RothElement(module, {k: v for k, v in phi.terms.items() if len(k[0]) == p})

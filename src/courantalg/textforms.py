@@ -84,10 +84,6 @@ def parse_poly(text: str, backend: Backend) -> Poly:
     return out
 
 
-def poly_to_text(p: Poly) -> str:
-    return str(p)
-
-
 def roth_to_text(phi) -> str:
     """Canonical text form of a Rothstein element."""
     if not phi.terms:

@@ -150,3 +150,36 @@ def test_reports_are_deterministic():
     a, _ = run_document(doc, seed=7)
     b, _ = run_document(doc, seed=7)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def _standard(module=None, **fields):
+    return dict({"schema": SCHEMA, "module": module or {"standard": 1}}, **fields)
+
+
+def _so3(**fields):
+    doc = so3_document([])
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param(_standard({"standard": "abc"}), id="standard-text"),
+    pytest.param(_standard({"standard": -1}), id="standard-negative"),
+    pytest.param(_so3(connection=[1]), id="connection-list"),
+    pytest.param(_so3(module={"gram": 5}), id="gram-int"),
+    pytest.param(_so3(elements=[1]), id="elements-list"),
+    pytest.param(_so3(backend={"kind": "freepoly", "vars": 5}), id="vars-int"),
+    pytest.param(_so3(backend={"kind": "freepoly", "vars": ["x", "x"]}), id="vars-repeated"),
+    pytest.param(_so3(elements={"a": {"type": "cmap", "degree": 3, "values": [1]}}), id="cmap-values-list"),
+    pytest.param(_so3(commands=[{"op": 3}]), id="op-int"),
+    pytest.param(_so3(commands=[{"op": "bracket", "rhs": "m"}]), id="bracket-no-lhs"),
+    pytest.param(_so3(commands=[{"op": "wedge", "lhs": "m", "rhs": "m", "mode": "zzz"}]), id="wedge-mode"),
+    pytest.param(_so3(commands=[{"op": "verify-courant"}]), id="verify-no-element"),
+    pytest.param(_so3(commands=[{"op": "verify-courant", "element": "m", "depth": -1}]),
+                 id="verify-negative-depth"),
+    pytest.param(_so3(commands=[{"op": "cohomology", "element": "m", "r": "ab"}]), id="window-text"),
+])
+def test_malformed_documents_rejected(doc):
+    report, code = run_document(doc)
+    assert code == 2
+    assert report["ok"] is False and report["error"]

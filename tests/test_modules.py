@@ -16,7 +16,7 @@ from courantalg import (
     inner,
     metrize,
 )
-from courantalg.modules import Curvature, bianchi_residuals, lambda2_pair
+from courantalg.modules import Curvature, bianchi_residuals, lambda2_pair, raise_exterior
 from courantalg.linalg import poly_matmul
 
 from conftest import curved_connection, random_module_element, random_poly
@@ -176,6 +176,32 @@ def test_curvature_requires_metric():
     assert not raw.is_metric()
     with pytest.raises(ModuleError):
         curvature(raw)
+
+
+def test_curvature_cached_without_rechecking_metricity(monkeypatch):
+    calls = []
+    is_metric = Connection.is_metric
+    monkeypatch.setattr(Connection, "is_metric", lambda self: calls.append(self) or is_metric(self))
+    M, conn = _curved_2d()
+    first = curvature(conn)
+    assert len(calls) == 1
+    assert curvature(conn) is first
+    assert len(calls) == 1
+    H = hyperbolic2()
+    raw = Connection(H, [[H.basis(0).scale(X), H.zero()]])
+    for _ in range(2):
+        with pytest.raises(ModuleError):
+            curvature(raw)
+
+
+def test_raise_exterior_rejects_non_alternating_forms():
+    M = hyperbolic2()
+    symmetric = {(a, b): ONE for a in range(2) for b in range(2)}
+    with pytest.raises(ModuleError):
+        raise_exterior(M, 2, symmetric)
+    alternating = {(0, 0): ZERO, (0, 1): X, (1, 0): -X, (1, 1): ZERO}
+    # <xi, e1 ^ e2> = x through the inverse gram of the hyperbolic pairing
+    assert raise_exterior(M, 2, alternating) == {(0, 1): -X}
 
 
 def test_bianchi_holds_for_metric_connections():
