@@ -121,6 +121,9 @@ class ProblemDocument:
         gram_rows = spec.get("gram")
         if not _is_list_of(gram_rows, list):
             raise _fail("module needs a gram matrix (a list of rows)", "module")
+        rank = spec.get("rank")
+        if rank is not None and (not _is_int(rank) or rank != len(gram_rows)):
+            raise _fail("rank must be an integer equal to the number of gram rows", "module")
         for key, kind in (("basis", str), ("internal_degrees", int)):
             if spec.get(key) is not None and not (_is_list_of(spec[key], kind) and len(spec[key]) == len(gram_rows)):
                 raise _fail("%s must list one entry per gram row" % key, "module")

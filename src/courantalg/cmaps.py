@@ -642,6 +642,8 @@ def cmap_wedge(a: Cochain, b: Cochain, mode: str = "recursive") -> Cochain:
 
 def probe_elements(module: MetricModule, depth: int):
     """Basis elements times every monomial of total degree <= depth (the unit first)."""
+    if depth < 0:
+        raise ValueError("probe depth must be nonnegative, got %d" % depth)
     backend = module.backend
     return [
         module.basis(b).scale(Poly.monomial(backend, exp))

@@ -329,24 +329,23 @@ def delta_block(cs: CourantStructure, r: int, d: int) -> GradedComplexBlock:
 
 def cohomology_dims(cs: CourantStructure, r_range, d_range) -> dict:
     """dim H^{r,d} = null(delta^{r,d}) - rank(delta^{r-1,d}), all exact."""
-    results = {}
-    blocks: dict[tuple[int, int], GradedComplexBlock] = {}
-    for d in d_range:
-        for r in list(r_range):
-            if (r, d) not in blocks:
-                blocks[(r, d)] = delta_block(cs, r, d)
-            if (r - 1, d) not in blocks:
-                blocks[(r - 1, d)] = delta_block(cs, r - 1, d) if r - 1 >= 0 else None
-            blk = blocks[(r, d)]
-            prev = blocks.get((r - 1, d))
-            nsrc = len(blk.source_basis)
+    ranked: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def chain_dim_and_rank(r, d):
+        # each block is built and ranked once, then read as rank_out and rank_in
+        if (r, d) not in ranked:
+            blk = delta_block(cs, r, d)
             rk = linalg.rank(blk.matrix) if blk.matrix and blk.source_basis else 0
-            kernel = nsrc - rk
-            prev_rank = 0
-            if prev is not None and prev.matrix and prev.source_basis:
-                prev_rank = linalg.rank(prev.matrix)
+            ranked[(r, d)] = (len(blk.source_basis), rk)
+        return ranked[(r, d)]
+
+    results = {}
+    for d in d_range:
+        for r in r_range:
+            nsrc, rk = chain_dim_and_rank(r, d)
+            prev_rank = chain_dim_and_rank(r - 1, d)[1] if r >= 1 else 0
             results[(r, d)] = {
-                "dim": kernel - prev_rank,
+                "dim": nsrc - rk - prev_rank,
                 "chain_dim": nsrc,
                 "rank_out": rk,
                 "rank_in": prev_rank,

@@ -2,13 +2,16 @@
 
 Elements are stored as normalized term sums c * D_{i1} v ... v D_{ip} (x)
 e_{a1} ^ ... ^ e_{ak}; a Der generator counts degree 2 and a module basis
-element degree 1.  The bracket is fixed on generators by
+element degree 1.  This is the function algebra of a degree-2 symplectic
+graded manifold (Rothstein 1991; Roytenberg, math/0203110), so the bracket
+is the closed form {f, g} = sum_{u, v} (f d<-/du) {u, v} (d->/dv g) over the
+generators x_j, D_i, e_a, with the generator table
 
-    {a, b} = 0,  {a, x} = 0,  {x, y} = <x, y>,
-    {D, a} = -D(a),  {D, x} = -nabla_D x,  {D, E} = -[D, E] - r(D, E)
+    {e_a, e_b} = <e_a, e_b>,  {D_i, e_a} = -nabla_{D_i} e_a,
+    {D_i, D_j} = -r(D_i, D_j),  {D_i, x_j} = -D_i(x_j)
 
-and extended by the graded Leibniz rule; it depends on a metric connection
-through nabla and the curvature bivector r.
+up to graded antisymmetry, and 0 on the other pairs; it depends on a metric
+connection through nabla and the curvature bivector r.
 """
 
 from __future__ import annotations
@@ -44,6 +47,20 @@ def _merge_ext(ext1: tuple[int, ...], ext2: tuple[int, ...]):
             sign = -sign
             j -= 1
     return sign, tuple(merged)
+
+
+def _accumulate(acc: dict[TermKey, Poly], sym, ext1, ext2, coeff: Poly, factor: int = 1):
+    """acc[sym, ext1 ^ ext2] += factor * coeff, signed by sorting the exterior part."""
+    merged = _merge_ext(ext1, ext2)
+    if merged is None:
+        return
+    sign, ext = merged
+    factor *= sign
+    if factor != 1:
+        coeff = -coeff if factor == -1 else coeff.scale(factor)
+    key = (tuple(sorted(sym)), ext)
+    prev = acc.get(key)
+    acc[key] = coeff if prev is None else prev + coeff
 
 
 class RothElement:
@@ -161,18 +178,9 @@ class RothElement:
     def wedge(self, other: "RothElement") -> "RothElement":
         self._check(other)
         out: dict[TermKey, Poly] = {}
-        backend = self.module.backend
         for (s1, x1), c1 in self.terms.items():
             for (s2, x2), c2 in other.terms.items():
-                merged = _merge_ext(x1, x2)
-                if merged is None:
-                    continue
-                sign, ext = merged
-                key = (tuple(sorted(s1 + s2)), ext)
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                out[key] = out.get(key, Poly.zero(backend)) + c
+                _accumulate(out, s1 + s2, x1, x2, c1 * c2)
         return RothElement(self.module, out)
 
     def __eq__(self, other) -> bool:
@@ -215,116 +223,101 @@ def graded_monomials(module: MetricModule, degree: int, exponents):
 # -- the Poisson bracket -------------------------------------------------
 
 
-def _factor_split(key: TermKey, coeff: Poly, module: MetricModule):
-    """Leading factor and remainder of a monomial term, or None if single."""
+def _partials(key: TermKey, right: bool):
+    """(generator, factor, sym, ext) for the derivatives of the unit monomial key
+    by its Der and exterior factors, from the right or from the left.
+
+    Only the exterior factors are odd: moving the one at position m of k to
+    the right end costs (-1)^(k-1-m), to the left end (-1)^m.
+    """
     sym, ext = key
-    if not sym and not ext:
-        return None  # pure scalar: a single degree-0 factor
-    one = Poly.one(module.backend)
-    if not coeff.is_one():
-        return ("coef", coeff), RothElement(module, {key: one})
-    if sym and (len(sym) + len(ext)) > 1:
-        return ("der", sym[0]), RothElement(module, {(sym[1:], ext): one})
-    if len(ext) > 1:
-        return ("ext", ext[0]), RothElement(module, {((), ext[1:]): one})
-    return None
+    out = []
+    for m, i in enumerate(sym):
+        if m == 0 or sym[m - 1] != i:
+            out.append(((2, i), sym.count(i), sym[:m] + sym[m + 1:], ext))
+    shift = len(ext) - 1 if right else 0
+    for m, a in enumerate(ext):
+        out.append(((1, a), -1 if (shift + m) % 2 else 1, sym, ext[:m] + ext[m + 1:]))
+    return out
 
 
-def _single_factor(key: TermKey, coeff: Poly):
-    sym, ext = key
-    if sym:
-        return ("der", sym[0])
-    if ext:
-        return ("ext", ext[0])
-    return ("coef", coeff)
+def _generator_bracket(conn: Connection, u, v):
+    """{u, v} as (ext, coefficient) pairs; see roth_bracket.
+
+    Generators are (degree, index): (0, j) is the variable x_j, (1, a) the
+    basis element e_a and (2, i) the Der generator D_i.
+    """
+    (du, i), (dv, j) = u, v
+    if (du, dv) == (1, 1):
+        entries = [((), conn.module.gram[i][j])]
+    elif (du, dv) == (2, 2):
+        entries = [(ab, -c) for ab, c in curvature(conn).pair(i, j).items()]
+    elif {du, dv} == {1, 2}:
+        # {e_a, D_i} = Gamma_i(e_a) = -{D_i, e_a}
+        image = conn.gamma[j][i] if du == 1 else -conn.gamma[i][j]
+        entries = [((b,), c) for b, c in enumerate(image.coeffs)]
+    elif {du, dv} == {0, 2}:
+        # {x_j, D_i} = D_i(x_j) = -{D_i, x_j}
+        backend = conn.module.backend
+        entries = [((), Derivation.basis(backend, j)(Poly.var(backend, i)) if du == 0
+                    else -Derivation.basis(backend, i)(Poly.var(backend, j)))]
+    else:
+        return []
+    return [(ext, c) for ext, c in entries if not c.is_zero()]
 
 
-def _factor_degree(f) -> int:
-    return {"coef": 0, "der": 2, "ext": 1}[f[0]]
-
-
-def _factor_element(module: MetricModule, f) -> RothElement:
-    kind, val = f
-    if kind == "coef":
-        return RothElement.from_scalar(module, val)
-    if kind == "der":
-        return RothElement.monomial(module, (val,), ())
-    return RothElement.monomial(module, (), (val,))
-
-
-def _base_bracket(module: MetricModule, conn: Connection, f1, f2) -> RothElement:
-    """Bracket of two single factors from the generator table."""
-    k1, v1 = f1
-    k2, v2 = f2
-    backend = module.backend
-    if k1 == "coef" and k2 == "coef":
-        return RothElement.zero(module)
-    if k1 == "coef" and k2 == "ext":
-        return RothElement.zero(module)
-    if k1 == "ext" and k2 == "coef":
-        return RothElement.zero(module)
-    if k1 == "coef" and k2 == "der":
-        d = Derivation.basis(backend, v2)
-        return RothElement.from_scalar(module, d(v1))
-    if k1 == "der" and k2 == "coef":
-        d = Derivation.basis(backend, v1)
-        return RothElement.from_scalar(module, -d(v2))
-    if k1 == "ext" and k2 == "ext":
-        return RothElement.from_scalar(module, module.gram[v1][v2])
-    if k1 == "der" and k2 == "ext":
-        return -RothElement.from_module_element(conn.gamma[v1][v2])
-    if k1 == "ext" and k2 == "der":
-        return RothElement.from_module_element(conn.gamma[v2][v1])
-    # der, der: generators commute, so only the curvature term remains
-    cur = curvature(conn)
-    return -RothElement.from_lambda2(module, cur.pair(v1, v2))
-
-
-def _bracket_tt(module, conn, key1, c1, key2, c2, side: str) -> RothElement:
-    """Bracket of two monomial terms by Leibniz peeling."""
-    deg1 = 2 * len(key1[0]) + len(key1[1])
-    deg2 = 2 * len(key2[0]) + len(key2[1])
-    split1 = _factor_split(key1, c1, module)
-    split2 = _factor_split(key2, c2, module)
-    if side == "right" and split2 is not None:
-        split1 = None
-    if split1 is not None:
-        # {u ^ rest, t2} = u ^ {rest, t2} + (-1)^{|rest| |t2|} {u, t2} ^ rest
-        u, rest = split1
-        du = _factor_degree(u)
-        ue = _factor_element(module, u)
-        out = ue.wedge(roth_bracket(rest, RothElement(module, {key2: c2}), conn, side))
-        tail = roth_bracket(ue, RothElement(module, {key2: c2}), conn, side).wedge(rest)
-        if ((deg1 - du) * deg2) % 2:
-            tail = -tail
-        return out + tail
-    if split2 is not None:
-        # {t1, v ^ rest} = {t1, v} ^ rest + (-1)^{|t1| |v|} v ^ {t1, rest}
-        v, rest = split2
-        dv = _factor_degree(v)
-        ve = _factor_element(module, v)
-        out = roth_bracket(RothElement(module, {key1: c1}), ve, conn, side).wedge(rest)
-        tail = ve.wedge(roth_bracket(RothElement(module, {key1: c1}), rest, conn, side))
-        if (deg1 * dv) % 2:
-            tail = -tail
-        return out + tail
-    return _base_bracket(module, conn, _single_factor(key1, c1), _single_factor(key2, c2))
-
-
-def roth_bracket(a: RothElement, b: RothElement, conn: Connection, side: str = "left") -> RothElement:
+def roth_bracket(a: RothElement, b: RothElement, conn: Connection) -> RothElement:
     """Degree -2 graded Poisson bracket for the given metric connection.
 
-    side selects which argument is Leibniz-peeled first; both give the same
-    answer and the redundancy is exercised by the test-suite.
+    {f, g} = sum_{u, v} (f d<-/du) {u, v} (d->/dv g) over the generators x_j,
+    D_i, e_a, with the table {e_a, e_b} = g_ab, {D_i, e_a} = -Gamma_i(e_a),
+    {D_i, D_j} = -r(D_i, D_j), {D_i, x_j} = -D_i(x_j), the graded
+    antisymmetric entries and 0 otherwise; each entry is read where it is
+    used.  The table is contracted against g once per generator u, then
+    against f.  Over the dual numbers the formula acts on the stored
+    representatives, because eps^2 and eps * D generate a Poisson ideal.
     """
     a._check(b)
-    if conn.module != a.module:
+    module = a.module
+    if conn.module != module:
         raise ModuleError("connection lives on a different module")
-    out = RothElement.zero(a.module)
-    for key1, c1 in a.terms.items():
-        for key2, c2 in b.terms.items():
-            out = out + _bracket_tt(a.module, conn, key1, c1, key2, c2, side)
-    return out
+    nvars = module.backend.nvars
+    generators = [(d, i) for d, n in enumerate((nvars, module.rank, num_der_generators(module.backend)))
+                  for i in range(n)]
+    # column[u] = sum_v {u, v} (d->/dv g); the monomial part of each term goes
+    # first on both sides, so its coefficient multiplies each key once
+    column: dict[tuple[int, int], dict[TermKey, Poly]] = {}
+    for key, c in b.terms.items():
+        unit: dict[tuple[int, int], dict[TermKey, Poly]] = {}
+        for v, k, sg, xg in _partials(key, right=False):
+            for u in generators:
+                for xm, cm in _generator_bracket(conn, u, v):
+                    _accumulate(unit.setdefault(u, {}), sg, xm, xg, cm, k)
+        for u, terms in unit.items():
+            for (sym, ext), cm in terms.items():
+                _accumulate(column.setdefault(u, {}), sym, ext, (), cm * c)
+        for j in range(nvars):
+            dc = c.partial(j)
+            if dc.is_zero():
+                continue
+            for u in generators:
+                for xm, cm in _generator_bracket(conn, u, (0, j)):
+                    _accumulate(column.setdefault(u, {}), key[0], xm, key[1], cm * dc)
+    out: dict[TermKey, Poly] = {}
+    for key, c in a.terms.items():
+        inner: dict[TermKey, Poly] = {}
+        for u, k, sf, xf in _partials(key, right=True):
+            for (sh, xh), ch in column.get(u, {}).items():
+                _accumulate(inner, sf + sh, xf, xh, ch, k)
+        for (sym, ext), v in inner.items():
+            _accumulate(out, sym, ext, (), c * v)
+        for j in range(nvars):
+            dc = c.partial(j)
+            if dc.is_zero():
+                continue
+            for (sh, xh), ch in column.get((0, j), {}).items():
+                _accumulate(out, key[0] + sh, key[1], xh, dc * ch)
+    return RothElement(module, out)
 
 
 def nested_bracket_with_modules(phi: RothElement, args, conn: Connection) -> RothElement:

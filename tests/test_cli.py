@@ -162,6 +162,10 @@ def _so3(**fields):
     return doc
 
 
+def _so3_rank(rank):
+    return _so3(module=dict(so3_document([])["module"], rank=rank))
+
+
 @pytest.mark.parametrize("doc", [
     pytest.param(_standard({"standard": "abc"}), id="standard-text"),
     pytest.param(_standard({"standard": -1}), id="standard-negative"),
@@ -178,6 +182,8 @@ def _so3(**fields):
     pytest.param(_so3(commands=[{"op": "verify-courant", "element": "m", "depth": -1}]),
                  id="verify-negative-depth"),
     pytest.param(_so3(commands=[{"op": "cohomology", "element": "m", "r": "ab"}]), id="window-text"),
+    pytest.param(_so3_rank(7), id="rank-mismatch"),
+    pytest.param(_so3_rank("3"), id="rank-text"),
 ])
 def test_malformed_documents_rejected(doc):
     report, code = run_document(doc)

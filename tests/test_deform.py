@@ -34,8 +34,9 @@ from courantalg import (
     verify_courant,
     verify_morphism,
 )
+from courantalg import deform
 from courantalg.deform import delta_block, lie_algebra_center_dim, roth_internal_degrees
-from courantalg.cmaps import probe_elements
+from courantalg.cmaps import cmap_verify, probe_elements
 
 from conftest import random_roth, so3_constants
 
@@ -122,6 +123,23 @@ def test_verify_detects_mutations():
     assert disagreements == 0
 
 
+def test_verifiers_refuse_negative_depth():
+    # at depth -1 there are no probes, so a broken table would pass the
+    # axiom route vacuously
+    cs = so3_structure()
+    M = cs.module
+    levels = {p: dict(t) for p, t in cs.cochain.levels.items()}
+    key = ((), (0, 1, 0))
+    levels[0][key] = levels[0].get(key, Poly.zero(M.backend)) + Poly.one(M.backend)
+    broken = Cochain(M, 3, levels)
+    for check in (lambda: probe_elements(M, -1),
+                  lambda: cmap_verify(broken, depth=-1),
+                  lambda: verify_courant(broken, depth=-1)):
+        with pytest.raises(ValueError):
+            check()
+    assert not verify_courant(broken, depth=0)[0]
+
+
 def test_derived_bracket_reproduces_table_and_leibniz():
     cs = so3_structure()
     M = cs.module
@@ -194,6 +212,21 @@ def test_cohomology_so3_with_center_oracle():
     dims = cohomology_dims(cs, range(0, 2), [0])
     assert dims[(0, 0)]["dim"] == 1
     assert dims[(1, 0)]["dim"] == lie_algebra_center_dim(so3_constants())  # = 0
+
+
+def test_cohomology_ranks_each_block_once(monkeypatch):
+    calls = []
+
+    def counting_rank(rows):
+        calls.append(len(rows))
+        return real_rank(rows)
+
+    real_rank = deform.linalg.rank
+    monkeypatch.setattr(deform.linalg, "rank", counting_rank)
+    dims = cohomology_dims(so3_structure(), range(0, 3), [0])
+    ranked = [dims[(r, 0)] for r in range(3) if dims[(r, 0)]["chain_dim"]]
+    assert len(calls) == len(ranked) == 3
+    assert [dims[(r, 0)]["rank_in"] for r in (1, 2)] == [dims[(r, 0)]["rank_out"] for r in (0, 1)]
 
 
 def test_cohomology_standard_low_block():

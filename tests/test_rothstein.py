@@ -22,7 +22,8 @@ from courantalg import (
 )
 from courantalg.textforms import parse_roth, roth_to_text
 
-from conftest import curved_connection, random_roth
+from conftest import curved_connection, hyperbolic_module, random_roth
+from peeling_oracle import peel_bracket
 
 
 B1 = Backend.free(1, ("x",))
@@ -128,14 +129,32 @@ def test_graded_jacobi_and_leibniz_randomized():
             assert ab.degrees() == {r + s - 2}
 
 
+def _oracle_contexts():
+    """Curved connections over Q[x1..xn] for n = 0..3 and a curved and a flat
+    connection over the dual numbers."""
+    for n in range(4):
+        M = hyperbolic_module(n, 2 if n < 2 else 1)
+        yield M, curved_connection(M, seed=7 + n)
+    D = Backend.dual()
+    oneD, zeroD = Poly.one(D), Poly.zero(D)
+    M = MetricModule(D, [[zeroD, oneD, zeroD], [oneD, zeroD, zeroD], [zeroD, zeroD, oneD]])
+    yield M, curved_connection(M, seed=3)
+    yield M, Connection.flat(M)
+
+
 def test_peel_sides_agree():
-    M = hyperbolic2()
-    conn = curved_connection(M, seed=5)
+    # the closed form against Leibniz peeling from either side, degrees 0..5
     rng = random.Random(19)
-    for _ in range(40):
-        a = random_roth(rng, M, rng.randint(1, 4))
-        b = random_roth(rng, M, rng.randint(1, 4))
-        assert roth_bracket(a, b, conn, side="left") == roth_bracket(a, b, conn, side="right")
+    pairs = nonzero = 0
+    for M, conn in _oracle_contexts():
+        for _ in range(70):
+            a = random_roth(rng, M, rng.randint(0, 5))
+            b = random_roth(rng, M, rng.randint(0, 5))
+            closed = roth_bracket(a, b, conn)
+            assert closed == peel_bracket(a, b, conn, "left") == peel_bracket(a, b, conn, "right")
+            pairs += 1
+            nonzero += not closed.is_zero()
+    assert pairs >= 400 and nonzero >= 150
 
 
 def test_dual_number_annihilation():
@@ -275,4 +294,5 @@ def test_dual_number_curved_connection_bracket():
         if (r * s) % 2:
             t2 = -t2
         assert (lhs - rhs - t2).is_zero()
-        assert roth_bracket(a, b, conn, side="left") == roth_bracket(a, b, conn, side="right")
+        closed = roth_bracket(a, b, conn)
+        assert closed == peel_bracket(a, b, conn, "left") == peel_bracket(a, b, conn, "right")
