@@ -80,6 +80,10 @@ class ProblemDocument:
             self.standard_n = module_spec["standard"]
             if not _is_int(self.standard_n) or self.standard_n < 1:
                 raise _fail("standard needs a positive integer", "module")
+            extra = (set(module_spec) - {"standard"}) | ({"backend", "connection"} & set(raw))
+            if extra:
+                raise _fail("a standard module takes no other key or section, got %s"
+                            % ", ".join(map(repr, sorted(extra))), "module")
             cs = make_standard_courant(self.standard_n)
             self.backend = cs.module.backend
             self.module = cs.module

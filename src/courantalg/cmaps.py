@@ -25,6 +25,7 @@ numbers is the motivating case.
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from fractions import Fraction
 
 from .modules import MetricModule, ModuleElement, ModuleError, inner
@@ -32,6 +33,21 @@ from .poly import Backend, Derivation, Poly, der_generator_var, exponents_of_deg
 from .rothstein import ModuleMap
 
 LevelTable = dict[tuple[tuple[int, ...], tuple[int, ...]], Poly]
+
+MEMO_LIMIT = 1 << 14  # entries per memo table, read on every store
+
+
+class Memo(OrderedDict):
+    """A memo table of at most MEMO_LIMIT entries that drops its oldest first.
+
+    Eviction is first in, first out, so a hit is a plain dict lookup.
+    """
+
+    def remember(self, key, value):
+        while self and len(self) >= MEMO_LIMIT:
+            self.popitem(last=False)
+        self[key] = value
+        return value
 
 
 def _gen_var_index(backend: Backend, j: int) -> int:
@@ -50,7 +66,7 @@ def _clean_levels(levels: dict[int, LevelTable]) -> dict[int, LevelTable]:
 class Cochain:
     """Degree-r element of the quasi-Courant complex (immutable)."""
 
-    __slots__ = ("module", "degree", "levels", "_hash", "_memo", "_marg_cache")
+    __slots__ = ("module", "degree", "levels", "_hash", "_memo")
 
     def __init__(self, module: MetricModule, degree: int, levels: dict[int, LevelTable]):
         if degree < 0:
@@ -65,8 +81,7 @@ class Cochain:
         self.degree = degree
         self.levels = _clean_levels(levels)
         self._hash = None
-        self._memo = {}
-        self._marg_cache = {}
+        self._memo = Memo()
 
     # -- constructors --------------------------------------------------
 
@@ -246,8 +261,7 @@ class Cochain:
             a = Poly.monomial(backend, exp) * module.gram[b][b2]
             rest = margs[:idx] + margs[idx + 2:]
             out = out + self._apply_symbol(p, gens, a, rest)
-        self._memo[key] = out
-        return out
+        return self._memo.remember(key, out)
 
     def _apply_symbol(self, p: int, gens: tuple[int, ...], a: Poly, margs) -> Poly:
         """sigma of the level-p form applied to a, i.e. one level up the tower."""
@@ -262,20 +276,8 @@ class Cochain:
             out = out + part * self._eval_mono(p + 1, new_gens, margs)
         return out
 
-    def _expand_module_arg(self, x: ModuleElement):
-        cached = self._marg_cache.get(x)
-        if cached is None:
-            cached = [
-                (c, exp, b)
-                for b, poly in enumerate(x.coeffs)
-                for exp, c in poly.terms.items()
-            ]
-            self._marg_cache[x] = cached
-        return cached
-
     def eval_level(self, p: int, gen_args, mod_args) -> Poly:
         """Level-p value on general algebra and module arguments."""
-        backend = self.module.backend
         if len(mod_args) != self.degree - 2 * p:
             raise ValueError("expected %d module arguments" % (self.degree - 2 * p))
         if len(gen_args) != p:
@@ -293,7 +295,8 @@ class Cochain:
                     continue
                 out = out + part * self._eval_sder(p, rest, tuple(sorted(gens + (j,))), mod_args)
             return out
-        expansions = [self._expand_module_arg(x) for x in mod_args]
+        expansions = [[(c, exp, b) for b, poly in enumerate(x.coeffs) for exp, c in poly.terms.items()]
+                      for x in mod_args]
         out = Poly.zero(backend)
         for combo in itertools.product(*expansions):
             c = Fraction(1)
@@ -456,8 +459,8 @@ def _basis_index(x: ModuleElement) -> int | None:
 
 DEGREE_CAP = 8  # table sizes grow as rank^(r-1); results above this degree refused
 
-_BRACKET_CACHE: dict = {}
-_WEDGE_CACHE: dict = {}
+_BRACKET_CACHE = Memo()
+_WEDGE_CACHE = Memo()
 
 
 def _check_degree_cap(result_degree: int, what: str):
@@ -465,11 +468,6 @@ def _check_degree_cap(result_degree: int, what: str):
         raise ValueError(
             "%s of result degree %d exceeds the %d cap" % (what, result_degree, DEGREE_CAP)
         )
-
-
-def clear_caches():
-    _BRACKET_CACHE.clear()
-    _WEDGE_CACHE.clear()
 
 
 def cbracket(a: Cochain, b: Cochain) -> Cochain:
@@ -508,8 +506,7 @@ def cbracket(a: Cochain, b: Cochain) -> Cochain:
             _insertion_level(module, lambda eb: _bracket_insert_step(a, b, eb, s)),
             lambda j: cbracket(generator_slice(a, j), b) + cbracket(a, generator_slice(b, j)),
         )
-    _BRACKET_CACHE[key] = out
-    return out
+    return _BRACKET_CACHE.remember(key, out)
 
 
 def _bracket_insert_step(a: Cochain, b: Cochain, eb: ModuleElement, s: int) -> Cochain:
@@ -580,8 +577,7 @@ def cwedge(a: Cochain, b: Cochain) -> Cochain:
 
     out = _compose_from_slices(module, n, _insertion_level(module, insert_fn),
                                lambda j: _wedge_slice(a, b, j))
-    _WEDGE_CACHE[key] = out
-    return out
+    return _WEDGE_CACHE.remember(key, out)
 
 
 def _shuffles(p: int, q: int):

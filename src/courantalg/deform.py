@@ -329,6 +329,7 @@ def delta_block(cs: CourantStructure, r: int, d: int) -> GradedComplexBlock:
 
 def cohomology_dims(cs: CourantStructure, r_range, d_range) -> dict:
     """dim H^{r,d} = null(delta^{r,d}) - rank(delta^{r-1,d}), all exact."""
+    r_range = list(r_range)  # walked once per d, so a one-shot iterator is kept
     ranked: dict[tuple[int, int], tuple[int, int]] = {}
 
     def chain_dim_and_rank(r, d):
@@ -354,18 +355,20 @@ def cohomology_dims(cs: CourantStructure, r_range, d_range) -> dict:
 
 
 def delta_squared_is_zero(cs: CourantStructure, r: int, d: int) -> bool:
-    """Matrix product of consecutive blocks vanishes identically."""
+    """Matrix product of consecutive blocks vanishes, composed over nonzero entries."""
     first = delta_block(cs, r, d)
     second = delta_block(cs, r + 1, d)
     if not first.source_basis or not second.target_basis:
         return True
-    for i in range(len(second.target_basis)):
-        for j in range(len(first.source_basis)):
-            s = Fraction(0)
-            for t in range(len(first.target_basis)):
-                s += second.matrix[i][t] * first.matrix[t][j]
-            if s:
-                return False
+    second_cols = [[(i, v) for i, v in enumerate(col) if v] for col in zip(*second.matrix)]
+    for col in zip(*first.matrix):
+        image: dict[int, Fraction] = {}
+        for t, a in enumerate(col):
+            if a:
+                for i, v in second_cols[t]:
+                    image[i] = image.get(i, 0) + v * a
+        if any(image.values()):
+            return False
     return True
 
 

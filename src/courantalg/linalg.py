@@ -59,18 +59,18 @@ def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[list
 def solve(rows: list[list[Fraction]], rhs: list[Fraction]):
     """One solution of A x = b, or (None, witness_row) if inconsistent.
 
-    The witness row is the index of a zero row of the eliminated matrix with
-    nonzero right-hand side (an unsatisfiable 0 = c equation).
+    The witness row is the row of the eliminated augmented matrix whose pivot
+    sits in the right-hand column: zero on every unknown and nonzero on the
+    right, an unsatisfiable 0 = c equation.
     """
     if not rows:
-        return ([], None) if all(v == 0 for v in rhs) else (None, 0)
+        nonzero = [Fraction(v) for v in rhs if v]
+        return (None, nonzero[:1]) if nonzero else ([], None)
     n = len(rows[0])
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     red, pivots = rref(aug)
     if n in pivots:
-        # pivot in the rhs column: find the offending row
-        r = pivots.index(n)
-        return None, r
+        return None, red[pivots.index(n)]
     x = [QZERO] * n
     for r, pc in enumerate(pivots):
         x[pc] = red[r][n]

@@ -205,16 +205,12 @@ def chat_membership(c: Cochain, conn: Connection, cap: int | None = None) -> dic
                                 "reason": "no candidate monomials in the image"}}
     sol, witness = linalg.solve(rows, rhs)
     if sol is None:
-        # locate an explicit unsatisfiable coordinate combination
-        aug = [row + [b] for row, b in zip(rows, rhs)]
-        red, pivots = linalg.rref(aug)
-        cert_row = red[pivots.index(len(basis))]
         return {
             "member": False,
             "cap": cap,
             "conclusive": conclusive,
             "certificate": {
-                "residual_row": [str(v) for v in cert_row],
+                "residual_row": [str(v) for v in witness],
                 "coordinate": _coord_name(module, _first_target_coord(target_vec, coords)),
                 "reason": "eliminated system contains 0 = 1",
             },

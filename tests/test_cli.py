@@ -169,6 +169,9 @@ def _so3_rank(rank):
 @pytest.mark.parametrize("doc", [
     pytest.param(_standard({"standard": "abc"}), id="standard-text"),
     pytest.param(_standard({"standard": -1}), id="standard-negative"),
+    pytest.param(_standard({"standard": 1, "rank": 7, "gram": 5}), id="standard-extra-keys"),
+    pytest.param(_standard(backend={"kind": "dualnum"}), id="standard-backend"),
+    pytest.param(_standard(connection={"kind": "bogus"}), id="standard-connection"),
     pytest.param(_so3(connection=[1]), id="connection-list"),
     pytest.param(_so3(module={"gram": 5}), id="gram-int"),
     pytest.param(_so3(elements=[1]), id="elements-list"),

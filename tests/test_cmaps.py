@@ -30,7 +30,8 @@ from courantalg import (
     symbol_tower,
     to_form,
 )
-from courantalg.cmaps import bracket_scalar, clear_caches, quartic_from_biderivation
+from courantalg import cmaps
+from courantalg.cmaps import bracket_scalar, quartic_from_biderivation
 
 from conftest import curved_connection, random_module_element, random_roth, so3_constants
 
@@ -258,7 +259,6 @@ def test_bracket_tail_leibniz():
 def test_bracket_graded_jacobi_randomized():
     B, M, conn = hyperbolic_setup(seed=11)
     rng = random.Random(12)
-    clear_caches()
     for _ in range(12):
         r, s, t = (rng.randint(1, 3) for _ in range(3))
         a, b, c = (apply_J(random_roth(rng, M, d), conn) for d in (r, s, t))
@@ -268,6 +268,36 @@ def test_bracket_graded_jacobi_randomized():
         if (r * s) % 2:
             t2 = -t2
         assert lhs == rhs + t2
+
+
+def _memo_workload(monkeypatch, seed):
+    """Brackets, wedges and evaluations on fresh bracket and wedge tables."""
+    monkeypatch.setattr(cmaps, "_BRACKET_CACHE", cmaps.Memo())
+    monkeypatch.setattr(cmaps, "_WEDGE_CACHE", cmaps.Memo())
+    B, M, conn = hyperbolic_setup(seed=seed)
+    rng = random.Random(seed + 1)
+
+    def nonzero(degree):
+        phi = random_roth(rng, M, degree, density=1.0)
+        return apply_J(phi, conn) if not phi.is_zero() else nonzero(degree)
+
+    held, results = [], []
+    for _ in range(3):
+        a, b = nonzero(3), nonzero(2)
+        x, y = random_module_element(rng, M, 2), random_module_element(rng, M, 2)
+        ab = cbracket(a, b)
+        results += [ab, cwedge(a, b), cmap_eval(a, (x, y)), cmap_eval(ab, (y, x))]
+        held += [a, ab]
+    return held, results
+
+
+def test_memo_tables_stay_at_a_small_bound(monkeypatch):
+    _, expected = _memo_workload(monkeypatch, seed=31)
+    monkeypatch.setattr(cmaps, "MEMO_LIMIT", 4)
+    held, results = _memo_workload(monkeypatch, seed=31)
+    assert results == expected
+    assert len(cmaps._BRACKET_CACHE) == len(cmaps._WEDGE_CACHE) == 4
+    assert all(isinstance(c._memo, cmaps.Memo) and len(c._memo) == 4 for c in held)
 
 
 # -- the wedge ---------------------------------------------------------------------

@@ -207,6 +207,19 @@ def test_delta_squared_blocks():
             assert delta_squared_is_zero(cs, r, d)
 
 
+def test_delta_squared_detects_a_generator_with_nonzero_self_bracket():
+    # Theta + x^2 D_1 (x) e_1 keeps internal degree 0 but {Theta, Theta} != 0
+    cs = make_standard_courant(1)
+    module = cs.module
+    x = Poly.var(module.backend, 0)
+    theta = cs.theta + RothElement(module, {((0,), (0,)): x * x})
+    assert roth_internal_degrees(theta) == {0}
+    assert not roth_bracket(theta, theta, cs.connection).is_zero()
+    broken = deform.CourantStructure.from_theta(theta, cs.connection, check=False)
+    for r, d in [(0, 1), (1, -1), (1, 1)]:
+        assert not delta_squared_is_zero(broken, r, d)
+
+
 def test_cohomology_so3_with_center_oracle():
     cs = so3_structure()
     dims = cohomology_dims(cs, range(0, 2), [0])
@@ -233,6 +246,13 @@ def test_cohomology_standard_low_block():
     cs = make_standard_courant(1)
     dims = cohomology_dims(cs, range(0, 1), [0])
     assert dims[(0, 0)]["dim"] == 1  # constants are cocycles with nothing incoming
+
+
+def test_cohomology_window_may_be_a_one_shot_iterator():
+    cs = make_standard_courant(1)
+    dims = cohomology_dims(cs, iter(range(0, 2)), [0, 1])
+    assert dims == cohomology_dims(cs, range(0, 2), [0, 1])
+    assert sorted(dims) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_block_decomposition_needs_homogeneous_generator():
