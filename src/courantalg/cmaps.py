@@ -714,7 +714,7 @@ def to_form(c: Cochain) -> CochainForm:
     return CochainForm(c)
 
 
-def from_form(form: CochainForm, depth: int | None = None) -> Cochain:
+def from_form(form: CochainForm) -> Cochain:
     """Back to the map picture; re-checks linearity of the last slot."""
     c = form.cochain
     module = c.module

@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .cmaps import Cochain, cbracket, cmap_verify
+from .cmaps import Cochain, Memo, cbracket, cmap_verify
 from .modules import Connection, MetricModule, ModuleElement, ModuleError, inner
 from .poly import Backend, Poly, exponents_of_degree
 from .rothstein import AlgebraMap, ModuleMap, RothElement, graded_monomials, roth_bracket
@@ -78,21 +78,28 @@ def standard_module(n: int) -> MetricModule:
     return MetricModule(backend, gram, names=names, internal_degrees=internal)
 
 
+_STANDARD = Memo()
+
+
 def make_standard_courant(n: int) -> CourantStructure:
     """The structure whose derived bracket is the Dorfman bracket on A^{2n}.
 
     Basis e_i plays the coordinate vector field, f_i the coordinate one-form;
-    the generator is -sum_i D_i ^ f_i, whose anchor on e_i is +D_i.
+    the generator is -sum_i D_i ^ f_i, whose anchor on e_i is +D_i.  The
+    structure is immutable, so it is built and verified once per n.
     """
     if n < 1:
         raise ValueError("need at least one variable")
+    hit = _STANDARD.get(n)
+    if hit is not None:
+        return hit
     module = standard_module(n)
     conn = Connection.flat(module)
     theta = RothElement(
         module,
         {((i,), (n + i,)): Poly.const(module.backend, -1) for i in range(n)},
     )
-    return CourantStructure.from_theta(theta, conn, check=True)
+    return _STANDARD.remember(n, CourantStructure.from_theta(theta, conn, check=True))
 
 
 def make_quadratic_lie(structure_constants, gram) -> CourantStructure:
@@ -297,7 +304,7 @@ class GradedComplexBlock:
         self.d = d
         self.source_basis = source_basis
         self.target_basis = target_basis
-        self.matrix = matrix  # rows over target, columns over source
+        self.matrix = matrix  # one {source column: value} row per target monomial
 
 
 def delta_block(cs: CourantStructure, r: int, d: int) -> GradedComplexBlock:
@@ -312,7 +319,7 @@ def delta_block(cs: CourantStructure, r: int, d: int) -> GradedComplexBlock:
     src = enumerate_chain_basis(module, r, d)
     dst = enumerate_chain_basis(module, r + 1, d)
     index = {key: i for i, key in enumerate(dst)}
-    matrix = [[Fraction(0)] * len(src) for _ in range(len(dst))]
+    matrix = [{} for _ in dst]
     for col, (exp, sym, ext) in enumerate(src):
         mono = RothElement(module, {(sym, ext): Poly.monomial(module.backend, exp)})
         image = roth_bracket(cs.theta, mono, cs.connection)
@@ -323,7 +330,7 @@ def delta_block(cs: CourantStructure, r: int, d: int) -> GradedComplexBlock:
                     raise ModuleError(
                         "differential leaves the internal-degree block: %s" % (key,)
                     )
-                matrix[index[key]][col] += frac
+                matrix[index[key]][col] = frac
     return GradedComplexBlock(r, d, src, dst, matrix)
 
 
@@ -355,18 +362,13 @@ def cohomology_dims(cs: CourantStructure, r_range, d_range) -> dict:
 
 
 def delta_squared_is_zero(cs: CourantStructure, r: int, d: int) -> bool:
-    """Matrix product of consecutive blocks vanishes, composed over nonzero entries."""
-    first = delta_block(cs, r, d)
-    second = delta_block(cs, r + 1, d)
-    if not first.source_basis or not second.target_basis:
-        return True
-    second_cols = [[(i, v) for i, v in enumerate(col) if v] for col in zip(*second.matrix)]
-    for col in zip(*first.matrix):
+    """The product of consecutive blocks vanishes, composed over their sparse rows."""
+    first = delta_block(cs, r, d).matrix
+    for row in delta_block(cs, r + 1, d).matrix:
         image: dict[int, Fraction] = {}
-        for t, a in enumerate(col):
-            if a:
-                for i, v in second_cols[t]:
-                    image[i] = image.get(i, 0) + v * a
+        for t, v in row.items():
+            for s, a in first[t].items():
+                image[s] = image.get(s, 0) + v * a
         if any(image.values()):
             return False
     return True
@@ -378,8 +380,8 @@ def lie_algebra_center_dim(structure_constants) -> int:
     rows = []
     for j in range(rank_e):
         for k in range(rank_e):
-            rows.append([Fraction(structure_constants[i][j][k]) for i in range(rank_e)])
-    return len(linalg.nullspace(rows, ncols=rank_e))
+            rows.append({i: Fraction(structure_constants[i][j][k]) for i in range(rank_e)})
+    return len(linalg.nullspace(rows, rank_e))
 
 
 # -- deformations -------------------------------------------------------------------

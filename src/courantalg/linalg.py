@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q, plus inverses of unit-determinant Poly matrices."""
+"""Exact sparse linear algebra over Q, plus inverses of unit-determinant Poly matrices."""
 
 from __future__ import annotations
 
@@ -7,73 +7,75 @@ from fractions import Fraction
 from .poly import Poly, QONE, QZERO
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form (copy); returns (matrix, pivot column list)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
+def echelon(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """Reduced row echelon form of sparse {column: value} rows, keyed by pivot column.
+
+    Rows are taken shortest first.  Each is cleared of the pivot columns found
+    so far (the stored rows are fully reduced, so one pass suffices), pivots
+    on its lowest column and is normalized; that column is then cleared from
+    the earlier pivot rows.  The result is the unique reduced echelon form of
+    the row space, whatever the row order.
+    """
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for row in sorted(rows, key=len):
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        for c in [c for c in row if c in pivots]:
+            _subtract(row, row[c], pivots[c])
+        if not row:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+        pc = min(row)
+        inv = 1 / row[pc]
+        row = {c: v * inv for c, v in row.items()}
+        for other in pivots.values():
+            if pc in other:
+                _subtract(other, other[pc], row)
+        pivots[pc] = row
+    return pivots
 
 
-def rank(rows: list[list[Fraction]]) -> int:
-    if not rows or not rows[0]:
-        return 0
-    return len(rref(rows)[1])
+def _subtract(row: dict, f: Fraction, pivot_row: dict) -> None:
+    """row -= f * pivot_row, in place, dropping the entries that cancel."""
+    for c, v in pivot_row.items():
+        w = row.get(c, QZERO) - f * v
+        if w:
+            row[c] = w
+        else:
+            del row[c]
 
 
-def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[list[Fraction]]:
+def rank(rows: list[dict[int, Fraction]]) -> int:
+    return len(echelon(rows))
+
+
+def nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[list[Fraction]]:
     """Basis of the kernel of the matrix (columns = unknowns)."""
-    if not rows:
-        n = ncols or 0
-        return [[QONE if j == i else QZERO for j in range(n)] for i in range(n)]
-    n = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(n) if c not in pivots]
+    pivots = echelon(rows)
     basis = []
-    for fc in free:
-        v = [QZERO] * n
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [QZERO] * ncols
         v[fc] = QONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+        for pc, row in pivots.items():
+            v[pc] = -row.get(fc, QZERO)
         basis.append(v)
     return basis
 
 
-def solve(rows: list[list[Fraction]], rhs: list[Fraction]):
+def solve(rows: list[dict[int, Fraction]], ncols: int):
     """One solution of A x = b, or (None, witness_row) if inconsistent.
 
-    The witness row is the row of the eliminated augmented matrix whose pivot
-    sits in the right-hand column: zero on every unknown and nonzero on the
-    right, an unsatisfiable 0 = c equation.
+    Column ncols of the rows holds the right-hand side b.  The witness row
+    is the dense row of the reduced system whose pivot sits in the
+    right-hand column: zero on every unknown and nonzero on the right, an
+    unsatisfiable 0 = c equation.
     """
-    if not rows:
-        nonzero = [Fraction(v) for v in rhs if v]
-        return (None, nonzero[:1]) if nonzero else ([], None)
-    n = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if n in pivots:
-        return None, red[pivots.index(n)]
-    x = [QZERO] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][n]
+    pivots = echelon(rows)
+    if ncols in pivots:
+        return None, [pivots[ncols].get(c, QZERO) for c in range(ncols + 1)]
+    x = [QZERO] * ncols
+    for pc, row in pivots.items():
+        x[pc] = row.get(ncols, QZERO)
     return x, None
 
 

@@ -55,7 +55,7 @@ class Backend:
         return self.kind == Backend.DUAL
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Backend)
             and self.kind == other.kind
             and self.names == other.names

@@ -187,14 +187,10 @@ def chat_membership(c: Cochain, conn: Connection, cap: int | None = None) -> dic
     coords: dict[tuple, int] = {}
     target_vec = _flatten(c, coords, grow=True)
     image_vecs = [_flatten(im, coords, grow=True) for im in images]
-    ncoords = len(coords)
-    rows = [[Fraction(0)] * len(basis) for _ in range(ncoords)]
-    rhs = [Fraction(0)] * ncoords
-    for j, vec in enumerate(image_vecs):
+    rows = [{} for _ in coords]  # column len(basis) holds the target
+    for j, vec in enumerate(image_vecs + [target_vec]):
         for key, frac in vec.items():
             rows[coords[key]][j] = frac
-    for key, frac in target_vec.items():
-        rhs[coords[key]] = frac
     if not basis:
         nz = next((k for k, v in target_vec.items() if v), None)
         if nz is None:
@@ -203,7 +199,7 @@ def chat_membership(c: Cochain, conn: Connection, cap: int | None = None) -> dic
         return {"member": False, "cap": cap, "conclusive": conclusive,
                 "certificate": {"coordinate": _coord_name(module, nz), "residual": str(target_vec[nz]),
                                 "reason": "no candidate monomials in the image"}}
-    sol, witness = linalg.solve(rows, rhs)
+    sol, witness = linalg.solve(rows, len(basis))
     if sol is None:
         return {
             "member": False,

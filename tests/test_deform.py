@@ -242,6 +242,35 @@ def test_cohomology_ranks_each_block_once(monkeypatch):
     assert [dims[(r, 0)]["rank_in"] for r in (1, 2)] == [dims[(r, 0)]["rank_out"] for r in (0, 1)]
 
 
+def _standard_unchecked(n):
+    # the generator of make_standard_courant(n) without its verification, which takes about 20 s at n = 3
+    module = deform.standard_module(n)
+    theta = RothElement(module, {((i,), (n + i,)): Poly.const(module.backend, -1) for i in range(n)})
+    return deform.CourantStructure.from_theta(theta, Connection.flat(module), check=False)
+
+
+def test_cohomology_known_answers():
+    def nonzero(cs, rs, ds):
+        table = cohomology_dims(cs, rs, ds)
+        assert len(table) == len(rs) * len(ds)
+        return {rd: v["dim"] for rd, v in table.items() if v["dim"]}
+
+    # Chevalley-Eilenberg: H(so(3)) = Q in degrees 0 and 3; Kuenneth for the sum
+    assert nonzero(so3_structure(), range(0, 8), range(-3, 4)) == {(0, 0): 1, (3, 0): 1}
+    eps = so3_constants()
+    pair = [[[0] * 6 for _ in range(6)] for _ in range(6)]
+    for i, j, k in itertools.product(range(3), repeat=3):
+        pair[i][j][k] = pair[i + 3][j + 3][k + 3] = eps[i][j][k]
+    so3_sum = make_quadratic_lie(pair, [[int(i == j) for j in range(6)] for i in range(6)])
+    assert nonzero(so3_sum, range(0, 8), [0]) == {(0, 0): 1, (3, 0): 2, (6, 0): 1}
+    # the standard structure on Q[x1..xn]^(2n): de Rham of affine space, H = Q at (0, 0)
+    for n in (1, 2):
+        assert _standard_unchecked(n).theta == make_standard_courant(n).theta
+    for n, rs, ds in [(1, range(0, 7), range(-3, 4)), (2, range(0, 7), range(-2, 4)),
+                      (3, range(0, 5), range(-1, 2))]:
+        assert nonzero(_standard_unchecked(n), rs, ds) == {(0, 0): 1}
+
+
 def test_cohomology_standard_low_block():
     cs = make_standard_courant(1)
     dims = cohomology_dims(cs, range(0, 1), [0])

@@ -26,6 +26,14 @@ def _product(a, b):
             for i in range(len(a))]
 
 
+def _sparse(rows, rhs=None):
+    """{column: value} rows; a right-hand side goes into the column after the last."""
+    out = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    for row, b in zip(out, rhs or []):
+        row[len(rows[0])] = b
+    return out
+
+
 def _apply(rows, x):
     return [sum((v * xj for v, xj in zip(row, x)), Fraction(0)) for row in rows]
 
@@ -53,8 +61,8 @@ MATRICES = _structured() + _random()
 @pytest.mark.parametrize("rows", MATRICES)
 def test_rank_nullity(rows):
     ncols = len(rows[0])
-    kernel = linalg.nullspace(rows)
-    assert linalg.rank(rows) + len(kernel) == ncols
+    kernel = linalg.nullspace(_sparse(rows), ncols)
+    assert linalg.rank(_sparse(rows)) + len(kernel) == ncols
     for v in kernel:
         assert len(v) == ncols and any(v)
         assert not any(_apply(rows, v))
@@ -69,7 +77,7 @@ def test_solve_consistent_rhs(rows):
     rng = random.Random(len(rows) * 31 + len(rows[0]))
     x0 = [Fraction(rng.randint(-3, 3)) for _ in rows[0]]
     b = _apply(rows, x0)
-    x, witness = linalg.solve(rows, b)
+    x, witness = linalg.solve(_sparse(rows, b), len(rows[0]))
     assert witness is None
     assert _apply(rows, x) == b
 
@@ -83,7 +91,7 @@ def test_solve_inconsistent_rhs_has_a_witness(rows):
     weights = [Fraction(rng.randint(-2, 2)) for _ in rows]
     combo = [sum((w * row[j] for w, row in zip(weights, rows)), Fraction(0)) for j in range(ncols)]
     b = _apply(rows, x0)
-    x, witness = linalg.solve(rows + [combo], b + [_apply([weights], b)[0] + 1])
+    x, witness = linalg.solve(_sparse(rows + [combo], b + [_apply([weights], b)[0] + 1]), ncols)
     assert x is None
     assert len(witness) == ncols + 1
     assert not any(witness[:ncols]) and witness[ncols] != 0
