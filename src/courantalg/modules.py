@@ -21,7 +21,8 @@ class MetricModule:
     Optional per-basis internal degrees feed the graded cohomology blocks.
     """
 
-    __slots__ = ("backend", "rank", "names", "gram", "gram_inv", "internal_degrees", "_hash")
+    __slots__ = ("backend", "rank", "names", "gram", "gram_inv", "internal_degrees", "_basis",
+                 "_hash")
 
     def __init__(self, backend: Backend, gram: list[list[Poly]], names=None, internal_degrees=None):
         rank = len(gram)
@@ -52,17 +53,19 @@ class MetricModule:
             internal_degrees = (0,) * rank
         self.internal_degrees = tuple(internal_degrees)
         self._hash = hash((backend, self.gram, self.names))
+        zero, one = Poly.zero(backend), Poly.one(backend)
+        self._basis = tuple(
+            ModuleElement(self, [one if b == a else zero for b in range(rank)]) for a in range(rank)
+        )
 
     def zero(self) -> "ModuleElement":
         return ModuleElement(self, [Poly.zero(self.backend)] * self.rank)
 
     def basis(self, a: int) -> "ModuleElement":
-        coeffs = [Poly.zero(self.backend)] * self.rank
-        coeffs[a] = Poly.one(self.backend)
-        return ModuleElement(self, coeffs)
+        return self._basis[a]
 
     def basis_elements(self) -> list["ModuleElement"]:
-        return [self.basis(a) for a in range(self.rank)]
+        return list(self._basis)
 
     def inner(self, x: "ModuleElement", y: "ModuleElement") -> Poly:
         if x.module is not self and x.module != self:

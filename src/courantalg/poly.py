@@ -199,6 +199,10 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
         dual = self.backend.is_dual
         terms: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
