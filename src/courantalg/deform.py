@@ -2,10 +2,14 @@
 
 A structure is a degree-3 element m with [m, m] = 0, kept in both pictures:
 as a cochain and as its preimage Theta in the connection-based algebra.  The
-deformation differential is {Theta, .} on the connection side, with [m, .]
-as the cross-checking route, and the graded blocks are cut by an internal
-polynomial degree (a variable counts +1, a derivation generator -1, module
-basis elements carry the module's declared internal degrees).
+deformation differential is delta = {Theta, .} on the connection side, with
+[m, .] as the cross-checking route.  delta is a degree-1 derivation, so it is
+applied as the homological vector field Q (Roytenberg, math/0203110): the
+values Q(v) = {Theta, v} on the generators x_j, e_a, D_i are computed once
+per structure, and delta g = sum_v Q(v) (d->/dv g) by Leibniz.  The graded
+blocks are cut by an internal polynomial degree (a variable counts +1, a
+derivation generator -1, module basis elements carry the module's declared
+internal degrees).
 """
 
 from __future__ import annotations
@@ -16,15 +20,23 @@ from fractions import Fraction
 from . import linalg
 from .cmaps import Cochain, Memo, cbracket, cmap_verify
 from .modules import Connection, MetricModule, ModuleElement, ModuleError, inner
-from .poly import Backend, Poly, exponents_of_degree
-from .rothstein import AlgebraMap, ModuleMap, RothElement, graded_monomials, roth_bracket
+from .poly import Backend, Poly, exponents_of_degree, num_der_generators
+from .rothstein import (
+    AlgebraMap,
+    ModuleMap,
+    RothElement,
+    _merge_ext,
+    _partials,
+    graded_monomials,
+    roth_bracket,
+)
 from .symbol_map import apply_J, invert_J_deg3
 
 
 class CourantStructure:
     """Degree-3 element with vanishing self-bracket, in both pictures."""
 
-    __slots__ = ("module", "connection", "cochain", "theta", "anchor")
+    __slots__ = ("module", "connection", "cochain", "theta", "anchor", "_q")
 
     def __init__(self, module: MetricModule, connection: Connection,
                  cochain: Cochain, theta: RothElement, anchor):
@@ -33,6 +45,7 @@ class CourantStructure:
         self.cochain = cochain
         self.theta = theta
         self.anchor = tuple(anchor)
+        self._q = None  # the generator table of Q = {Theta, .}, built on first use
 
     @staticmethod
     def from_cochain(m: Cochain, conn: Connection, check: bool = True) -> "CourantStructure":
@@ -299,10 +312,89 @@ def verify_morphism(cs1: CourantStructure, cs2: CourantStructure,
 # -- the deformation differential and cohomology -----------------------------------
 
 
+def _q_table(cs: CourantStructure) -> dict:
+    """Q(v) = {Theta, v} on each generator v with a nonzero value.
+
+    Generators are keyed as in `rothstein._partials`: (0, j) is x_j, (1, a)
+    is e_a and (2, i) is D_i.  Each value is a list of (sym, ext, [(exp,
+    coefficient)]) entries, an integral coefficient kept as an int (exact,
+    and int products skip Fraction's normalization).  Built on first use and
+    kept on the structure, which is immutable.
+    """
+    if cs._q is None:
+        module = cs.module
+        backend = module.backend
+        generators = [((0, j), RothElement.from_scalar(module, Poly.var(backend, j)))
+                      for j in range(backend.nvars)]
+        generators += [((1, a), RothElement.monomial(module, (), (a,))) for a in range(module.rank)]
+        generators += [((2, i), RothElement.monomial(module, (i,), ()))
+                       for i in range(num_der_generators(backend))]
+        table = {}
+        for v, g in generators:
+            image = roth_bracket(cs.theta, g, cs.connection)
+            if image.terms:
+                table[v] = [(sym, ext, [(exp, a.numerator if a.denominator == 1 else a)
+                                        for exp, a in c.terms.items()])
+                            for (sym, ext), c in image.terms.items()]
+        cs._q = table
+    return cs._q
+
+
+def _apply_q(cs: CourantStructure, terms: dict) -> dict:
+    """Q on a sum {(exp, sym, ext): coefficient} of monomials, by Leibniz.
+
+    Q(c x^e s) = sum_v Q(v) (d->/dv (c x^e s)) over the Der and exterior
+    factors v of the unit monomial s, plus sum_j e_j c Q(x_j) x^(e - 1_j) s.
+    Over the dual numbers a product term with eps^2, or with eps and a Der
+    factor, is dropped, which is the reduction RothElement applies.
+    Coefficients are ints or Fractions.
+    """
+    q = _q_table(cs)
+    dual = cs.module.backend.is_dual
+    out: dict = {}
+
+    def add(qv, factor, exp, sym, ext):
+        for qsym, qext, qterms in qv:
+            merged = _merge_ext(qext, ext)
+            if merged is None:
+                continue
+            sign, mext = merged
+            msym = tuple(sorted(qsym + sym)) if qsym else sym
+            f = factor * sign
+            for qexp, qc in qterms:
+                mexp = tuple(map(int.__add__, qexp, exp))
+                if dual and mexp[0] and (mexp[0] > 1 or msym):
+                    continue
+                key = (mexp, msym, mext)
+                s = out.get(key, 0) + f * qc
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+
+    for (exp, sym, ext), c in terms.items():
+        for v, k, sg, xg in _partials((sym, ext), right=False):
+            qv = q.get(v)
+            if qv:
+                add(qv, c * k, exp, sg, xg)
+        for j, e in enumerate(exp):
+            qv = q.get((0, j))
+            if e and qv:
+                add(qv, c * e, exp[:j] + (e - 1,) + exp[j + 1:], sym, ext)
+    return out
+
+
 def deformation_differential(cs: CourantStructure, c):
     """delta = {Theta, .} on the connection side, [m, .] on the complex side."""
     if isinstance(c, RothElement):
-        return roth_bracket(cs.theta, c, cs.connection)
+        cs.theta._check(c)
+        image = _apply_q(cs, {(exp, sym, ext): v for (sym, ext), poly in c.terms.items()
+                             for exp, v in poly.terms.items()})
+        polys: dict = {}
+        for (exp, sym, ext), v in image.items():
+            polys.setdefault((sym, ext), {})[exp] = v
+        backend = c.module.backend
+        return RothElement(c.module, {key: Poly(backend, t) for key, t in polys.items()})
     if isinstance(c, Cochain):
         return cbracket(cs.cochain, c)
     raise TypeError("expected a graded element")
@@ -345,30 +437,37 @@ class GradedComplexBlock:
         self.matrix = matrix  # one {source column: value} row per target monomial
 
 
-def delta_block(cs: CourantStructure, r: int, d: int) -> GradedComplexBlock:
-    """The exact matrix of the differential from block (r, d) into (r+1, d)."""
+def _require_degree_zero_generator(cs: CourantStructure) -> None:
     degs = roth_internal_degrees(cs.theta)
     if degs - {0}:
         raise ModuleError(
             "block decomposition needs an internally homogeneous generator of degree 0; got %s"
             % sorted(degs)
         )
+
+
+def _image_in_block(cs: CourantStructure, terms: dict, r: int, d: int) -> dict:
+    """Q(terms), each of whose keys must lie in block (r, d)."""
+    module = cs.module
+    image = _apply_q(cs, terms)
+    for key in image:
+        exp, sym, ext = key
+        if 2 * len(sym) + len(ext) != r or internal_degree_of_term(module, exp, sym, ext) != d:
+            raise ModuleError("differential leaves the internal-degree block: %s" % (key,))
+    return image
+
+
+def delta_block(cs: CourantStructure, r: int, d: int) -> GradedComplexBlock:
+    """The exact matrix of the differential from block (r, d) into (r+1, d)."""
+    _require_degree_zero_generator(cs)
     module = cs.module
     src = enumerate_chain_basis(module, r, d)
     dst = enumerate_chain_basis(module, r + 1, d)
     index = {key: i for i, key in enumerate(dst)}
     matrix = [{} for _ in dst]
-    for col, (exp, sym, ext) in enumerate(src):
-        mono = RothElement(module, {(sym, ext): Poly.monomial(module.backend, exp)})
-        image = roth_bracket(cs.theta, mono, cs.connection)
-        for (isym, iext), poly in image.terms.items():
-            for iexp, frac in poly.terms.items():
-                key = (iexp, isym, iext)
-                if key not in index:
-                    raise ModuleError(
-                        "differential leaves the internal-degree block: %s" % (key,)
-                    )
-                matrix[index[key]][col] = frac
+    for col, mono in enumerate(src):
+        for key, v in _image_in_block(cs, {mono: 1}, r + 1, d).items():
+            matrix[index[key]][col] = Fraction(v)
     return GradedComplexBlock(r, d, src, dst, matrix)
 
 
@@ -400,14 +499,10 @@ def cohomology_dims(cs: CourantStructure, r_range, d_range) -> dict:
 
 
 def delta_squared_is_zero(cs: CourantStructure, r: int, d: int) -> bool:
-    """The product of consecutive blocks vanishes, composed over their sparse rows."""
-    first = delta_block(cs, r, d).matrix
-    for row in delta_block(cs, r + 1, d).matrix:
-        image: dict[int, Fraction] = {}
-        for t, v in row.items():
-            for s, a in first[t].items():
-                image[s] = image.get(s, 0) + v * a
-        if any(image.values()):
+    """Q(Q(x)) = 0 for every basis monomial x of block (r, d); no block is built."""
+    _require_degree_zero_generator(cs)
+    for mono in enumerate_chain_basis(cs.module, r, d):
+        if _image_in_block(cs, _image_in_block(cs, {mono: 1}, r + 1, d), r + 2, d):
             return False
     return True
 
@@ -451,7 +546,7 @@ def mc_residuals(series: DeformationSeries) -> list[RothElement]:
     ms = series.coefficients
     out = []
     for j in range(1, len(ms) + 1):
-        res = roth_bracket(cs.theta, ms[j - 1], conn).scale(2)
+        res = deformation_differential(cs, ms[j - 1]).scale(2)
         for i in range(1, j):
             res = res + roth_bracket(ms[i - 1], ms[j - i - 1], conn)
         out.append(res)
@@ -474,7 +569,7 @@ def mc_obstruction(series: DeformationSeries) -> tuple[RothElement, bool]:
     obs = RothElement.zero(cs.module)
     for i in range(1, k + 1):
         obs = obs + roth_bracket(ms[i - 1], ms[k - i], conn)
-    flag = roth_bracket(cs.theta, obs, conn).is_zero()
+    flag = deformation_differential(cs, obs).is_zero()
     return obs, flag
 
 
@@ -485,7 +580,7 @@ def mc_extend(series: DeformationSeries, candidate: RothElement) -> bool:
         raise ValueError("input series fails its relations at order %d" % bad_order)
     cs = series.structure
     obs, _ = mc_obstruction(series)
-    lhs = roth_bracket(cs.theta, candidate, cs.connection).scale(2)
+    lhs = deformation_differential(cs, candidate).scale(2)
     return (lhs + obs).is_zero()
 
 

@@ -1,8 +1,13 @@
+import itertools
 import json
+from pathlib import Path
 
 import pytest
 
+from courantalg import deform
 from courantalg.cli import SCHEMA, DocumentError, ProblemDocument, run_document
+
+DOCUMENTS = Path(__file__).resolve().parent.parent / "docs" / "documents"
 
 
 def so3_document(commands):
@@ -57,6 +62,21 @@ def test_cohomology_command():
     assert code == 0
     table = {(row["r"], row["d"]): row["dim"] for row in report["commands"][0]["table"]}
     assert table[(0, 0)] == 1 and table[(1, 0)] == 0
+
+
+def test_cohomology_command_builds_each_block_once(monkeypatch):
+    calls = []
+
+    def counting_block(cs, r, d):
+        calls.append((r, d))
+        return real_block(cs, r, d)
+
+    real_block = deform.delta_block
+    monkeypatch.setattr(deform, "delta_block", counting_block)
+    report, code = run_document(json.loads((DOCUMENTS / "cohomology_standard.json").read_text()))
+    assert code == 0 and report["commands"][0]["delta_squared_zero"] is True
+    # r 0..3, d -1..1: each block is built by cohomology_dims alone, once
+    assert sorted(calls) == sorted(itertools.product(range(0, 4), range(-1, 2)))
 
 
 def test_standard_module_document():

@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -40,10 +42,21 @@ from courantalg.cmaps import cmap_verify, probe_elements
 
 from conftest import random_roth, so3_constants
 
+RESULTS = Path(__file__).resolve().parent.parent / "docs" / "results"
+
 
 def so3_structure():
     gram = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
     return make_quadratic_lie(so3_constants(), gram)
+
+
+def so3_sum_structure():
+    """so(3) + so(3) with the sum of the two invariant forms."""
+    eps = so3_constants()
+    pair = [[[0] * 6 for _ in range(6)] for _ in range(6)]
+    for i, j, k in itertools.product(range(3), repeat=3):
+        pair[i][j][k] = pair[i + 3][j + 3][k + 3] = eps[i][j][k]
+    return make_quadratic_lie(pair, [[int(i == j) for j in range(6)] for i in range(6)])
 
 
 # -- constructors -----------------------------------------------------------------
@@ -262,18 +275,20 @@ def test_cohomology_known_answers():
 
     # Chevalley-Eilenberg: H(so(3)) = Q in degrees 0 and 3; Kuenneth for the sum
     assert nonzero(so3_structure(), range(0, 8), range(-3, 4)) == {(0, 0): 1, (3, 0): 1}
-    eps = so3_constants()
-    pair = [[[0] * 6 for _ in range(6)] for _ in range(6)]
-    for i, j, k in itertools.product(range(3), repeat=3):
-        pair[i][j][k] = pair[i + 3][j + 3][k + 3] = eps[i][j][k]
-    so3_sum = make_quadratic_lie(pair, [[int(i == j) for j in range(6)] for i in range(6)])
-    assert nonzero(so3_sum, range(0, 8), [0]) == {(0, 0): 1, (3, 0): 2, (6, 0): 1}
+    assert nonzero(so3_sum_structure(), range(0, 8), [0]) == {(0, 0): 1, (3, 0): 2, (6, 0): 1}
     # the standard structure on Q[x1..xn]^(2n): de Rham of affine space, H = Q at (0, 0)
     for n in (1, 2, 3):
         assert _standard_unchecked(n).theta == make_standard_courant(n).theta
     for n, rs, ds in [(1, range(0, 7), range(-3, 4)), (2, range(0, 7), range(-2, 4)),
                       (3, range(0, 5), range(-1, 2))]:
         assert nonzero(_standard_unchecked(n), rs, ds) == {(0, 0): 1}
+    # n = 3, r 0..6, d -2..2: every entry of the committed table
+    committed = json.loads((RESULTS / "cohomology_standard_n3.json").read_text())
+    table = cohomology_dims(_standard_unchecked(3), range(0, 7), range(-2, 3))
+    assert [committed["r"], committed["d"]] == [[0, 6], [-2, 2]]
+    assert {(b["r"], b["d"]): {k: b[k] for k in ("dim", "chain_dim", "rank_out", "rank_in")}
+            for b in committed["blocks"]} == table
+    assert {rd for rd, v in table.items() if v["dim"]} == {(0, 0)} and table[(0, 0)]["dim"] == 1
 
 
 def test_cohomology_standard_low_block():
@@ -297,6 +312,16 @@ def test_block_decomposition_needs_homogeneous_generator():
     fake = type(cs)(cs.module, cs.connection, cs.cochain, skew, cs.anchor)
     with pytest.raises(ModuleError):
         delta_block(fake, 1, 0)
+
+
+def test_delta_squared_needs_homogeneous_generator():
+    # the same guard as delta_block, though no block is built
+    cs = make_standard_courant(1)
+    x = Poly.var(cs.module.backend, 0)
+    skew = cs.theta + RothElement(cs.module, {((), (0,)): x * x})
+    fake = type(cs)(cs.module, cs.connection, cs.cochain, skew, cs.anchor)
+    with pytest.raises(ModuleError):
+        delta_squared_is_zero(fake, 1, 0)
 
 
 # -- deformations ----------------------------------------------------------------------
