@@ -35,7 +35,7 @@ from .deform import (
     mc_series_valid,
     verify_courant,
 )
-from .modules import Connection, MetricModule, ModuleElement, metrize
+from .modules import Connection, MetricModule, ModuleElement, ModuleError, metrize
 from .poly import Backend, Derivation, MultiDerivation, Poly
 from .rothstein import RothElement
 from .symbol_map import apply_J, chat_membership, invert_J_deg2, invert_J_deg3
@@ -425,7 +425,10 @@ class CommandRunner:
         r_lo, r_hi = self._arg(cmd, "r", [0, 5], is_window)
         d_lo, d_hi = self._arg(cmd, "d", [-3, 3], is_window)
         cs = self._structure(cmd)
-        dims = cohomology_dims(cs, range(r_lo, r_hi + 1), range(d_lo, d_hi + 1))
+        try:
+            dims = cohomology_dims(cs, range(r_lo, r_hi + 1), range(d_lo, d_hi + 1))
+        except ModuleError as ex:  # the generator does not respect the internal grading
+            raise _fail(str(ex), "cohomology")
         table = [
             {
                 "r": r,

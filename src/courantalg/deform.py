@@ -3,13 +3,18 @@
 A structure is a degree-3 element m with [m, m] = 0, kept in both pictures:
 as a cochain and as its preimage Theta in the connection-based algebra.  The
 deformation differential is delta = {Theta, .} on the connection side, with
-[m, .] as the cross-checking route.  delta is a degree-1 derivation, so it is
-applied as the homological vector field Q (Roytenberg, math/0203110): the
-values Q(v) = {Theta, v} on the generators x_j, e_a, D_i are computed once
-per structure, and delta g = sum_v Q(v) (d->/dv g) by Leibniz.  The graded
-blocks are cut by an internal polynomial degree (a variable counts +1, a
-derivation generator -1, module basis elements carry the module's declared
-internal degrees).
+[m, .] as the cross-checking route.  delta is the Hamiltonian derivation Q
+of Theta (Roytenberg, math/0203110): its values on all generators are built
+once per structure, and delta g = sum_v Q(v) (d->/dv g) follows by Leibniz,
+in the kernel `roth_bracket` runs on.  The graded blocks are cut by an
+internal polynomial degree (a variable counts +1, a derivation generator -1,
+module basis elements carry the module's declared internal degrees).
+
+Over the dual numbers that grading is not preserved when Theta has a Der
+factor: epsd(eps) = eps, yet eps counts +1 and epsd -1, so {Theta, .} maps
+a block containing eps out of its internal degree.  `delta_block`,
+`delta_squared_is_zero` and `cohomology_dims` raise ModuleError on such a
+block; these structures have no cohomology table.
 """
 
 from __future__ import annotations
@@ -20,13 +25,15 @@ from fractions import Fraction
 from . import linalg
 from .cmaps import Cochain, Memo, cbracket, cmap_verify
 from .modules import Connection, MetricModule, ModuleElement, ModuleError, inner
-from .poly import Backend, Poly, exponents_of_degree, num_der_generators
+from .poly import Backend, Poly, exponents_of_degree
 from .rothstein import (
     AlgebraMap,
     ModuleMap,
     RothElement,
-    _merge_ext,
-    _partials,
+    _apply_derivation,
+    _hamiltonian,
+    _to_roth,
+    generators,
     graded_monomials,
     roth_bracket,
 )
@@ -49,18 +56,14 @@ class CourantStructure:
 
     @staticmethod
     def from_cochain(m: Cochain, conn: Connection, check: bool = True) -> "CourantStructure":
-        theta = invert_J_deg3(m, conn)
-        anchor = [m.symbol((x,)) for x in m.module.basis_elements()]
-        cs = CourantStructure(m.module, conn, m, theta, anchor)
-        if check:
-            ok, report = verify_courant(m)
-            if not ok:
-                raise ValueError("not a Courant structure: %s" % report)
-        return cs
+        return CourantStructure._from_both(m, invert_J_deg3(m, conn), conn, check)
 
     @staticmethod
     def from_theta(theta: RothElement, conn: Connection, check: bool = True) -> "CourantStructure":
-        m = apply_J(theta, conn)
+        return CourantStructure._from_both(apply_J(theta, conn), theta, conn, check)
+
+    @staticmethod
+    def _from_both(m: Cochain, theta: RothElement, conn: Connection, check: bool) -> "CourantStructure":
         anchor = [m.symbol((x,)) for x in m.module.basis_elements()]
         cs = CourantStructure(theta.module, conn, m, theta, anchor)
         if check:
@@ -313,88 +316,23 @@ def verify_morphism(cs1: CourantStructure, cs2: CourantStructure,
 
 
 def _q_table(cs: CourantStructure) -> dict:
-    """Q(v) = {Theta, v} on each generator v with a nonzero value.
-
-    Generators are keyed as in `rothstein._partials`: (0, j) is x_j, (1, a)
-    is e_a and (2, i) is D_i.  Each value is a list of (sym, ext, [(exp,
-    coefficient)]) entries, an integral coefficient kept as an int (exact,
-    and int products skip Fraction's normalization).  Built on first use and
-    kept on the structure, which is immutable.
-    """
+    """Q(v) = {Theta, v} on each generator v (keyed as in `rothstein.generators`)
+    with a nonzero value; built on first use and kept on the immutable structure."""
     if cs._q is None:
-        module = cs.module
-        backend = module.backend
-        generators = [((0, j), RothElement.from_scalar(module, Poly.var(backend, j)))
-                      for j in range(backend.nvars)]
-        generators += [((1, a), RothElement.monomial(module, (), (a,))) for a in range(module.rank)]
-        generators += [((2, i), RothElement.monomial(module, (i,), ()))
-                       for i in range(num_der_generators(backend))]
-        table = {}
-        for v, g in generators:
-            image = roth_bracket(cs.theta, g, cs.connection)
-            if image.terms:
-                table[v] = [(sym, ext, [(exp, a.numerator if a.denominator == 1 else a)
-                                        for exp, a in c.terms.items()])
-                            for (sym, ext), c in image.terms.items()]
-        cs._q = table
+        cs._q = _hamiltonian(cs.theta, cs.connection, generators(cs.module))
     return cs._q
 
 
 def _apply_q(cs: CourantStructure, terms: dict) -> dict:
-    """Q on a sum {(exp, sym, ext): coefficient} of monomials, by Leibniz.
-
-    Q(c x^e s) = sum_v Q(v) (d->/dv (c x^e s)) over the Der and exterior
-    factors v of the unit monomial s, plus sum_j e_j c Q(x_j) x^(e - 1_j) s.
-    Over the dual numbers a product term with eps^2, or with eps and a Der
-    factor, is dropped, which is the reduction RothElement applies.
-    Coefficients are ints or Fractions.
-    """
-    q = _q_table(cs)
-    dual = cs.module.backend.is_dual
-    out: dict = {}
-
-    def add(qv, factor, exp, sym, ext):
-        for qsym, qext, qterms in qv:
-            merged = _merge_ext(qext, ext)
-            if merged is None:
-                continue
-            sign, mext = merged
-            msym = tuple(sorted(qsym + sym)) if qsym else sym
-            f = factor * sign
-            for qexp, qc in qterms:
-                mexp = tuple(map(int.__add__, qexp, exp))
-                if dual and mexp[0] and (mexp[0] > 1 or msym):
-                    continue
-                key = (mexp, msym, mext)
-                s = out.get(key, 0) + f * qc
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-
-    for (exp, sym, ext), c in terms.items():
-        for v, k, sg, xg in _partials((sym, ext), right=False):
-            qv = q.get(v)
-            if qv:
-                add(qv, c * k, exp, sg, xg)
-        for j, e in enumerate(exp):
-            qv = q.get((0, j))
-            if e and qv:
-                add(qv, c * e, exp[:j] + (e - 1,) + exp[j + 1:], sym, ext)
-    return out
+    """Q on a flat sum {(exp, sym, ext): coefficient} of monomials, by Leibniz."""
+    return _apply_derivation(_q_table(cs), terms, cs.module.backend.is_dual)
 
 
 def deformation_differential(cs: CourantStructure, c):
     """delta = {Theta, .} on the connection side, [m, .] on the complex side."""
     if isinstance(c, RothElement):
         cs.theta._check(c)
-        image = _apply_q(cs, {(exp, sym, ext): v for (sym, ext), poly in c.terms.items()
-                             for exp, v in poly.terms.items()})
-        polys: dict = {}
-        for (exp, sym, ext), v in image.items():
-            polys.setdefault((sym, ext), {})[exp] = v
-        backend = c.module.backend
-        return RothElement(c.module, {key: Poly(backend, t) for key, t in polys.items()})
+        return _to_roth(c.module, _apply_q(cs, c.flat()))
     if isinstance(c, Cochain):
         return cbracket(cs.cochain, c)
     raise TypeError("expected a graded element")

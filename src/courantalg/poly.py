@@ -403,10 +403,21 @@ def der_generator_var(backend: Backend, i: int) -> Poly:
 
 
 def exponents_of_degree(backend: Backend, total: int) -> Iterator[tuple[int, ...]]:
-    """Exponent tuples of one total degree, in product order; eps^2 = 0 over DualNum."""
-    for exp in itertools.product(range(total + 1), repeat=backend.nvars):
-        if sum(exp) == total and not (backend.is_dual and exp[0] > 1):
-            yield exp
+    """Exponent tuples of one total degree, in product order; eps^2 = 0 over DualNum.
+
+    Each composition is cut from 0..total at nvars - 1 non-decreasing points,
+    and the cuts come in lexicographic order, which is that of the
+    compositions.
+    """
+    n = backend.nvars
+    if total < 0 or (backend.is_dual and total > 1):
+        return
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    for cuts in itertools.combinations_with_replacement(range(total + 1), n - 1):
+        yield tuple(map(int.__sub__, cuts + (total,), (0,) + cuts))
 
 
 class MultiDerivation:

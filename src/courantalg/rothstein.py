@@ -3,15 +3,23 @@
 Elements are stored as normalized term sums c * D_{i1} v ... v D_{ip} (x)
 e_{a1} ^ ... ^ e_{ak}; a Der generator counts degree 2 and a module basis
 element degree 1.  This is the function algebra of a degree-2 symplectic
-graded manifold (Rothstein 1991; Roytenberg, math/0203110), so the bracket
-is the closed form {f, g} = sum_{u, v} (f d<-/du) {u, v} (d->/dv g) over the
-generators x_j, D_i, e_a, with the generator table
+graded manifold (Rothstein 1991; Roytenberg, math/0203110), so {a, .} is the
+Hamiltonian derivation Q_a of a, fixed by its values on the generators
+x_j, D_i, e_a:
+
+    Q_a(v) = {a, v} = sum_u (a d<-/du) {u, v},   {a, b} = sum_v Q_a(v) (d->/dv b),
+
+with the generator table
 
     {e_a, e_b} = <e_a, e_b>,  {D_i, e_a} = -nabla_{D_i} e_a,
     {D_i, D_j} = -r(D_i, D_j),  {D_i, x_j} = -D_i(x_j)
 
 up to graded antisymmetry, and 0 on the other pairs; it depends on a metric
-connection through nabla and the curvature bivector r.
+connection through nabla and the curvature bivector r.  One kernel does all
+of this on flat sums {(exp, sym, ext): coefficient}: `_hamiltonian` builds
+Q_a, `_apply_derivation` applies it by Leibniz, and both multiply through
+`_mul_into`, as does the wedge product.  `roth_bracket` and the deformation
+differential of `deform` are this kernel.
 """
 
 from __future__ import annotations
@@ -49,18 +57,49 @@ def _merge_ext(ext1: tuple[int, ...], ext2: tuple[int, ...]):
     return sign, tuple(merged)
 
 
-def _accumulate(acc: dict[TermKey, Poly], sym, ext1, ext2, coeff: Poly, factor: int = 1):
-    """acc[sym, ext1 ^ ext2] += factor * coeff, signed by sorting the exterior part."""
-    merged = _merge_ext(ext1, ext2)
-    if merged is None:
-        return
-    sign, ext = merged
-    factor *= sign
-    if factor != 1:
-        coeff = -coeff if factor == -1 else coeff.scale(factor)
-    key = (tuple(sorted(sym)), ext)
-    prev = acc.get(key)
-    acc[key] = coeff if prev is None else prev + coeff
+def _exact(c):
+    return c.numerator if c.denominator == 1 else c  # int products skip Fraction's normalization
+
+
+def _mul_into(out: dict, lefts, right, dual: bool):
+    """out += (sum of lefts) * right for grouped monomials (sym, ext, [(exp, coefficient)]).
+
+    The one product step: merge the exterior parts with their sign, add the
+    exponents, and over the dual numbers drop a term with eps^2 or with eps
+    and a Der factor (the reduction RothElement applies).
+    """
+    sym2, ext2, terms2 = right
+    for sym1, ext1, terms1 in lefts:
+        merged = _merge_ext(ext1, ext2)
+        if merged is None:
+            continue
+        sign, ext = merged
+        sym = tuple(sorted(sym1 + sym2)) if sym1 and sym2 else sym1 or sym2
+        for exp1, c1 in terms1:
+            for exp2, c2 in terms2:
+                exp = tuple(map(int.__add__, exp1, exp2))
+                if dual and exp[0] and (exp[0] > 1 or sym):
+                    continue
+                key = (exp, sym, ext)
+                s = out.get(key, 0)
+                s = s + c1 * c2 if sign > 0 else s - c1 * c2
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+
+
+def _grouped(flat: dict) -> list:
+    """A flat sum {(exp, sym, ext): coefficient} as grouped monomials."""
+    groups: dict = {}
+    for (exp, sym, ext), c in flat.items():
+        groups.setdefault((sym, ext), []).append((exp, _exact(c)))
+    return [(sym, ext, terms) for (sym, ext), terms in groups.items()]
+
+
+def _to_roth(module: MetricModule, flat: dict) -> "RothElement":
+    return RothElement(module, {(sym, ext): Poly(module.backend, dict(terms))
+                                for sym, ext, terms in _grouped(flat)})
 
 
 class RothElement:
@@ -175,13 +214,19 @@ class RothElement:
             a = Poly.const(self.module.backend, a)
         return RothElement(self.module, {k: a * c for k, c in self.terms.items()})
 
+    def flat(self) -> dict:
+        """The terms as a flat sum {(exp, sym, ext): coefficient}, integral ones as ints."""
+        return {(exp, sym, ext): _exact(c)
+                for (sym, ext), poly in self.terms.items() for exp, c in poly.terms.items()}
+
     def wedge(self, other: "RothElement") -> "RothElement":
         self._check(other)
-        out: dict[TermKey, Poly] = {}
-        for (s1, x1), c1 in self.terms.items():
-            for (s2, x2), c2 in other.terms.items():
-                _accumulate(out, s1 + s2, x1, x2, c1 * c2)
-        return RothElement(self.module, out)
+        dual = self.module.backend.is_dual
+        out: dict = {}
+        lefts = _grouped(self.flat())
+        for right in _grouped(other.flat()):
+            _mul_into(out, lefts, right, dual)
+        return _to_roth(self.module, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RothElement):
@@ -223,26 +268,26 @@ def graded_monomials(module: MetricModule, degree: int, exponents):
 # -- the Poisson bracket -------------------------------------------------
 
 
-def _partials(key: TermKey, right: bool):
-    """(generator, factor, sym, ext) for the derivatives of the unit monomial key
-    by its Der and exterior factors, from the right or from the left.
+def _partials(exp, sym, ext, right: bool):
+    """(generator, factor, exp, sym, ext) for the derivatives of the unit
+    monomial x^exp sym ext by its generators, from the right or the left.
 
     Only the exterior factors are odd: moving the one at position m of k to
     the right end costs (-1)^(k-1-m), to the left end (-1)^m.
     """
-    sym, ext = key
-    out = []
+    out = [((0, j), e, exp[:j] + (e - 1,) + exp[j + 1:], sym, ext) for j, e in enumerate(exp) if e]
     for m, i in enumerate(sym):
         if m == 0 or sym[m - 1] != i:
-            out.append(((2, i), sym.count(i), sym[:m] + sym[m + 1:], ext))
+            out.append(((2, i), sym.count(i), exp, sym[:m] + sym[m + 1:], ext))
     shift = len(ext) - 1 if right else 0
     for m, a in enumerate(ext):
-        out.append(((1, a), -1 if (shift + m) % 2 else 1, sym, ext[:m] + ext[m + 1:]))
+        out.append(((1, a), -1 if (shift + m) % 2 else 1, exp, sym, ext[:m] + ext[m + 1:]))
     return out
 
 
 def _generator_bracket(conn: Connection, u, v):
-    """{u, v} as (ext, coefficient) pairs; see roth_bracket.
+    """{u, v} as grouped monomials ((), ext, [(exp, coefficient)]); see the
+    module docstring.
 
     Generators are (degree, index): (0, j) is the variable x_j, (1, a) the
     basis element e_a and (2, i) the Der generator D_i.
@@ -263,61 +308,68 @@ def _generator_bracket(conn: Connection, u, v):
                     else -Derivation.basis(backend, i)(Poly.var(backend, j)))]
     else:
         return []
-    return [(ext, c) for ext, c in entries if not c.is_zero()]
+    return [((), ext, [(exp, _exact(a)) for exp, a in c.terms.items()])
+            for ext, c in entries if c.terms]
+
+
+def generators(module: MetricModule) -> list[tuple[int, int]]:
+    """The generators x_j, e_a, D_i keyed as (0, j), (1, a), (2, i)."""
+    counts = (module.backend.nvars, module.rank, num_der_generators(module.backend))
+    return [(d, i) for d, n in enumerate(counts) for i in range(n)]
+
+
+def _hamiltonian(a: RothElement, conn: Connection, vs) -> dict:
+    """Q_a(v) = {a, v} = sum_u (a d<-/du) {u, v} on each generator v of vs.
+
+    a's right partials are contracted with the generator table, each entry
+    read once per pair (u, v).  Returns {v: grouped monomials} on the v with
+    a nonzero value, integral coefficients kept as ints.
+    """
+    partials: dict = {}  # u -> {(sym, ext): [(exp, coefficient)]} of a d<-/du
+    for key, c in a.flat().items():
+        for u, k, exp, sym, ext in _partials(*key, right=True):
+            partials.setdefault(u, {}).setdefault((sym, ext), []).append((exp, k * c))
+    partials = {u: [(sym, ext, terms) for (sym, ext), terms in groups.items()]
+                for u, groups in partials.items()}
+    dual = a.module.backend.is_dual
+    table = {}
+    for v in vs:
+        out: dict = {}
+        for u, lefts in partials.items():
+            for entry in _generator_bracket(conn, u, v):
+                _mul_into(out, lefts, entry, dual)
+        if out:
+            table[v] = _grouped(out)
+    return table
+
+
+def _apply_derivation(q: dict, terms: dict, dual: bool) -> dict:
+    """The derivation with values q on generators (as `_hamiltonian` returns
+    them) on a flat sum, by Leibniz: Q(t) = sum_v Q(v) (d->/dv t)."""
+    out: dict = {}
+    for key, c in terms.items():
+        for v, k, exp, sym, ext in _partials(*key, right=False):
+            if v in q:
+                _mul_into(out, q[v], (sym, ext, ((exp, c * k),)), dual)
+    return out
 
 
 def roth_bracket(a: RothElement, b: RothElement, conn: Connection) -> RothElement:
     """Degree -2 graded Poisson bracket for the given metric connection.
 
-    {f, g} = sum_{u, v} (f d<-/du) {u, v} (d->/dv g) over the generators x_j,
-    D_i, e_a, with the table {e_a, e_b} = g_ab, {D_i, e_a} = -Gamma_i(e_a),
-    {D_i, D_j} = -r(D_i, D_j), {D_i, x_j} = -D_i(x_j), the graded
-    antisymmetric entries and 0 otherwise; each entry is read where it is
-    used.  The table is contracted against g once per generator u, then
-    against f.  Over the dual numbers the formula acts on the stored
-    representatives, because eps^2 and eps * D generate a Poisson ideal.
+    {a, b} = Q_a(b): Q_a is built on the generators b depends on, from the
+    generator table of the module docstring, and applied to b by Leibniz.
+    Over the dual numbers the formula acts on the stored representatives,
+    because eps^2 and eps * D generate a Poisson ideal.
     """
     a._check(b)
     module = a.module
     if conn.module != module:
         raise ModuleError("connection lives on a different module")
-    nvars = module.backend.nvars
-    generators = [(d, i) for d, n in enumerate((nvars, module.rank, num_der_generators(module.backend)))
-                  for i in range(n)]
-    # column[u] = sum_v {u, v} (d->/dv g); the monomial part of each term goes
-    # first on both sides, so its coefficient multiplies each key once
-    column: dict[tuple[int, int], dict[TermKey, Poly]] = {}
-    for key, c in b.terms.items():
-        unit: dict[tuple[int, int], dict[TermKey, Poly]] = {}
-        for v, k, sg, xg in _partials(key, right=False):
-            for u in generators:
-                for xm, cm in _generator_bracket(conn, u, v):
-                    _accumulate(unit.setdefault(u, {}), sg, xm, xg, cm, k)
-        for u, terms in unit.items():
-            for (sym, ext), cm in terms.items():
-                _accumulate(column.setdefault(u, {}), sym, ext, (), cm * c)
-        for j in range(nvars):
-            dc = c.partial(j)
-            if dc.is_zero():
-                continue
-            for u in generators:
-                for xm, cm in _generator_bracket(conn, u, (0, j)):
-                    _accumulate(column.setdefault(u, {}), key[0], xm, key[1], cm * dc)
-    out: dict[TermKey, Poly] = {}
-    for key, c in a.terms.items():
-        inner: dict[TermKey, Poly] = {}
-        for u, k, sf, xf in _partials(key, right=True):
-            for (sh, xh), ch in column.get(u, {}).items():
-                _accumulate(inner, sf + sh, xf, xh, ch, k)
-        for (sym, ext), v in inner.items():
-            _accumulate(out, sym, ext, (), c * v)
-        for j in range(nvars):
-            dc = c.partial(j)
-            if dc.is_zero():
-                continue
-            for (sh, xh), ch in column.get((0, j), {}).items():
-                _accumulate(out, key[0] + sh, key[1], xh, dc * ch)
-    return RothElement(module, out)
+    terms = b.flat()
+    needed = sorted({p[0] for key in terms for p in _partials(*key, right=False)})
+    q = _hamiltonian(a, conn, needed)
+    return _to_roth(module, _apply_derivation(q, terms, module.backend.is_dual))
 
 
 def nested_bracket_with_modules(phi: RothElement, args, conn: Connection) -> RothElement:
@@ -362,16 +414,11 @@ class ConnectionChange:
         self.t_table = table
 
     def apply_t(self, phi: RothElement) -> RothElement:
-        """One application of t: replace one Der factor by its Lambda^2 image."""
+        """One application of t, the derivation sending D_i to its Lambda^2 image."""
         module = self.module
-        out = RothElement.zero(module)
-        for (sym, ext), c in phi.terms.items():
-            for j in range(len(sym)):
-                rest = sym[:j] + sym[j + 1:]
-                image = RothElement.from_lambda2(module, self.t_table[sym[j]])
-                term = RothElement(module, {(rest, ext): c})
-                out = out + term.wedge(image)
-        return out
+        q = {(2, i): _grouped(RothElement.from_lambda2(module, xi).flat())
+             for i, xi in enumerate(self.t_table)}
+        return _to_roth(module, _apply_derivation(q, phi.flat(), module.backend.is_dual))
 
     def exp_t(self, phi: RothElement) -> RothElement:
         """exp(t) phi; the series stops once the symmetric degree is exhausted."""

@@ -1,18 +1,22 @@
 """Reference oracle for the deformation differential: one full bracket per column.
 
-`delta_block` builds each column of the (r, d) block as roth_bracket(Theta, x)
-on the basis monomial x, and `delta_squared_is_zero` composes the sparse rows
-of the blocks (r, d) and (r + 1, d).  `courantalg.deform` applies the
-homological vector field Q = {Theta, .} by Leibniz from its generator table
-instead, and must give the same bases, matrices and verdicts.
+`delta_block` builds each column of the (r, d) block as {Theta, x} on the
+basis monomial x, by the Leibniz peeling of `peeling_oracle`, which is
+independent of the library's bracket kernel.  `delta_squared_is_zero`
+composes the sparse rows of the blocks (r, d) and (r + 1, d).
+`courantalg.deform` applies the homological vector field Q = {Theta, .} by
+Leibniz from its generator table instead, and must give the same bases,
+matrices and verdicts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from courantalg import ModuleError, Poly, RothElement, roth_bracket
+from courantalg import ModuleError, Poly, RothElement
 from courantalg.deform import GradedComplexBlock, enumerate_chain_basis, roth_internal_degrees
+
+from peeling_oracle import peel_bracket
 
 
 def delta_block(cs, r: int, d: int) -> GradedComplexBlock:
@@ -30,7 +34,7 @@ def delta_block(cs, r: int, d: int) -> GradedComplexBlock:
     matrix = [{} for _ in dst]
     for col, (exp, sym, ext) in enumerate(src):
         mono = RothElement(module, {(sym, ext): Poly.monomial(module.backend, exp)})
-        image = roth_bracket(cs.theta, mono, cs.connection)
+        image = peel_bracket(cs.theta, mono, cs.connection)
         for (isym, iext), poly in image.terms.items():
             for iexp, frac in poly.terms.items():
                 key = (iexp, isym, iext)

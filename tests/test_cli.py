@@ -79,6 +79,23 @@ def test_cohomology_command_builds_each_block_once(monkeypatch):
     assert sorted(calls) == sorted(itertools.product(range(0, 4), range(-1, 2)))
 
 
+def test_cohomology_of_a_dual_number_der_generator_is_rejected():
+    # over the dual numbers {Theta, .} leaves the internal-degree block when
+    # Theta has a Der factor, so the window has no table: exit 2, no traceback
+    doc = {
+        "schema": SCHEMA,
+        "backend": {"kind": "dualnum", "var": "eps"},
+        "module": {"basis": ["e", "f", "g"], "internal_degrees": [-1, 1, 0],
+                   "gram": [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]]},
+        "connection": {"kind": "flat"},
+        "elements": {"theta": {"type": "roth", "terms": ["-1 * d(eps) (x) f", "1 * 1 (x) e^f^g"]}},
+        "commands": [{"op": "cohomology", "element": "theta", "r": [0, 1], "d": [0, 1]}],
+    }
+    report, code = run_document(doc)
+    assert code == 2
+    assert "leaves the internal-degree block" in report["error"]
+
+
 def test_standard_module_document():
     doc = {
         "schema": SCHEMA,

@@ -314,6 +314,25 @@ def test_block_decomposition_needs_homogeneous_generator():
         delta_block(fake, 1, 0)
 
 
+def test_dual_number_der_factor_leaves_the_internal_degree_block():
+    # epsd(eps) = eps, yet eps counts +1 and epsd -1: Theta = -D (x) f + e^f^g
+    # passes the degree-0 guard, but {Theta, .} maps eps out of block (0, 1)
+    D = Backend.dual()
+    one, zero = Poly.one(D), Poly.zero(D)
+    module = MetricModule(D, [[zero, one, zero], [one, zero, zero], [zero, zero, one]],
+                          names=("e", "f", "g"), internal_degrees=(-1, 1, 0))
+    theta = RothElement(module, {((0,), (1,)): -one, ((), (0, 1, 2)): one})
+    cs = deform.CourantStructure.from_theta(theta, Connection.flat(module), check=False)
+    assert roth_internal_degrees(theta) == {0}
+    message = r"differential leaves the internal-degree block: \(\(1,\), \(\), \(1,\)\)"
+    with pytest.raises(ModuleError, match=message):
+        delta_block(cs, 0, 1)
+    with pytest.raises(ModuleError, match=message):
+        delta_squared_is_zero(cs, 0, 1)
+    with pytest.raises(ModuleError, match="leaves the internal-degree block"):
+        cohomology_dims(cs, range(0, 2), [0, 1])
+
+
 def test_delta_squared_needs_homogeneous_generator():
     # the same guard as delta_block, though no block is built
     cs = make_standard_courant(1)

@@ -1,7 +1,7 @@
 """The Leibniz-applied differential against the one-bracket-per-column oracle.
 
 `delta_block` must give the oracle's bases and sparse matrix exactly,
-`deformation_differential` must equal roth_bracket(Theta, .) on random
+`deformation_differential` must equal {Theta, .} by Leibniz peeling on random
 elements for generators that need not be Courant (curved and dual-number
 connections), and `delta_squared_is_zero` must give the oracle's verdicts,
 False included.
@@ -20,12 +20,12 @@ from courantalg import (
     RothElement,
     deformation_differential,
     make_standard_courant,
-    roth_bracket,
 )
 from courantalg import deform
 from courantalg.deform import CourantStructure, delta_block, delta_squared_is_zero
 
 from conftest import curved_connection, hyperbolic_module, random_roth
+from peeling_oracle import peel_bracket
 from test_deform import so3_structure, so3_sum_structure
 
 WINDOWS = {
@@ -72,7 +72,7 @@ def test_differential_equals_the_bracket_on_random_elements(context):
         cs = CourantStructure(module, conn, None, theta, ())  # Theta need not be Courant
         for _ in range(12):
             phi = random_roth(rng, module, rng.randint(0, 4), coeff_deg=2)
-            expected = roth_bracket(theta, phi, conn)
+            expected = peel_bracket(theta, phi, conn)
             image = deformation_differential(cs, phi)
             assert image == expected
             # the kernel itself, before RothElement reduces its output again

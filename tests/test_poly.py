@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from courantalg import (
     Poly,
     sym_product_of_derivations,
 )
+from courantalg.poly import exponents_of_degree
 from courantalg.textforms import parse_poly
 
 from conftest import random_poly
@@ -150,3 +152,16 @@ def test_poly_text_round_trip():
     assert parse_poly("3/2*x^2*y - 1", FREE2) == (
         Poly.monomial(FREE2, (2, 1), Fraction(3, 2)) - Poly.one(FREE2)
     )
+
+
+def _exponents_by_product_filter(backend, total):
+    return [exp for exp in itertools.product(range(total + 1), repeat=backend.nvars)
+            if sum(exp) == total and not (backend.is_dual and exp[0] > 1)]
+
+
+@pytest.mark.parametrize("backend", [Backend.free(n) for n in range(5)] + [Backend.dual()],
+                         ids=lambda b: repr(b))
+def test_exponents_of_degree_equals_the_product_filter(backend):
+    # same tuples in the same order as walking all (total + 1)^nvars tuples
+    for total in range(-1, 7):
+        assert list(exponents_of_degree(backend, total)) == _exponents_by_product_filter(backend, total)

@@ -20,6 +20,7 @@ from courantalg import (
     roth_pushforward,
     roth_wedge,
 )
+from courantalg.rothstein import _hamiltonian, generators
 from courantalg.textforms import parse_roth, roth_to_text
 
 from conftest import curved_connection, hyperbolic_module, random_roth
@@ -155,6 +156,34 @@ def test_peel_sides_agree():
             pairs += 1
             nonzero += not closed.is_zero()
     assert pairs >= 400 and nonzero >= 150
+
+
+def _generator_element(module, v):
+    kind, i = v
+    if kind == 0:
+        return RothElement.from_scalar(module, Poly.var(module.backend, i))
+    return RothElement.monomial(module, (i,) if kind == 2 else (), (i,) if kind == 1 else ())
+
+
+def test_hamiltonian_equals_peeling_on_generators():
+    # Q_a(v) = {a, v} at every generator v, and a call restricted to a subset
+    # of generators returns the same entries for that subset
+    rng = random.Random(29)
+    nonzero = 0
+    for M, conn in _oracle_contexts():
+        gens = generators(M)
+        for _ in range(15):
+            a = random_roth(rng, M, rng.randint(0, 5), coeff_deg=2)
+            q = _hamiltonian(a, conn, gens)
+            assert set(q) <= set(gens)
+            for v in gens:
+                got = {(exp, sym, ext): c for sym, ext, terms in q.get(v, []) for exp, c in terms}
+                assert got == peel_bracket(a, _generator_element(M, v), conn).flat()
+                assert all(type(c) is int or c.denominator != 1 for c in got.values())
+                nonzero += bool(got)
+            subset = [v for v in gens if rng.random() < 0.5]
+            assert _hamiltonian(a, conn, subset) == {v: q[v] for v in subset if v in q}
+    assert nonzero >= 250  # of 510
 
 
 def test_dual_number_annihilation():
