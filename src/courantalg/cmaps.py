@@ -636,17 +636,21 @@ def cmap_wedge(a: Cochain, b: Cochain, mode: str = "recursive") -> Cochain:
 # -- verification -----------------------------------------------------------
 
 
-def probe_elements(module: MetricModule, depth: int):
-    """Basis elements times every monomial of total degree <= depth (the unit first)."""
+def _probe_keys(backend: Backend, rank: int, depth: int):
+    """(exponent, basis index) of each probe x^e e_b, in the order of `probe_elements`."""
     if depth < 0:
         raise ValueError("probe depth must be nonnegative, got %d" % depth)
+    for total in range(depth + 1):
+        for exp in exponents_of_degree(backend, total):
+            for b in range(rank):
+                yield exp, b
+
+
+def probe_elements(module: MetricModule, depth: int):
+    """Basis elements times every monomial of total degree <= depth (the unit first)."""
     backend = module.backend
-    return [
-        module.basis(b).scale(Poly.monomial(backend, exp))
-        for total in range(depth + 1)
-        for exp in exponents_of_degree(backend, total)
-        for b in range(module.rank)
-    ]
+    return [module.basis(b).scale(Poly.monomial(backend, exp))
+            for exp, b in _probe_keys(backend, module.rank, depth)]
 
 
 def default_verify_depth(c: Cochain) -> int:
@@ -660,9 +664,14 @@ def default_verify_depth(c: Cochain) -> int:
 def cmap_verify(c: Cochain, depth: int | None = None) -> tuple[bool, dict]:
     """Check the two defining identities on all bounded-degree probe tuples.
 
-    For every probe tuple (y_1..y_r) and adjacent position i, the swap
-    identity must hold; the i = r-1 instance is the derivation identity of
-    the symbol against the inner product.  Returns (ok, report).
+    For every probe tuple y and adjacent position i, the swap identity
+    omega(y) + omega(y swapped at i) = sigma(rest)(<y_i, y_{i+1}>) must hold;
+    the i = r-1 instance is the derivation identity of the symbol against the
+    inner product.  Probes are monomials x^e e_b, so omega is a call-local
+    table of level-0 `_eval_mono` values, one per probe tuple.  (y, i) and
+    (y swapped at i, i) are one identity, and the second comes first in
+    product order, so only y_i <= y_{i+1} is checked: the first violation is
+    unchanged.  Returns (ok, report).
     """
     if depth is None:
         depth = default_verify_depth(c)
@@ -671,16 +680,30 @@ def cmap_verify(c: Cochain, depth: int | None = None) -> tuple[bool, dict]:
     if r < 2:
         return True, report
     module = c.module
+    backend = module.backend
+    keys = list(_probe_keys(backend, module.rank, depth))
     probes = probe_elements(module, depth)
-    for args in itertools.product(probes, repeat=r):
+    omega: dict = {}
+    partials: dict = {}
+    for y in itertools.product(range(len(keys)), repeat=r):
         for i in range(r - 1):
-            lhs = c.omega(args) + c.omega(args[:i] + (args[i + 1], args[i]) + args[i + 2:])
-            rest = args[:i] + args[i + 2:]
-            ip = inner(args[i], args[i + 1])
-            rhs = c.eval_level(1, (ip,), rest) if 2 <= r else Poly.zero(module.backend)
-            if lhs != rhs:
+            a, b = y[i], y[i + 1]
+            if a > b:
+                continue
+            if (a, b) not in partials:
+                ip = inner(probes[a], probes[b])
+                parts = [(g, ip.partial(_gen_var_index(backend, g)))
+                         for g in range(num_der_generators(backend))]
+                partials[a, b] = [(g, d) for g, d in parts if not d.is_zero()]
+            rest = tuple(keys[k] for k in y[:i] + y[i + 2:])
+            rhs = sum((d * c._eval_mono(1, (g,), rest) for g, d in partials[a, b]), Poly.zero(backend))
+            swapped = y[:i] + (b, a) + y[i + 2:]
+            for t in (y, swapped):
+                if t not in omega:
+                    omega[t] = c._eval_mono(0, (), tuple(keys[k] for k in t))
+            if omega[y] + omega[swapped] != rhs:
                 report["violation"] = (
-                    "swap identity fails at position %d on %s" % (i + 1, [repr(x) for x in args])
+                    "swap identity fails at position %d on %s" % (i + 1, [repr(probes[k]) for k in y])
                 )
                 return False, report
     return True, report

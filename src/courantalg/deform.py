@@ -23,7 +23,7 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .cmaps import Cochain, Memo, cbracket, cmap_verify
+from .cmaps import Cochain, Memo, cbracket, cmap_verify, probe_elements
 from .modules import Connection, MetricModule, ModuleElement, ModuleError, inner
 from .poly import Backend, Poly, exponents_of_degree
 from .rothstein import (
@@ -205,16 +205,23 @@ def jacobi_identity_holds(m: Cochain, probes) -> tuple[bool, str | None]:
     return True, None
 
 
+def _first_entry(c: Cochain) -> str:
+    """The first nonzero tower entry of c, sorted by level, generators and arguments."""
+    p = min(c.levels)
+    gens, args = min(c.levels[p])
+    return "[m, m] != 0 at level %d, generators %s, arguments (%s): %s" % (
+        p, gens, ", ".join(c.module.names[b] for b in args), c.levels[p][gens, args])
+
+
 def verify_courant(m: Cochain, depth: int = 1) -> tuple[bool, dict]:
     """Two independent routes to the same verdict.
 
     The evaluation route checks the structure axioms (Jacobi plus the two
     inner-product compatibilities, which coincide with the complex's defining
-    identities).  The bracket route checks membership plus [m, m] = 0.  The
+    identities).  The bracket route checks membership plus [m, m] = 0, and a
+    nonzero [m, m] is witnessed by its first tower entry in sorted order.  The
     report carries both verdicts; they must agree.
     """
-    from .cmaps import probe_elements
-
     report: dict = {}
     valid, vreport = cmap_verify(m, depth=depth)
     probes = probe_elements(m.module, depth)
@@ -228,7 +235,7 @@ def verify_courant(m: Cochain, depth: int = 1) -> tuple[bool, dict]:
     if valid:
         self_bracket = cbracket(m, m)
         bracket_route = self_bracket.is_zero()
-        report["bracket_detail"] = None if bracket_route else "[m, m] != 0"
+        report["bracket_detail"] = None if bracket_route else _first_entry(self_bracket)
     else:
         bracket_route = False
         report["bracket_detail"] = "not a complex element: %s" % vreport["violation"]
@@ -278,8 +285,6 @@ def dorfman_bracket(module: MetricModule, n: int, u: ModuleElement, v: ModuleEle
 def verify_morphism(cs1: CourantStructure, cs2: CourantStructure,
                     phi: AlgebraMap, psi: ModuleMap, depth: int = 1) -> tuple[bool, dict]:
     """The five morphism conditions on bounded probes."""
-    from .cmaps import probe_elements
-
     report = {"probe_bound": depth}
     failed = []
     backend1 = cs1.module.backend

@@ -19,10 +19,12 @@ class MetricModule:
     Unit determinant gives strong non-degeneracy (explicit inverse gram) and
     fullness (a one-pair witness read off the first row of the inverse).
     Optional per-basis internal degrees feed the graded cohomology blocks.
+    `inner` and `raise_form` walk only the nonzero entries of each gram row
+    and inverse-gram column, recorded once; every skipped product is zero.
     """
 
     __slots__ = ("backend", "rank", "names", "gram", "gram_inv", "internal_degrees", "_basis",
-                 "_hash")
+                 "_gram_rows", "_inv_cols", "_hash")
 
     def __init__(self, backend: Backend, gram: list[list[Poly]], names=None, internal_degrees=None):
         rank = len(gram)
@@ -46,6 +48,10 @@ class MetricModule:
         self.rank = rank
         self.gram = tuple(tuple(row) for row in gram)
         self.gram_inv = tuple(tuple(row) for row in poly_matrix_inverse([list(r) for r in gram]))
+        self._gram_rows = tuple(tuple((b, v) for b, v in enumerate(row) if not v.is_zero())
+                                for row in self.gram)
+        self._inv_cols = tuple(tuple((b, row[a]) for b, row in enumerate(self.gram_inv)
+                                     if not row[a].is_zero()) for a in range(rank))
         if names is None:
             names = tuple("e%d" % (a + 1) for a in range(rank))
         self.names = tuple(names)
@@ -73,13 +79,12 @@ class MetricModule:
         if y.module is not self and y.module != self:
             raise ModuleError("module mismatch")
         out = Poly.zero(self.backend)
-        for a in range(self.rank):
-            if x.coeffs[a].is_zero():
+        for xa, row in zip(x.coeffs, self._gram_rows):
+            if xa.is_zero():
                 continue
-            for b in range(self.rank):
-                if y.coeffs[b].is_zero():
-                    continue
-                out = out + x.coeffs[a] * self.gram[a][b] * y.coeffs[b]
+            for b, g in row:
+                if not y.coeffs[b].is_zero():
+                    out = out + xa * g * y.coeffs[b]
         return out
 
     def fullness_witness(self) -> list[tuple["ModuleElement", "ModuleElement"]]:
@@ -90,10 +95,10 @@ class MetricModule:
     def raise_form(self, values: list[Poly]) -> "ModuleElement":
         """The element v with <v, e_b> = values[b] for every basis index b."""
         coeffs = []
-        for a in range(self.rank):
+        for col in self._inv_cols:
             s = Poly.zero(self.backend)
-            for b in range(self.rank):
-                s = s + values[b] * self.gram_inv[b][a]
+            for b, g in col:
+                s = s + values[b] * g
             coeffs.append(s)
         return ModuleElement(self, coeffs)
 

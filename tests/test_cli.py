@@ -1,11 +1,12 @@
 import itertools
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from courantalg import deform
-from courantalg.cli import SCHEMA, DocumentError, ProblemDocument, run_document
+from courantalg.cli import SCHEMA, STANDARD_CAP, DocumentError, ProblemDocument, run_document
 
 DOCUMENTS = Path(__file__).resolve().parent.parent / "docs" / "documents"
 
@@ -207,6 +208,7 @@ def _so3_rank(rank):
     pytest.param(_standard({"standard": "abc"}), id="standard-text"),
     pytest.param(_standard({"standard": -1}), id="standard-negative"),
     pytest.param(_standard({"standard": 1, "rank": 7, "gram": 5}), id="standard-extra-keys"),
+    pytest.param(_standard({"standard": STANDARD_CAP + 1}), id="standard-above-cap"),
     pytest.param(_standard(backend={"kind": "dualnum"}), id="standard-backend"),
     pytest.param(_standard(connection={"kind": "bogus"}), id="standard-connection"),
     pytest.param(_so3(connection=[1]), id="connection-list"),
@@ -229,3 +231,12 @@ def test_malformed_documents_rejected(doc):
     report, code = run_document(doc)
     assert code == 2
     assert report["ok"] is False and report["error"]
+
+
+def test_standard_above_the_cap_is_rejected_before_building():
+    doc = _standard({"standard": 12}, commands=[{"op": "cohomology", "r": [0, 0], "d": [0, 0]}])
+    start = time.monotonic()
+    report, code = run_document(doc)
+    assert time.monotonic() - start < 1
+    assert code == 2
+    assert "STANDARD_CAP" in report["error"] and "12" in report["error"]

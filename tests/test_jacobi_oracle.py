@@ -25,7 +25,8 @@ from courantalg import (
     make_standard_courant,
 )
 from courantalg.cmaps import cmap_verify, probe_elements
-from courantalg.deform import jacobi_identity_holds, standard_module
+from courantalg.deform import jacobi_identity_holds, standard_module, verify_courant
+from courantalg.modules import inner
 
 from conftest import random_roth, so3_constants
 from test_deform import so3_structure
@@ -112,3 +113,21 @@ def test_jacobi_evaluates_each_monomial_pair_once(monkeypatch):
             assert len(nonzero) == 1 and len(nonzero[0].terms) == 1
             assert list(nonzero[0].terms.values()) == [1]
     assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bracket_route_witness_is_the_first_nonzero_self_bracket_entry(seed):
+    m = _antisymmetric_table(seed)
+    module = m.module
+    e = module.basis
+
+    def jacobiator(a, b, c, d):
+        x, y, z = e(a), e(b), e(c)
+        return inner(m(x, m(y, z)) - m(m(x, y), z) - m(y, m(x, z)), e(d))
+
+    # on a constant table, [m, m](e_a, e_b, e_c, e_d) = -2 <Jac(e_a, e_b, e_c), e_d>
+    args = next(t for t in itertools.product(range(module.rank), repeat=4) if not jacobiator(*t).is_zero())
+    ok, report = verify_courant(m)
+    assert not ok and report["agree"] and not report["bracket_route"]
+    assert report["bracket_detail"] == "[m, m] != 0 at level 0, generators (), arguments (%s): %s" % (
+        ", ".join(module.names[b] for b in args), jacobiator(*args).scale(-2))

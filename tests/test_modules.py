@@ -46,6 +46,56 @@ def test_inner_examples():
         assert inner(x, y) == inner(y, x)
 
 
+def _gram(backend, rows):
+    return MetricModule(backend, [[v if isinstance(v, Poly) else Poly.const(backend, v) for v in row]
+                                  for row in rows])
+
+
+def _sparse_gram_cases():
+    B0 = Backend.free(0)
+    D = Backend.dual()
+    eps = Poly.var(D, 0)
+    yield "identity", _gram(B0, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    yield "hyperbolic", hyperbolic2()
+    yield "rational", _gram(B0, [[2, 1, 0], [1, Fraction(1, 2), 3], [0, 3, -1]])
+    # det = (x^2 + 1) - x^2 = 1, so the inverse has Poly entries too
+    yield "poly entries", _gram(B1, [[ONE, X, ZERO], [X, X * X + ONE, ZERO], [ZERO, ZERO, ONE]])
+    yield "dual numbers", _gram(D, [[Poly.one(D) + eps, eps], [eps, -Poly.one(D)]])
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _sparse_gram_cases()])
+def test_sparse_contractions_equal_the_dense_sums(name):
+    M = dict(_sparse_gram_cases())[name]
+    rank, zero = M.rank, Poly.zero(M.backend)
+
+    def dense_inner(x, y):
+        out = zero
+        for a in range(rank):
+            for b in range(rank):
+                out = out + x.coeffs[a] * M.gram[a][b] * y.coeffs[b]
+        return out
+
+    def dense_raise(values):
+        out = []
+        for a in range(rank):
+            s = zero
+            for b in range(rank):
+                s = s + values[b] * M.gram_inv[b][a]
+            out.append(s)
+        return ModuleElement(M, out)
+
+    rng = random.Random(17)
+    elements = [random_module_element(rng, M, deg=2) for _ in range(8)] + M.basis_elements() + [M.zero()]
+    for x in elements:
+        for y in elements:
+            assert M.inner(x, y) == dense_inner(x, y)
+    for x in elements:
+        values = list(x.coeffs)
+        v = M.raise_form(values)
+        assert v == dense_raise(values)
+        assert all(M.inner(v, M.basis(b)) == values[b] for b in range(rank))
+
+
 def test_fullness_witness():
     M = hyperbolic2()
     (wx, wy), = M.fullness_witness()
