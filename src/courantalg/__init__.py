@@ -54,6 +54,7 @@ from .cmaps import (
 from .symbol_map import (
     apply_J,
     chat_membership,
+    invert_J,
     invert_J_deg2,
     invert_J_deg3,
     lambda_check,

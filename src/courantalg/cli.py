@@ -38,7 +38,7 @@ from .deform import (
 from .modules import Connection, MetricModule, ModuleElement, ModuleError, metrize
 from .poly import Backend, Derivation, MultiDerivation, Poly
 from .rothstein import RothElement
-from .symbol_map import apply_J, chat_membership, invert_J_deg2, invert_J_deg3
+from .symbol_map import apply_J, chat_membership, invert_J, invert_J_deg2, invert_J_deg3
 from .textforms import parse_poly, parse_roth, roth_to_text
 
 SCHEMA = "courantalg/1"
@@ -249,13 +249,7 @@ class ProblemDocument:
         if isinstance(el, RothElement):
             return el
         if isinstance(el, Cochain) and el.degree <= 3:
-            if el.degree == 3:
-                return invert_J_deg3(el, self.connection)
-            if el.degree == 2:
-                return invert_J_deg2(el, self.connection)
-            if el.degree == 1:
-                return RothElement.from_module_element(el.module_part())
-            return RothElement.from_scalar(self.module, el.scalar_part())
+            return invert_J(el, self.connection)
         raise _fail("element %r has no connection-side form" % name, "commands")
 
 

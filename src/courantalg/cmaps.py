@@ -20,6 +20,12 @@ which consumes one level of the tower.  This makes elements with genuinely
 second-order symbols (nonzero level 2 over vanishing levels 0 and 1)
 representable; the quartic built from a symmetric biderivation over the dual
 numbers is the motivating case.
+
+Insertion i_x C is the primitive of the complex: a basis element re-keys
+the stored tables, and any other Q-term of x is read from the tower through
+the slot reduction above.  The bracket ([C, x] = i_x C in degree 1) and the
+wedge are one graded Leibniz recursion over basis insertions and generator
+slices.
 """
 
 from __future__ import annotations
@@ -29,7 +35,15 @@ from collections import OrderedDict
 from fractions import Fraction
 
 from .modules import MetricModule, ModuleElement, ModuleError, inner
-from .poly import Backend, Derivation, Poly, der_generator_var, exponents_of_degree, num_der_generators
+from .poly import (
+    Backend,
+    Derivation,
+    Poly,
+    der_generator_var,
+    der_partials,
+    exponents_of_degree,
+    num_der_generators,
+)
 from .rothstein import ModuleMap
 
 LevelTable = dict[tuple[tuple[int, ...], tuple[int, ...]], Poly]
@@ -48,10 +62,6 @@ class Memo(OrderedDict):
             self.popitem(last=False)
         self[key] = value
         return value
-
-
-def _gen_var_index(backend: Backend, j: int) -> int:
-    return 0 if backend.is_dual else j
 
 
 def _clean_levels(levels: dict[int, LevelTable]) -> dict[int, LevelTable]:
@@ -265,13 +275,8 @@ class Cochain:
 
     def _apply_symbol(self, p: int, gens: tuple[int, ...], a: Poly, margs) -> Poly:
         """sigma of the level-p form applied to a, i.e. one level up the tower."""
-        backend = self.module.backend
-        out = Poly.zero(backend)
-        ngen = num_der_generators(backend)
-        for j in range(ngen):
-            part = a.partial(_gen_var_index(backend, j))
-            if part.is_zero():
-                continue
+        out = Poly.zero(self.module.backend)
+        for j, part in der_partials(a):
             new_gens = tuple(sorted(gens + (j,)))
             out = out + part * self._eval_mono(p + 1, new_gens, margs)
         return out
@@ -289,10 +294,7 @@ class Cochain:
         if pending:
             a, rest = pending[0], pending[1:]
             out = Poly.zero(backend)
-            for j in range(num_der_generators(backend)):
-                part = a.partial(_gen_var_index(backend, j))
-                if part.is_zero():
-                    continue
+            for j, part in der_partials(a):
                 out = out + part * self._eval_sder(p, rest, tuple(sorted(gens + (j,))), mod_args)
             return out
         expansions = [[(c, exp, b) for b, poly in enumerate(x.coeffs) for exp, c in poly.terms.items()]
@@ -381,14 +383,10 @@ def generator_slice(c: Cochain, j: int) -> Cochain:
 
 def bracket_scalar(c: Cochain, a: Poly) -> Cochain:
     """[C, a]: the derivation-in-a slice of the tower."""
-    backend = c.module.backend
     out = Cochain.zero(c.module, c.degree - 2)
     if c.degree < 2 or c.is_zero():
         return out
-    for j in range(num_der_generators(backend)):
-        part = a.partial(_gen_var_index(backend, j))
-        if part.is_zero():
-            continue
+    for j, part in der_partials(a):
         out = out + generator_slice(c, j).scale(part)
     return out
 
@@ -397,30 +395,47 @@ def insert(c: Cochain, x: ModuleElement) -> Cochain:
     """i_x C: insertion into the first argument (degree >= 2 only)."""
     if c.degree < 2:
         raise ValueError("insertion needs degree >= 2")
-    module = c.module
-    if x.module != module:
+    if x.module != c.module:
         raise ModuleError("module mismatch")
-    new_degree = c.degree - 1
-    if c.is_zero() or x.is_zero():
-        return Cochain.zero(module, new_degree)
-    basis_idx = _basis_index(x)
-    if basis_idx is None:
-        def entries_at(gvars):
-            return lambda bargs: c._eval_sder(
-                len(gvars), gvars, (), (x,) + tuple(module.basis(b) for b in bargs))
+    return _insert(c, x)
 
-        return _tabulate(module, new_degree, entries_at)
-    # basis insertion just re-keys the stored tables
+
+def _insert(c: Cochain, x: ModuleElement) -> Cochain:
+    """i_x C in any degree, Q-linear in x: the primitive of the complex.
+
+    A term k e_a of x re-keys the stored entries whose first argument is a;
+    a term k x^e e_a with x^e not the unit reads every entry of the result
+    from the tower, with x^e e_a in the first slot, through `_eval_mono`.
+    """
+    module = c.module
+    degree = c.degree - 1
+    unit = (0,) * module.backend.nvars
+    ngen = num_der_generators(module.backend)
     levels: dict[int, LevelTable] = {}
-    for p, table in c.levels.items():
-        if 2 * p > new_degree:
-            continue
-        levels[p] = {
-            (gens, args[1:]): v
-            for (gens, args), v in table.items()
-            if args and args[0] == basis_idx
-        }
-    return Cochain(module, new_degree, levels)
+
+    def add(p, key, v, k):
+        if k != 1:
+            v = v.scale(k)
+        table = levels.setdefault(p, {})
+        prev = table.get(key)
+        table[key] = v if prev is None else prev + v
+
+    for a, coeff in enumerate(x.coeffs):
+        for e, k in coeff.terms.items():
+            if e == unit:
+                for p, table in c.levels.items():
+                    if 2 * p <= degree:
+                        for (gens, args), v in table.items():
+                            if args[0] == a:
+                                add(p, (gens, args[1:]), v, k)
+                continue
+            for p in range(degree // 2 + 1):
+                for gens in itertools.combinations_with_replacement(range(ngen), p):
+                    for bargs in itertools.product(range(module.rank), repeat=degree - 2 * p):
+                        v = c._eval_mono(p, gens, ((e, a),) + tuple((unit, b) for b in bargs))
+                        if not v.is_zero():
+                            add(p, (gens, bargs), v, k)
+    return Cochain(module, degree, levels)
 
 
 def _tabulate(module: MetricModule, degree: int, entries_at) -> Cochain:
@@ -442,17 +457,6 @@ def _tabulate(module: MetricModule, degree: int, entries_at) -> Cochain:
             for bargs in itertools.product(range(module.rank), repeat=degree - 2 * p):
                 table[(gens, bargs)] = entry(bargs)
     return Cochain(module, degree, levels)
-
-
-def _basis_index(x: ModuleElement) -> int | None:
-    idx = None
-    for a, coeff in enumerate(x.coeffs):
-        if coeff.is_zero():
-            continue
-        if idx is not None or not coeff.is_one():
-            return None
-        idx = a
-    return idx
 
 
 # -- bracket and wedge ------------------------------------------------------
@@ -488,53 +492,47 @@ def cbracket(a: Cochain, b: Cochain) -> Cochain:
     hit = _BRACKET_CACHE.get(key)
     if hit is not None:
         return hit
-    module = a.module
     if r == 0:
         out = -bracket_scalar(b, a.scalar_part())
     elif r == 1:
-        x = a.module_part()
-        if s == 1:
-            out = Cochain.scalar(module, inner(x, b.module_part()))
-        else:
-            out = insert(b, x)
-            if s % 2 == 0:
-                out = -out
+        out = _insert(b, a.module_part())
+        if s % 2 == 0:
+            out = -out
     else:
-        out = _compose_from_slices(
-            module,
-            n,
-            _insertion_level(module, lambda eb: _bracket_insert_step(a, b, eb, s)),
-            lambda j: cbracket(generator_slice(a, j), b) + cbracket(a, generator_slice(b, j)),
-        )
+        out = _by_insertion(cbracket, a, b, n)
     return _BRACKET_CACHE.remember(key, out)
 
 
-def _bracket_insert_step(a: Cochain, b: Cochain, eb: ModuleElement, s: int) -> Cochain:
-    first = cbracket(cbracket(a, Cochain.from_module_element(eb)), b)
-    if s % 2:
-        first = -first
-    return first + cbracket(a, cbracket(b, Cochain.from_module_element(eb)))
+def _by_insertion(op, a: Cochain, b: Cochain, n: int) -> Cochain:
+    """op(a, b) of degree n by the graded Leibniz rule; op is the bracket or the wedge.
 
-
-def _insertion_level(module: MetricModule, insert_fn) -> LevelTable:
-    """Level 0 of a cochain stacked from its insertions insert_fn(e_b)."""
-    lvl0: LevelTable = {}
-    for b in range(module.rank):
-        for (gens, args), v in insert_fn(module.basis(b)).levels.get(0, {}).items():
-            lvl0[((), (b,) + args)] = v
-    return lvl0
-
-
-def _compose_from_slices(module: MetricModule, degree: int, lvl0: LevelTable, gen_fn) -> Cochain:
-    """Assemble a cochain of the given degree from its level 0 and its slices.
-
-    gen_fn(j) must return the bracket of the target element with the j-th
-    algebra generator; level p >= 1 stacks level p-1 of those slices.
+    Level 0 stacks the basis insertions
+    i_{e_k} op(a, b) = (-1)^|b| op(i_{e_k} a, b) + op(a, i_{e_k} b),
+    where each i_{e_k} re-keys stored entries; the higher levels come from
+    the generator slices.
     """
+    lvl0: LevelTable = {}
+    for k, e_k in enumerate(a.module.basis_elements()):
+        first = op(_insert(a, e_k), b)
+        if b.degree % 2:
+            first = -first
+        for (_, args), v in (first + op(a, _insert(b, e_k))).levels.get(0, {}).items():
+            lvl0[((), (k,) + args)] = v
+    return _compose_from_slices(op, a, b, n, lvl0)
+
+
+def _compose_from_slices(op, a: Cochain, b: Cochain, degree: int, lvl0: LevelTable) -> Cochain:
+    """op(a, b) of the given degree from its level 0 and its generator slices.
+
+    The bracket of op(a, b) with the j-th algebra generator is
+    op(slice_j a, b) + op(a, slice_j b); level p >= 1 stacks level p-1 of
+    those slices.
+    """
+    module = a.module
     levels: dict[int, LevelTable] = {0: lvl0}
     if degree >= 2:
         ngen = num_der_generators(module.backend)
-        slices = [gen_fn(j) for j in range(ngen)]
+        slices = [op(generator_slice(a, j), b) + op(a, generator_slice(b, j)) for j in range(ngen)]
         for p in range(1, degree // 2 + 1):
             table = levels[p] = {}
             for j in range(ngen):
@@ -543,11 +541,6 @@ def _compose_from_slices(module: MetricModule, degree: int, lvl0: LevelTable, ge
                         continue  # counted by the smaller leading generator
                     table[(tuple(sorted((j,) + gens)), args)] = v
     return Cochain(module, degree, levels)
-
-
-def _wedge_slice(a: Cochain, b: Cochain, j: int) -> Cochain:
-    """The wedge product's bracket with the j-th algebra generator."""
-    return cwedge(generator_slice(a, j), b) + cwedge(a, generator_slice(b, j))
 
 
 def cwedge(a: Cochain, b: Cochain) -> Cochain:
@@ -567,17 +560,7 @@ def cwedge(a: Cochain, b: Cochain) -> Cochain:
     hit = _WEDGE_CACHE.get(key)
     if hit is not None:
         return hit
-    module = a.module
-
-    def insert_fn(eb):
-        first = cwedge(cbracket(a, Cochain.from_module_element(eb)), b)
-        if s % 2:
-            first = -first
-        return first + cwedge(a, cbracket(b, Cochain.from_module_element(eb)))
-
-    out = _compose_from_slices(module, n, _insertion_level(module, insert_fn),
-                               lambda j: _wedge_slice(a, b, j))
-    return _WEDGE_CACHE.remember(key, out)
+    return _WEDGE_CACHE.remember(key, _by_insertion(cwedge, a, b, n))
 
 
 def _shuffles(p: int, q: int):
@@ -622,7 +605,7 @@ def cwedge_shuffle(a: Cochain, b: Cochain) -> Cochain:
             w1 = a.omega(tuple(basis_args[i] for i in blk2) + (last,))
             total = total + Fraction(sgn) * (w2 * w1)
         lvl0[((), args)] = total
-    return _compose_from_slices(module, n, lvl0, lambda j: _wedge_slice(a, b, j))
+    return _compose_from_slices(cwedge, a, b, n, lvl0)
 
 
 def cmap_wedge(a: Cochain, b: Cochain, mode: str = "recursive") -> Cochain:
@@ -691,10 +674,7 @@ def cmap_verify(c: Cochain, depth: int | None = None) -> tuple[bool, dict]:
             if a > b:
                 continue
             if (a, b) not in partials:
-                ip = inner(probes[a], probes[b])
-                parts = [(g, ip.partial(_gen_var_index(backend, g)))
-                         for g in range(num_der_generators(backend))]
-                partials[a, b] = [(g, d) for g, d in parts if not d.is_zero()]
+                partials[a, b] = der_partials(inner(probes[a], probes[b]))
             rest = tuple(keys[k] for k in y[:i] + y[i + 2:])
             rhs = sum((d * c._eval_mono(1, (g,), rest) for g, d in partials[a, b]), Poly.zero(backend))
             swapped = y[:i] + (b, a) + y[i + 2:]
@@ -880,13 +860,10 @@ class DerivationTail:
         self.table = table
 
     def apply(self, args, a: Poly) -> ModuleElement:
-        module = self.cochain.module
-        backend = module.backend
-        out = module.zero()
-        for j, v in enumerate(self.table[tuple(args)]):
-            part = a.partial(_gen_var_index(backend, j))
-            if not part.is_zero():
-                out = out + v.scale(part)
+        entry = self.table[tuple(args)]
+        out = self.cochain.module.zero()
+        for j, part in der_partials(a):
+            out = out + entry[j].scale(part)
         return out
 
     def pairing_invariant_holds(self, depth: int = 1) -> bool:

@@ -166,16 +166,15 @@ def jacobi_identity_holds(m: Cochain, probes) -> tuple[bool, str | None]:
     """m(x, m(y, z)) = m(m(x, y), z) + m(y, m(x, z)) on the probe set.
 
     m is Q-bilinear, so every value is assembled from a table of m on pairs
-    of monomial elements (x^e1 e_a, x^e2 e_b), each entry evaluated at most
-    once per call.  Elements are compared as their Q-terms, which is exactly
-    as strict as comparing module elements.
+    of monomial elements (x^e1 e_a, x^e2 e_b), each entry read from the tower
+    by `_eval_mono` at most once per call.  Elements are compared as their
+    Q-terms, which is exactly as strict as comparing module elements.
     """
+    if m.degree != 3:
+        raise ValueError("the Jacobi check needs a degree-3 element, got degree %d" % m.degree)
     module = m.module
+    unit = (0,) * module.backend.nvars
     table: dict = {}
-
-    def monomial_element(q) -> ModuleElement:
-        exp, b = q
-        return module.basis(b).scale(Poly.monomial(module.backend, exp))
 
     def bilinear(u: dict, v: dict, out: dict | None = None) -> dict:
         out = {} if out is None else out
@@ -183,7 +182,8 @@ def jacobi_identity_holds(m: Cochain, probes) -> tuple[bool, str | None]:
             for q2, c2 in v.items():
                 value = table.get((q1, q2))
                 if value is None:
-                    value = table[(q1, q2)] = _q_terms(m(monomial_element(q1), monomial_element(q2)))
+                    value = table[(q1, q2)] = _q_terms(module.raise_form(
+                        [m._eval_mono(0, (), (q1, q2, (unit, c))) for c in range(module.rank)]))
                 c = c1 * c2
                 for q, a in value.items():
                     s = out.get(q, 0) + c * a

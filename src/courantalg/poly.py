@@ -402,6 +402,20 @@ def der_generator_var(backend: Backend, i: int) -> Poly:
     return Poly.var(backend, 0 if backend.is_dual else i)
 
 
+def der_partials(a: Poly) -> list[tuple[int, Poly]]:
+    """(j, da/dg_j) for each nonzero partial of a along the Der generators.
+
+    The generators are d/dx_j over Q[x] and d/deps over the dual numbers, so
+    the j-th one differentiates in the j-th variable either way.
+    """
+    out = []
+    for j in range(num_der_generators(a.backend)):
+        part = a.partial(j)
+        if not part.is_zero():
+            out.append((j, part))
+    return out
+
+
 def exponents_of_degree(backend: Backend, total: int) -> Iterator[tuple[int, ...]]:
     """Exponent tuples of one total degree, in product order; eps^2 = 0 over DualNum.
 
@@ -466,16 +480,12 @@ class MultiDerivation:
 
     def _eval(self, args: list[Poly]) -> Poly:
         # expand the first non-generator slot via partials, recurse
-        ngen = num_der_generators(self.backend)
         fixed: list[int] = []
         for k, a in enumerate(args):
             idx = _as_generator_index(a)
             if idx is None:
                 out = Poly.zero(self.backend)
-                for j in range(ngen):
-                    part = a.partial(0 if self.backend.is_dual else j)
-                    if part.is_zero():
-                        continue
+                for j, part in der_partials(a):
                     sub = args[:k] + [der_generator_var(self.backend, j)] + args[k + 1:]
                     out = out + part * self._eval(sub)
                 return out

@@ -126,6 +126,23 @@ def invert_J_deg3(c: Cochain, conn: Connection) -> RothElement:
     return phi
 
 
+def invert_J(c: Cochain, conn: Connection) -> RothElement:
+    """Closed-form preimage of an element of degree 0 to 3 under J.
+
+    Degrees 0 and 1 are their own preimages; degrees 2 and 3 are inverted by
+    `invert_J_deg2` and `invert_J_deg3`.  Raises ValueError above degree 3.
+    """
+    if c.degree > 3:
+        raise ValueError("closed-form inversion stops at degree 3, got degree %d" % c.degree)
+    if c.degree == 3:
+        return invert_J_deg3(c, conn)
+    if c.degree == 2:
+        return invert_J_deg2(c, conn)
+    if c.degree == 1:
+        return RothElement.from_module_element(c.module_part())
+    return RothElement.from_scalar(c.module, c.scalar_part())
+
+
 # -- membership in the image ----------------------------------------------------
 
 
@@ -173,15 +190,7 @@ def chat_membership(c: Cochain, conn: Connection, cap: int | None = None) -> dic
                 cap = max(cap, v.total_degree() + 1)
     conclusive = module.backend.is_dual
     if degree <= 3:
-        if degree == 0:
-            phi = RothElement.from_scalar(module, c.scalar_part())
-        elif degree == 1:
-            phi = RothElement.from_module_element(c.module_part())
-        elif degree == 2:
-            phi = invert_J_deg2(c, conn)
-        else:
-            phi = invert_J_deg3(c, conn)
-        return {"member": True, "preimage": phi, "cap": cap, "conclusive": True}
+        return {"member": True, "preimage": invert_J(c, conn), "cap": cap, "conclusive": True}
     basis = _roth_monomial_basis(module, degree, cap)
     images = [apply_J(b, conn) for b in basis]
     coords: dict[tuple, int] = {}

@@ -2,8 +2,8 @@
 
 `jacobi_identity_holds` must return the oracle's (ok, message) exactly, the
 first failing triple included, on passing structures and on complex elements
-that fail Jacobi; it evaluates m only on pairs of monomial elements, each pair
-at most once per call.
+that fail Jacobi; it reads m from the tower only on pairs of monomial
+elements, each pair at most once per call.
 """
 
 import itertools
@@ -97,21 +97,30 @@ def test_jacobi_matches_oracle_witness_on_failing_complex_elements(name):
 def test_jacobi_evaluates_each_monomial_pair_once(monkeypatch):
     m = make_standard_courant(2).cochain
     probes = probe_elements(m.module, 1)
+    unit = (0,) * m.module.backend.nvars
     calls = []
-    real_call = Cochain.__call__
+    depth = [0]
+    real_eval_mono = Cochain._eval_mono
 
-    def recording_call(self, *args):
-        calls.append(args)
-        return real_call(self, *args)
+    def recording_eval_mono(self, p, gens, margs):
+        if not depth[0]:
+            calls.append((p, gens, margs))
+        depth[0] += 1
+        try:
+            return real_eval_mono(self, p, gens, margs)
+        finally:
+            depth[0] -= 1
 
-    monkeypatch.setattr(Cochain, "__call__", recording_call)
+    def no_call(self, *args):
+        raise AssertionError("the Jacobi check must not call the cochain")
+
+    monkeypatch.setattr(Cochain, "_eval_mono", recording_eval_mono)
+    monkeypatch.setattr(Cochain, "__call__", no_call)
     assert jacobi_identity_holds(m, probes) == (True, None)
     assert calls
-    for args in calls:
-        for x in args:
-            nonzero = [c for c in x.coeffs if not c.is_zero()]
-            assert len(nonzero) == 1 and len(nonzero[0].terms) == 1
-            assert list(nonzero[0].terms.values()) == [1]
+    for p, gens, margs in calls:
+        # m(x^e1 e_a, x^e2 e_b) paired with a basis element e_c
+        assert (p, gens, len(margs), margs[2][0]) == (0, (), 3, unit)
     assert len(set(calls)) == len(calls)
 
 

@@ -20,6 +20,7 @@ from courantalg import (
     chat_membership,
     cwedge,
     inner,
+    invert_J,
     invert_J_deg2,
     invert_J_deg3,
     lambda_check,
@@ -137,6 +138,18 @@ def test_degree3_surjectivity_on_general_form():
         back = invert_J_deg3(c, conn)
         assert back == phi
         assert apply_J(back, conn) == c
+
+
+def test_invert_J_is_exact_through_degree_3_and_refuses_degree_4():
+    M = hyperbolic2()
+    conn = curved_connection(M, seed=14)
+    rng = random.Random(15)
+    for degree in range(4):
+        for _ in range(4):
+            phi = random_roth(rng, M, degree)
+            assert invert_J(apply_J(phi, conn), conn) == phi
+    with pytest.raises(ValueError):
+        invert_J(Cochain.zero(M, 4), conn)
 
 
 def test_degree3_tail_of_so3_vanishes():
