@@ -16,6 +16,7 @@ import sys
 from fractions import Fraction
 
 from .cmaps import (
+    DEGREE_CAP,
     Cochain,
     cbracket,
     cmap_verify,
@@ -38,7 +39,7 @@ from .deform import (
 from .modules import Connection, MetricModule, ModuleElement, ModuleError, metrize
 from .poly import Backend, Derivation, MultiDerivation, Poly
 from .rothstein import RothElement
-from .symbol_map import apply_J, chat_membership, invert_J, invert_J_deg2, invert_J_deg3
+from .symbol_map import apply_J, chat_membership, invert_J
 from .textforms import parse_poly, parse_roth, roth_to_text
 
 SCHEMA = "courantalg/1"
@@ -239,18 +240,36 @@ class ProblemDocument:
     def lookup_cochain(self, name: str) -> Cochain:
         el = self.lookup(name)
         if isinstance(el, RothElement):
-            return apply_J(el, self.connection)
+            return self.j_image(name, el)
         if isinstance(el, Cochain):
             return el
         raise _fail("element %r is not a graded map" % name, "commands")
+
+    def j_image(self, name: str, phi: RothElement) -> Cochain:
+        """J(phi), once phi has one degree within DEGREE_CAP: the tower has rank^degree entries."""
+        degrees = sorted(phi.degrees())
+        if len(degrees) > 1:
+            raise _fail("element %r is inhomogeneous (degrees %s); J maps one degree at a time"
+                        % (name, ", ".join(map(str, degrees))), "commands")
+        if degrees and degrees[0] > DEGREE_CAP:
+            raise _fail("element %r has degree %d, above the %d cap (DEGREE_CAP)"
+                        % (name, degrees[0], DEGREE_CAP), "commands")
+        return apply_J(phi, self.connection)
 
     def lookup_roth(self, name: str) -> RothElement:
         el = self.lookup(name)
         if isinstance(el, RothElement):
             return el
         if isinstance(el, Cochain) and el.degree <= 3:
-            return invert_J(el, self.connection)
+            return self.preimage(name, el)
         raise _fail("element %r has no connection-side form" % name, "commands")
+
+    def preimage(self, name: str, c: Cochain) -> RothElement:
+        """The closed-form preimage of c (degree <= 3); a table that is no element of the complex is rejected."""
+        try:
+            return invert_J(c, self.connection)
+        except ValueError as ex:
+            raise _fail("element %r has no preimage under J: %s" % (name, ex), "commands")
 
 
 def _describe(obj) -> object:
@@ -334,6 +353,8 @@ class CommandRunner:
     def cmd_verify_courant(self, cmd) -> dict:
         depth = self._arg(cmd, "depth", 1, _is_count)
         m = self._element(cmd) if "element" in cmd else self._structure(cmd).cochain
+        if m.degree != 3:
+            raise _fail("verify-courant needs an element of degree 3, got degree %d" % m.degree, "commands")
         ok, report = verify_courant(m, depth=depth)
         self._mark(ok)
         return {
@@ -344,14 +365,24 @@ class CommandRunner:
             "probe_bound": report["probe_bound"],
         }
 
+    @staticmethod
+    def _within_cap(cmd, lhs: Cochain, rhs: Cochain, degree: int):
+        """Reject a product of two nonzero elements above DEGREE_CAP before it is tabulated."""
+        if degree > DEGREE_CAP and not (lhs.is_zero() or rhs.is_zero()):
+            raise _fail("%s: result degree %d exceeds the %d cap (DEGREE_CAP)"
+                        % (cmd["op"], degree, DEGREE_CAP), "commands")
+
     def cmd_bracket(self, cmd) -> dict:
-        out = cbracket(self._element(cmd, "lhs"), self._element(cmd, "rhs"))
+        lhs, rhs = self._element(cmd, "lhs"), self._element(cmd, "rhs")
+        self._within_cap(cmd, lhs, rhs, lhs.degree + rhs.degree - 2)
+        out = cbracket(lhs, rhs)
         self._bind(cmd, out)
         return {"status": "ok", "zero": out.is_zero(), "result": _describe(out)}
 
     def cmd_wedge(self, cmd) -> dict:
         mode = self._arg(cmd, "mode", "both", lambda v: v in ("both", "recursive", "shuffle"))
         lhs, rhs = self._element(cmd, "lhs"), self._element(cmd, "rhs")
+        self._within_cap(cmd, lhs, rhs, lhs.degree + rhs.degree)
         if mode == "both":
             rec = cmap_wedge(lhs, rhs, "recursive")
             shu = cmap_wedge(lhs, rhs, "shuffle")
@@ -381,22 +412,20 @@ class CommandRunner:
         return {"status": "ok", "verdict": True, "level_sizes": levels, "probe_bound": depth}
 
     def cmd_j_map(self, cmd) -> dict:
-        phi = self.doc.lookup_roth(self._arg(cmd, "element"))
-        image = apply_J(phi, self.doc.connection)
+        name = self._arg(cmd, "element")
+        image = self.doc.j_image(name, self.doc.lookup_roth(name))
         self._bind(cmd, image)
         return {"status": "ok", "result": _describe(image)}
 
     def cmd_j_invert(self, cmd) -> dict:
-        c = self._element(cmd)
+        name = self._arg(cmd, "element")
+        c = self.doc.lookup_cochain(name)
         degree = self._arg(cmd, "degree", c.degree, _is_int)
         if degree != c.degree:
             raise _fail("element degree %d does not match requested %d" % (c.degree, degree))
-        if degree == 3:
-            phi = invert_J_deg3(c, self.doc.connection)
-        elif degree == 2:
-            phi = invert_J_deg2(c, self.doc.connection)
-        else:
+        if degree not in (2, 3):
             raise _fail("closed-form inversion supports degrees 2 and 3")
+        phi = self.doc.preimage(name, c)
         round_trip = apply_J(phi, self.doc.connection) == c
         self._mark(round_trip)
         self._bind(cmd, phi)

@@ -284,36 +284,38 @@ def dorfman_bracket(module: MetricModule, n: int, u: ModuleElement, v: ModuleEle
 
 def verify_morphism(cs1: CourantStructure, cs2: CourantStructure,
                     phi: AlgebraMap, psi: ModuleMap, depth: int = 1) -> tuple[bool, dict]:
-    """The five morphism conditions on bounded probes."""
-    report = {"probe_bound": depth}
-    failed = []
+    """The five morphism conditions on bounded probes.
+
+    report["failed"] names the failed conditions; report["witnesses"] maps
+    each to its first failing probe, in loop order, with both sides.
+    """
     backend1 = cs1.module.backend
     probes1 = probe_elements(cs1.module, depth)
     gen_polys = [Poly.var(backend1, i) for i in range(backend1.nvars)] or [Poly.one(backend1)]
-    if any(phi(a * b) != phi(a) * phi(b) for a, b in itertools.product(gen_polys, repeat=2)):
-        failed.append("(i) algebra morphism")
-    if any(psi(x.scale(a)) != psi(x).scale(phi(a)) for a in gen_polys for x in probes1):
-        failed.append("(ii) module semilinearity")
-    if any(
-        psi(derived_bracket(cs1, x, y)) != derived_bracket(cs2, psi(x), psi(y))
-        for x, y in itertools.product(probes1, repeat=2)
-    ):
-        failed.append("(iii) bracket preservation")
-    anchor_bad = False
-    for x in probes1:
-        sx = cs1.cochain.symbol((x,))
-        sy = cs2.cochain.symbol((psi(x),))
-        if any(phi(sx(a)) != sy(phi(a)) for a in gen_polys):
-            anchor_bad = True
-            break
-    if anchor_bad:
-        failed.append("(iv) anchor action")
-    if any(
-        phi(inner(x, y)) != inner(psi(x), psi(y))
-        for x, y in itertools.product(probes1, repeat=2)
-    ):
-        failed.append("(v) inner product")
-    report["failed"] = failed
+    pairs = list(itertools.product(probes1, repeat=2))
+    # (name, probe labels, probes in loop order, the two sides on a probe)
+    conditions = [
+        ("(i) algebra morphism", ("a", "b"), itertools.product(gen_polys, repeat=2),
+         lambda a, b: (phi(a * b), phi(a) * phi(b))),
+        ("(ii) module semilinearity", ("a", "x"), itertools.product(gen_polys, probes1),
+         lambda a, x: (psi(x.scale(a)), psi(x).scale(phi(a)))),
+        ("(iii) bracket preservation", ("x", "y"), pairs,
+         lambda x, y: (psi(derived_bracket(cs1, x, y)), derived_bracket(cs2, psi(x), psi(y)))),
+        ("(iv) anchor action", ("x", "a"), itertools.product(probes1, gen_polys),
+         lambda x, a: (phi(cs1.cochain.symbol((x,))(a)), cs2.cochain.symbol((psi(x),))(phi(a)))),
+        ("(v) inner product", ("x", "y"), pairs,
+         lambda x, y: (phi(inner(x, y)), inner(psi(x), psi(y)))),
+    ]
+    failed, witnesses = [], {}
+    for name, labels, probes, sides in conditions:
+        for probe in probes:
+            lhs, rhs = sides(*probe)
+            if lhs != rhs:
+                failed.append(name)
+                witnesses[name] = "%s: %s != %s" % (
+                    ", ".join("%s = %s" % kv for kv in zip(labels, probe)), lhs, rhs)
+                break
+    report = {"probe_bound": depth, "failed": failed, "witnesses": witnesses}
     return not failed, report
 
 
@@ -324,7 +326,7 @@ def _q_table(cs: CourantStructure) -> dict:
     """Q(v) = {Theta, v} on each generator v (keyed as in `rothstein.generators`)
     with a nonzero value; built on first use and kept on the immutable structure."""
     if cs._q is None:
-        cs._q = _hamiltonian(cs.theta, cs.connection, generators(cs.module))
+        cs._q = _hamiltonian(cs.theta.flat(), cs.connection, generators(cs.module))
     return cs._q
 
 

@@ -18,8 +18,9 @@ up to graded antisymmetry, and 0 on the other pairs; it depends on a metric
 connection through nabla and the curvature bivector r.  One kernel does all
 of this on flat sums {(exp, sym, ext): coefficient}: `_hamiltonian` builds
 Q_a, `_apply_derivation` applies it by Leibniz, and both multiply through
-`_mul_into`, as does the wedge product.  `roth_bracket` and the deformation
-differential of `deform` are this kernel.
+`_mul_into`, as does the wedge product.  `roth_bracket`, the deformation
+differential of `deform` and the tower walk of `symbol_map.apply_J` are this
+kernel.
 """
 
 from __future__ import annotations
@@ -318,20 +319,21 @@ def generators(module: MetricModule) -> list[tuple[int, int]]:
     return [(d, i) for d, n in enumerate(counts) for i in range(n)]
 
 
-def _hamiltonian(a: RothElement, conn: Connection, vs) -> dict:
+def _hamiltonian(a: dict, conn: Connection, vs) -> dict:
     """Q_a(v) = {a, v} = sum_u (a d<-/du) {u, v} on each generator v of vs.
 
-    a's right partials are contracted with the generator table, each entry
-    read once per pair (u, v).  Returns {v: grouped monomials} on the v with
-    a nonzero value, integral coefficients kept as ints.
+    a is a flat sum {(exp, sym, ext): coefficient}; its right partials are
+    contracted with the generator table, each entry read once per pair
+    (u, v).  Returns {v: grouped monomials} on the v with a nonzero value,
+    in the order of vs, integral coefficients kept as ints.
     """
     partials: dict = {}  # u -> {(sym, ext): [(exp, coefficient)]} of a d<-/du
-    for key, c in a.flat().items():
+    for key, c in a.items():
         for u, k, exp, sym, ext in _partials(*key, right=True):
             partials.setdefault(u, {}).setdefault((sym, ext), []).append((exp, k * c))
     partials = {u: [(sym, ext, terms) for (sym, ext), terms in groups.items()]
                 for u, groups in partials.items()}
-    dual = a.module.backend.is_dual
+    dual = conn.module.backend.is_dual
     table = {}
     for v in vs:
         out: dict = {}
@@ -368,16 +370,8 @@ def roth_bracket(a: RothElement, b: RothElement, conn: Connection) -> RothElemen
         raise ModuleError("connection lives on a different module")
     terms = b.flat()
     needed = sorted({p[0] for key in terms for p in _partials(*key, right=False)})
-    q = _hamiltonian(a, conn, needed)
+    q = _hamiltonian(a.flat(), conn, needed)
     return _to_roth(module, _apply_derivation(q, terms, module.backend.is_dual))
-
-
-def nested_bracket_with_modules(phi: RothElement, args, conn: Connection) -> RothElement:
-    """{...{phi, x_1}, ...}, x_k} for module elements x_i."""
-    out = phi
-    for x in args:
-        out = roth_bracket(out, RothElement.from_module_element(x), conn)
-    return out
 
 
 def nested_bracket_with_scalars(phi: RothElement, args, conn: Connection) -> RothElement:

@@ -5,7 +5,12 @@ the degree-2 element -nabla_D, extended multiplicatively over the wedge.  Its
 tower tables come from nested brackets: level p of the image on generators
 g_1..g_p and basis arguments b_1..b_q is the scalar
 
-    {...{{...{phi, g_1}, ...}, g_p}, e_{b_1}}, ...}, e_{b_q}}.
+    {...{{...{phi, x_{g_1}}, ...}, x_{g_p}}, e_{b_1}}, ...}, e_{b_q}}
+
+with x_g the algebra generator paired with D_g (eps over the dual numbers).
+The entries share their prefixes, so `apply_J` walks the prefix tree once:
+each node's children are read off one Hamiltonian Q_node (`rothstein`'s
+kernel) built on the next generators, and the leaves are the entries.
 
 The image is generated in degrees 0, 1, 2; degrees 2 and 3 are inverted in
 closed form, and membership in higher degrees is decided by an exact linear
@@ -18,31 +23,52 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .cmaps import Cochain, _tabulate, generator_slice
+from .cmaps import Cochain, generator_slice
 from .modules import Connection, MetricModule, ModuleElement, ModuleError, inner, raise_exterior
 from .poly import Poly, exponents_of_degree, num_der_generators
-from .rothstein import (
-    RothElement,
-    graded_monomials,
-    nested_bracket_with_modules,
-    nested_bracket_with_scalars,
-)
+from .rothstein import RothElement, _hamiltonian, graded_monomials, nested_bracket_with_scalars
 
 
 def apply_J(phi: RothElement, conn: Connection) -> Cochain:
-    """Image of a homogeneous element, with its full tower, via nested brackets."""
+    """Image of a homogeneous element, with its full tower, in one
+    depth-first walk of the bracket prefix tree.
+
+    A node is a nested bracket of phi, kept as a flat sum.  Its children are
+    its brackets with the next generators, all read off one Hamiltonian
+    Q_node: the basis elements e_b, and, while no e_b has been taken yet and
+    the degree is at least 2, the scalar generators x_j with j at least the
+    last generator of the node's tuple.  A leaf has degree 0 and is the
+    tower entry.  `_hamiltonian` returns only the nonzero children, so a
+    subtree whose entries all vanish is never entered.
+    """
     module = phi.module
     if conn.module != module:
         raise ModuleError("connection lives on a different module")
-    basis = module.basis_elements()
+    backend = module.backend
+    degree = phi.degree()
+    ngen = num_der_generators(backend)  # over the dual numbers the one D pairs with eps = x_0
+    basis = [(1, b) for b in range(module.rank)]
+    levels: dict = {p: {} for p in range(degree // 2 + 1)}
 
-    def entries_at(gvars):
-        chi = nested_bracket_with_scalars(phi, gvars, conn)
-        if chi.is_zero():
-            return None
-        return lambda bargs: nested_bracket_with_modules(chi, [basis[b] for b in bargs], conn).scalar_part()
+    def walk(node: dict, gens: tuple, bargs: tuple):
+        left = degree - 2 * len(gens) - len(bargs)
+        if not left:
+            levels[len(gens)][gens, bargs] = Poly(backend, {exp: c for (exp, _, _), c in node.items()})
+            return
+        nexts = basis
+        if left >= 2 and not bargs:
+            nexts = basis + [(0, j) for j in range(gens[-1] if gens else 0, ngen)]
+        for (kind, i), child in _hamiltonian(node, conn, nexts).items():
+            flat = {(exp, sym, ext): c for sym, ext, terms in child for exp, c in terms}
+            if kind:
+                walk(flat, gens, bargs + (i,))
+            else:
+                walk(flat, gens + (i,), bargs)
 
-    return _tabulate(module, phi.degree(), entries_at)
+    root = phi.flat()
+    if root:
+        walk(root, (), ())
+    return Cochain(module, degree, levels)
 
 
 def invert_J_deg2(c: Cochain, conn: Connection) -> RothElement:

@@ -82,6 +82,19 @@ def curved_connection(module: MetricModule, seed: int = 0) -> Connection:
     return metrize(Connection(module, gamma))
 
 
+def oracle_contexts():
+    """Curved connections over Q[x1..xn] for n = 0..3 and a curved and a flat
+    connection over the dual numbers."""
+    for n in range(4):
+        M = hyperbolic_module(n, 2 if n < 2 else 1)
+        yield M, curved_connection(M, seed=7 + n)
+    D = Backend.dual()
+    oneD, zeroD = Poly.one(D), Poly.zero(D)
+    M = MetricModule(D, [[zeroD, oneD, zeroD], [oneD, zeroD, zeroD], [zeroD, zeroD, oneD]])
+    yield M, curved_connection(M, seed=3)
+    yield M, Connection.flat(M)
+
+
 def so3_constants():
     eps3 = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
             (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}

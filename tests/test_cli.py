@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from courantalg import deform
+from courantalg import cli, deform
 from courantalg.cli import SCHEMA, STANDARD_CAP, DocumentError, ProblemDocument, run_document
 
 DOCUMENTS = Path(__file__).resolve().parent.parent / "docs" / "documents"
@@ -224,6 +224,14 @@ def _so3_rank(rank):
     pytest.param(_so3(commands=[{"op": "verify-courant", "element": "m", "depth": -1}]),
                  id="verify-negative-depth"),
     pytest.param(_so3(commands=[{"op": "cohomology", "element": "m", "r": "ab"}]), id="window-text"),
+    pytest.param(_so3(elements={"m": {"type": "cmap", "degree": 2, "values": {"e1": ["0", "0", "0"]}}},
+                      commands=[{"op": "verify-courant", "element": "m"}]), id="verify-degree-2"),
+    pytest.param(_standard(elements={"t": {"type": "roth", "terms": ["1 * d(x)vd(x)vd(x) (x) e1^f1"]}},
+                           commands=[{"op": "bracket", "lhs": "t", "rhs": "t"}]), id="bracket-above-degree-cap"),
+    pytest.param(_standard(elements={"m": {"type": "cmap", "degree": 3, "values": {"e1,f1": ["1", "-2"]}}},
+                           commands=[{"op": "j-map", "element": "m"}]), id="j-map-no-preimage"),
+    pytest.param(_standard(elements={"m": {"type": "cmap", "degree": 3, "values": {"e1,f1": ["1", "-2"]}}},
+                           commands=[{"op": "j-invert", "element": "m"}]), id="j-invert-no-preimage"),
     pytest.param(_so3_rank(7), id="rank-mismatch"),
     pytest.param(_so3_rank("3"), id="rank-text"),
 ])
@@ -231,6 +239,26 @@ def test_malformed_documents_rejected(doc):
     report, code = run_document(doc)
     assert code == 2
     assert report["ok"] is False and report["error"]
+
+
+def _j_map(terms):
+    return _standard(elements={"t": {"type": "roth", "terms": terms}}, commands=[{"op": "j-map", "element": "t"}])
+
+
+@pytest.mark.parametrize("doc, words", [
+    (_j_map(["1 * 1 (x) e1", "1 * 1 (x) e1^f1"]), ["'t' is inhomogeneous", "degrees 1, 2"]),
+    (_j_map(["1 * d(x)vd(x)vd(x)vd(x)vd(x) (x) e1"]), ["'t' has degree 11", "DEGREE_CAP"]),
+    (_so3(elements={"m": {"type": "cmap", "degree": 2, "values": {"e1": ["0", "0", "0"]}}},
+          commands=[{"op": "verify-courant", "element": "m"}]), ["verify-courant", "degree 2"]),
+])
+def test_degree_checks_name_the_degree_before_tabulating(monkeypatch, doc, words):
+    def refuse(*args):
+        raise AssertionError("apply_J reached")
+
+    monkeypatch.setattr(cli, "apply_J", refuse)
+    report, code = run_document(doc)
+    assert code == 2
+    assert all(w in report["error"] for w in words)
 
 
 def test_standard_above_the_cap_is_rejected_before_building():

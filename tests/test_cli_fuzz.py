@@ -1,0 +1,117 @@
+"""Seeded fuzz of the CLI contract on mutated committed documents.
+
+Each example takes one `docs/documents/*.json`, replaces or adds elements
+(cmaps of degree 0-4, roth elements with homogeneous or inhomogeneous terms,
+element names old, new and empty) and replaces its commands by a list of
+`verify-courant`, `j-map`, `j-invert` and `bracket` commands on those names.
+Whatever the document, `run_document` must return exit code 0, 1 or 2
+without raising, and the same report, in both formats, on a second run.
+The examples are derandomized, so every run checks the same documents.
+"""
+
+import json
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from courantalg.cli import format_human, run_document
+from courantalg.deform import standard_module
+
+DOCUMENTS = {p.stem: json.loads(p.read_text())
+             for p in sorted((Path(__file__).resolve().parent.parent / "docs" / "documents").glob("*.json"))}
+NAMES = ["m", "theta", "xi", "x", "fresh", ""]
+COEFFICIENTS = ["1", "-2", "1/2", "0"]
+
+
+def _alphabet(doc: dict) -> tuple[list[str], list[str]]:
+    """(variable names, module basis names) of a document."""
+    module = doc["module"]
+    if "standard" in module:
+        std = standard_module(module["standard"])
+        return list(std.backend.names), list(std.names)
+    backend = doc["backend"]
+    variables = [backend.get("var", "eps")] if backend["kind"] in ("dualnum", "dual") else backend["vars"]
+    return variables, module["basis"]
+
+
+@st.composite
+def _roth(draw, variables, basis):
+    """A roth element; when homogeneous, terms off the first term's degree are dropped."""
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        sym = draw(st.lists(st.sampled_from(variables), max_size=5 if draw(st.booleans()) else 2)) if variables else []
+        ext = sorted(draw(st.sets(st.sampled_from(basis), max_size=3)), key=basis.index)
+        coef = draw(st.sampled_from(COEFFICIENTS + ["(%s)" % v for v in variables]))
+        text = "%s * %s (x) %s" % (coef, "v".join("d(%s)" % v for v in sym) or "1", "^".join(ext) or "1")
+        terms.append((2 * len(sym) + len(ext), text))
+    if draw(st.booleans()):
+        terms = [t for t in terms if t[0] == terms[0][0]]
+    return {"type": "roth", "terms": [text for _, text in terms]}
+
+
+def _rarely(draw) -> bool:
+    """True about one time in eight: most mutations stay well formed, so the commands run."""
+    return draw(st.integers(0, 7)) == 0
+
+
+@st.composite
+def _cmap(draw, variables, basis):
+    degree = draw(st.sampled_from([0, 1, 2, 2, 3, 3, 3, 4]))  # the table constructor takes 2 and 3
+    rank = len(basis)
+    arity = max(degree - 1, 0) + _rarely(draw)
+
+    def coefficients(n, pool):
+        return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+    values = {}
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.lists(st.sampled_from(basis), min_size=arity, max_size=arity))
+        values[",".join(key)] = coefficients(rank + _rarely(draw), COEFFICIENTS + variables)
+    spec = {"type": "cmap", "degree": degree, "values": values}
+    if draw(st.booleans()):
+        key = draw(st.lists(st.sampled_from(basis), min_size=max(degree - 2, 0), max_size=max(degree - 2, 0)))
+        spec["symbol"] = {",".join(key): coefficients(len(variables) + _rarely(draw), COEFFICIENTS)}
+    return spec
+
+
+def _command(draw, names):
+    def name():
+        return draw(st.sampled_from(NAMES if _rarely(draw) else names))
+
+    op = draw(st.sampled_from(["verify-courant", "j-map", "j-invert", "bracket"]))
+    if op == "bracket":
+        cmd = {"op": op, "lhs": name(), "rhs": name()}
+    else:
+        cmd = {"op": op, "element": name()}
+    if op == "verify-courant" and draw(st.booleans()):
+        cmd["depth"] = draw(st.integers(0, 1))
+    if op == "j-invert" and draw(st.booleans()):
+        cmd["degree"] = draw(st.integers(1, 4))
+    if op in ("j-map", "bracket") and draw(st.booleans()):
+        cmd["name"] = draw(st.sampled_from(NAMES))
+    return cmd
+
+
+@st.composite
+def documents(draw):
+    doc = json.loads(json.dumps(DOCUMENTS[draw(st.sampled_from(sorted(DOCUMENTS)))]))
+    variables, basis = _alphabet(doc)
+    elements = doc.setdefault("elements", {})
+    for _ in range(draw(st.integers(0, 3))):
+        shape = _roth(variables, basis) if draw(st.booleans()) else _cmap(variables, basis)
+        elements[draw(st.sampled_from(NAMES))] = draw(shape)
+    names = sorted(elements) or NAMES
+    doc["commands"] = [_command(draw, names) for _ in range(draw(st.integers(1, 3)))]
+    return doc
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(documents())
+def test_run_document_keeps_the_cli_contract(doc):
+    first, code = run_document(doc)
+    again, code_again = run_document(doc)
+    assert code in (0, 1, 2) and code_again == code
+    assert json.dumps(first, sort_keys=True) == json.dumps(again, sort_keys=True)
+    assert format_human(first) == format_human(again)

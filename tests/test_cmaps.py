@@ -183,7 +183,7 @@ def test_eval_standard_structure_matches_structural_route():
     e, f = M.basis(0), M.basis(1)
     assert cs.cochain(e, f.scale(x)) == f
     # structural route: nested brackets on the connection side
-    from courantalg.rothstein import nested_bracket_with_modules
+    from apply_J_oracle import nested_bracket_with_modules
 
     rho = nested_bracket_with_modules(cs.theta, [e, f.scale(x)], cs.connection)
     assert rho.module_part() == f
@@ -506,7 +506,7 @@ def test_eval_reduction_matches_nested_brackets():
     # the slot-by-slot reduction through the tower must agree with evaluating
     # nested brackets on the connection side, on arguments with polynomial
     # coefficients in every slot
-    from courantalg.rothstein import nested_bracket_with_modules
+    from apply_J_oracle import nested_bracket_with_modules
 
     B, M, conn = hyperbolic_setup(seed=31)
     rng = random.Random(32)

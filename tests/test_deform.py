@@ -183,12 +183,20 @@ def test_morphism_conditions():
     ok, _ = verify_morphism(cs, cs, ident_alg, ident)
     assert ok
     rot = ModuleMap(cs.module, cs.module, [[zero, -one, zero], [one, zero, zero], [zero, zero, one]])
-    ok, _ = verify_morphism(cs, cs, ident_alg, rot)
+    ok, report = verify_morphism(cs, cs, ident_alg, rot)
     assert ok
+    assert report["failed"] == [] and report["witnesses"] == {}
     double = ModuleMap(cs.module, cs.module, [[one + one if i == j else zero for j in range(3)] for i in range(3)])
     ok, report = verify_morphism(cs, cs, ident_alg, double)
     assert not ok
     assert "(v) inner product" in report["failed"]
+    # the first failing probe in loop order: [e1, e1] = 0 passes, [e1, e2] = e3 doubles
+    # on one side and quadruples on the other; <e1, e1> = 1 is already off
+    assert report["failed"] == ["(iii) bracket preservation", "(v) inner product"]
+    assert report["witnesses"] == {
+        "(iii) bracket preservation": "x = e1, y = e2: (2)*e3 != (4)*e3",
+        "(v) inner product": "x = e1, y = e1: 1 != 4",
+    }
 
 
 # -- differential and cohomology -----------------------------------------------------

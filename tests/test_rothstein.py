@@ -23,7 +23,7 @@ from courantalg import (
 from courantalg.rothstein import _hamiltonian, generators
 from courantalg.textforms import parse_roth, roth_to_text
 
-from conftest import curved_connection, hyperbolic_module, random_roth
+from conftest import curved_connection, oracle_contexts, random_roth
 from peeling_oracle import peel_bracket
 
 
@@ -130,24 +130,11 @@ def test_graded_jacobi_and_leibniz_randomized():
             assert ab.degrees() == {r + s - 2}
 
 
-def _oracle_contexts():
-    """Curved connections over Q[x1..xn] for n = 0..3 and a curved and a flat
-    connection over the dual numbers."""
-    for n in range(4):
-        M = hyperbolic_module(n, 2 if n < 2 else 1)
-        yield M, curved_connection(M, seed=7 + n)
-    D = Backend.dual()
-    oneD, zeroD = Poly.one(D), Poly.zero(D)
-    M = MetricModule(D, [[zeroD, oneD, zeroD], [oneD, zeroD, zeroD], [zeroD, zeroD, oneD]])
-    yield M, curved_connection(M, seed=3)
-    yield M, Connection.flat(M)
-
-
 def test_peel_sides_agree():
     # the closed form against Leibniz peeling from either side, degrees 0..5
     rng = random.Random(19)
     pairs = nonzero = 0
-    for M, conn in _oracle_contexts():
+    for M, conn in oracle_contexts():
         for _ in range(70):
             a = random_roth(rng, M, rng.randint(0, 5))
             b = random_roth(rng, M, rng.randint(0, 5))
@@ -170,11 +157,11 @@ def test_hamiltonian_equals_peeling_on_generators():
     # of generators returns the same entries for that subset
     rng = random.Random(29)
     nonzero = 0
-    for M, conn in _oracle_contexts():
+    for M, conn in oracle_contexts():
         gens = generators(M)
         for _ in range(15):
             a = random_roth(rng, M, rng.randint(0, 5), coeff_deg=2)
-            q = _hamiltonian(a, conn, gens)
+            q = _hamiltonian(a.flat(), conn, gens)
             assert set(q) <= set(gens)
             for v in gens:
                 got = {(exp, sym, ext): c for sym, ext, terms in q.get(v, []) for exp, c in terms}
@@ -182,7 +169,7 @@ def test_hamiltonian_equals_peeling_on_generators():
                 assert all(type(c) is int or c.denominator != 1 for c in got.values())
                 nonzero += bool(got)
             subset = [v for v in gens if rng.random() < 0.5]
-            assert _hamiltonian(a, conn, subset) == {v: q[v] for v in subset if v in q}
+            assert _hamiltonian(a.flat(), conn, subset) == {v: q[v] for v in subset if v in q}
     assert nonzero >= 250  # of 510
 
 
