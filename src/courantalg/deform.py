@@ -6,7 +6,9 @@ deformation differential is delta = {Theta, .} on the connection side, with
 [m, .] as the cross-checking route.  delta is the Hamiltonian derivation Q
 of Theta (Roytenberg, math/0203110): its values on all generators are built
 once per structure, and delta g = sum_v Q(v) (d->/dv g) follows by Leibniz,
-in the kernel `roth_bracket` runs on.  The graded blocks are cut by an
+in the kernel `roth_bracket` runs on, on int numerators over one
+denominator; a block entry or an element is divided once, on its way out,
+and the delta^2 check divides nothing.  The graded blocks are cut by an
 internal polynomial degree (a variable counts +1, a derivation generator -1,
 module basis elements carry the module's declared internal degrees).
 
@@ -31,6 +33,8 @@ from .rothstein import (
     ModuleMap,
     RothElement,
     _apply_derivation,
+    _cleared,
+    _divided,
     _hamiltonian,
     _to_roth,
     generators,
@@ -322,24 +326,28 @@ def verify_morphism(cs1: CourantStructure, cs2: CourantStructure,
 # -- the deformation differential and cohomology -----------------------------------
 
 
-def _q_table(cs: CourantStructure) -> dict:
+def _q_table(cs: CourantStructure) -> tuple[dict, int]:
     """Q(v) = {Theta, v} on each generator v (keyed as in `rothstein.generators`)
-    with a nonzero value; built on first use and kept on the immutable structure."""
+    with a nonzero value, as int numerators over one denominator: (table, d).
+    Built on first use and kept on the immutable structure."""
     if cs._q is None:
-        cs._q = _hamiltonian(cs.theta.flat(), cs.connection, generators(cs.module))
+        cs._q = _hamiltonian(*_cleared(cs.theta.flat()), cs.connection, generators(cs.module))
     return cs._q
 
 
-def _apply_q(cs: CourantStructure, terms: dict) -> dict:
-    """Q on a flat sum {(exp, sym, ext): coefficient} of monomials, by Leibniz."""
-    return _apply_derivation(_q_table(cs), terms, cs.module.backend.is_dual)
+def _apply_q(cs: CourantStructure, terms: dict, den: int) -> tuple[dict, int]:
+    """Q on a flat sum {(exp, sym, ext): int} of numerators over den, by
+    Leibniz: the image's numerators and its denominator, den times that of
+    the Q table (1 for an integral Theta on a flat connection)."""
+    q, d_q = _q_table(cs)
+    return _apply_derivation(q, terms, cs.module.backend.is_dual), d_q * den
 
 
 def deformation_differential(cs: CourantStructure, c):
     """delta = {Theta, .} on the connection side, [m, .] on the complex side."""
     if isinstance(c, RothElement):
         cs.theta._check(c)
-        return _to_roth(c.module, _apply_q(cs, c.flat()))
+        return _to_roth(c.module, *_apply_q(cs, *_cleared(c.flat())))
     if isinstance(c, Cochain):
         return cbracket(cs.cochain, c)
     raise TypeError("expected a graded element")
@@ -391,15 +399,15 @@ def _require_degree_zero_generator(cs: CourantStructure) -> None:
         )
 
 
-def _image_in_block(cs: CourantStructure, terms: dict, r: int, d: int) -> dict:
-    """Q(terms), each of whose keys must lie in block (r, d)."""
+def _image_in_block(cs: CourantStructure, terms: dict, den: int, r: int, d: int) -> tuple[dict, int]:
+    """Q(terms) as `_apply_q` returns it, each of whose keys must lie in block (r, d)."""
     module = cs.module
-    image = _apply_q(cs, terms)
+    image, den = _apply_q(cs, terms, den)
     for key in image:
         exp, sym, ext = key
         if 2 * len(sym) + len(ext) != r or internal_degree_of_term(module, exp, sym, ext) != d:
             raise ModuleError("differential leaves the internal-degree block: %s" % (key,))
-    return image
+    return image, den
 
 
 def delta_block(cs: CourantStructure, r: int, d: int) -> GradedComplexBlock:
@@ -411,7 +419,7 @@ def delta_block(cs: CourantStructure, r: int, d: int) -> GradedComplexBlock:
     index = {key: i for i, key in enumerate(dst)}
     matrix = [{} for _ in dst]
     for col, mono in enumerate(src):
-        for key, v in _image_in_block(cs, {mono: 1}, r + 1, d).items():
+        for key, v in _divided(*_image_in_block(cs, {mono: 1}, 1, r + 1, d)).items():
             matrix[index[key]][col] = Fraction(v)
     return GradedComplexBlock(r, d, src, dst, matrix)
 
@@ -447,7 +455,8 @@ def delta_squared_is_zero(cs: CourantStructure, r: int, d: int) -> bool:
     """Q(Q(x)) = 0 for every basis monomial x of block (r, d); no block is built."""
     _require_degree_zero_generator(cs)
     for mono in enumerate_chain_basis(cs.module, r, d):
-        if _image_in_block(cs, _image_in_block(cs, {mono: 1}, r + 1, d), r + 2, d):
+        image, den = _image_in_block(cs, {mono: 1}, 1, r + 1, d)
+        if _image_in_block(cs, image, den, r + 2, d)[0]:
             return False
     return True
 

@@ -186,10 +186,12 @@ class Connection:
 
     gamma[i][a] = nabla of the a-th basis element along the i-th derivation
     generator.  Over DualNum there is a single generator epsd, and module
-    relations force every gamma entry to lie in eps*E.
+    relations force every gamma entry to lie in eps*E.  Derived values are
+    built on first use and kept: the curvature, and the generator table of
+    the bracket it defines (`rothstein._generator_table`).
     """
 
-    __slots__ = ("module", "gamma", "_hash", "_curvature")
+    __slots__ = ("module", "gamma", "_hash", "_curvature", "_generators")
 
     def __init__(self, module: MetricModule, gamma):
         backend = module.backend
@@ -214,6 +216,7 @@ class Connection:
         self.gamma = gamma
         self._hash = None
         self._curvature = None
+        self._generators = None
 
     @staticmethod
     def flat(module: MetricModule) -> "Connection":
@@ -359,11 +362,13 @@ def curvature(conn: Connection) -> Curvature:
     table = {}
     for i in range(ngen):
         for j in range(i + 1, ngen):
-            # coordinate generators commute, so no nabla_[D,E] term
+            # coordinate generators commute, so no nabla_[D,E] term, and
+            # nabla_{D_j} e_a is the Christoffel entry gamma[j][a]
             op = {}
             for a in range(module.rank):
-                op[a] = conn.nabla_gen(i, conn.nabla_gen(j, module.basis(a))) \
-                    - conn.nabla_gen(j, conn.nabla_gen(i, module.basis(a)))
+                op[a] = conn.nabla_gen(i, conn.gamma[j][a]) - conn.nabla_gen(j, conn.gamma[i][a])
+            if all(v.is_zero() for v in op.values()):
+                continue  # r(D_i, D_j) = 0: nothing to raise or cross-check
             pairing = {(a, b): inner(op[a], module.basis(b)) for a, b in pairs}
             xi = raise_exterior(module, 2, pairing)
             # dual computation: the pairing route must reproduce <R(.,.)x, y>

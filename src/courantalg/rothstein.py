@@ -21,12 +21,21 @@ Q_a, `_apply_derivation` applies it by Leibniz, and both multiply through
 `_mul_into`, as does the wedge product.  `roth_bracket`, the deformation
 differential of `deform` and the tower walk of `symbol_map.apply_J` are this
 kernel.
+
+The kernel is fraction-free.  A flat sum inside it holds int numerators
+over one positive denominator that travels beside it: `_cleared` clears an
+element's denominators on entry, the generator table of a connection is
+kept as ints over the connection's own denominator d (built once, on first
+use), so Q_a on a sum over d_a is a sum over d_a * d, and a Leibniz
+product multiplies the denominators.  Each coefficient is divided once, when
+the result leaves the kernel (`_to_roth`, `_divided`).
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from .modules import (
     Connection,
@@ -58,16 +67,36 @@ def _merge_ext(ext1: tuple[int, ...], ext2: tuple[int, ...]):
     return sign, tuple(merged)
 
 
-def _exact(c):
-    return c.numerator if c.denominator == 1 else c  # int products skip Fraction's normalization
+def _cleared(flat: dict) -> tuple[dict, int]:
+    """Rational values {key: c} as int numerators over one positive denominator:
+    (numerators, d).  A sum of ints is returned as it is, over 1."""
+    for c in flat.values():
+        if type(c) is not int:
+            break
+    else:
+        return flat, 1
+    d = lcm(*[c.denominator for c in flat.values()])
+    return {k: c.numerator * (d // c.denominator) for k, c in flat.items()}, d
+
+
+def _quotient(c: int, d: int):
+    """c / d as an int when the division is exact, else as a Fraction."""
+    q, r = divmod(c, d)
+    return Fraction(c, d) if r else q
+
+
+def _divided(flat: dict, d: int) -> dict:
+    """A flat sum of numerators over d as its values, integral ones as ints."""
+    return flat if d == 1 else {k: _quotient(c, d) for k, c in flat.items()}
 
 
 def _mul_into(out: dict, lefts, right, dual: bool):
-    """out += (sum of lefts) * right for grouped monomials (sym, ext, [(exp, coefficient)]).
+    """out += (sum of lefts) * right for grouped monomials (sym, ext, [(exp, int)]).
 
     The one product step: merge the exterior parts with their sign, add the
     exponents, and over the dual numbers drop a term with eps^2 or with eps
-    and a Der factor (the reduction RothElement applies).
+    and a Der factor (the reduction RothElement applies).  Numerators only:
+    the product's denominator is the product of the factors' denominators.
     """
     sym2, ext2, terms2 = right
     for sym1, ext1, terms1 in lefts:
@@ -94,13 +123,16 @@ def _grouped(flat: dict) -> list:
     """A flat sum {(exp, sym, ext): coefficient} as grouped monomials."""
     groups: dict = {}
     for (exp, sym, ext), c in flat.items():
-        groups.setdefault((sym, ext), []).append((exp, _exact(c)))
+        groups.setdefault((sym, ext), []).append((exp, c))
     return [(sym, ext, terms) for (sym, ext), terms in groups.items()]
 
 
-def _to_roth(module: MetricModule, flat: dict) -> "RothElement":
-    return RothElement(module, {(sym, ext): Poly(module.backend, dict(terms))
-                                for sym, ext, terms in _grouped(flat)})
+def _to_roth(module: MetricModule, flat: dict, d: int) -> "RothElement":
+    """The flat sum of numerators over d as an element, each coefficient divided once."""
+    groups: dict = {}
+    for (exp, sym, ext), c in _divided(flat, d).items():
+        groups.setdefault((sym, ext), {})[exp] = c
+    return RothElement(module, {key: Poly(module.backend, terms) for key, terms in groups.items()})
 
 
 class RothElement:
@@ -217,17 +249,19 @@ class RothElement:
 
     def flat(self) -> dict:
         """The terms as a flat sum {(exp, sym, ext): coefficient}, integral ones as ints."""
-        return {(exp, sym, ext): _exact(c)
+        return {(exp, sym, ext): c.numerator if c.denominator == 1 else c
                 for (sym, ext), poly in self.terms.items() for exp, c in poly.terms.items()}
 
     def wedge(self, other: "RothElement") -> "RothElement":
         self._check(other)
         dual = self.module.backend.is_dual
         out: dict = {}
-        lefts = _grouped(self.flat())
-        for right in _grouped(other.flat()):
+        lefts, d1 = _cleared(self.flat())
+        rights, d2 = _cleared(other.flat())
+        lefts = _grouped(lefts)
+        for right in _grouped(rights):
             _mul_into(out, lefts, right, dual)
-        return _to_roth(self.module, out)
+        return _to_roth(self.module, out, d1 * d2)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RothElement):
@@ -286,68 +320,98 @@ def _partials(exp, sym, ext, right: bool):
     return out
 
 
-def _generator_bracket(conn: Connection, u, v):
-    """{u, v} as grouped monomials ((), ext, [(exp, coefficient)]); see the
-    module docstring.
-
-    Generators are (degree, index): (0, j) is the variable x_j, (1, a) the
-    basis element e_a and (2, i) the Der generator D_i.
-    """
-    (du, i), (dv, j) = u, v
-    if (du, dv) == (1, 1):
-        entries = [((), conn.module.gram[i][j])]
-    elif (du, dv) == (2, 2):
-        entries = [(ab, -c) for ab, c in curvature(conn).pair(i, j).items()]
-    elif {du, dv} == {1, 2}:
-        # {e_a, D_i} = Gamma_i(e_a) = -{D_i, e_a}
-        image = conn.gamma[j][i] if du == 1 else -conn.gamma[i][j]
-        entries = [((b,), c) for b, c in enumerate(image.coeffs)]
-    elif {du, dv} == {0, 2}:
-        # {x_j, D_i} = D_i(x_j) = -{D_i, x_j}
-        backend = conn.module.backend
-        entries = [((), Derivation.basis(backend, j)(Poly.var(backend, i)) if du == 0
-                    else -Derivation.basis(backend, i)(Poly.var(backend, j)))]
-    else:
-        return []
-    return [((), ext, [(exp, _exact(a)) for exp, a in c.terms.items()])
-            for ext, c in entries if c.terms]
-
-
 def generators(module: MetricModule) -> list[tuple[int, int]]:
     """The generators x_j, e_a, D_i keyed as (0, j), (1, a), (2, i)."""
     counts = (module.backend.nvars, module.rank, num_der_generators(module.backend))
     return [(d, i) for d, n in enumerate(counts) for i in range(n)]
 
 
-def _hamiltonian(a: dict, conn: Connection, vs) -> dict:
+def _generator_table(conn: Connection) -> tuple[dict, int, bool]:
+    """The brackets {u, v} of the generators (module docstring) over one denominator.
+
+    Generators are (degree, index): (0, j) is the variable x_j, (1, a) the
+    basis element e_a and (2, i) the Der generator D_i.  Returns (rows, d,
+    has_dd): rows[v][u] is d {u, v} as grouped monomials ((), ext, [(exp,
+    int)]) on the pairs with a nonzero value, d is the lcm of the
+    denominators of the gram, Christoffel, curvature and {x_j, D_i} entries,
+    and has_dd says whether the D-D pairs are in the table.  They are not
+    when the connection is not metric: it has no curvature bivector, and
+    `_hamiltonian` raises where it would read one.  Built once per
+    connection, on first use, and kept in its `_generators` slot.
+    """
+    module = conn.module
+    backend = module.backend
+    ngen = num_der_generators(backend)
+    try:
+        cur = curvature(conn) if ngen else None
+    except ModuleError:  # not metric: `curvature` raises again where a D-D entry is read
+        cur = None
+    found = [((1, a), (1, b), [((), module.gram[a][b])])
+             for a in range(module.rank) for b in range(module.rank)]  # (u, v, [(ext, Poly)])
+    for i in range(ngen):
+        for j in range(backend.nvars):
+            # {x_j, D_i} = D_i(x_j) = -{D_i, x_j}
+            c = Derivation.basis(backend, i)(Poly.var(backend, j))
+            found += [((0, j), (2, i), [((), c)]), ((2, i), (0, j), [((), -c)])]
+        for a, image in enumerate(conn.gamma[i]):
+            # {e_a, D_i} = nabla_{D_i} e_a = -{D_i, e_a}
+            nonzero = [(b, c) for b, c in enumerate(image.coeffs) if c.terms]
+            found += [((1, a), (2, i), [((b,), c) for b, c in nonzero]),
+                      ((2, i), (1, a), [((b,), -c) for b, c in nonzero])]
+        if cur is not None:
+            found += [((2, i), (2, j), [(ab, -c) for ab, c in cur.pair(i, j).items()])
+                      for j in range(ngen)]
+    found = [(u, v, [(ext, c) for ext, c in entries if c.terms]) for u, v, entries in found]
+    d = lcm(*[a.denominator for _, _, entries in found for _, c in entries for a in c.terms.values()])
+    rows: dict = {}
+    for u, v, entries in found:
+        if entries:
+            rows.setdefault(v, {})[u] = [
+                ((), ext, [(exp, a.numerator * (d // a.denominator)) for exp, a in c.terms.items()])
+                for ext, c in entries]
+    return rows, d, cur is not None
+
+
+def _hamiltonian(a: dict, d: int, conn: Connection, vs) -> tuple[dict, int]:
     """Q_a(v) = {a, v} = sum_u (a d<-/du) {u, v} on each generator v of vs.
 
-    a is a flat sum {(exp, sym, ext): coefficient}; its right partials are
-    contracted with the generator table, each entry read once per pair
-    (u, v).  Returns {v: grouped monomials} on the v with a nonzero value,
-    in the order of vs, integral coefficients kept as ints.
+    a is a flat sum {(exp, sym, ext): int} of numerators over d; its right
+    partials are contracted with the connection's generator table, each
+    entry read once per pair (u, v).  Returns ({v: grouped monomials}, d *
+    d_conn): the values on the v with a nonzero value, in the order of vs,
+    as int numerators over the denominator of a times that of the table.
     """
+    table = conn._generators
+    if table is None:
+        table = conn._generators = _generator_table(conn)
+    rows, d_conn, has_dd = table
     partials: dict = {}  # u -> {(sym, ext): [(exp, coefficient)]} of a d<-/du
     for key, c in a.items():
         for u, k, exp, sym, ext in _partials(*key, right=True):
             partials.setdefault(u, {}).setdefault((sym, ext), []).append((exp, k * c))
     partials = {u: [(sym, ext, terms) for (sym, ext), terms in groups.items()]
                 for u, groups in partials.items()}
+    if not has_dd and any(u[0] == 2 for u in partials) and any(v[0] == 2 for v in vs):
+        curvature(conn)  # a D-D entry is read: raises, the connection is not metric
     dual = conn.module.backend.is_dual
-    table = {}
+    q = {}
     for v in vs:
+        row = rows.get(v)
+        if row is None:
+            continue
         out: dict = {}
         for u, lefts in partials.items():
-            for entry in _generator_bracket(conn, u, v):
+            for entry in row.get(u, ()):
                 _mul_into(out, lefts, entry, dual)
         if out:
-            table[v] = _grouped(out)
-    return table
+            q[v] = _grouped(out)
+    return q, d * d_conn
 
 
 def _apply_derivation(q: dict, terms: dict, dual: bool) -> dict:
     """The derivation with values q on generators (as `_hamiltonian` returns
-    them) on a flat sum, by Leibniz: Q(t) = sum_v Q(v) (d->/dv t)."""
+    them) on a flat sum, by Leibniz: Q(t) = sum_v Q(v) (d->/dv t).  Int
+    numerators: the result is over the denominator of q times that of terms."""
     out: dict = {}
     for key, c in terms.items():
         for v, k, exp, sym, ext in _partials(*key, right=False):
@@ -360,7 +424,8 @@ def roth_bracket(a: RothElement, b: RothElement, conn: Connection) -> RothElemen
     """Degree -2 graded Poisson bracket for the given metric connection.
 
     {a, b} = Q_a(b): Q_a is built on the generators b depends on, from the
-    generator table of the module docstring, and applied to b by Leibniz.
+    generator table of the module docstring, and applied to b by Leibniz,
+    on int numerators; each coefficient is divided once, at the end.
     Over the dual numbers the formula acts on the stored representatives,
     because eps^2 and eps * D generate a Poisson ideal.
     """
@@ -368,10 +433,10 @@ def roth_bracket(a: RothElement, b: RothElement, conn: Connection) -> RothElemen
     module = a.module
     if conn.module != module:
         raise ModuleError("connection lives on a different module")
-    terms = b.flat()
+    terms, d_b = _cleared(b.flat())
     needed = sorted({p[0] for key in terms for p in _partials(*key, right=False)})
-    q = _hamiltonian(a.flat(), conn, needed)
-    return _to_roth(module, _apply_derivation(q, terms, module.backend.is_dual))
+    q, d_q = _hamiltonian(*_cleared(a.flat()), conn, needed)
+    return _to_roth(module, _apply_derivation(q, terms, module.backend.is_dual), d_q * d_b)
 
 
 def nested_bracket_with_scalars(phi: RothElement, args, conn: Connection) -> RothElement:
@@ -388,7 +453,7 @@ def nested_bracket_with_scalars(phi: RothElement, args, conn: Connection) -> Rot
 class ConnectionChange:
     """The degree-zero derivation t with <t(D), x ^ y> = <(nabla - nabla')_D x, y>."""
 
-    __slots__ = ("module", "source", "target", "t_table")
+    __slots__ = ("module", "source", "target", "t_table", "_t")
 
     def __init__(self, source: Connection, target: Connection):
         if source.module != target.module:
@@ -406,13 +471,19 @@ class ConnectionChange:
         self.source = source
         self.target = target
         self.t_table = table
+        # t on the generators D_i, as int numerators over one denominator
+        nums, d = _cleared({(i, key): c for i, xi in enumerate(table)
+                            for key, c in RothElement.from_lambda2(module, xi).flat().items()})
+        values: dict = {}
+        for (i, key), c in nums.items():
+            values.setdefault((2, i), {})[key] = c
+        self._t = ({v: _grouped(flat) for v, flat in values.items()}, d)
 
     def apply_t(self, phi: RothElement) -> RothElement:
         """One application of t, the derivation sending D_i to its Lambda^2 image."""
-        module = self.module
-        q = {(2, i): _grouped(RothElement.from_lambda2(module, xi).flat())
-             for i, xi in enumerate(self.t_table)}
-        return _to_roth(module, _apply_derivation(q, phi.flat(), module.backend.is_dual))
+        q, d_t = self._t
+        terms, d = _cleared(phi.flat())
+        return _to_roth(self.module, _apply_derivation(q, terms, self.module.backend.is_dual), d_t * d)
 
     def exp_t(self, phi: RothElement) -> RothElement:
         """exp(t) phi; the series stops once the symmetric degree is exhausted."""

@@ -26,7 +26,14 @@ from . import linalg
 from .cmaps import Cochain, generator_slice
 from .modules import Connection, MetricModule, ModuleElement, ModuleError, inner, raise_exterior
 from .poly import Poly, exponents_of_degree, num_der_generators
-from .rothstein import RothElement, _hamiltonian, graded_monomials, nested_bracket_with_scalars
+from .rothstein import (
+    RothElement,
+    _cleared,
+    _divided,
+    _hamiltonian,
+    graded_monomials,
+    nested_bracket_with_scalars,
+)
 
 
 def apply_J(phi: RothElement, conn: Connection) -> Cochain:
@@ -39,7 +46,9 @@ def apply_J(phi: RothElement, conn: Connection) -> Cochain:
     the degree is at least 2, the scalar generators x_j with j at least the
     last generator of the node's tuple.  A leaf has degree 0 and is the
     tower entry.  `_hamiltonian` returns only the nonzero children, so a
-    subtree whose entries all vanish is never entered.
+    subtree whose entries all vanish is never entered.  Nodes hold int
+    numerators; each carries its denominator, which gains the connection's
+    denominator per level, and the leaves divide once.
     """
     module = phi.module
     if conn.module != module:
@@ -50,24 +59,26 @@ def apply_J(phi: RothElement, conn: Connection) -> Cochain:
     basis = [(1, b) for b in range(module.rank)]
     levels: dict = {p: {} for p in range(degree // 2 + 1)}
 
-    def walk(node: dict, gens: tuple, bargs: tuple):
+    def walk(node: dict, d: int, gens: tuple, bargs: tuple):
         left = degree - 2 * len(gens) - len(bargs)
         if not left:
-            levels[len(gens)][gens, bargs] = Poly(backend, {exp: c for (exp, _, _), c in node.items()})
+            entry = {exp: c for (exp, _, _), c in _divided(node, d).items()}
+            levels[len(gens)][gens, bargs] = Poly(backend, entry)
             return
         nexts = basis
         if left >= 2 and not bargs:
             nexts = basis + [(0, j) for j in range(gens[-1] if gens else 0, ngen)]
-        for (kind, i), child in _hamiltonian(node, conn, nexts).items():
+        children, d_child = _hamiltonian(node, d, conn, nexts)
+        for (kind, i), child in children.items():
             flat = {(exp, sym, ext): c for sym, ext, terms in child for exp, c in terms}
             if kind:
-                walk(flat, gens, bargs + (i,))
+                walk(flat, d_child, gens, bargs + (i,))
             else:
-                walk(flat, gens + (i,), bargs)
+                walk(flat, d_child, gens + (i,), bargs)
 
-    root = phi.flat()
+    root, d = _cleared(phi.flat())
     if root:
-        walk(root, (), ())
+        walk(root, d, (), ())
     return Cochain(module, degree, levels)
 
 

@@ -95,6 +95,30 @@ def oracle_contexts():
     yield M, Connection.flat(M)
 
 
+def denominator_contexts():
+    """Curved metric connections whose Christoffels have coefficients in
+    (1/3)Z and (1/5)Z before `metrize` halves them: over Q[x, y]^4 (hyperbolic,
+    degree <= 1 entries) and over the dual numbers (eps-multiple entries on
+    the rank-3 module of `oracle_contexts`)."""
+    rng = random.Random(53)
+
+    def coefficient():
+        return Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((3, 5)))
+
+    M = hyperbolic_module(2, 2)
+    linear = [(0, 0), (1, 0), (0, 1)]
+    gamma = [[ModuleElement(M, [Poly(M.backend, {e: coefficient() for e in linear if rng.random() < 0.6})
+                                for _ in range(M.rank)])
+              for _ in range(M.rank)]
+             for _ in range(M.backend.nvars)]
+    yield M, metrize(Connection(M, gamma))
+    D = Backend.dual()
+    oneD, zeroD, eps = Poly.one(D), Poly.zero(D), Poly.var(D, 0)
+    M = MetricModule(D, [[zeroD, oneD, zeroD], [oneD, zeroD, zeroD], [zeroD, zeroD, oneD]])
+    gamma = [[ModuleElement(M, [eps.scale(coefficient()) for _ in range(M.rank)]) for _ in range(M.rank)]]
+    yield M, metrize(Connection(M, gamma))
+
+
 def so3_constants():
     eps3 = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
             (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}

@@ -1,8 +1,8 @@
 """Reference oracle for the deformation differential: one full bracket per column.
 
-`delta_block` builds each column of the (r, d) block as {Theta, x} on the
-basis monomial x, by the Leibniz peeling of `peeling_oracle`, which is
-independent of the library's bracket kernel.  `delta_squared_is_zero`
+`column` is {Theta, x} on one basis monomial x, by the Leibniz peeling of
+`peeling_oracle`, which is independent of the library's bracket kernel;
+`delta_block` builds each column of the (r, d) block from it.  `delta_squared_is_zero`
 composes the sparse rows of the blocks (r, d) and (r + 1, d).
 `courantalg.deform` applies the homological vector field Q = {Theta, .} by
 Leibniz from its generator table instead, and must give the same bases,
@@ -19,6 +19,14 @@ from courantalg.deform import GradedComplexBlock, enumerate_chain_basis, roth_in
 from peeling_oracle import peel_bracket
 
 
+def column(cs, exp, sym, ext) -> dict:
+    """{Theta, x} on the monomial x = x^exp sym ext, as a flat sum {(exp, sym, ext): value}."""
+    mono = RothElement(cs.module, {(sym, ext): Poly.monomial(cs.module.backend, exp)})
+    image = peel_bracket(cs.theta, mono, cs.connection)
+    return {(iexp, isym, iext): frac for (isym, iext), poly in image.terms.items()
+            for iexp, frac in poly.terms.items()}
+
+
 def delta_block(cs, r: int, d: int) -> GradedComplexBlock:
     """The exact matrix of the differential from block (r, d) into (r+1, d)."""
     degs = roth_internal_degrees(cs.theta)
@@ -32,17 +40,11 @@ def delta_block(cs, r: int, d: int) -> GradedComplexBlock:
     dst = enumerate_chain_basis(module, r + 1, d)
     index = {key: i for i, key in enumerate(dst)}
     matrix = [{} for _ in dst]
-    for col, (exp, sym, ext) in enumerate(src):
-        mono = RothElement(module, {(sym, ext): Poly.monomial(module.backend, exp)})
-        image = peel_bracket(cs.theta, mono, cs.connection)
-        for (isym, iext), poly in image.terms.items():
-            for iexp, frac in poly.terms.items():
-                key = (iexp, isym, iext)
-                if key not in index:
-                    raise ModuleError(
-                        "differential leaves the internal-degree block: %s" % (key,)
-                    )
-                matrix[index[key]][col] = frac
+    for col, mono in enumerate(src):
+        for key, frac in column(cs, *mono).items():
+            if key not in index:
+                raise ModuleError("differential leaves the internal-degree block: %s" % (key,))
+            matrix[index[key]][col] = frac
     return GradedComplexBlock(r, d, src, dst, matrix)
 
 

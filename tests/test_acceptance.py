@@ -47,7 +47,10 @@ from courantalg.cmaps import probe_elements, quartic_from_biderivation
 from courantalg.deform import delta_block, lie_algebra_center_dim
 from courantalg.rothstein import nested_bracket_with_scalars
 
-from conftest import curved_connection, random_roth, so3_constants
+from conftest import curved_connection, denominator_contexts, random_roth, so3_constants
+
+
+SCALES = (Fraction(1), Fraction(-1, 3), Fraction(2, 5))
 
 
 def _report(name, ok, seconds):
@@ -90,6 +93,26 @@ def test_criterion_1_graded_jacobi_suite():
         lhs = roth_bracket(a, roth_bracket(b, c, conn6), conn6)
         rhs = roth_bracket(roth_bracket(a, b, conn6), c, conn6)
         t2 = roth_bracket(b, roth_bracket(a, c, conn6), conn6)
+        if (r * s) % 2:
+            t2 = -t2
+        assert (lhs - rhs - t2).is_zero()
+
+    # the same on a connection with Christoffels in 1/3 and 1/5 before
+    # metrize, on elements scaled by thirds and fifths (own seed, so the
+    # draws below are unchanged)
+    module_q, conn_q = next(denominator_contexts())
+    rng_q = random.Random(103)
+    count = 0
+    while count < 40:
+        r, s, t = (rng_q.randint(1, 4) for _ in range(3))
+        if r + s + t > 6:
+            continue
+        count += 1
+        a, b, c = (random_roth(rng_q, module_q, d, coeff_deg=2).scale(rng_q.choice(SCALES))
+                   for d in (r, s, t))
+        lhs = roth_bracket(a, roth_bracket(b, c, conn_q), conn_q)
+        rhs = roth_bracket(roth_bracket(a, b, conn_q), c, conn_q)
+        t2 = roth_bracket(b, roth_bracket(a, c, conn_q), conn_q)
         if (r * s) % 2:
             t2 = -t2
         assert (lhs - rhs - t2).is_zero()

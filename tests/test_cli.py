@@ -56,6 +56,17 @@ def test_j_invert_round_trip():
     assert "e1∧e2∧e3" in rec["preimage"]
 
 
+def test_j_invert_round_trip_is_checked_by_the_inversion_alone(monkeypatch):
+    # invert_J_deg3 compares J(phi) with the table and raises on a mismatch,
+    # so the command maps no second image of its own
+    def no_second_image(*args):
+        raise AssertionError("cmd_j_invert applied J again")
+
+    monkeypatch.setattr(cli, "apply_J", no_second_image)
+    report, code = run_document(so3_document([{"op": "j-invert", "element": "m", "degree": 3}]))
+    assert code == 0 and report["commands"][0]["round_trip"] is True
+
+
 def test_cohomology_command():
     report, code = run_document(
         so3_document([{"op": "cohomology", "element": "m", "r": [0, 1], "d": [0, 0]}])
@@ -232,6 +243,9 @@ def _so3_rank(rank):
                            commands=[{"op": "j-map", "element": "m"}]), id="j-map-no-preimage"),
     pytest.param(_standard(elements={"m": {"type": "cmap", "degree": 3, "values": {"e1,f1": ["1", "-2"]}}},
                            commands=[{"op": "j-invert", "element": "m"}]), id="j-invert-no-preimage"),
+    pytest.param(_standard(elements={"m": {"type": "cmap", "degree": 3, "values": {"e1,f1": ["1", "-2"]}}},
+                           commands=[{"op": "chat-membership", "element": "m"}]),
+                 id="chat-membership-no-preimage"),
     pytest.param(_so3_rank(7), id="rank-mismatch"),
     pytest.param(_so3_rank("3"), id="rank-text"),
 ])

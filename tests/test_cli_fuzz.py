@@ -3,7 +3,8 @@
 Each example takes one `docs/documents/*.json`, replaces or adds elements
 (cmaps of degree 0-4, roth elements with homogeneous or inhomogeneous terms,
 element names old, new and empty) and replaces its commands by a list of
-`verify-courant`, `j-map`, `j-invert` and `bracket` commands on those names.
+`verify-courant`, `j-map`, `j-invert`, `bracket`, `symbol-tower` and
+`chat-membership` commands on those names.
 Whatever the document, `run_document` must return exit code 0, 1 or 2
 without raising, and the same report, in both formats, on a second run.
 The examples are derandomized, so every run checks the same documents.
@@ -79,12 +80,13 @@ def _command(draw, names):
     def name():
         return draw(st.sampled_from(NAMES if _rarely(draw) else names))
 
-    op = draw(st.sampled_from(["verify-courant", "j-map", "j-invert", "bracket"]))
+    op = draw(st.sampled_from(["verify-courant", "j-map", "j-invert", "bracket", "symbol-tower",
+                               "chat-membership"]))
     if op == "bracket":
         cmd = {"op": op, "lhs": name(), "rhs": name()}
     else:
         cmd = {"op": op, "element": name()}
-    if op == "verify-courant" and draw(st.booleans()):
+    if op in ("verify-courant", "symbol-tower") and draw(st.booleans()):
         cmd["depth"] = draw(st.integers(0, 1))
     if op == "j-invert" and draw(st.booleans()):
         cmd["degree"] = draw(st.integers(1, 4))

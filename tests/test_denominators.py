@@ -1,0 +1,208 @@
+"""The fraction-free kernel on connections with denominators.
+
+`rothstein`'s kernel computes on int numerators over one denominator per
+flat sum and divides once, when a result leaves it.  On the connections of
+`conftest.denominator_contexts()` (Christoffels in 1/3 and 1/5 before
+`metrize` halves them, over Q[x, y] and over the dual numbers) and on every
+`conftest.oracle_contexts()` context, each route through the kernel must
+equal its oracle exactly, on seeded elements scaled by thirds and fifths:
+the bracket against Leibniz peeling, Q_Theta on monomials against
+`differential_oracle.column`, J against `apply_J_oracle`, and t and exp(t)
+of a connection change against their expansion by wedge products.  Values
+that are integral leave `.flat()` as ints.
+
+The count tests check that a connection builds its generator table once,
+however many brackets, J images and Q tables use it, and that a connection
+which is not metric still brackets wherever no D-D entry is read.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+import apply_J_oracle
+import differential_oracle
+from courantalg import (
+    Connection,
+    ConnectionChange,
+    ModuleError,
+    Poly,
+    RothElement,
+    apply_J,
+    deformation_differential,
+    modules,
+    roth_bracket,
+    rothstein,
+)
+from courantalg import deform
+from courantalg.deform import CourantStructure
+from courantalg.poly import exponents_of_degree
+from courantalg.rothstein import _divided, graded_monomials
+
+from conftest import denominator_contexts, hyperbolic_module, oracle_contexts, random_roth
+from peeling_oracle import peel_bracket
+
+
+def _contexts():
+    names = ["thirds-fifths-free2", "thirds-fifths-dual"]
+    for name, (M, conn) in zip(names, denominator_contexts()):
+        yield name, M, conn
+    for i, (M, conn) in enumerate(oracle_contexts()):
+        yield "oracle%d-%s" % (i, "dual" if M.backend.is_dual else "free%d" % M.backend.nvars), M, conn
+
+
+CONTEXTS = {name: (M, conn) for name, M, conn in _contexts()}
+SCALES = [Fraction(1), Fraction(-1, 3), Fraction(2, 5), Fraction(7, 15)]
+
+
+def _element(rng, M, degree: int, density: float = 0.6) -> RothElement:
+    return random_roth(rng, M, degree, density=density).scale(rng.choice(SCALES))
+
+
+def _exact_flat(x: RothElement) -> RothElement:
+    assert all(type(c) is int or c.denominator != 1 for c in x.flat().values())
+    return x
+
+
+@pytest.mark.parametrize("name", list(CONTEXTS))
+def test_bracket_equals_peeling(name):
+    M, conn = CONTEXTS[name]
+    rng = random.Random(61 + list(CONTEXTS).index(name))
+    nonzero = 0
+    for _ in range(20):
+        a, b = (_element(rng, M, rng.randint(0, 4)) for _ in range(2))
+        closed = _exact_flat(roth_bracket(a, b, conn))
+        assert closed == peel_bracket(a, b, conn)
+        nonzero += not closed.is_zero()
+    assert nonzero >= 6
+
+
+def _monomials(M, degrees=range(4)):
+    backend = M.backend
+
+    def exponents(sym, ext):
+        return (e for t in range(2) for e in exponents_of_degree(backend, t))
+
+    return [mono for r in degrees for mono in graded_monomials(M, r, exponents)]
+
+
+@pytest.mark.parametrize("name", list(CONTEXTS))
+def test_q_theta_columns_equal_the_oracle(name):
+    M, conn = CONTEXTS[name]
+    rng = random.Random(67 + list(CONTEXTS).index(name))
+    theta = _element(rng, M, 3)
+    cs = CourantStructure(M, conn, None, theta, ())  # Theta need not be Courant
+    monos = _monomials(M)
+    nonzero = 0
+    for mono in rng.sample(monos, min(len(monos), 40)):
+        got = _divided(*deform._apply_q(cs, {mono: 1}, 1))
+        assert got == differential_oracle.column(cs, *mono)
+        assert all(type(c) is int or c.denominator != 1 for c in got.values())
+        nonzero += bool(got)
+    phi = _element(rng, M, 2)
+    _exact_flat(deformation_differential(cs, phi))
+    assert nonzero >= 3 or theta.is_zero()
+
+
+@pytest.mark.parametrize("name", list(CONTEXTS))
+def test_apply_J_equals_the_oracle(name):
+    M, conn = CONTEXTS[name]
+    rng = random.Random(71 + list(CONTEXTS).index(name))
+    nonzero = 0
+    for degree in range(5):
+        phi = _element(rng, M, degree)
+        image = apply_J(phi, conn)
+        assert image == apply_J_oracle.apply_J(phi, conn)
+        nonzero += not image.is_zero()
+    assert nonzero >= 2
+
+
+def _t_by_wedges(change: ConnectionChange, phi: RothElement) -> RothElement:
+    """t(D_{i1} ... D_{ip} (x) e_A) = sum_m D_{i1} ..^m.. D_{ip} t(D_{im}) (x) e_A; t(D_i) is even."""
+    M = change.module
+    out = RothElement.zero(M)
+    for (sym, ext), c in phi.terms.items():
+        for m, i in enumerate(sym):
+            rest = RothElement.monomial(M, sym[:m] + sym[m + 1:], ext, c)
+            out = out + rest.wedge(RothElement.from_lambda2(M, change.t_table[i]))
+    return out
+
+
+@pytest.mark.parametrize("name", list(CONTEXTS))
+def test_connection_change_equals_its_wedge_expansion(name):
+    M, conn = CONTEXTS[name]
+    rng = random.Random(73 + list(CONTEXTS).index(name))
+    flat = Connection.flat(M)
+    for change in (ConnectionChange(conn, flat), ConnectionChange(flat, conn)):
+        for degree in range(1, 6):
+            phi = _element(rng, M, degree)
+            assert _exact_flat(change.apply_t(phi)) == _t_by_wedges(change, phi)
+            expected, term, n = RothElement.zero(M), phi, 0
+            while not term.is_zero():
+                expected = expected + term.scale(Fraction(1, _factorial(n)))
+                term, n = _t_by_wedges(change, term), n + 1
+            assert _exact_flat(change.exp_t(phi)) == expected
+
+
+def _factorial(n: int) -> int:
+    return 1 if n < 2 else n * _factorial(n - 1)
+
+
+def test_wedge_keeps_integral_values_as_ints():
+    rng = random.Random(79)
+    for name, (M, conn) in CONTEXTS.items():
+        for _ in range(4):
+            a, b = _element(rng, M, rng.randint(0, 3)), _element(rng, M, rng.randint(0, 3))
+            product = _exact_flat(a.wedge(b))
+            assert product.wedge(RothElement.from_scalar(M, Poly.one(M.backend))) == product
+
+
+def test_generator_table_is_built_once_per_connection(monkeypatch):
+    builds, curvatures = [], []
+    build, curvature = rothstein._generator_table, modules.curvature
+
+    def counted_build(conn):
+        builds.append(conn)
+        return build(conn)
+
+    def counted_curvature(conn):
+        curvatures.append(conn)
+        return curvature(conn)
+
+    monkeypatch.setattr(rothstein, "_generator_table", counted_build)
+    for module in (modules, rothstein):
+        monkeypatch.setattr(module, "curvature", counted_curvature)
+    M, conn = next(denominator_contexts())
+    rng = random.Random(83)
+    for _ in range(12):
+        a, b = _element(rng, M, rng.randint(1, 4)), _element(rng, M, rng.randint(1, 4))
+        roth_bracket(a, b, conn)
+    for degree in range(1, 4):
+        apply_J(_element(rng, M, degree), conn)
+    for _ in range(3):
+        cs = CourantStructure(M, conn, None, _element(rng, M, 3), ())
+        deform._q_table(cs)
+        deformation_differential(cs, _element(rng, M, 2))
+    assert builds == [conn]
+    assert curvatures == [conn]
+
+
+def test_non_metric_connection_brackets_where_no_d_d_entry_is_read():
+    M = hyperbolic_module(1, 1)
+    raw = Connection(M, [[M.basis(0).scale(Poly.var(M.backend, 0)), M.zero()]])
+    assert not raw.is_metric()
+    rng = random.Random(89)
+    brackets = raises = 0
+    for r, s in itertools.product(range(5), repeat=2):
+        a, b = _element(rng, M, r, density=0.9), _element(rng, M, s, density=0.9)
+        if any(sym for sym, _ in a.terms) and any(sym for sym, _ in b.terms):
+            with pytest.raises(ModuleError):
+                roth_bracket(a, b, raw)
+            raises += 1
+        else:
+            assert roth_bracket(a, b, raw) == peel_bracket(a, b, raw)
+            brackets += 1
+        assert apply_J(a, raw) == apply_J_oracle.apply_J(a, raw)
+    assert brackets >= 10 and raises >= 3

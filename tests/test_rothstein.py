@@ -20,7 +20,7 @@ from courantalg import (
     roth_pushforward,
     roth_wedge,
 )
-from courantalg.rothstein import _hamiltonian, generators
+from courantalg.rothstein import _cleared, _divided, _hamiltonian, generators
 from courantalg.textforms import parse_roth, roth_to_text
 
 from conftest import curved_connection, oracle_contexts, random_roth
@@ -161,15 +161,16 @@ def test_hamiltonian_equals_peeling_on_generators():
         gens = generators(M)
         for _ in range(15):
             a = random_roth(rng, M, rng.randint(0, 5), coeff_deg=2)
-            q = _hamiltonian(a.flat(), conn, gens)
+            numerators, d_a = _cleared(a.flat())
+            q, d = _hamiltonian(numerators, d_a, conn, gens)
             assert set(q) <= set(gens)
             for v in gens:
                 got = {(exp, sym, ext): c for sym, ext, terms in q.get(v, []) for exp, c in terms}
-                assert got == peel_bracket(a, _generator_element(M, v), conn).flat()
-                assert all(type(c) is int or c.denominator != 1 for c in got.values())
+                assert all(type(c) is int for c in got.values())
+                assert _divided(got, d) == peel_bracket(a, _generator_element(M, v), conn).flat()
                 nonzero += bool(got)
             subset = [v for v in gens if rng.random() < 0.5]
-            assert _hamiltonian(a.flat(), conn, subset) == {v: q[v] for v in subset if v in q}
+            assert _hamiltonian(numerators, d_a, conn, subset) == ({v: q[v] for v in subset if v in q}, d)
     assert nonzero >= 250  # of 510
 
 
