@@ -46,6 +46,9 @@ SCHEMA = "courantalg/1"
 REPORT_SCHEMA = "courantalg-report/1"
 # {"standard": n} is verified on (2n(n+1))^3 probe triples: about 3 s of CPU at n = 4
 STANDARD_CAP = 4
+# each end of a cohomology window, r and d, lies in [-COHOMOLOGY_CAP, COHOMOLOGY_CAP]:
+# block sizes grow without bound in both
+COHOMOLOGY_CAP = 8
 
 
 class DocumentError(ValueError):
@@ -101,11 +104,14 @@ class ProblemDocument:
             self.connection = self._parse_connection(raw.get("connection"))
             self.structure = None
         self.elements: dict[str, object] = {}
+        self.tables: set[str] = set()  # names of the cmap elements read from their tables
         elements = raw.get("elements") or {}
         if not isinstance(elements, dict):
             raise _fail("elements must be an object", "elements")
         for name, spec in elements.items():
             self.elements[name] = self._parse_element(name, spec)
+            if spec["type"] == "cmap":
+                self.tables.add(name)
         self.commands = raw.get("commands") or []
         if not isinstance(self.commands, list):
             raise _fail("commands must be a list")
@@ -343,6 +349,7 @@ class CommandRunner:
         name = self._arg(cmd, "name", "", lambda v: isinstance(v, str))
         if name:
             self.doc.elements[name] = value
+            self.doc.tables.discard(name)
 
     def _mark(self, ok: bool):
         if not ok:
@@ -372,8 +379,20 @@ class CommandRunner:
             raise _fail("%s: result degree %d exceeds the %d cap (DEGREE_CAP)"
                         % (cmd["op"], degree, DEGREE_CAP), "commands")
 
+    def _operand(self, cmd, key) -> Cochain:
+        """A bracket or wedge operand; a cmap table must pass the swap
+        identities on basis tuples, or the document is rejected."""
+        name = self._arg(cmd, key)
+        c = self.doc.lookup_cochain(name)
+        if name in self.doc.tables:
+            ok, report = cmap_verify(c, depth=0)
+            if not ok:
+                raise _fail("element %r is not an element of the complex: %s"
+                            % (name, report["violation"]), "commands")
+        return c
+
     def cmd_bracket(self, cmd) -> dict:
-        lhs, rhs = self._element(cmd, "lhs"), self._element(cmd, "rhs")
+        lhs, rhs = self._operand(cmd, "lhs"), self._operand(cmd, "rhs")
         self._within_cap(cmd, lhs, rhs, lhs.degree + rhs.degree - 2)
         out = cbracket(lhs, rhs)
         self._bind(cmd, out)
@@ -381,7 +400,7 @@ class CommandRunner:
 
     def cmd_wedge(self, cmd) -> dict:
         mode = self._arg(cmd, "mode", "both", lambda v: v in ("both", "recursive", "shuffle"))
-        lhs, rhs = self._element(cmd, "lhs"), self._element(cmd, "rhs")
+        lhs, rhs = self._operand(cmd, "lhs"), self._operand(cmd, "rhs")
         self._within_cap(cmd, lhs, rhs, lhs.degree + rhs.degree)
         if mode == "both":
             rec = cmap_wedge(lhs, rhs, "recursive")
@@ -456,6 +475,10 @@ class CommandRunner:
 
         r_lo, r_hi = self._arg(cmd, "r", [0, 5], is_window)
         d_lo, d_hi = self._arg(cmd, "d", [-3, 3], is_window)
+        for key, window in (("r", [r_lo, r_hi]), ("d", [d_lo, d_hi])):
+            if max(map(abs, window)) > COHOMOLOGY_CAP:
+                raise _fail("%s window %s exceeds the %d cap (COHOMOLOGY_CAP)"
+                            % (key, window, COHOMOLOGY_CAP), "cohomology")
         cs = self._structure(cmd)
         try:
             dims = cohomology_dims(cs, range(r_lo, r_hi + 1), range(d_lo, d_hi + 1))

@@ -26,6 +26,15 @@ the stored tables, and any other Q-term of x is read from the tower through
 the slot reduction above.  The bracket ([C, x] = i_x C in degree 1) and the
 wedge are one graded Leibniz recursion over basis insertions and generator
 slices.
+
+The tower is fraction-free: one table {(gens, args): {exp: int}} of int
+numerators over one positive denominator per cochain, kept canonical (no
+zero entry, and no common factor of the numerators and the denominator), so
+equal cochains have equal tables.  With G the least common denominator of
+the gram, a level-p evaluation is over den * G^(L-p), L = degree // 2: each
+swap correction multiplies by one gram entry.  `Poly` is the boundary type,
+built only where a value leaves: `levels`, `omega`, `eval_level`,
+`__call__`, `symbol`, `scalar_part` and `module_part`.
 """
 
 from __future__ import annotations
@@ -33,12 +42,18 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 from fractions import Fraction
+from math import gcd, lcm
 
 from .modules import MetricModule, ModuleElement, ModuleError, inner
 from .poly import (
     Backend,
     Derivation,
     Poly,
+    _axpy,
+    _cleared,
+    _divided,
+    _mul_add,
+    _partial,
     der_generator_var,
     der_partials,
     exponents_of_degree,
@@ -46,7 +61,7 @@ from .poly import (
 )
 from .rothstein import ModuleMap
 
-LevelTable = dict[tuple[tuple[int, ...], tuple[int, ...]], Poly]
+LevelTable = dict[tuple[tuple[int, ...], tuple[int, ...]], Poly]  # one level of the `levels` view
 
 MEMO_LIMIT = 1 << 14  # entries per memo table, read on every store
 
@@ -64,40 +79,62 @@ class Memo(OrderedDict):
         return value
 
 
-def _clean_levels(levels: dict[int, LevelTable]) -> dict[int, LevelTable]:
-    out: dict[int, LevelTable] = {}
-    for p, table in levels.items():
-        clean = {k: v for k, v in table.items() if not v.is_zero()}
-        if clean:
-            out[p] = clean
-    return out
+def _q_terms(x: ModuleElement) -> dict:
+    """x as its Q-terms {(exponent, basis index): coefficient}."""
+    return {(exp, b): c for b, poly in enumerate(x.coeffs) for exp, c in poly.terms.items()}
 
 
 class Cochain:
     """Degree-r element of the quasi-Courant complex (immutable)."""
 
-    __slots__ = ("module", "degree", "levels", "_hash", "_memo")
+    __slots__ = ("module", "degree", "_num", "_den", "_hash", "_memo")
 
     def __init__(self, module: MetricModule, degree: int, levels: dict[int, LevelTable]):
+        """The cochain with the given Poly-valued tower levels."""
         if degree < 0:
             levels = {}
         for p, table in levels.items():
             if 2 * p > degree:
                 raise ValueError("tower level %d too high for degree %d" % (p, degree))
-            for (gens, args), v in table.items():
-                if len(gens) != p or len(args) != degree - 2 * p:
-                    raise ValueError("malformed tower key")
+            if any(len(gens) != p or len(args) != degree - 2 * p for gens, args in table):
+                raise ValueError("malformed tower key")
+        flat, den = _cleared({(key, e): c for table in levels.values()
+                              for key, v in table.items() for e, c in v.terms.items()})
+        num: dict = {}
+        for (key, e), c in flat.items():
+            num.setdefault(key, {})[e] = c
+        self._set(module, degree, num, den)
+
+    def _set(self, module, degree, num, den):
+        num = {k: v for k, v in num.items() if v}
+        g = den
+        for v in num.values():
+            if g == 1:
+                break
+            g = gcd(g, *v.values())
+        if g > 1:
+            num = {k: {e: c // g for e, c in v.items()} for k, v in num.items()}
+            den //= g
         self.module = module
         self.degree = degree
-        self.levels = _clean_levels(levels)
+        self._num = num
+        self._den = den
         self._hash = None
         self._memo = Memo()
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
+    def from_numerators(module: MetricModule, degree: int, num: dict, den: int) -> "Cochain":
+        """The cochain with tower entries {(gens, args): {exp: int}} over den > 0,
+        made canonical; num is taken over, not copied."""
+        c = object.__new__(Cochain)
+        c._set(module, degree, num, den)
+        return c
+
+    @staticmethod
     def zero(module: MetricModule, degree: int) -> "Cochain":
-        return Cochain(module, degree, {})
+        return Cochain.from_numerators(module, degree, {}, 1)
 
     @staticmethod
     def scalar(module: MetricModule, a: Poly) -> "Cochain":
@@ -105,11 +142,16 @@ class Cochain:
 
     @staticmethod
     def from_module_element(x: ModuleElement) -> "Cochain":
+        """The form <x, .>: for x over d, entries over d * G."""
         module = x.module
-        table = {}
-        for b in range(module.rank):
-            table[((), (b,))] = inner(x, module.basis(b))
-        return Cochain(module, 1, {0: table})
+        gram, G = module.numerators()[:2]
+        terms, d = _cleared(_q_terms(x))
+        num: dict = {}
+        for (e, a), k in terms.items():
+            for b, g in enumerate(gram[a]):
+                if g:
+                    _mul_add(num.setdefault(((), (b,)), {}), {e: k}, g, module.backend.is_dual)
+        return Cochain.from_numerators(module, 1, num, d * G)
 
     @staticmethod
     def from_tables(module: MetricModule, degree: int, value_table, symbol_table=None) -> "Cochain":
@@ -176,33 +218,36 @@ class Cochain:
 
     # -- structural ------------------------------------------------------
 
+    @property
+    def levels(self) -> dict[int, LevelTable]:
+        """The tower as {p: {(gens, args): Poly}}, built on every read."""
+        backend = self.module.backend
+        out: dict = {}
+        for (gens, args), v in self._num.items():
+            out.setdefault(len(gens), {})[gens, args] = Poly(backend, _divided(v, self._den))
+        return out
+
     def is_zero(self) -> bool:
-        return not self.levels
+        return not self._num
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cochain):
             return NotImplemented
         if self.module != other.module:
             return False
-        if not self.levels and not other.levels:
+        if not self._num and not other._num:
             return True  # the zero element regardless of nominal degree
-        return self.degree == other.degree and self.levels == other.levels
+        return self.degree == other.degree and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         if self._hash is None:
-            frozen = tuple(
-                (p, tuple(sorted(self.levels[p].items())))
-                for p in sorted(self.levels)
-            )
-            degree = self.degree if self.levels else -1
-            self._hash = hash((self.module, degree, frozen))
+            frozen = tuple(sorted((k, tuple(sorted(v.items()))) for k, v in self._num.items()))
+            degree = self.degree if self._num else -1
+            self._hash = hash((self.module, degree, self._den, frozen))
         return self._hash
 
     def __repr__(self) -> str:
-        return "Cochain(degree=%d, %d tower entries)" % (
-            self.degree,
-            sum(len(t) for t in self.levels.values()),
-        )
+        return "Cochain(degree=%d, %d tower entries)" % (self.degree, len(self._num))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -214,71 +259,72 @@ class Cochain:
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._check(other)
-        levels: dict[int, LevelTable] = {p: dict(t) for p, t in self.levels.items()}
-        zero = Poly.zero(self.module.backend)
-        for p, table in other.levels.items():
-            dst = levels.setdefault(p, {})
-            for k, v in table.items():
-                dst[k] = dst.get(k, zero) + v
-        return Cochain(self.module, self.degree, levels)
+        den = lcm(self._den, other._den)
+        num: dict = {}
+        for c in (self, other):
+            f = den // c._den
+            for k, v in c._num.items():
+                _axpy(num.setdefault(k, {}), v, f)
+        return Cochain.from_numerators(self.module, self.degree, num, den)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + (-other)
 
     def __neg__(self) -> "Cochain":
-        return Cochain(
-            self.module,
-            self.degree,
-            {p: {k: -v for k, v in t.items()} for p, t in self.levels.items()},
-        )
+        num = {k: {e: -c for e, c in v.items()} for k, v in self._num.items()}
+        return Cochain.from_numerators(self.module, self.degree, num, self._den)
 
     def scale(self, a) -> "Cochain":
         """Module action of the coefficient algebra (multiplies every level)."""
         if not isinstance(a, Poly):
             a = Poly.const(self.module.backend, a)
-        return Cochain(
-            self.module,
-            self.degree,
-            {p: {k: a * v for k, v in t.items()} for p, t in self.levels.items()},
-        )
+        return _times(self, *_cleared(a.terms))
 
     # -- evaluation --------------------------------------------------------
 
-    def _eval_mono(self, p: int, gens: tuple[int, ...], margs) -> Poly:
-        """Evaluate level p on (monomial exponent, basis index) arguments."""
-        key = (p, gens, margs)
+    def _eval_mono(self, p: int, gens: tuple[int, ...], margs) -> dict:
+        """Level p on (monomial exponent, basis index) arguments, as int
+        numerators over den * G^(degree // 2 - p); the result is shared, not
+        to be changed."""
+        key = (gens, margs)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         module = self.module
-        backend = module.backend
-        unit = (0,) * backend.nvars
+        unit = (0,) * module.backend.nvars
         idx = None
         for i in range(len(margs) - 1, -1, -1):
             if margs[i][0] != unit:
                 idx = i
                 break
         if idx is None:
-            out = self.levels.get(p, {}).get((gens, tuple(b for _, b in margs)), Poly.zero(backend))
+            out = self._num.get((gens, tuple([b for _, b in margs])), {})
+            G = module.numerators()[1]
+            if out and G != 1:
+                f = G ** (self.degree // 2 - p)
+                out = {e: f * c for e, c in out.items()}
         elif idx == len(margs) - 1:
-            mono = Poly.monomial(backend, margs[idx][0])
-            out = mono * self._eval_mono(p, gens, margs[:-1] + ((unit, margs[idx][1]),))
+            inner_value = self._eval_mono(p, gens, margs[:-1] + ((unit, margs[idx][1]),))
+            out = _mul_add({}, {margs[idx][0]: 1}, inner_value, module.backend.is_dual)
         else:
             exp, b = margs[idx]
             b2 = margs[idx + 1][1]
             swapped = margs[:idx] + (margs[idx + 1], margs[idx]) + (margs[idx + 2:])
-            out = -self._eval_mono(p, gens, swapped)
-            a = Poly.monomial(backend, exp) * module.gram[b][b2]
-            rest = margs[:idx] + margs[idx + 2:]
-            out = out + self._apply_symbol(p, gens, a, rest)
+            out = {e: -c for e, c in self._eval_mono(p, gens, swapped).items()}
+            g = module.numerators()[0][b][b2]
+            if g:
+                a = _mul_add({}, {exp: 1}, g, module.backend.is_dual)
+                self._apply_symbol(p, gens, a, margs[:idx] + margs[idx + 2:], out)
         return self._memo.remember(key, out)
 
-    def _apply_symbol(self, p: int, gens: tuple[int, ...], a: Poly, margs) -> Poly:
-        """sigma of the level-p form applied to a, i.e. one level up the tower."""
-        out = Poly.zero(self.module.backend)
-        for j, part in der_partials(a):
-            new_gens = tuple(sorted(gens + (j,)))
-            out = out + part * self._eval_mono(p + 1, new_gens, margs)
+    def _apply_symbol(self, p: int, gens: tuple[int, ...], a: dict, margs, out: dict) -> dict:
+        """out += sigma of the level-p form applied to a, i.e. one level up the
+        tower; a is a numerator sum over G.  Returns out."""
+        dual = self.module.backend.is_dual
+        for j in range(num_der_generators(self.module.backend)):
+            part = _partial(a, j)
+            if part:
+                _mul_add(out, part, self._eval_mono(p + 1, tuple(sorted(gens + (j,))), margs), dual)
         return out
 
     def eval_level(self, p: int, gen_args, mod_args) -> Poly:
@@ -297,18 +343,19 @@ class Cochain:
             for j, part in der_partials(a):
                 out = out + part * self._eval_sder(p, rest, tuple(sorted(gens + (j,))), mod_args)
             return out
-        expansions = [[(c, exp, b) for b, poly in enumerate(x.coeffs) for exp, c in poly.terms.items()]
-                      for x in mod_args]
-        out = Poly.zero(backend)
+        den = self._den * self.module.numerators()[1] ** (self.degree // 2 - p)
+        expansions = []
+        for x in mod_args:
+            terms, d = _cleared(_q_terms(x))
+            expansions.append(list(terms.items()))
+            den *= d
+        out: dict = {}
         for combo in itertools.product(*expansions):
-            c = Fraction(1)
-            for frac, _, _ in combo:
-                c *= frac
-            margs = tuple((exp, b) for _, exp, b in combo)
-            val = self._eval_mono(p, gens, margs)
-            if not val.is_zero():
-                out = out + val.scale(c)
-        return out
+            k = 1
+            for _, c in combo:
+                k *= c
+            _axpy(out, self._eval_mono(p, gens, tuple(q for q, _ in combo)), k)
+        return Poly(backend, _divided(out, den))
 
     def omega(self, args) -> Poly:
         """The degree-r multilinear form <C(x_1..x_{r-1}), x_r>."""
@@ -327,14 +374,12 @@ class Cochain:
     def scalar_part(self) -> Poly:
         if self.degree != 0:
             raise ValueError("not a degree-0 element")
-        return self.levels.get(0, {}).get(((), ()), Poly.zero(self.module.backend))
+        return Poly(self.module.backend, _divided(self._num.get(((), ()), {}), self._den))
 
     def module_part(self) -> ModuleElement:
         if self.degree != 1:
             raise ValueError("not a degree-1 element")
-        vals = [self.levels.get(0, {}).get(((), (b,)), Poly.zero(self.module.backend))
-                for b in range(self.module.rank)]
-        return self.module.raise_form(vals)
+        return self.module.element_of_terms(*_raised(self))
 
     def symbol(self, args) -> Derivation:
         """The symbol as a Derivation, on r-2 module arguments."""
@@ -362,32 +407,40 @@ def _derivation_from_values(backend: Backend, values) -> Derivation:
 # -- slices and insertion ---------------------------------------------------
 
 
+def _raised(c: Cochain) -> tuple[dict, int]:
+    """The module part of a degree-1 cochain as Q-terms over one denominator."""
+    vals = {args[0]: v for (_, args), v in c._num.items()}
+    return c.module.raise_terms(vals), c._den * c.module.numerators()[3]
+
+
+def _times(c: Cochain, a: dict, d: int) -> Cochain:
+    """a C for the numerator sum a over d."""
+    dual = c.module.backend.is_dual
+    num = {k: _mul_add({}, a, v, dual) for k, v in c._num.items()}
+    return Cochain.from_numerators(c.module, c.degree, num, c._den * d)
+
+
 def generator_slice(c: Cochain, j: int) -> Cochain:
     """[C, g_j] for the j-th algebra generator: one tower level consumed."""
-    if c.degree < 2:
-        return Cochain.zero(c.module, c.degree - 2)
-    levels: dict[int, LevelTable] = {}
-    for p, table in c.levels.items():
-        if p == 0:
-            continue
-        shifted: LevelTable = {}
-        for (gens, args), v in table.items():
-            if j in gens:
-                rest = list(gens)
-                rest.remove(j)
-                shifted[(tuple(rest), args)] = v
-        if shifted:
-            levels[p - 1] = shifted
-    return Cochain(c.module, c.degree - 2, levels)
+    num = {}
+    for (gens, args), v in c._num.items():
+        if j in gens:  # never below degree 2, where every entry is on level 0
+            rest = list(gens)
+            rest.remove(j)
+            num[tuple(rest), args] = v
+    return Cochain.from_numerators(c.module, c.degree - 2, num, c._den)
 
 
 def bracket_scalar(c: Cochain, a: Poly) -> Cochain:
     """[C, a]: the derivation-in-a slice of the tower."""
+    return _bracket_scalar(c, *_cleared(a.terms))
+
+
+def _bracket_scalar(c: Cochain, a: dict, d: int) -> Cochain:
+    """[C, a] = sum_j (da/dg_j) [C, g_j] for the numerator sum a over d."""
     out = Cochain.zero(c.module, c.degree - 2)
-    if c.degree < 2 or c.is_zero():
-        return out
-    for j, part in der_partials(a):
-        out = out + generator_slice(c, j).scale(part)
+    for j in range(num_der_generators(c.module.backend)):
+        out = out + _times(generator_slice(c, j), _partial(a, j), d)
     return out
 
 
@@ -401,41 +454,39 @@ def insert(c: Cochain, x: ModuleElement) -> Cochain:
 
 
 def _insert(c: Cochain, x: ModuleElement) -> Cochain:
-    """i_x C in any degree, Q-linear in x: the primitive of the complex.
+    """i_x C in any degree, Q-linear in x: the primitive of the complex."""
+    return _insert_terms(c, *_cleared(_q_terms(x)))
+
+
+def _insert_terms(c: Cochain, terms: dict, d: int) -> Cochain:
+    """i_x C for x with Q-terms {(exp, a): int} over d.
 
     A term k e_a of x re-keys the stored entries whose first argument is a;
     a term k x^e e_a with x^e not the unit reads every entry of the result
-    from the tower, with x^e e_a in the first slot, through `_eval_mono`.
+    from the tower, with x^e e_a in the first slot, through `_eval_mono`;
+    then the result is over d * den * G^(degree // 2).
     """
     module = c.module
     degree = c.degree - 1
     unit = (0,) * module.backend.nvars
     ngen = num_der_generators(module.backend)
-    levels: dict[int, LevelTable] = {}
-
-    def add(p, key, v, k):
-        if k != 1:
-            v = v.scale(k)
-        table = levels.setdefault(p, {})
-        prev = table.get(key)
-        table[key] = v if prev is None else prev + v
-
-    for a, coeff in enumerate(x.coeffs):
-        for e, k in coeff.terms.items():
-            if e == unit:
-                for p, table in c.levels.items():
-                    if 2 * p <= degree:
-                        for (gens, args), v in table.items():
-                            if args[0] == a:
-                                add(p, (gens, args[1:]), v, k)
-                continue
-            for p in range(degree // 2 + 1):
-                for gens in itertools.combinations_with_replacement(range(ngen), p):
-                    for bargs in itertools.product(range(module.rank), repeat=degree - 2 * p):
-                        v = c._eval_mono(p, gens, ((e, a),) + tuple((unit, b) for b in bargs))
-                        if not v.is_zero():
-                            add(p, (gens, bargs), v, k)
-    return Cochain(module, degree, levels)
+    G = module.numerators()[1]
+    lift = G ** (c.degree // 2) if any(e != unit for e, _ in terms) else 1
+    num: dict = {}
+    for (e, a), k in terms.items():
+        if e == unit:
+            for (gens, args), v in c._num.items():
+                if args and args[0] == a:
+                    _axpy(num.setdefault((gens, args[1:]), {}), v, k * lift)
+            continue
+        for p in range(degree // 2 + 1):
+            f = k * G ** p
+            for gens in itertools.combinations_with_replacement(range(ngen), p):
+                for bargs in itertools.product(range(module.rank), repeat=degree - 2 * p):
+                    v = c._eval_mono(p, gens, ((e, a),) + tuple((unit, b) for b in bargs))
+                    if v:
+                        _axpy(num.setdefault((gens, bargs), {}), v, f)
+    return Cochain.from_numerators(module, degree, num, d * c._den * lift)
 
 
 def _tabulate(module: MetricModule, degree: int, entries_at) -> Cochain:
@@ -493,9 +544,9 @@ def cbracket(a: Cochain, b: Cochain) -> Cochain:
     if hit is not None:
         return hit
     if r == 0:
-        out = -bracket_scalar(b, a.scalar_part())
+        out = -_bracket_scalar(b, a._num[(), ()], a._den)
     elif r == 1:
-        out = _insert(b, a.module_part())
+        out = _insert_terms(b, *_raised(a))
         if s % 2 == 0:
             out = -out
     else:
@@ -511,36 +562,37 @@ def _by_insertion(op, a: Cochain, b: Cochain, n: int) -> Cochain:
     where each i_{e_k} re-keys stored entries; the higher levels come from
     the generator slices.
     """
-    lvl0: LevelTable = {}
-    for k, e_k in enumerate(a.module.basis_elements()):
-        first = op(_insert(a, e_k), b)
-        if b.degree % 2:
-            first = -first
-        for (_, args), v in (first + op(a, _insert(b, e_k))).levels.get(0, {}).items():
-            lvl0[((), (k,) + args)] = v
-    return _compose_from_slices(op, a, b, n, lvl0)
+    unit = (0,) * a.module.backend.nvars
+    sign = -1 if b.degree % 2 else 1
+    parts = []
+    for k in range(a.module.rank):
+        e_k = {(unit, k): 1}
+        for f, c in ((sign, op(_insert_terms(a, e_k, 1), b)), (1, op(a, _insert_terms(b, e_k, 1)))):
+            parts.append((f, c._den, {((), (k,) + args): v for (gens, args), v in c._num.items() if not gens}))
+    return _compose_from_slices(op, a, b, n, parts)
 
 
-def _compose_from_slices(op, a: Cochain, b: Cochain, degree: int, lvl0: LevelTable) -> Cochain:
-    """op(a, b) of the given degree from its level 0 and its generator slices.
+def _compose_from_slices(op, a: Cochain, b: Cochain, degree: int, parts: list) -> Cochain:
+    """op(a, b) of the given degree, the sum of the parts (sign, den, entries)
+    that make its level 0 and of its generator slices.
 
     The bracket of op(a, b) with the j-th algebra generator is
     op(slice_j a, b) + op(a, slice_j b); level p >= 1 stacks level p-1 of
     those slices.
     """
-    module = a.module
-    levels: dict[int, LevelTable] = {0: lvl0}
     if degree >= 2:
-        ngen = num_der_generators(module.backend)
-        slices = [op(generator_slice(a, j), b) + op(a, generator_slice(b, j)) for j in range(ngen)]
-        for p in range(1, degree // 2 + 1):
-            table = levels[p] = {}
-            for j in range(ngen):
-                for (gens, args), v in slices[j].levels.get(p - 1, {}).items():
-                    if gens and gens[0] < j:
-                        continue  # counted by the smaller leading generator
-                    table[(tuple(sorted((j,) + gens)), args)] = v
-    return Cochain(module, degree, levels)
+        for j in range(num_der_generators(a.module.backend)):
+            for c in (op(generator_slice(a, j), b), op(a, generator_slice(b, j))):
+                # an entry led by a generator below j is counted by that generator
+                parts.append((1, c._den, {(tuple(sorted((j,) + gens)), args): v
+                                          for (gens, args), v in c._num.items() if not gens or gens[0] >= j}))
+    den = lcm(*[d for _, d, _ in parts])
+    num: dict = {}
+    for sign, d, entries in parts:
+        f = sign * (den // d)
+        for k, v in entries.items():
+            _axpy(num.setdefault(k, {}), v, f)
+    return Cochain.from_numerators(a.module, degree, num, den)
 
 
 def cwedge(a: Cochain, b: Cochain) -> Cochain:
@@ -552,9 +604,9 @@ def cwedge(a: Cochain, b: Cochain) -> Cochain:
     if a.is_zero() or b.is_zero():
         return Cochain.zero(a.module, n)
     if r == 0:
-        return b.scale(a.scalar_part())
+        return _times(b, a._num[(), ()], a._den)
     if s == 0:
-        return a.scale(b.scalar_part())
+        return _times(a, b._num[(), ()], b._den)
     _check_degree_cap(n, "wedge")
     key = (a, b)
     hit = _WEDGE_CACHE.get(key)
@@ -584,28 +636,24 @@ def cwedge_shuffle(a: Cochain, b: Cochain) -> Cochain:
     r, s = a.degree, b.degree
     if r == 0 or s == 0 or a.is_zero() or b.is_zero():
         return cwedge(a, b)
-    module = a.module
+    dual = a.module.backend.is_dual
     n = r + s
-    lvl0: LevelTable = {}
     sign_rs = -1 if (r * s) % 2 else 1
-    for args in itertools.product(range(module.rank), repeat=n):
-        basis_args = [module.basis(i) for i in args[:-1]]
-        last = module.basis(args[-1])
-        total = Poly.zero(module.backend)
-        for sgn, blk1, blk2 in _shuffles(r, s - 1):
-            w1 = a.omega(tuple(basis_args[i] for i in blk1))
-            if w1.is_zero():
+    firsts = [(sign_rs * sgn, blk1, blk2, a._num, b._num) for sgn, blk1, blk2 in _shuffles(r, s - 1)]
+    firsts += [(sgn, blk1, blk2, b._num, a._num) for sgn, blk1, blk2 in _shuffles(s, r - 1)]
+    lvl0: dict = {}
+    for args in itertools.product(range(a.module.rank), repeat=n):
+        total: dict = {}
+        for sgn, blk1, blk2, left, right in firsts:
+            w1 = left.get(((), tuple(args[i] for i in blk1)))
+            if w1 is None:
                 continue
-            w2 = b.omega(tuple(basis_args[i] for i in blk2) + (last,))
-            total = total + Fraction(sign_rs * sgn) * (w1 * w2)
-        for sgn, blk1, blk2 in _shuffles(s, r - 1):
-            w2 = b.omega(tuple(basis_args[i] for i in blk1))
-            if w2.is_zero():
-                continue
-            w1 = a.omega(tuple(basis_args[i] for i in blk2) + (last,))
-            total = total + Fraction(sgn) * (w2 * w1)
-        lvl0[((), args)] = total
-    return _compose_from_slices(cwedge, a, b, n, lvl0)
+            w2 = right.get(((), tuple(args[i] for i in blk2) + (args[-1],)))
+            if w2 is not None:
+                _mul_add(total, w1, w2, dual, sgn)
+        if total:
+            lvl0[(), args] = total
+    return _compose_from_slices(cwedge, a, b, n, [(1, a._den * b._den, lvl0)])
 
 
 def cmap_wedge(a: Cochain, b: Cochain, mode: str = "recursive") -> Cochain:
@@ -637,10 +685,7 @@ def probe_elements(module: MetricModule, depth: int):
 
 
 def default_verify_depth(c: Cochain) -> int:
-    maxdeg = 0
-    for table in c.levels.values():
-        for v in table.values():
-            maxdeg = max(maxdeg, v.total_degree())
+    maxdeg = max((sum(e) for v in c._num.values() for e in v), default=0)
     return 2 * (maxdeg + 1)
 
 
@@ -651,10 +696,11 @@ def cmap_verify(c: Cochain, depth: int | None = None) -> tuple[bool, dict]:
     omega(y) + omega(y swapped at i) = sigma(rest)(<y_i, y_{i+1}>) must hold;
     the i = r-1 instance is the derivation identity of the symbol against the
     inner product.  Probes are monomials x^e e_b, so omega is a call-local
-    table of level-0 `_eval_mono` values, one per probe tuple.  (y, i) and
-    (y swapped at i, i) are one identity, and the second comes first in
-    product order, so only y_i <= y_{i+1} is checked: the first violation is
-    unchanged.  Returns (ok, report).
+    table of level-0 `_eval_mono` values, one per probe tuple, and both sides
+    are numerators over den * G^(r // 2).  (y, i) and (y swapped at i, i) are
+    one identity, and the second comes first in product order, so only
+    y_i <= y_{i+1} is checked: the first violation is unchanged.  Returns
+    (ok, report).
     """
     if depth is None:
         depth = default_verify_depth(c)
@@ -664,8 +710,9 @@ def cmap_verify(c: Cochain, depth: int | None = None) -> tuple[bool, dict]:
         return True, report
     module = c.module
     backend = module.backend
+    gram = module.numerators()[0]
+    ngen = num_der_generators(backend)
     keys = list(_probe_keys(backend, module.rank, depth))
-    probes = probe_elements(module, depth)
     omega: dict = {}
     partials: dict = {}
     for y in itertools.product(range(len(keys)), repeat=r):
@@ -674,14 +721,19 @@ def cmap_verify(c: Cochain, depth: int | None = None) -> tuple[bool, dict]:
             if a > b:
                 continue
             if (a, b) not in partials:
-                partials[a, b] = der_partials(inner(probes[a], probes[b]))
+                (e1, b1), (e2, b2) = keys[a], keys[b]
+                ip = _mul_add({}, {tuple(map(int.__add__, e1, e2)): 1}, gram[b1][b2], backend.is_dual)
+                partials[a, b] = [(j, part) for j in range(ngen) if (part := _partial(ip, j))]
             rest = tuple(keys[k] for k in y[:i] + y[i + 2:])
-            rhs = sum((d * c._eval_mono(1, (g,), rest) for g, d in partials[a, b]), Poly.zero(backend))
+            rhs: dict = {}
+            for g, part in partials[a, b]:
+                _mul_add(rhs, part, c._eval_mono(1, (g,), rest), backend.is_dual)
             swapped = y[:i] + (b, a) + y[i + 2:]
             for t in (y, swapped):
                 if t not in omega:
                     omega[t] = c._eval_mono(0, (), tuple(keys[k] for k in t))
-            if omega[y] + omega[swapped] != rhs:
+            if _axpy(dict(omega[y]), omega[swapped]) != rhs:
+                probes = probe_elements(module, depth)
                 report["violation"] = (
                     "swap identity fails at position %d on %s" % (i + 1, [repr(probes[k]) for k in y])
                 )
@@ -845,15 +897,11 @@ class DerivationTail:
         backend = module.backend
         ngen = num_der_generators(backend)
         table = {}
+        level1 = cochain.levels.get(1, {})
         for args in itertools.product(range(module.rank), repeat=cochain.degree - 3):
             entry = []
             for j in range(ngen):
-                vals = [
-                    cochain.levels.get(1, {}).get(
-                        ((j,), args + (b,)), Poly.zero(backend)
-                    )
-                    for b in range(module.rank)
-                ]
+                vals = [level1.get(((j,), args + (b,)), Poly.zero(backend)) for b in range(module.rank)]
                 entry.append(module.raise_form(vals))
             table[args] = entry
         self.cochain = cochain

@@ -25,7 +25,7 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .cmaps import Cochain, Memo, cbracket, cmap_verify, probe_elements
+from .cmaps import Cochain, Memo, _q_terms, cbracket, cmap_verify, probe_elements
 from .modules import Connection, MetricModule, ModuleElement, ModuleError, inner
 from .poly import Backend, Poly, exponents_of_degree
 from .rothstein import (
@@ -161,18 +161,16 @@ def make_quadratic_lie(structure_constants, gram) -> CourantStructure:
 # -- verification ----------------------------------------------------------------
 
 
-def _q_terms(x: ModuleElement) -> dict:
-    """x as its Q-terms {(exponent, basis index): coefficient}."""
-    return {(exp, b): c for b, poly in enumerate(x.coeffs) for exp, c in poly.terms.items()}
-
-
 def jacobi_identity_holds(m: Cochain, probes) -> tuple[bool, str | None]:
     """m(x, m(y, z)) = m(m(x, y), z) + m(y, m(x, z)) on the probe set.
 
     m is Q-bilinear, so every value is assembled from a table of m on pairs
     of monomial elements (x^e1 e_a, x^e2 e_b), each entry read from the tower
     by `_eval_mono` at most once per call.  Elements are compared as their
-    Q-terms, which is exactly as strict as comparing module elements.
+    Q-terms, which is exactly as strict as comparing module elements.  The
+    table holds int numerators over one denominator and each probe is
+    cleared of its own, so both sides of an identity are numerators over the
+    same denominator: they are compared undivided.
     """
     if m.degree != 3:
         raise ValueError("the Jacobi check needs a degree-3 element, got degree %d" % m.degree)
@@ -186,8 +184,8 @@ def jacobi_identity_holds(m: Cochain, probes) -> tuple[bool, str | None]:
             for q2, c2 in v.items():
                 value = table.get((q1, q2))
                 if value is None:
-                    value = table[(q1, q2)] = _q_terms(module.raise_form(
-                        [m._eval_mono(0, (), (q1, q2, (unit, c))) for c in range(module.rank)]))
+                    vals = {c: m._eval_mono(0, (), (q1, q2, (unit, c))) for c in range(module.rank)}
+                    value = table[(q1, q2)] = module.raise_terms(vals)
                 c = c1 * c2
                 for q, a in value.items():
                     s = out.get(q, 0) + c * a
@@ -198,7 +196,7 @@ def jacobi_identity_holds(m: Cochain, probes) -> tuple[bool, str | None]:
         return out
 
     probes = list(probes)
-    terms = [_q_terms(x) for x in probes]
+    terms = [_cleared(_q_terms(x))[0] for x in probes]
     pairs = {(j, k): bilinear(terms[j], terms[k])
              for j, k in itertools.product(range(len(terms)), repeat=2)}
     for i, j, k in itertools.product(range(len(terms)), repeat=3):
@@ -211,10 +209,11 @@ def jacobi_identity_holds(m: Cochain, probes) -> tuple[bool, str | None]:
 
 def _first_entry(c: Cochain) -> str:
     """The first nonzero tower entry of c, sorted by level, generators and arguments."""
-    p = min(c.levels)
-    gens, args = min(c.levels[p])
+    levels = c.levels
+    p = min(levels)
+    gens, args = min(levels[p])
     return "[m, m] != 0 at level %d, generators %s, arguments (%s): %s" % (
-        p, gens, ", ".join(c.module.names[b] for b in args), c.levels[p][gens, args])
+        p, gens, ", ".join(c.module.names[b] for b in args), levels[p][gens, args])
 
 
 def verify_courant(m: Cochain, depth: int = 1) -> tuple[bool, dict]:

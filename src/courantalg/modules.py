@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 from .linalg import poly_det, poly_matrix_inverse
-from .poly import Backend, Derivation, Poly, num_der_generators
+from .poly import Backend, Derivation, Poly, _cleared, _divided, _mul_add, num_der_generators
 
 
 class ModuleError(ValueError):
@@ -19,12 +19,13 @@ class MetricModule:
     Unit determinant gives strong non-degeneracy (explicit inverse gram) and
     fullness (a one-pair witness read off the first row of the inverse).
     Optional per-basis internal degrees feed the graded cohomology blocks.
-    `inner` and `raise_form` walk only the nonzero entries of each gram row
-    and inverse-gram column, recorded once; every skipped product is zero.
+    `inner` walks only the nonzero entries of each gram row, recorded once,
+    and `raise_form` only the nonzero inverse-gram entries, as int numerator
+    sums over one denominator (`numerators`); every skipped product is zero.
     """
 
     __slots__ = ("backend", "rank", "names", "gram", "gram_inv", "internal_degrees", "_basis",
-                 "_gram_rows", "_inv_cols", "_hash")
+                 "_gram_rows", "_numerators", "_hash")
 
     def __init__(self, backend: Backend, gram: list[list[Poly]], names=None, internal_degrees=None):
         rank = len(gram)
@@ -50,8 +51,7 @@ class MetricModule:
         self.gram_inv = tuple(tuple(row) for row in poly_matrix_inverse([list(r) for r in gram]))
         self._gram_rows = tuple(tuple((b, v) for b, v in enumerate(row) if not v.is_zero())
                                 for row in self.gram)
-        self._inv_cols = tuple(tuple((b, row[a]) for b, row in enumerate(self.gram_inv)
-                                     if not row[a].is_zero()) for a in range(rank))
+        self._numerators = None
         if names is None:
             names = tuple("e%d" % (a + 1) for a in range(rank))
         self.names = tuple(names)
@@ -87,6 +87,22 @@ class MetricModule:
                     out = out + xa * g * y.coeffs[b]
         return out
 
+    def numerators(self) -> tuple[list, int, list, int]:
+        """(gram, G, inv, H), built on first use: gram[a][b] is G <e_a, e_b> and
+        inv[a][b] is H times the (a, b) inverse-gram entry, each an int
+        numerator sum {exp: int}, with G and H the least common denominators."""
+        if self._numerators is None:
+            out = []
+            for matrix in (self.gram, self.gram_inv):
+                flat, d = _cleared({(a, b, e): c for a, row in enumerate(matrix)
+                                    for b, v in enumerate(row) for e, c in v.terms.items()})
+                grouped = [[{} for _ in matrix] for _ in matrix]
+                for (a, b, e), c in flat.items():
+                    grouped[a][b][e] = c
+                out += [grouped, d]
+            self._numerators = tuple(out)
+        return self._numerators
+
     def fullness_witness(self) -> list[tuple["ModuleElement", "ModuleElement"]]:
         """Pairs (x_i, y_i) with sum <x_i, y_i> = 1; here a single pair."""
         y = ModuleElement(self, [self.gram_inv[0][b] for b in range(self.rank)])
@@ -94,13 +110,32 @@ class MetricModule:
 
     def raise_form(self, values: list[Poly]) -> "ModuleElement":
         """The element v with <v, e_b> = values[b] for every basis index b."""
-        coeffs = []
-        for col in self._inv_cols:
-            s = Poly.zero(self.backend)
-            for b, g in col:
-                s = s + values[b] * g
-            coeffs.append(s)
-        return ModuleElement(self, coeffs)
+        flat, d = _cleared({(b, e): c for b, v in enumerate(values) for e, c in v.terms.items()})
+        vals: dict = {}
+        for (b, e), c in flat.items():
+            vals.setdefault(b, {})[e] = c
+        return self.element_of_terms(self.raise_terms(vals), d * self.numerators()[3])
+
+    def raise_terms(self, vals: dict) -> dict:
+        """The Q-terms {(exp, a): int} of the element v with <v, e_b> = vals[b],
+        for numerator sums vals[b] over d: over d * H."""
+        inv = self.numerators()[2]
+        out = {}
+        for a in range(self.rank):
+            coeff: dict = {}
+            for b, v in vals.items():
+                if inv[a][b]:
+                    _mul_add(coeff, v, inv[a][b], self.backend.is_dual)
+            for e, c in coeff.items():
+                out[e, a] = c
+        return out
+
+    def element_of_terms(self, terms: dict, den: int) -> "ModuleElement":
+        """The element with Q-terms {(exp, a): int} over den."""
+        coeffs: list = [{} for _ in range(self.rank)]
+        for (e, a), c in terms.items():
+            coeffs[a][e] = c
+        return ModuleElement(self, [Poly(self.backend, _divided(v, den)) for v in coeffs])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MetricModule):

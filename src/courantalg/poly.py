@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator
 
 QZERO = Fraction(0)
@@ -75,6 +76,65 @@ def default_var_names(n: int) -> tuple[str, ...]:
     if n <= len(base):
         return base[:n]
     return tuple("x%d" % i for i in range(1, n + 1))
+
+
+# -- int numerator sums: {key: int} over one denominator kept beside them -----
+
+
+def _cleared(flat: dict) -> tuple[dict, int]:
+    """Rational values {key: c} as int numerators over one positive denominator:
+    (numerators, d).  A sum of ints is returned as it is, over 1."""
+    for c in flat.values():
+        if type(c) is not int:
+            break
+    else:
+        return flat, 1
+    d = lcm(*[c.denominator for c in flat.values()])
+    return {k: c.numerator * (d // c.denominator) for k, c in flat.items()}, d
+
+
+def _quotient(c: int, d: int):
+    """c / d as an int when the division is exact, else as a Fraction."""
+    q, r = divmod(c, d)
+    return Fraction(c, d) if r else q
+
+
+def _divided(flat: dict, d: int) -> dict:
+    """A flat sum of numerators over d as its values, integral ones as ints."""
+    return flat if d == 1 else {k: _quotient(c, d) for k, c in flat.items()}
+
+
+def _axpy(out: dict, v: dict, f: int = 1) -> dict:
+    """out += f v, dropping the terms that cancel; returns out."""
+    for e, c in v.items():
+        s = out.get(e, 0) + f * c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out
+
+
+def _mul_add(out: dict, a: dict, b: dict, dual: bool, f: int = 1) -> dict:
+    """out += f a b; eps^2 = 0 over the dual numbers.  Returns out."""
+    for e1, c1 in a.items():
+        if f != 1:
+            c1 *= f
+        for e2, c2 in b.items():
+            e = tuple(map(int.__add__, e1, e2))
+            if dual and e[0] > 1:
+                continue
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def _partial(a: dict, j: int) -> dict:
+    """The derivative along the j-th Der generator, which differentiates in x_j."""
+    return {e[:j] + (e[j] - 1,) + e[j + 1:]: c * e[j] for e, c in a.items() if e[j]}
 
 
 def _grlex_key(exp: tuple[int, ...]):
@@ -194,28 +254,17 @@ class Poly:
         return Poly._raw(self.backend, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
+        if type(other) is not Poly:  # the ABC check below costs 50x this one
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
+            if not isinstance(other, Poly):
+                return NotImplemented
         self._check(other)
         if not self.terms:
             return self
         if not other.terms:
             return other
-        dual = self.backend.is_dual
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                if dual and e1[0] + e2[0] > 1:
-                    continue
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                v = terms.get(exp, QZERO) + c1 * c2
-                if v:
-                    terms[exp] = v
-                elif exp in terms:
-                    del terms[exp]
-        return Poly._raw(self.backend, terms)
+        return Poly._raw(self.backend, _mul_add({}, self.terms, other.terms, self.backend.is_dual))
 
     __rmul__ = __mul__
 
@@ -228,14 +277,7 @@ class Poly:
 
     def partial(self, i: int) -> "Poly":
         """Formal partial derivative with respect to the i-th variable."""
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exp, c in self.terms.items():
-            if exp[i] == 0:
-                continue
-            new = list(exp)
-            new[i] -= 1
-            terms[tuple(new)] = c * exp[i]
-        return Poly._raw(self.backend, terms)
+        return Poly._raw(self.backend, _partial(self.terms, i))
 
     # -- comparison / hashing ----------------------------------------
 

@@ -46,7 +46,7 @@ from .modules import (
     inner,
     raise_exterior,
 )
-from .poly import Backend, Derivation, Poly, num_der_generators
+from .poly import Backend, Derivation, Poly, _cleared, _divided, num_der_generators
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]  # (sym multiset, ext tuple)
 
@@ -65,29 +65,6 @@ def _merge_ext(ext1: tuple[int, ...], ext2: tuple[int, ...]):
             sign = -sign
             j -= 1
     return sign, tuple(merged)
-
-
-def _cleared(flat: dict) -> tuple[dict, int]:
-    """Rational values {key: c} as int numerators over one positive denominator:
-    (numerators, d).  A sum of ints is returned as it is, over 1."""
-    for c in flat.values():
-        if type(c) is not int:
-            break
-    else:
-        return flat, 1
-    d = lcm(*[c.denominator for c in flat.values()])
-    return {k: c.numerator * (d // c.denominator) for k, c in flat.items()}, d
-
-
-def _quotient(c: int, d: int):
-    """c / d as an int when the division is exact, else as a Fraction."""
-    q, r = divmod(c, d)
-    return Fraction(c, d) if r else q
-
-
-def _divided(flat: dict, d: int) -> dict:
-    """A flat sum of numerators over d as its values, integral ones as ints."""
-    return flat if d == 1 else {k: _quotient(c, d) for k, c in flat.items()}
 
 
 def _mul_into(out: dict, lefts, right, dual: bool):

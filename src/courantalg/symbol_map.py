@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .cmaps import Cochain, generator_slice
@@ -29,7 +30,6 @@ from .poly import Poly, exponents_of_degree, num_der_generators
 from .rothstein import (
     RothElement,
     _cleared,
-    _divided,
     _hamiltonian,
     graded_monomials,
     nested_bracket_with_scalars,
@@ -48,7 +48,8 @@ def apply_J(phi: RothElement, conn: Connection) -> Cochain:
     tower entry.  `_hamiltonian` returns only the nonzero children, so a
     subtree whose entries all vanish is never entered.  Nodes hold int
     numerators; each carries its denominator, which gains the connection's
-    denominator per level, and the leaves divide once.
+    denominator per level, and the leaves go to the cochain as they are,
+    over the lcm of their denominators.
     """
     module = phi.module
     if conn.module != module:
@@ -57,13 +58,12 @@ def apply_J(phi: RothElement, conn: Connection) -> Cochain:
     degree = phi.degree()
     ngen = num_der_generators(backend)  # over the dual numbers the one D pairs with eps = x_0
     basis = [(1, b) for b in range(module.rank)]
-    levels: dict = {p: {} for p in range(degree // 2 + 1)}
+    leaves = []  # ((gens, bargs), {exp: numerator}, denominator)
 
     def walk(node: dict, d: int, gens: tuple, bargs: tuple):
         left = degree - 2 * len(gens) - len(bargs)
         if not left:
-            entry = {exp: c for (exp, _, _), c in _divided(node, d).items()}
-            levels[len(gens)][gens, bargs] = Poly(backend, entry)
+            leaves.append(((gens, bargs), {exp: c for (exp, _, _), c in node.items()}, d))
             return
         nexts = basis
         if left >= 2 and not bargs:
@@ -79,7 +79,10 @@ def apply_J(phi: RothElement, conn: Connection) -> Cochain:
     root, d = _cleared(phi.flat())
     if root:
         walk(root, d, (), ())
-    return Cochain(module, degree, levels)
+    den = lcm(*[d for _, _, d in leaves])
+    num = {key: entry if d == den else {e: c * (den // d) for e, c in entry.items()}
+           for key, entry, d in leaves}
+    return Cochain.from_numerators(module, degree, num, den)
 
 
 def invert_J_deg2(c: Cochain, conn: Connection) -> RothElement:

@@ -119,6 +119,26 @@ def denominator_contexts():
     yield M, metrize(Connection(M, gamma))
 
 
+def gram_denominator_contexts():
+    """(name, module, curved metrized connection) on grams with denominators
+    or polynomial entries: diag(3, 1/3) plus a hyperbolic pair over Q[x], the
+    unimodular [[1, x], [x, x^2 + 1]] over Q[x], and [[3, eps], [eps, 1/3]]
+    plus a unit over the dual numbers."""
+    B = Backend.free(1)
+    x, one, zero = Poly.var(B, 0), Poly.one(B), Poly.zero(B)
+    third = Poly.const(B, Fraction(1, 3))
+    thirds = MetricModule(B, [[one.scale(3), zero, zero, zero], [zero, third, zero, zero],
+                              [zero, zero, zero, one], [zero, zero, one, zero]])
+    yield "thirds-free1", thirds, curved_connection(thirds, seed=41)
+    unimodular = MetricModule(B, [[one, x], [x, x * x + one]])
+    yield "unimodular-free1", unimodular, curved_connection(unimodular, seed=43)
+    D = Backend.dual()
+    eps, oneD, zeroD = Poly.var(D, 0), Poly.one(D), Poly.zero(D)
+    dual = MetricModule(D, [[oneD.scale(3), eps, zeroD], [eps, Poly.const(D, Fraction(1, 3)), zeroD],
+                            [zeroD, zeroD, oneD]])
+    yield "thirds-dual", dual, curved_connection(dual, seed=47)
+
+
 def so3_constants():
     eps3 = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
             (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}

@@ -6,7 +6,14 @@ from pathlib import Path
 import pytest
 
 from courantalg import cli, deform
-from courantalg.cli import SCHEMA, STANDARD_CAP, DocumentError, ProblemDocument, run_document
+from courantalg.cli import (
+    COHOMOLOGY_CAP,
+    SCHEMA,
+    STANDARD_CAP,
+    DocumentError,
+    ProblemDocument,
+    run_document,
+)
 
 DOCUMENTS = Path(__file__).resolve().parent.parent / "docs" / "documents"
 
@@ -282,3 +289,66 @@ def test_standard_above_the_cap_is_rejected_before_building():
     assert time.monotonic() - start < 1
     assert code == 2
     assert "STANDARD_CAP" in report["error"] and "12" in report["error"]
+
+
+def _half_so3(commands):
+    """so(3) with the single value C(e1, e2) = e3: its table is not alternating."""
+    return _so3(elements={"m": {"type": "cmap", "degree": 3, "values": {"e1,e2": ["0", "0", "1"]}}},
+                commands=commands)
+
+
+@pytest.mark.parametrize("command", [
+    {"op": "bracket", "lhs": "m", "rhs": "m"},
+    {"op": "bracket", "lhs": "m", "rhs": "x"},
+    {"op": "wedge", "lhs": "m", "rhs": "m", "mode": "both"},
+    {"op": "wedge", "lhs": "x", "rhs": "m", "mode": "recursive"},
+])
+def test_bracket_and_wedge_reject_a_table_outside_the_complex(command):
+    doc = _half_so3([command])
+    doc["elements"]["x"] = {"type": "module", "coeffs": ["1", "0", "0"]}
+    report, code = run_document(doc)
+    assert code == 2
+    assert report["error"] == ("commands: element 'm' is not an element of the complex: "
+                               "swap identity fails at position 1 on ['e1', 'e2', 'e3']")
+
+
+def test_a_table_outside_the_complex_is_read_and_fails_verification():
+    report, code = run_document(_half_so3([{"op": "verify-courant", "element": "m"}]))
+    assert code == 1 and report["commands"][0]["verdict"] is False
+    doc = _standard(elements={"m": {"type": "cmap", "degree": 3, "values": {"e1,f1": ["1", "-2"]}}},
+                    commands=[{"op": "symbol-tower", "element": "m"}])
+    report, code = run_document(doc)
+    assert code == 1 and report["commands"][0]["verdict"] is False
+
+
+def test_a_computed_result_bound_over_a_table_name_is_not_checked_again():
+    # m is rebound to [m, m] of a valid table: later operands named m are results
+    doc = so3_document([{"op": "bracket", "lhs": "m", "rhs": "m", "name": "m"},
+                        {"op": "wedge", "lhs": "m", "rhs": "m", "mode": "both"}])
+    report, code = run_document(doc)
+    assert code == 0
+
+
+@pytest.mark.parametrize("window", [
+    {"r": [0, COHOMOLOGY_CAP + 1]},
+    {"r": [-COHOMOLOGY_CAP - 1, 0]},
+    {"d": [-COHOMOLOGY_CAP - 1, 0]},
+    {"d": [0, 10 ** 9]},
+])
+def test_cohomology_windows_above_the_cap_are_rejected_before_any_block(monkeypatch, window):
+    def refuse(*args):
+        raise AssertionError("a block was built")
+
+    monkeypatch.setattr(cli, "cohomology_dims", refuse)
+    monkeypatch.setattr(cli, "delta_squared_is_zero", refuse)
+    command = dict({"op": "cohomology", "r": [0, 1], "d": [0, 0]}, **window)
+    report, code = run_document(_standard(commands=[command]))
+    assert code == 2
+    assert "COHOMOLOGY_CAP" in report["error"] and str(COHOMOLOGY_CAP) in report["error"]
+
+
+def test_committed_cohomology_windows_are_within_the_cap():
+    for path in DOCUMENTS.glob("*.json"):
+        for command in json.loads(path.read_text()).get("commands", []):
+            if command.get("op") == "cohomology":
+                assert max(abs(v) for v in command.get("r", [0, 5]) + command.get("d", [-3, 3])) <= COHOMOLOGY_CAP

@@ -14,6 +14,14 @@ that are integral leave `.flat()` as ints.
 The count tests check that a connection builds its generator table once,
 however many brackets, J images and Q tables use it, and that a connection
 which is not metric still brackets wherever no D-D entry is read.
+
+The complex computes on int numerators over one denominator per cochain
+too.  On grams with denominators or polynomial entries
+(`conftest.gram_denominator_contexts()`), insertion must equal
+`insert_oracle`, the recursive wedge the shuffle wedge, and the bracket
+must be graded antisymmetric and satisfy graded Jacobi on seeded J-images;
+a cochain built from Poly levels and one built on the int path are equal
+and hash equal.  A bracket of two J-images builds no `Poly` at all.
 """
 
 import itertools
@@ -24,24 +32,38 @@ import pytest
 
 import apply_J_oracle
 import differential_oracle
+import insert_oracle
 from courantalg import (
+    Cochain,
     Connection,
     ConnectionChange,
     ModuleError,
     Poly,
     RothElement,
     apply_J,
+    cbracket,
+    cmaps,
+    cwedge,
     deformation_differential,
+    insert,
     modules,
     roth_bracket,
     rothstein,
 )
 from courantalg import deform
 from courantalg.deform import CourantStructure
+from courantalg.cmaps import cwedge_shuffle
 from courantalg.poly import exponents_of_degree
 from courantalg.rothstein import _divided, graded_monomials
 
-from conftest import denominator_contexts, hyperbolic_module, oracle_contexts, random_roth
+from conftest import (
+    denominator_contexts,
+    gram_denominator_contexts,
+    hyperbolic_module,
+    oracle_contexts,
+    random_module_element,
+    random_roth,
+)
 from peeling_oracle import peel_bracket
 
 
@@ -206,3 +228,99 @@ def test_non_metric_connection_brackets_where_no_d_d_entry_is_read():
             brackets += 1
         assert apply_J(a, raw) == apply_J_oracle.apply_J(a, raw)
     assert brackets >= 10 and raises >= 3
+
+
+# -- the complex on int numerators ---------------------------------------------------
+
+GRAMS = {name: (M, conn) for name, M, conn in gram_denominator_contexts()}
+
+
+def _image(rng, M, conn, degree: int) -> Cochain:
+    """J of a seeded nonzero element of the degree, scaled by thirds and fifths."""
+    phi = _element(rng, M, degree, density=1.0)
+    while phi.is_zero():
+        phi = _element(rng, M, degree, density=1.0)
+    return apply_J(phi, conn)
+
+
+def test_gram_contexts_carry_denominators_and_polynomials():
+    G = {name: M.numerators()[1] for name, (M, _) in GRAMS.items()}
+    assert G == {"thirds-free1": 3, "unimodular-free1": 1, "thirds-dual": 3}
+    assert not GRAMS["unimodular-free1"][0].gram[0][1].is_constant()
+
+
+@pytest.mark.parametrize("name", list(GRAMS))
+def test_insert_equals_the_oracle_over_gram_denominators(name):
+    M, conn = GRAMS[name]
+    rng = random.Random(101)
+    constant = M.basis(0).scale(Fraction(2, 3)) + M.basis(M.rank - 1).scale(Fraction(-1, 5))
+    for degree in range(2, 5):
+        c = _image(rng, M, conn, degree)
+        for x in (M.basis(1), constant, random_module_element(rng, M, deg=2).scale(Fraction(1, 3))):
+            assert insert(c, x) == insert_oracle.insert(c, x)
+
+
+@pytest.mark.parametrize("name", list(GRAMS))
+def test_recursive_wedge_equals_the_shuffle_wedge_over_gram_denominators(name):
+    M, conn = GRAMS[name]
+    rng = random.Random(103)
+    for r, s in itertools.product(range(1, 3), repeat=2):
+        a, b = _image(rng, M, conn, r), _image(rng, M, conn, s)
+        assert cwedge(a, b) == cwedge_shuffle(a, b)
+
+
+@pytest.mark.parametrize("name", list(GRAMS))
+def test_bracket_antisymmetry_and_graded_jacobi_over_gram_denominators(name, monkeypatch):
+    monkeypatch.setattr(cmaps, "_BRACKET_CACHE", cmaps.Memo())
+    M, conn = GRAMS[name]
+    rng = random.Random(107)
+    nonzero = 0
+    for degs in [(1, 1, 2), (1, 2, 2), (2, 2, 1), (1, 2, 3), (2, 2, 2)]:
+        a, b, c = (_image(rng, M, conn, d) for d in degs)
+        r, s = degs[0], degs[1]
+        for x, y in ((a, a), (b, b), (a, b)):
+            if x.degree == y.degree:  # equal degrees: both orders are computed, neither is a swap
+                sign = 1 if (x.degree * y.degree) % 2 else -1
+                assert cbracket(x, y) == cbracket(y, x).scale(sign)
+        lhs = cbracket(a, cbracket(b, c))
+        t2 = cbracket(b, cbracket(a, c))
+        if (r * s) % 2:
+            t2 = -t2
+        assert lhs == cbracket(cbracket(a, b), c) + t2
+        nonzero += not lhs.is_zero()
+    assert nonzero >= 2
+
+
+@pytest.mark.parametrize("name", list(GRAMS) + ["thirds-fifths-free2", "thirds-fifths-dual"])
+def test_poly_built_and_int_built_cochains_are_equal_and_hash_equal(name):
+    M, conn = GRAMS[name] if name in GRAMS else CONTEXTS[name]
+    rng = random.Random(109)
+    for degree in range(1, 5):
+        c = _image(rng, M, conn, degree)
+        rebuilt = Cochain(M, c.degree, c.levels)
+        assert rebuilt == c and hash(rebuilt) == hash(c)
+        third = {p: {k: v.scale(Fraction(1, 3)) for k, v in t.items()} for p, t in c.levels.items()}
+        scaled = c.scale(Fraction(1, 3))
+        assert scaled == Cochain(M, c.degree, third) and hash(scaled) == hash(Cochain(M, c.degree, third))
+        twice = c + c - c
+        assert twice == c and hash(twice) == hash(c)
+        assert (c - c).is_zero() and c - c == Cochain.zero(M, c.degree)
+
+
+def test_bracket_of_two_images_builds_no_poly(monkeypatch):
+    """The contract: Poly only at the boundary, so no Poly arithmetic inside a bracket."""
+    M, conn = CONTEXTS["thirds-fifths-free2"]
+    rng = random.Random(113)
+    a, b = _image(rng, M, conn, 3), _image(rng, M, conn, 3)
+    assert a._den > 1 and b._den > 1
+    monkeypatch.setattr(cmaps, "_BRACKET_CACHE", cmaps.Memo())
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__sub__", "__init__"):
+        def counted(*args, _name=name, _real=getattr(Poly, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(Poly, name, counted)
+    out = cbracket(a, b)
+    monkeypatch.undo()
+    assert calls == []
+    assert not out.is_zero()
