@@ -49,6 +49,9 @@ STANDARD_CAP = 4
 # each end of a cohomology window, r and d, lies in [-COHOMOLOGY_CAP, COHOMOLOGY_CAP]:
 # block sizes grow without bound in both
 COHOMOLOGY_CAP = 8
+# the largest exponent a parsed polynomial may carry: products of document inputs
+# stay far below the packed field limit (poly.EXPONENT_LIMIT), and probe depths small
+EXPONENT_CAP = 32
 
 
 class DocumentError(ValueError):
@@ -69,6 +72,18 @@ def _is_count(value) -> bool:
 
 def _is_list_of(value, kind) -> bool:
     return isinstance(value, list) and all(isinstance(v, kind) for v in value)
+
+
+def _capped(p: Poly) -> Poly:
+    """p, unless one of its exponents is above EXPONENT_CAP (ValueError)."""
+    top = max(map(max, p.terms), default=0) if p.backend.nvars else 0
+    if top > EXPONENT_CAP:
+        raise ValueError("exponent %d exceeds the %d cap (EXPONENT_CAP)" % (top, EXPONENT_CAP))
+    return p
+
+
+def _parse_poly(text: str, backend: Backend) -> Poly:
+    return _capped(parse_poly(text, backend))
 
 
 class ProblemDocument:
@@ -144,7 +159,7 @@ class ProblemDocument:
             if spec.get(key) is not None and not (_is_list_of(spec[key], kind) and len(spec[key]) == len(gram_rows)):
                 raise _fail("%s must list one entry per gram row" % key, "module")
         try:
-            gram = [[parse_poly(str(v), self.backend) for v in row] for row in gram_rows]
+            gram = [[_parse_poly(str(v), self.backend) for v in row] for row in gram_rows]
             return MetricModule(
                 self.backend,
                 gram,
@@ -182,12 +197,12 @@ class ProblemDocument:
     def _parse_module_element(self, coeffs) -> ModuleElement:
         if not isinstance(coeffs, list) or len(coeffs) != self.module.rank:
             raise _fail("module element needs %d coefficients" % self.module.rank)
-        return ModuleElement(self.module, [parse_poly(str(c), self.backend) for c in coeffs])
+        return ModuleElement(self.module, [_parse_poly(str(c), self.backend) for c in coeffs])
 
     def _parse_derivation(self, coeffs) -> Derivation:
         if self.backend.is_dual:
             return Derivation(self.backend, Fraction(str(coeffs[0])))
-        return Derivation(self.backend, tuple(parse_poly(str(c), self.backend) for c in coeffs))
+        return Derivation(self.backend, tuple(_parse_poly(str(c), self.backend) for c in coeffs))
 
     def _basis_key(self, key: str) -> tuple[int, ...]:
         key = key.strip()
@@ -207,11 +222,14 @@ class ProblemDocument:
         kind = spec["type"]
         try:
             if kind == "scalar":
-                return Cochain.scalar(self.module, parse_poly(spec["value"], self.backend))
+                return Cochain.scalar(self.module, _parse_poly(spec["value"], self.backend))
             if kind == "module":
                 return Cochain.from_module_element(self._parse_module_element(spec["coeffs"]))
             if kind == "roth":
-                return parse_roth(spec["terms"], self.module)
+                phi = parse_roth(spec["terms"], self.module)
+                for c in phi.terms.values():
+                    _capped(c)
+                return phi
             if kind == "cmap":
                 degree = int(spec["degree"])
                 values = {
@@ -229,7 +247,7 @@ class ProblemDocument:
                 table = {}
                 for k, v in spec["p_table"].items():
                     gens = tuple(0 for _ in k.split(","))
-                    table[gens] = parse_poly(str(v), self.backend)
+                    table[gens] = _parse_poly(str(v), self.backend)
                 P = MultiDerivation(self.backend, 2, table)
                 return quartic_from_biderivation(self.module, P)
         except DocumentError:

@@ -30,11 +30,16 @@ slices.
 The tower is fraction-free: one table {(gens, args): {exp: int}} of int
 numerators over one positive denominator per cochain, kept canonical (no
 zero entry, and no common factor of the numerators and the denominator), so
-equal cochains have equal tables.  With G the least common denominator of
-the gram, a level-p evaluation is over den * G^(L-p), L = degree // 2: each
-swap correction multiplies by one gram entry.  `Poly` is the boundary type,
+equal cochains have equal tables.  exp is a packed monomial (see `poly`):
+the unit is 0, a product of monomials is one add, and the (exp, basis
+index) arguments of `_eval_mono` and its memo keys are pairs of ints.  With
+G the least common denominator of the gram, a level-p evaluation is over
+den * G^(L-p), L = degree // 2: each swap correction multiplies by one gram
+entry.  `Poly` is the boundary type,
 built only where a value leaves: `levels`, `omega`, `eval_level`,
-`__call__`, `symbol`, `scalar_part` and `module_part`.
+`__call__`, `symbol`, `scalar_part` and `module_part`; exponents are packed
+where Poly values enter (the constructor, `from_module_element`, `scale`,
+evaluation arguments) and unpacked only there.
 """
 
 from __future__ import annotations
@@ -49,15 +54,16 @@ from .poly import (
     Backend,
     Derivation,
     Poly,
+    _as_poly,
     _axpy,
     _cleared,
-    _divided,
     _mul_add,
+    _packed,
     _partial,
     der_generator_var,
     der_partials,
-    exponents_of_degree,
     num_der_generators,
+    packed_exponents_of_degree,
 )
 from .rothstein import ModuleMap
 
@@ -80,8 +86,8 @@ class Memo(OrderedDict):
 
 
 def _q_terms(x: ModuleElement) -> dict:
-    """x as its Q-terms {(exponent, basis index): coefficient}."""
-    return {(exp, b): c for b, poly in enumerate(x.coeffs) for exp, c in poly.terms.items()}
+    """x as its Q-terms {(packed exponent, basis index): coefficient}."""
+    return {(e, b): c for b, poly in enumerate(x.coeffs) for e, c in _packed(poly).items()}
 
 
 class Cochain:
@@ -99,7 +105,7 @@ class Cochain:
             if any(len(gens) != p or len(args) != degree - 2 * p for gens, args in table):
                 raise ValueError("malformed tower key")
         flat, den = _cleared({(key, e): c for table in levels.values()
-                              for key, v in table.items() for e, c in v.terms.items()})
+                              for key, v in table.items() for e, c in _packed(v).items()})
         num: dict = {}
         for (key, e), c in flat.items():
             num.setdefault(key, {})[e] = c
@@ -150,7 +156,7 @@ class Cochain:
         for (e, a), k in terms.items():
             for b, g in enumerate(gram[a]):
                 if g:
-                    _mul_add(num.setdefault(((), (b,)), {}), {e: k}, g, module.backend.is_dual)
+                    _mul_add(num.setdefault(((), (b,)), {}), {e: k}, g, module.backend)
         return Cochain.from_numerators(module, 1, num, d * G)
 
     @staticmethod
@@ -224,7 +230,7 @@ class Cochain:
         backend = self.module.backend
         out: dict = {}
         for (gens, args), v in self._num.items():
-            out.setdefault(len(gens), {})[gens, args] = Poly(backend, _divided(v, self._den))
+            out.setdefault(len(gens), {})[gens, args] = _as_poly(backend, v, self._den)
         return out
 
     def is_zero(self) -> bool:
@@ -278,53 +284,54 @@ class Cochain:
         """Module action of the coefficient algebra (multiplies every level)."""
         if not isinstance(a, Poly):
             a = Poly.const(self.module.backend, a)
-        return _times(self, *_cleared(a.terms))
+        return _times(self, *_cleared(_packed(a)))
 
     # -- evaluation --------------------------------------------------------
 
     def _eval_mono(self, p: int, gens: tuple[int, ...], margs) -> dict:
-        """Level p on (monomial exponent, basis index) arguments, as int
+        """Level p on (packed monomial, basis index) arguments, as int
         numerators over den * G^(degree // 2 - p); the result is shared, not
-        to be changed."""
+        to be changed.
+
+        The last argument x^e e_a that is not a basis element moves to the
+        last slot, where the form is linear over the algebra, past the t
+        basis elements e_b after it: the i-th swap costs the correction
+        (-1)^i sigma(the other arguments)(<x^e e_a, e_b>), one level up the
+        tower, and the moved value is multiplied by (-1)^t x^e.
+        """
         key = (gens, margs)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        module = self.module
-        unit = (0,) * module.backend.nvars
-        idx = None
-        for i in range(len(margs) - 1, -1, -1):
-            if margs[i][0] != unit:
-                idx = i
-                break
-        if idx is None:
+        gram, G = self.module.numerators()[:2]
+        idx = len(margs) - 1
+        while idx >= 0 and not margs[idx][0]:
+            idx -= 1
+        if idx < 0:
             out = self._num.get((gens, tuple([b for _, b in margs])), {})
-            G = module.numerators()[1]
             if out and G != 1:
                 f = G ** (self.degree // 2 - p)
                 out = {e: f * c for e, c in out.items()}
-        elif idx == len(margs) - 1:
-            inner_value = self._eval_mono(p, gens, margs[:-1] + ((unit, margs[idx][1]),))
-            out = _mul_add({}, {margs[idx][0]: 1}, inner_value, module.backend.is_dual)
-        else:
-            exp, b = margs[idx]
-            b2 = margs[idx + 1][1]
-            swapped = margs[:idx] + (margs[idx + 1], margs[idx]) + (margs[idx + 2:])
-            out = {e: -c for e, c in self._eval_mono(p, gens, swapped).items()}
-            g = module.numerators()[0][b][b2]
-            if g:
-                a = _mul_add({}, {exp: 1}, g, module.backend.is_dual)
-                self._apply_symbol(p, gens, a, margs[:idx] + margs[idx + 2:], out)
+            return self._memo.remember(key, out)
+        backend = self.module.backend
+        exp, a = margs[idx]
+        head, tail = margs[:idx], margs[idx + 1:]
+        moved = self._eval_mono(p, gens, head + tail + ((0, a),))
+        out = _mul_add({}, {exp: 1}, moved, backend, -1 if len(tail) % 2 else 1)
+        for i, (_, b) in enumerate(tail):
+            if gram[a][b]:
+                ip = _mul_add({}, {exp: 1}, gram[a][b], backend, -1 if i % 2 else 1)
+                self._apply_symbol(p, gens, ip, head + tail[:i] + tail[i + 1:], out)
         return self._memo.remember(key, out)
 
     def _apply_symbol(self, p: int, gens: tuple[int, ...], a: dict, margs, out: dict) -> dict:
         """out += sigma of the level-p form applied to a, i.e. one level up the
         tower; a is a numerator sum over G.  Returns out."""
-        dual = self.module.backend.is_dual
-        for j in range(num_der_generators(self.module.backend)):
-            part = _partial(a, j)
+        backend = self.module.backend
+        for j, shift in enumerate(backend.shifts):
+            part = _partial(a, shift)
             if part:
-                _mul_add(out, part, self._eval_mono(p + 1, tuple(sorted(gens + (j,))), margs), dual)
+                _mul_add(out, part, self._eval_mono(p + 1, tuple(sorted(gens + (j,))), margs), backend)
         return out
 
     def eval_level(self, p: int, gen_args, mod_args) -> Poly:
@@ -355,7 +362,7 @@ class Cochain:
             for _, c in combo:
                 k *= c
             _axpy(out, self._eval_mono(p, gens, tuple(q for q, _ in combo)), k)
-        return Poly(backend, _divided(out, den))
+        return _as_poly(backend, out, den)
 
     def omega(self, args) -> Poly:
         """The degree-r multilinear form <C(x_1..x_{r-1}), x_r>."""
@@ -374,7 +381,7 @@ class Cochain:
     def scalar_part(self) -> Poly:
         if self.degree != 0:
             raise ValueError("not a degree-0 element")
-        return Poly(self.module.backend, _divided(self._num.get(((), ()), {}), self._den))
+        return _as_poly(self.module.backend, self._num.get(((), ()), {}), self._den)
 
     def module_part(self) -> ModuleElement:
         if self.degree != 1:
@@ -415,8 +422,8 @@ def _raised(c: Cochain) -> tuple[dict, int]:
 
 def _times(c: Cochain, a: dict, d: int) -> Cochain:
     """a C for the numerator sum a over d."""
-    dual = c.module.backend.is_dual
-    num = {k: _mul_add({}, a, v, dual) for k, v in c._num.items()}
+    backend = c.module.backend
+    num = {k: _mul_add({}, a, v, backend) for k, v in c._num.items()}
     return Cochain.from_numerators(c.module, c.degree, num, c._den * d)
 
 
@@ -433,14 +440,14 @@ def generator_slice(c: Cochain, j: int) -> Cochain:
 
 def bracket_scalar(c: Cochain, a: Poly) -> Cochain:
     """[C, a]: the derivation-in-a slice of the tower."""
-    return _bracket_scalar(c, *_cleared(a.terms))
+    return _bracket_scalar(c, *_cleared(_packed(a)))
 
 
 def _bracket_scalar(c: Cochain, a: dict, d: int) -> Cochain:
     """[C, a] = sum_j (da/dg_j) [C, g_j] for the numerator sum a over d."""
     out = Cochain.zero(c.module, c.degree - 2)
-    for j in range(num_der_generators(c.module.backend)):
-        out = out + _times(generator_slice(c, j), _partial(a, j), d)
+    for j, shift in enumerate(c.module.backend.shifts):
+        out = out + _times(generator_slice(c, j), _partial(a, shift), d)
     return out
 
 
@@ -459,7 +466,7 @@ def _insert(c: Cochain, x: ModuleElement) -> Cochain:
 
 
 def _insert_terms(c: Cochain, terms: dict, d: int) -> Cochain:
-    """i_x C for x with Q-terms {(exp, a): int} over d.
+    """i_x C for x with Q-terms {(packed exponent, a): int} over d.
 
     A term k e_a of x re-keys the stored entries whose first argument is a;
     a term k x^e e_a with x^e not the unit reads every entry of the result
@@ -468,13 +475,12 @@ def _insert_terms(c: Cochain, terms: dict, d: int) -> Cochain:
     """
     module = c.module
     degree = c.degree - 1
-    unit = (0,) * module.backend.nvars
     ngen = num_der_generators(module.backend)
     G = module.numerators()[1]
-    lift = G ** (c.degree // 2) if any(e != unit for e, _ in terms) else 1
+    lift = G ** (c.degree // 2) if any(e for e, _ in terms) else 1
     num: dict = {}
     for (e, a), k in terms.items():
-        if e == unit:
+        if not e:
             for (gens, args), v in c._num.items():
                 if args and args[0] == a:
                     _axpy(num.setdefault((gens, args[1:]), {}), v, k * lift)
@@ -483,7 +489,7 @@ def _insert_terms(c: Cochain, terms: dict, d: int) -> Cochain:
             f = k * G ** p
             for gens in itertools.combinations_with_replacement(range(ngen), p):
                 for bargs in itertools.product(range(module.rank), repeat=degree - 2 * p):
-                    v = c._eval_mono(p, gens, ((e, a),) + tuple((unit, b) for b in bargs))
+                    v = c._eval_mono(p, gens, ((e, a),) + tuple((0, b) for b in bargs))
                     if v:
                         _axpy(num.setdefault((gens, bargs), {}), v, f)
     return Cochain.from_numerators(module, degree, num, d * c._den * lift)
@@ -562,11 +568,10 @@ def _by_insertion(op, a: Cochain, b: Cochain, n: int) -> Cochain:
     where each i_{e_k} re-keys stored entries; the higher levels come from
     the generator slices.
     """
-    unit = (0,) * a.module.backend.nvars
     sign = -1 if b.degree % 2 else 1
     parts = []
     for k in range(a.module.rank):
-        e_k = {(unit, k): 1}
+        e_k = {(0, k): 1}
         for f, c in ((sign, op(_insert_terms(a, e_k, 1), b)), (1, op(a, _insert_terms(b, e_k, 1)))):
             parts.append((f, c._den, {((), (k,) + args): v for (gens, args), v in c._num.items() if not gens}))
     return _compose_from_slices(op, a, b, n, parts)
@@ -636,7 +641,7 @@ def cwedge_shuffle(a: Cochain, b: Cochain) -> Cochain:
     r, s = a.degree, b.degree
     if r == 0 or s == 0 or a.is_zero() or b.is_zero():
         return cwedge(a, b)
-    dual = a.module.backend.is_dual
+    backend = a.module.backend
     n = r + s
     sign_rs = -1 if (r * s) % 2 else 1
     firsts = [(sign_rs * sgn, blk1, blk2, a._num, b._num) for sgn, blk1, blk2 in _shuffles(r, s - 1)]
@@ -650,7 +655,7 @@ def cwedge_shuffle(a: Cochain, b: Cochain) -> Cochain:
                 continue
             w2 = right.get(((), tuple(args[i] for i in blk2) + (args[-1],)))
             if w2 is not None:
-                _mul_add(total, w1, w2, dual, sgn)
+                _mul_add(total, w1, w2, backend, sgn)
         if total:
             lvl0[(), args] = total
     return _compose_from_slices(cwedge, a, b, n, [(1, a._den * b._den, lvl0)])
@@ -668,11 +673,11 @@ def cmap_wedge(a: Cochain, b: Cochain, mode: str = "recursive") -> Cochain:
 
 
 def _probe_keys(backend: Backend, rank: int, depth: int):
-    """(exponent, basis index) of each probe x^e e_b, in the order of `probe_elements`."""
+    """(packed exponent, basis index) of each probe x^e e_b, in the order of `probe_elements`."""
     if depth < 0:
         raise ValueError("probe depth must be nonnegative, got %d" % depth)
     for total in range(depth + 1):
-        for exp in exponents_of_degree(backend, total):
+        for exp in packed_exponents_of_degree(backend, total):
             for b in range(rank):
                 yield exp, b
 
@@ -680,12 +685,20 @@ def _probe_keys(backend: Backend, rank: int, depth: int):
 def probe_elements(module: MetricModule, depth: int):
     """Basis elements times every monomial of total degree <= depth (the unit first)."""
     backend = module.backend
-    return [module.basis(b).scale(Poly.monomial(backend, exp))
+    return [module.basis(b).scale(Poly.monomial(backend, backend.unpack(exp)))
             for exp, b in _probe_keys(backend, module.rank, depth)]
 
 
+def _probe_pairing(module: MetricModule, u, v) -> dict:
+    """<x^e1 e_a, x^e2 e_b> for probe keys u = (e1, a), v = (e2, b), as numerators over G."""
+    backend = module.backend
+    monomial = _mul_add({}, {u[0]: 1}, {v[0]: 1}, backend)
+    return _mul_add({}, monomial, module.numerators()[0][u[1]][v[1]], backend)
+
+
 def default_verify_depth(c: Cochain) -> int:
-    maxdeg = max((sum(e) for v in c._num.values() for e in v), default=0)
+    backend = c.module.backend
+    maxdeg = max((sum(backend.unpack(e)) for v in c._num.values() for e in v), default=0)
     return 2 * (maxdeg + 1)
 
 
@@ -710,8 +723,6 @@ def cmap_verify(c: Cochain, depth: int | None = None) -> tuple[bool, dict]:
         return True, report
     module = c.module
     backend = module.backend
-    gram = module.numerators()[0]
-    ngen = num_der_generators(backend)
     keys = list(_probe_keys(backend, module.rank, depth))
     omega: dict = {}
     partials: dict = {}
@@ -721,13 +732,12 @@ def cmap_verify(c: Cochain, depth: int | None = None) -> tuple[bool, dict]:
             if a > b:
                 continue
             if (a, b) not in partials:
-                (e1, b1), (e2, b2) = keys[a], keys[b]
-                ip = _mul_add({}, {tuple(map(int.__add__, e1, e2)): 1}, gram[b1][b2], backend.is_dual)
-                partials[a, b] = [(j, part) for j in range(ngen) if (part := _partial(ip, j))]
+                ip = _probe_pairing(module, keys[a], keys[b])
+                partials[a, b] = [(j, part) for j, s in enumerate(backend.shifts) if (part := _partial(ip, s))]
             rest = tuple(keys[k] for k in y[:i] + y[i + 2:])
             rhs: dict = {}
             for g, part in partials[a, b]:
-                _mul_add(rhs, part, c._eval_mono(1, (g,), rest), backend.is_dual)
+                _mul_add(rhs, part, c._eval_mono(1, (g,), rest), backend)
             swapped = y[:i] + (b, a) + y[i + 2:]
             for t in (y, swapped):
                 if t not in omega:
@@ -811,30 +821,29 @@ def symbol_tower(form: CochainForm, depth: int = 1) -> SymbolTower:
     Checks, for each consecutive pair of levels and all probes bounded by
     depth, that level p+1 applied to <u, v> reproduces the symmetrized
     double insertion into level p, and that each level is symmetric with
-    derivation slots.  Raises on inconsistency.
+    derivation slots.  Raises on inconsistency.  The probes u, v are
+    monomials x^e e_b, so the first check compares numerators over
+    den * G^(r // 2 - p) read by `_eval_mono`, as `cmap_verify` does.
     """
     c = form.cochain
     module = c.module
     backend = module.backend
     ngen = num_der_generators(backend)
     tower = SymbolTower(c)
-    if ngen == 0:
-        return tower
-    probes = probe_elements(module, depth)
+    keys = list(_probe_keys(backend, module.rank, depth))
+    units = [(0, b) for b in range(module.rank)]
     gen_vars = [der_generator_var(backend, j) for j in range(ngen)]
     for p in range(0, c.degree // 2):
         nargs = c.degree - 2 * p
         if nargs < 2:
             break
         for gens in itertools.combinations_with_replacement(range(ngen), p):
-            gargs = tuple(gen_vars[j] for j in gens)
-            for u, v in itertools.product(probes, repeat=2):
-                ip = inner(u, v)
-                for zargs in itertools.product(
-                    [module.basis(b) for b in range(module.rank)], repeat=nargs - 2
-                ):
-                    lhs = c.eval_level(p + 1, gargs + (ip,), zargs)
-                    rhs = c.eval_level(p, gargs, (u, v) + zargs) + c.eval_level(p, gargs, (v, u) + zargs)
+            for u, v in itertools.product(keys, repeat=2):
+                ip = _probe_pairing(module, u, v)
+                for zargs in itertools.product(units, repeat=nargs - 2):
+                    lhs = c._apply_symbol(p, gens, ip, zargs, {})
+                    rhs = _axpy(dict(c._eval_mono(p, gens, (u, v) + zargs)),
+                                c._eval_mono(p, gens, (v, u) + zargs))
                     if lhs != rhs:
                         raise ValueError(
                             "symbol extraction inconsistent at level %d" % (p + 1)

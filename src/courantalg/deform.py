@@ -27,14 +27,12 @@ from fractions import Fraction
 from . import linalg
 from .cmaps import Cochain, Memo, _q_terms, cbracket, cmap_verify, probe_elements
 from .modules import Connection, MetricModule, ModuleElement, ModuleError, inner
-from .poly import Backend, Poly, exponents_of_degree
+from .poly import Backend, Poly, _cleared, _cleared_groups, _divided, packed_exponents_of_degree
 from .rothstein import (
     AlgebraMap,
     ModuleMap,
     RothElement,
     _apply_derivation,
-    _cleared,
-    _divided,
     _hamiltonian,
     _to_roth,
     generators,
@@ -175,7 +173,6 @@ def jacobi_identity_holds(m: Cochain, probes) -> tuple[bool, str | None]:
     if m.degree != 3:
         raise ValueError("the Jacobi check needs a degree-3 element, got degree %d" % m.degree)
     module = m.module
-    unit = (0,) * module.backend.nvars
     table: dict = {}
 
     def bilinear(u: dict, v: dict, out: dict | None = None) -> dict:
@@ -184,7 +181,7 @@ def jacobi_identity_holds(m: Cochain, probes) -> tuple[bool, str | None]:
             for q2, c2 in v.items():
                 value = table.get((q1, q2))
                 if value is None:
-                    vals = {c: m._eval_mono(0, (), (q1, q2, (unit, c))) for c in range(module.rank)}
+                    vals = {c: m._eval_mono(0, (), (q1, q2, (0, c))) for c in range(module.rank)}
                     value = table[(q1, q2)] = module.raise_terms(vals)
                 c = c1 * c2
                 for q, a in value.items():
@@ -325,28 +322,36 @@ def verify_morphism(cs1: CourantStructure, cs2: CourantStructure,
 # -- the deformation differential and cohomology -----------------------------------
 
 
-def _q_table(cs: CourantStructure) -> tuple[dict, int]:
+def _q_table(cs: CourantStructure) -> tuple[dict, int, bool]:
     """Q(v) = {Theta, v} on each generator v (keyed as in `rothstein.generators`)
-    with a nonzero value, as int numerators over one denominator: (table, d).
+    with a nonzero value, as int numerators over one denominator: (table, d,
+    keeps).  keeps says that every Q(v) has degree |v| + 1 and the internal
+    degree of v, so that by Leibniz Q maps each block (r, d) into (r + 1, d).
     Built on first use and kept on the immutable structure."""
     if cs._q is None:
-        cs._q = _hamiltonian(*_cleared(cs.theta.flat()), cs.connection, generators(cs.module))
+        module = cs.module
+        q, d = _hamiltonian(*_cleared_groups(cs.theta.flat()), cs.connection, generators(module))
+        keeps = all(2 * len(sym) + len(ext) == kind + 1
+                    and internal_degree_of_term(module, module.backend.unpack(e), sym, ext)
+                    == (1 if kind == 0 else -1 if kind == 2 else module.internal_degrees[i])
+                    for (kind, i), value in q.items() for (sym, ext), terms in value.items() for e in terms)
+        cs._q = (q, d, keeps)
     return cs._q
 
 
 def _apply_q(cs: CourantStructure, terms: dict, den: int) -> tuple[dict, int]:
-    """Q on a flat sum {(exp, sym, ext): int} of numerators over den, by
-    Leibniz: the image's numerators and its denominator, den times that of
-    the Q table (1 for an integral Theta on a flat connection)."""
-    q, d_q = _q_table(cs)
-    return _apply_derivation(q, terms, cs.module.backend.is_dual), d_q * den
+    """Q on a grouped sum {(sym, ext): {packed exponent: int}} of numerators
+    over den, by Leibniz: the image's numerators and its denominator, den
+    times that of the Q table (1 for an integral Theta on a flat connection)."""
+    q, d_q, _ = _q_table(cs)
+    return _apply_derivation(q, terms, cs.module.backend), d_q * den
 
 
 def deformation_differential(cs: CourantStructure, c):
     """delta = {Theta, .} on the connection side, [m, .] on the complex side."""
     if isinstance(c, RothElement):
         cs.theta._check(c)
-        return _to_roth(c.module, *_apply_q(cs, *_cleared(c.flat())))
+        return _to_roth(c.module, *_apply_q(cs, *_cleared_groups(c.flat())))
     if isinstance(c, Cochain):
         return cbracket(cs.cochain, c)
     raise TypeError("expected a graded element")
@@ -368,10 +373,11 @@ def roth_internal_degrees(phi: RothElement) -> set[int]:
 
 
 def enumerate_chain_basis(module: MetricModule, r: int, d: int):
-    """Monomials of the degree-r bucket with internal degree d (a finite set)."""
+    """Monomials (exp, sym, ext) of the degree-r bucket with internal degree d
+    (a finite set), exp packed, sorted: packed keys sort as exponent tuples."""
     def exponents(sym, ext):
         need = d + len(sym) - sum(module.internal_degrees[a] for a in ext)
-        return exponents_of_degree(module.backend, need)
+        return packed_exponents_of_degree(module.backend, need)
 
     return sorted(graded_monomials(module, r, exponents))
 
@@ -399,27 +405,42 @@ def _require_degree_zero_generator(cs: CourantStructure) -> None:
 
 
 def _image_in_block(cs: CourantStructure, terms: dict, den: int, r: int, d: int) -> tuple[dict, int]:
-    """Q(terms) as `_apply_q` returns it, each of whose keys must lie in block (r, d)."""
+    """Q(terms) as `_apply_q` returns it, for terms in block (r - 1, d); each
+    monomial of the image must lie in block (r, d), which it does when Q
+    keeps the blocks (`_q_table`)."""
     module = cs.module
     image, den = _apply_q(cs, terms, den)
-    for key in image:
-        exp, sym, ext = key
-        if 2 * len(sym) + len(ext) != r or internal_degree_of_term(module, exp, sym, ext) != d:
-            raise ModuleError("differential leaves the internal-degree block: %s" % (key,))
+    if not _q_table(cs)[2]:
+        for (sym, ext), group in image.items():
+            for e in group:
+                if (2 * len(sym) + len(ext) != r
+                        or internal_degree_of_term(module, module.backend.unpack(e), sym, ext) != d):
+                    raise _block_error(module, e, sym, ext)
     return image, den
 
 
+def _block_error(module: MetricModule, e: int, sym, ext) -> ModuleError:
+    return ModuleError("differential leaves the internal-degree block: %s"
+                       % ((module.backend.unpack(e), sym, ext),))
+
+
 def delta_block(cs: CourantStructure, r: int, d: int) -> GradedComplexBlock:
-    """The exact matrix of the differential from block (r, d) into (r+1, d)."""
+    """The exact matrix of the differential from block (r, d) into (r+1, d);
+    the bases are the packed monomials of `enumerate_chain_basis`."""
     _require_degree_zero_generator(cs)
     module = cs.module
     src = enumerate_chain_basis(module, r, d)
     dst = enumerate_chain_basis(module, r + 1, d)
     index = {key: i for i, key in enumerate(dst)}
     matrix = [{} for _ in dst]
-    for col, mono in enumerate(src):
-        for key, v in _divided(*_image_in_block(cs, {mono: 1}, 1, r + 1, d)).items():
-            matrix[index[key]][col] = Fraction(v)
+    for col, (exp, sym, ext) in enumerate(src):
+        image, den = _apply_q(cs, {(sym, ext): {exp: 1}}, 1)
+        for (isym, iext), group in image.items():
+            for e, v in _divided(group, den).items():
+                row = index.get((e, isym, iext))
+                if row is None:  # dst is all of block (r + 1, d)
+                    raise _block_error(module, e, isym, iext)
+                matrix[row][col] = Fraction(v)
     return GradedComplexBlock(r, d, src, dst, matrix)
 
 
@@ -453,8 +474,8 @@ def cohomology_dims(cs: CourantStructure, r_range, d_range) -> dict:
 def delta_squared_is_zero(cs: CourantStructure, r: int, d: int) -> bool:
     """Q(Q(x)) = 0 for every basis monomial x of block (r, d); no block is built."""
     _require_degree_zero_generator(cs)
-    for mono in enumerate_chain_basis(cs.module, r, d):
-        image, den = _image_in_block(cs, {mono: 1}, 1, r + 1, d)
+    for exp, sym, ext in enumerate_chain_basis(cs.module, r, d):
+        image, den = _image_in_block(cs, {(sym, ext): {exp: 1}}, 1, r + 1, d)
         if _image_in_block(cs, image, den, r + 2, d)[0]:
             return False
     return True

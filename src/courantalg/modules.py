@@ -6,11 +6,17 @@ import itertools
 from fractions import Fraction
 
 from .linalg import poly_det, poly_matrix_inverse
-from .poly import Backend, Derivation, Poly, _cleared, _divided, _mul_add, num_der_generators
-
-
-class ModuleError(ValueError):
-    pass
+from .poly import (
+    Backend,
+    Derivation,
+    ModuleError,
+    Poly,
+    _as_poly,
+    _cleared,
+    _mul_add,
+    _packed,
+    num_der_generators,
+)
 
 
 class MetricModule:
@@ -90,12 +96,13 @@ class MetricModule:
     def numerators(self) -> tuple[list, int, list, int]:
         """(gram, G, inv, H), built on first use: gram[a][b] is G <e_a, e_b> and
         inv[a][b] is H times the (a, b) inverse-gram entry, each an int
-        numerator sum {exp: int}, with G and H the least common denominators."""
+        numerator sum {packed exponent: int}, with G and H the least common
+        denominators."""
         if self._numerators is None:
             out = []
             for matrix in (self.gram, self.gram_inv):
                 flat, d = _cleared({(a, b, e): c for a, row in enumerate(matrix)
-                                    for b, v in enumerate(row) for e, c in v.terms.items()})
+                                    for b, v in enumerate(row) for e, c in _packed(v).items()})
                 grouped = [[{} for _ in matrix] for _ in matrix]
                 for (a, b, e), c in flat.items():
                     grouped[a][b][e] = c
@@ -110,32 +117,32 @@ class MetricModule:
 
     def raise_form(self, values: list[Poly]) -> "ModuleElement":
         """The element v with <v, e_b> = values[b] for every basis index b."""
-        flat, d = _cleared({(b, e): c for b, v in enumerate(values) for e, c in v.terms.items()})
+        flat, d = _cleared({(b, e): c for b, v in enumerate(values) for e, c in _packed(v).items()})
         vals: dict = {}
         for (b, e), c in flat.items():
             vals.setdefault(b, {})[e] = c
         return self.element_of_terms(self.raise_terms(vals), d * self.numerators()[3])
 
     def raise_terms(self, vals: dict) -> dict:
-        """The Q-terms {(exp, a): int} of the element v with <v, e_b> = vals[b],
-        for numerator sums vals[b] over d: over d * H."""
+        """The Q-terms {(packed exponent, a): int} of the element v with <v, e_b>
+        = vals[b], for numerator sums vals[b] over d: over d * H."""
         inv = self.numerators()[2]
         out = {}
         for a in range(self.rank):
             coeff: dict = {}
             for b, v in vals.items():
                 if inv[a][b]:
-                    _mul_add(coeff, v, inv[a][b], self.backend.is_dual)
+                    _mul_add(coeff, v, inv[a][b], self.backend)
             for e, c in coeff.items():
                 out[e, a] = c
         return out
 
     def element_of_terms(self, terms: dict, den: int) -> "ModuleElement":
-        """The element with Q-terms {(exp, a): int} over den."""
+        """The element with Q-terms {(packed exponent, a): int} over den."""
         coeffs: list = [{} for _ in range(self.rank)]
         for (e, a), c in terms.items():
             coeffs[a][e] = c
-        return ModuleElement(self, [Poly(self.backend, _divided(v, den)) for v in coeffs])
+        return ModuleElement(self, [_as_poly(self.backend, v, den) for v in coeffs])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MetricModule):

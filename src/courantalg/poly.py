@@ -3,6 +3,20 @@
 Two coefficient algebras are supported: the free polynomial algebra
 Q[x_1..x_n] and the dual numbers Q[eps]/(eps^2).  Everything downstream
 (modules, brackets, cohomology) is built on the types in this module.
+
+`Poly` keys its terms by exponent tuples; that is the boundary type.  The
+int-numerator layer below it (`rothstein`'s kernel, the cochain towers of
+`cmaps`, `MetricModule.numerators`) keys a monomial by one packed int
+instead (Monagan and Pearce, ISSAC 2007).  Variable x_j owns the
+FIELD_BITS-bit field at shift FIELD_BITS * (nvars - 1 - j), so x_1 is the
+most significant and packed keys order as exponent tuples do.  The top bit
+of each field is a guard: an exponent is at most EXPONENT_LIMIT =
+2^(FIELD_BITS - 1) - 1, a product of two monomials is one int add, and a
+sum that sets a guard bit has overflowed its field and is refused with a
+ModuleError.  Over the dual numbers the guard is the key 2 of eps^2, so
+eps^2 = 0 is the same test, and such a product is dropped.  Values are
+packed where they enter the layer (`Backend.pack`, `_packed`) and unpacked
+where they leave it (`_as_poly`); both directions are memoized per backend.
 """
 
 from __future__ import annotations
@@ -15,15 +29,25 @@ from typing import Iterable, Iterator
 QZERO = Fraction(0)
 QONE = Fraction(1)
 
+FIELD_BITS = 16  # bits per variable in a packed monomial, the top one a guard
+EXPONENT_LIMIT = (1 << (FIELD_BITS - 1)) - 1  # the largest exponent a field holds
+FIELD_MASK = (1 << FIELD_BITS) - 1
+EPS_SQUARED = 2  # the packed key of eps^2 over the dual numbers
+PACK_MEMO_LIMIT = 1 << 16  # exponent vectors remembered per backend, each way
+
 
 class BackendError(ValueError):
     """Raised on operations mixing distinct coefficient algebras."""
 
 
+class ModuleError(ValueError):
+    """Raised on inconsistent module data, and on an exponent past EXPONENT_LIMIT."""
+
+
 class Backend:
     """A coefficient algebra: FreePoly(n) = Q[x_1..x_n] or DualNum = Q[eps]/(eps^2)."""
 
-    __slots__ = ("kind", "names", "nvars", "_hash")
+    __slots__ = ("kind", "names", "nvars", "is_dual", "shifts", "guard", "_hash", "_packs", "_unpacks")
 
     FREE = "free"
     DUAL = "dual"
@@ -36,7 +60,13 @@ class Backend:
         self.kind = kind
         self.names = tuple(names)
         self.nvars = len(names)
+        self.is_dual = kind == Backend.DUAL
+        # the packed layout of the module docstring: a field per variable, x_1 on top
+        self.shifts = tuple(FIELD_BITS * (self.nvars - 1 - j) for j in range(self.nvars))
+        self.guard = EPS_SQUARED if self.is_dual else sum(1 << (s + FIELD_BITS - 1) for s in self.shifts)
         self._hash = hash((kind, self.names))
+        self._packs: dict = {}  # exponent tuple -> packed key
+        self._unpacks: dict = {}  # packed key -> exponent tuple
 
     @staticmethod
     def free(n: int, names: Iterable[str] | None = None) -> "Backend":
@@ -51,9 +81,34 @@ class Backend:
     def dual(name: str = "eps") -> "Backend":
         return Backend(Backend.DUAL, (name,))
 
-    @property
-    def is_dual(self) -> bool:
-        return self.kind == Backend.DUAL
+    def pack(self, exp: tuple[int, ...]) -> int:
+        """The packed key of an exponent tuple; refuses an exponent past EXPONENT_LIMIT."""
+        k = self._packs.get(exp)
+        if k is None:
+            if len(exp) != self.nvars:
+                raise ValueError("exponent arity mismatch")
+            k = 0
+            for j, (e, s) in enumerate(zip(exp, self.shifts)):
+                if not 0 <= e <= EXPONENT_LIMIT:
+                    raise _field_error(self, j, e)
+                k |= e << s
+            self._remember(exp, k)
+        return k
+
+    def unpack(self, k: int) -> tuple[int, ...]:
+        """The exponent tuple of a packed key."""
+        exp = self._unpacks.get(k)
+        if exp is None:
+            exp = tuple([k >> s & FIELD_MASK for s in self.shifts])
+            self._remember(exp, k)
+        return exp
+
+    def _remember(self, exp: tuple[int, ...], k: int):
+        if len(self._unpacks) >= PACK_MEMO_LIMIT:
+            self._packs.clear()
+            self._unpacks.clear()
+        self._packs[exp] = k
+        self._unpacks[k] = exp
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -93,6 +148,15 @@ def _cleared(flat: dict) -> tuple[dict, int]:
     return {k: c.numerator * (d // c.denominator) for k, c in flat.items()}, d
 
 
+def _cleared_groups(groups: dict) -> tuple[dict, int]:
+    """`_cleared` for grouped sums {group: {key: c}}, over one denominator for all groups."""
+    dens = [c.denominator for g in groups.values() for c in g.values() if type(c) is not int]
+    if not dens:
+        return groups, 1
+    d = lcm(*dens)
+    return {k: {e: c.numerator * (d // c.denominator) for e, c in g.items()} for k, g in groups.items()}, d
+
+
 def _quotient(c: int, d: int):
     """c / d as an int when the division is exact, else as a Fraction."""
     q, r = divmod(c, d)
@@ -115,16 +179,35 @@ def _axpy(out: dict, v: dict, f: int = 1) -> dict:
     return out
 
 
-def _mul_add(out: dict, a: dict, b: dict, dual: bool, f: int = 1) -> dict:
-    """out += f a b; eps^2 = 0 over the dual numbers.  Returns out."""
+def _field_error(backend: Backend, j: int, e: int) -> ModuleError:
+    return ModuleError("exponent %d of %s is outside the packed field limit 0..%d (EXPONENT_LIMIT)"
+                       % (e, backend.names[j], EXPONENT_LIMIT))
+
+
+def _overflow(backend: Backend, k: int) -> ModuleError:
+    """The error for a product key k that set a guard bit: names the first full field."""
+    for j, s in enumerate(backend.shifts):
+        if k >> s & FIELD_MASK > EXPONENT_LIMIT:
+            return _field_error(backend, j, k >> s & FIELD_MASK)
+    raise AssertionError("no guard bit is set")
+
+
+def _mul_add(out: dict, a: dict, b: dict, backend: Backend, f: int = 1) -> dict:
+    """out += f a b for packed sums: a monomial product is one add.  A product
+    that sets a guard bit is eps^2 over the dual numbers, dropped, and an
+    exponent overflow otherwise, refused.  Returns out."""
+    guard = backend.guard
+    get = out.get
     for e1, c1 in a.items():
         if f != 1:
             c1 *= f
         for e2, c2 in b.items():
-            e = tuple(map(int.__add__, e1, e2))
-            if dual and e[0] > 1:
-                continue
-            s = out.get(e, 0) + c1 * c2
+            e = e1 + e2
+            if e & guard:
+                if backend.is_dual:
+                    continue
+                raise _overflow(backend, e)
+            s = get(e, 0) + c1 * c2
             if s:
                 out[e] = s
             else:
@@ -132,9 +215,72 @@ def _mul_add(out: dict, a: dict, b: dict, dual: bool, f: int = 1) -> dict:
     return out
 
 
-def _partial(a: dict, j: int) -> dict:
-    """The derivative along the j-th Der generator, which differentiates in x_j."""
-    return {e[:j] + (e[j] - 1,) + e[j + 1:]: c * e[j] for e, c in a.items() if e[j]}
+def _partial(a: dict, shift: int) -> dict:
+    """The derivative of a packed sum in the variable whose field is at shift
+    (the j-th Der generator differentiates in x_j, at `Backend.shifts[j]`)."""
+    one = 1 << shift
+    return {e - one: c * n for e, c in a.items() if (n := e >> shift & FIELD_MASK)}
+
+
+def _variables(backend: Backend, a: dict) -> list[int]:
+    """The indices j of the variables that occur in the packed sum a."""
+    seen = 0
+    for e in a:
+        seen |= e
+    return [j for j, s in enumerate(backend.shifts) if seen >> s & FIELD_MASK]
+
+
+def _packed(p: "Poly") -> dict:
+    """The terms of p as a packed sum {key: coefficient}, integral values maybe
+    ints; built once per Poly and shared, so not to be changed."""
+    out = p._keys
+    if out is None:
+        backend = p.backend
+        get = backend._packs.get
+        out = {}
+        for exp, c in p.terms.items():
+            k = get(exp)
+            out[backend.pack(exp) if k is None else k] = c
+        p._keys = out
+    return out
+
+
+def _as_poly(backend: Backend, flat: dict, d: int = 1) -> "Poly":
+    """The packed sum of numerators over d as a Poly, each coefficient divided
+    once.  Over d = 1 the Poly keeps flat as its packed terms, so flat is not
+    to be changed afterwards."""
+    get = backend._unpacks.get
+    terms = {}
+    for k, c in flat.items():
+        exp = get(k)
+        terms[backend.unpack(k) if exp is None else exp] = (
+            c if d == 1 and type(c) is Fraction else Fraction(c, d))
+    return Poly._raw(backend, terms, flat if d == 1 else None)
+
+
+def packed_exponents_of_degree(backend: Backend, total: int) -> list[int]:
+    """The packed monomials of one total degree, in the product order of their
+    exponent tuples; eps^2 = 0 over DualNum.
+
+    Each composition is cut from 0..total at nvars - 1 non-decreasing points,
+    and the cuts come in lexicographic order, which is that of the
+    compositions; each exponent, a difference of consecutive cuts, goes
+    straight into its field.
+    """
+    if total < 0 or (backend.is_dual and total > 1):
+        return []
+    if not backend.nvars:
+        return [] if total else [0]
+    if total > EXPONENT_LIMIT:
+        raise _field_error(backend, 0, total)
+    out = []
+    for cuts in itertools.combinations_with_replacement(range(total + 1), backend.nvars - 1):
+        k = prev = 0
+        for c, s in zip(cuts + (total,), backend.shifts):
+            k |= (c - prev) << s
+            prev = c
+        out.append(k)
+    return out
 
 
 def _grlex_key(exp: tuple[int, ...]):
@@ -145,10 +291,12 @@ class Poly:
     """Sparse polynomial: map from exponent tuples to nonzero Fractions.
 
     Immutable.  Over the dual-number backend the relation eps^2 = 0 is
-    applied on every product, so exponents stay in {0, 1}.
+    applied on every product, so exponents stay in {0, 1}.  Products and
+    partials run on packed keys (module docstring); `terms` stays keyed by
+    tuples.
     """
 
-    __slots__ = ("backend", "terms", "_hash")
+    __slots__ = ("backend", "terms", "_hash", "_keys")
 
     def __init__(self, backend: Backend, terms: dict[tuple[int, ...], Fraction]):
         clean = {}
@@ -163,14 +311,17 @@ class Poly:
         self.backend = backend
         self.terms = clean
         self._hash = None
+        self._keys = None
 
     @classmethod
-    def _raw(cls, backend: Backend, terms: dict[tuple[int, ...], Fraction]) -> "Poly":
-        """Internal constructor for already-normalized sparse data."""
+    def _raw(cls, backend: Backend, terms: dict[tuple[int, ...], Fraction], keys=None) -> "Poly":
+        """Internal constructor for already-normalized sparse data; keys, when
+        given, is the same sum on packed keys (values may be ints)."""
         self = object.__new__(cls)
         self.backend = backend
         self.terms = terms
         self._hash = None
+        self._keys = keys
         return self
 
     # -- constructors ------------------------------------------------
@@ -264,7 +415,7 @@ class Poly:
             return self
         if not other.terms:
             return other
-        return Poly._raw(self.backend, _mul_add({}, self.terms, other.terms, self.backend.is_dual))
+        return _as_poly(self.backend, _mul_add({}, _packed(self), _packed(other), self.backend))
 
     __rmul__ = __mul__
 
@@ -277,7 +428,9 @@ class Poly:
 
     def partial(self, i: int) -> "Poly":
         """Formal partial derivative with respect to the i-th variable."""
-        return Poly._raw(self.backend, _partial(self.terms, i))
+        if not self.terms:
+            return self
+        return _as_poly(self.backend, _partial(_packed(self), self.backend.shifts[i]))
 
     # -- comparison / hashing ----------------------------------------
 
@@ -459,21 +612,8 @@ def der_partials(a: Poly) -> list[tuple[int, Poly]]:
 
 
 def exponents_of_degree(backend: Backend, total: int) -> Iterator[tuple[int, ...]]:
-    """Exponent tuples of one total degree, in product order; eps^2 = 0 over DualNum.
-
-    Each composition is cut from 0..total at nvars - 1 non-decreasing points,
-    and the cuts come in lexicographic order, which is that of the
-    compositions.
-    """
-    n = backend.nvars
-    if total < 0 or (backend.is_dual and total > 1):
-        return
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    for cuts in itertools.combinations_with_replacement(range(total + 1), n - 1):
-        yield tuple(map(int.__sub__, cuts + (total,), (0,) + cuts))
+    """Exponent tuples of one total degree, in product order; eps^2 = 0 over DualNum."""
+    return map(backend.unpack, packed_exponents_of_degree(backend, total))
 
 
 class MultiDerivation:

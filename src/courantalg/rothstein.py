@@ -16,19 +16,25 @@ with the generator table
 
 up to graded antisymmetry, and 0 on the other pairs; it depends on a metric
 connection through nabla and the curvature bivector r.  One kernel does all
-of this on flat sums {(exp, sym, ext): coefficient}: `_hamiltonian` builds
-Q_a, `_apply_derivation` applies it by Leibniz, and both multiply through
-`_mul_into`, as does the wedge product.  `roth_bracket`, the deformation
-differential of `deform` and the tower walk of `symbol_map.apply_J` are this
-kernel.
+of this on grouped sums {(sym, ext): {packed exponent: coefficient}}:
+`_hamiltonian` builds Q_a, `_apply_derivation` applies it by Leibniz, and
+both multiply through `_mul_into`, as does the wedge product.
+`roth_bracket`, the deformation differential of `deform` and the tower walk
+of `symbol_map.apply_J` are this kernel.
 
-The kernel is fraction-free.  A flat sum inside it holds int numerators
-over one positive denominator that travels beside it: `_cleared` clears an
-element's denominators on entry, the generator table of a connection is
-kept as ints over the connection's own denominator d (built once, on first
-use), so Q_a on a sum over d_a is a sum over d_a * d, and a Leibniz
-product multiplies the denominators.  Each coefficient is divided once, when
-the result leaves the kernel (`_to_roth`, `_divided`).
+The kernel is fraction-free.  A grouped sum inside it holds int numerators
+over one positive denominator that travels beside it: `_cleared_groups`
+clears an element's denominators on entry, the generator table of a
+connection is kept as ints over the connection's own denominator d (built
+once, on first use), so Q_a on a sum over d_a is a sum over d_a * d, and a
+Leibniz product multiplies the denominators.  Each coefficient is divided
+once, when the result leaves the kernel (`_to_roth`).
+
+Monomials are packed ints (see `poly`): `RothElement.flat` packs an
+element's exponent tuples on entry and `_to_roth` unpacks on exit, so inside
+the kernel a monomial product is one int add and a derivative in x_j a
+shift, a mask and a subtraction.  `_mul_into` multiplies group by group, so
+its inner loop is `poly._mul_add`, the one product routine of both algebras.
 """
 
 from __future__ import annotations
@@ -46,7 +52,19 @@ from .modules import (
     inner,
     raise_exterior,
 )
-from .poly import Backend, Derivation, Poly, _cleared, _divided, num_der_generators
+from .poly import (
+    Backend,
+    Derivation,
+    Poly,
+    _as_poly,
+    _cleared,
+    _cleared_groups,
+    _mul_add,
+    _packed,
+    _partial,
+    _variables,
+    num_der_generators,
+)
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]  # (sym multiset, ext tuple)
 
@@ -67,49 +85,44 @@ def _merge_ext(ext1: tuple[int, ...], ext2: tuple[int, ...]):
     return sign, tuple(merged)
 
 
-def _mul_into(out: dict, lefts, right, dual: bool):
-    """out += (sum of lefts) * right for grouped monomials (sym, ext, [(exp, int)]).
+def _eps_free(terms: dict) -> dict:
+    """The part of a packed sum over the dual numbers without eps."""
+    c = terms.get(0)
+    return {0: c} if c else {}
 
-    The one product step: merge the exterior parts with their sign, add the
-    exponents, and over the dual numbers drop a term with eps^2 or with eps
-    and a Der factor (the reduction RothElement applies).  Numerators only:
-    the product's denominator is the product of the factors' denominators.
+
+def _mul_into(out: dict, lefts: dict, right, backend: Backend, f: int = 1):
+    """out += f (sum of the groups lefts) * right, right one group (sym, ext, terms).
+
+    The one product step: merge the exterior parts with their sign and
+    multiply the two packed sums into the group of the merged key.  Over the
+    dual numbers a term with eps and a Der factor dies (the reduction
+    RothElement applies), so a product with a Der factor multiplies only the
+    eps-free parts.  Numerators only: the product's denominator is the
+    product of the factors' denominators.  A group of out may end empty.
     """
     sym2, ext2, terms2 = right
-    for sym1, ext1, terms1 in lefts:
+    for (sym1, ext1), terms1 in lefts.items():
         merged = _merge_ext(ext1, ext2)
         if merged is None:
             continue
         sign, ext = merged
         sym = tuple(sorted(sym1 + sym2)) if sym1 and sym2 else sym1 or sym2
-        for exp1, c1 in terms1:
-            for exp2, c2 in terms2:
-                exp = tuple(map(int.__add__, exp1, exp2))
-                if dual and exp[0] and (exp[0] > 1 or sym):
-                    continue
-                key = (exp, sym, ext)
-                s = out.get(key, 0)
-                s = s + c1 * c2 if sign > 0 else s - c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+        if sym and backend.is_dual:
+            _mul_add(out.setdefault((sym, ext), {}), _eps_free(terms1), _eps_free(terms2), backend, sign * f)
+        else:
+            _mul_add(out.setdefault((sym, ext), {}), terms1, terms2, backend, sign * f)
 
 
-def _grouped(flat: dict) -> list:
-    """A flat sum {(exp, sym, ext): coefficient} as grouped monomials."""
-    groups: dict = {}
-    for (exp, sym, ext), c in flat.items():
-        groups.setdefault((sym, ext), []).append((exp, c))
-    return [(sym, ext, terms) for (sym, ext), terms in groups.items()]
+def _pruned(groups: dict) -> dict:
+    """A grouped sum without its empty groups."""
+    return groups if all(groups.values()) else {key: terms for key, terms in groups.items() if terms}
 
 
-def _to_roth(module: MetricModule, flat: dict, d: int) -> "RothElement":
-    """The flat sum of numerators over d as an element, each coefficient divided once."""
-    groups: dict = {}
-    for (exp, sym, ext), c in _divided(flat, d).items():
-        groups.setdefault((sym, ext), {})[exp] = c
-    return RothElement(module, {key: Poly(module.backend, terms) for key, terms in groups.items()})
+def _to_roth(module: MetricModule, groups: dict, d: int) -> "RothElement":
+    """The grouped sum of numerators over d as an element, each coefficient divided once."""
+    backend = module.backend
+    return RothElement(module, {key: _as_poly(backend, terms, d) for key, terms in groups.items() if terms})
 
 
 class RothElement:
@@ -225,19 +238,19 @@ class RothElement:
         return RothElement(self.module, {k: a * c for k, c in self.terms.items()})
 
     def flat(self) -> dict:
-        """The terms as a flat sum {(exp, sym, ext): coefficient}, integral ones as ints."""
-        return {(exp, sym, ext): c.numerator if c.denominator == 1 else c
-                for (sym, ext), poly in self.terms.items() for exp, c in poly.terms.items()}
+        """The terms as a grouped sum {(sym, ext): {packed exponent: coefficient}},
+        integral coefficients as ints: the form in which they enter the kernel."""
+        return {key: {e: c.numerator if c.denominator == 1 else c for e, c in _packed(poly).items()}
+                for key, poly in self.terms.items()}
 
     def wedge(self, other: "RothElement") -> "RothElement":
         self._check(other)
-        dual = self.module.backend.is_dual
+        backend = self.module.backend
         out: dict = {}
-        lefts, d1 = _cleared(self.flat())
-        rights, d2 = _cleared(other.flat())
-        lefts = _grouped(lefts)
-        for right in _grouped(rights):
-            _mul_into(out, lefts, right, dual)
+        lefts, d1 = _cleared_groups(self.flat())
+        rights, d2 = _cleared_groups(other.flat())
+        for (sym, ext), terms in rights.items():
+            _mul_into(out, lefts, (sym, ext, terms), backend)
         return _to_roth(self.module, out, d1 * d2)
 
     def __eq__(self, other) -> bool:
@@ -264,8 +277,8 @@ def graded_monomials(module: MetricModule, degree: int, exponents):
     """(exp, sym, ext) spanning the degree bucket, in (p, sym, ext, exp) order.
 
     Each key of p Der factors and degree - 2p module factors is paired with
-    the exponent tuples exponents(sym, ext) offers; over the dual numbers eps
-    times a Der factor dies.
+    the packed exponents exponents(sym, ext) offers; over the dual numbers
+    eps times a Der factor dies.
     """
     backend = module.backend
     ngen = num_der_generators(backend)
@@ -273,28 +286,40 @@ def graded_monomials(module: MetricModule, degree: int, exponents):
         for sym in itertools.combinations_with_replacement(range(ngen), p):
             for ext in itertools.combinations(range(module.rank), degree - 2 * p):
                 for exp in exponents(sym, ext):
-                    if not (backend.is_dual and sym and exp[0]):
+                    if not (backend.is_dual and sym and exp):
                         yield exp, sym, ext
 
 
 # -- the Poisson bracket -------------------------------------------------
 
 
-def _partials(exp, sym, ext, right: bool):
-    """(generator, factor, exp, sym, ext) for the derivatives of the unit
-    monomial x^exp sym ext by its generators, from the right or the left.
+def _partials(sym, ext, terms: dict, right: bool, backend: Backend) -> list:
+    """(generator, factor, sym, ext, terms) for the derivatives of the group
+    sum_e c_e x^e sym ext by its generators, from the right or the left: the
+    derivative is factor times the group (sym, ext, terms).
 
     Only the exterior factors are odd: moving the one at position m of k to
-    the right end costs (-1)^(k-1-m), to the left end (-1)^m.
+    the right end costs (-1)^(k-1-m), to the left end (-1)^m.  A derivative
+    in a Der generator or a basis element shares the terms of the group.
     """
-    out = [((0, j), e, exp[:j] + (e - 1,) + exp[j + 1:], sym, ext) for j, e in enumerate(exp) if e]
+    out = [((0, j), 1, sym, ext, _partial(terms, backend.shifts[j])) for j in _variables(backend, terms)]
     for m, i in enumerate(sym):
         if m == 0 or sym[m - 1] != i:
-            out.append(((2, i), sym.count(i), exp, sym[:m] + sym[m + 1:], ext))
+            out.append(((2, i), sym.count(i), sym[:m] + sym[m + 1:], ext, terms))
     shift = len(ext) - 1 if right else 0
     for m, a in enumerate(ext):
-        out.append(((1, a), -1 if (shift + m) % 2 else 1, exp, sym, ext[:m] + ext[m + 1:]))
+        out.append(((1, a), -1 if (shift + m) % 2 else 1, sym, ext[:m] + ext[m + 1:], terms))
     return out
+
+
+def _generators_of(groups: dict, backend: Backend) -> list[tuple[int, int]]:
+    """The generators with a nonzero partial of the grouped sum, sorted."""
+    out = set()
+    for (sym, ext), terms in groups.items():
+        out.update((0, j) for j in _variables(backend, terms))
+        out.update((2, i) for i in sym)
+        out.update((1, a) for a in ext)
+    return sorted(out)
 
 
 def generators(module: MetricModule) -> list[tuple[int, int]]:
@@ -303,29 +328,38 @@ def generators(module: MetricModule) -> list[tuple[int, int]]:
     return [(d, i) for d, n in enumerate(counts) for i in range(n)]
 
 
-def _generator_table(conn: Connection) -> tuple[dict, int, bool]:
+def _table_rows(rows: dict, found: list, d: int):
+    """Add the brackets found, [(u, v, [(ext, Poly)])], to rows as numerators over d."""
+    for u, v, entries in found:
+        entries = [((), ext, {e: a.numerator * (d // a.denominator) for e, a in _packed(c).items()})
+                   for ext, c in entries if c.terms]
+        if entries:
+            rows.setdefault(v, {})[u] = entries
+
+
+def _denominator(found: list) -> int:
+    """The lcm of the denominators of the brackets found."""
+    return lcm(*[a.denominator for _, _, entries in found for _, c in entries for a in c.terms.values()])
+
+
+def _generator_table(conn: Connection) -> list:
     """The brackets {u, v} of the generators (module docstring) over one denominator.
 
     Generators are (degree, index): (0, j) is the variable x_j, (1, a) the
-    basis element e_a and (2, i) the Der generator D_i.  Returns (rows, d,
-    has_dd): rows[v][u] is d {u, v} as grouped monomials ((), ext, [(exp,
-    int)]) on the pairs with a nonzero value, d is the lcm of the
-    denominators of the gram, Christoffel, curvature and {x_j, D_i} entries,
-    and has_dd says whether the D-D pairs are in the table.  They are not
-    when the connection is not metric: it has no curvature bivector, and
-    `_hamiltonian` raises where it would read one.  Built once per
-    connection, on first use, and kept in its `_generators` slot.
+    basis element e_a and (2, i) the Der generator D_i.  Returns [rows, d,
+    has_dd]: rows[v][u] is d {u, v} as groups ((), ext, {packed exponent:
+    int}) on the pairs with a nonzero value, d is the lcm of the
+    denominators of the entries, and has_dd says whether the D-D pairs are
+    in the table.  They are added by `_add_dd_rows` on the first read of
+    one, because only they need the curvature bivector, and so a metric
+    connection.  Built once per connection, on first use, and kept in its
+    `_generators` slot.
     """
     module = conn.module
     backend = module.backend
-    ngen = num_der_generators(backend)
-    try:
-        cur = curvature(conn) if ngen else None
-    except ModuleError:  # not metric: `curvature` raises again where a D-D entry is read
-        cur = None
     found = [((1, a), (1, b), [((), module.gram[a][b])])
              for a in range(module.rank) for b in range(module.rank)]  # (u, v, [(ext, Poly)])
-    for i in range(ngen):
+    for i in range(num_der_generators(backend)):
         for j in range(backend.nvars):
             # {x_j, D_i} = D_i(x_j) = -{D_i, x_j}
             c = Derivation.basis(backend, i)(Poly.var(backend, j))
@@ -335,42 +369,51 @@ def _generator_table(conn: Connection) -> tuple[dict, int, bool]:
             nonzero = [(b, c) for b, c in enumerate(image.coeffs) if c.terms]
             found += [((1, a), (2, i), [((b,), c) for b, c in nonzero]),
                       ((2, i), (1, a), [((b,), -c) for b, c in nonzero])]
-        if cur is not None:
-            found += [((2, i), (2, j), [(ab, -c) for ab, c in cur.pair(i, j).items()])
-                      for j in range(ngen)]
-    found = [(u, v, [(ext, c) for ext, c in entries if c.terms]) for u, v, entries in found]
-    d = lcm(*[a.denominator for _, _, entries in found for _, c in entries for a in c.terms.values()])
+    d = _denominator(found)
     rows: dict = {}
-    for u, v, entries in found:
-        if entries:
-            rows.setdefault(v, {})[u] = [
-                ((), ext, [(exp, a.numerator * (d // a.denominator)) for exp, a in c.terms.items()])
-                for ext, c in entries]
-    return rows, d, cur is not None
+    _table_rows(rows, found, d)
+    return [rows, d, False]
+
+
+def _add_dd_rows(table: list, conn: Connection):
+    """Put the D-D pairs {D_i, D_j} = -r(D_i, D_j) into the table, all rows
+    over the lcm of both denominators.  Raises ModuleError, through
+    `curvature`, when the connection is not metric."""
+    cur = curvature(conn)
+    ngen = num_der_generators(conn.module.backend)
+    found = [((2, i), (2, j), [(ab, -c) for ab, c in cur.pair(i, j).items()])
+             for i in range(ngen) for j in range(ngen)]
+    rows, d = table[0], table[1]
+    both = lcm(d, _denominator(found))
+    if both != d:
+        f = both // d
+        for row in rows.values():
+            for u, entries in row.items():
+                row[u] = [(sym, ext, {e: f * c for e, c in terms.items()}) for sym, ext, terms in entries]
+    _table_rows(rows, found, both)
+    table[1], table[2] = both, True
 
 
 def _hamiltonian(a: dict, d: int, conn: Connection, vs) -> tuple[dict, int]:
     """Q_a(v) = {a, v} = sum_u (a d<-/du) {u, v} on each generator v of vs.
 
-    a is a flat sum {(exp, sym, ext): int} of numerators over d; its right
-    partials are contracted with the connection's generator table, each
-    entry read once per pair (u, v).  Returns ({v: grouped monomials}, d *
-    d_conn): the values on the v with a nonzero value, in the order of vs,
-    as int numerators over the denominator of a times that of the table.
+    a is a grouped sum of numerators over d; its right partials are
+    contracted with the connection's generator table, each entry read once
+    per pair (u, v).  Returns ({v: grouped sum}, d * d_conn): the values on
+    the v with a nonzero value, in the order of vs, as int numerators over
+    the denominator of a times that of the table.
     """
     table = conn._generators
     if table is None:
         table = conn._generators = _generator_table(conn)
-    rows, d_conn, has_dd = table
-    partials: dict = {}  # u -> {(sym, ext): [(exp, coefficient)]} of a d<-/du
-    for key, c in a.items():
-        for u, k, exp, sym, ext in _partials(*key, right=True):
-            partials.setdefault(u, {}).setdefault((sym, ext), []).append((exp, k * c))
-    partials = {u: [(sym, ext, terms) for (sym, ext), terms in groups.items()]
-                for u, groups in partials.items()}
-    if not has_dd and any(u[0] == 2 for u in partials) and any(v[0] == 2 for v in vs):
-        curvature(conn)  # a D-D entry is read: raises, the connection is not metric
-    dual = conn.module.backend.is_dual
+    backend = conn.module.backend
+    partials: dict = {}  # u -> {(sym, ext): terms} of a d<-/du
+    for (sym, ext), terms in a.items():
+        for u, k, psym, pext, part in _partials(sym, ext, terms, True, backend):
+            partials.setdefault(u, {})[psym, pext] = part if k == 1 else {e: k * c for e, c in part.items()}
+    if not table[2] and any(u[0] == 2 for u in partials) and any(v[0] == 2 for v in vs):
+        _add_dd_rows(table, conn)  # a D-D entry is read
+    rows, d_conn = table[0], table[1]
     q = {}
     for v in vs:
         row = rows.get(v)
@@ -379,22 +422,23 @@ def _hamiltonian(a: dict, d: int, conn: Connection, vs) -> tuple[dict, int]:
         out: dict = {}
         for u, lefts in partials.items():
             for entry in row.get(u, ()):
-                _mul_into(out, lefts, entry, dual)
+                _mul_into(out, lefts, entry, backend)
+        out = _pruned(out)
         if out:
-            q[v] = _grouped(out)
+            q[v] = out
     return q, d * d_conn
 
 
-def _apply_derivation(q: dict, terms: dict, dual: bool) -> dict:
+def _apply_derivation(q: dict, terms: dict, backend: Backend) -> dict:
     """The derivation with values q on generators (as `_hamiltonian` returns
-    them) on a flat sum, by Leibniz: Q(t) = sum_v Q(v) (d->/dv t).  Int
+    them) on a grouped sum, by Leibniz: Q(t) = sum_v Q(v) (d->/dv t).  Int
     numerators: the result is over the denominator of q times that of terms."""
     out: dict = {}
-    for key, c in terms.items():
-        for v, k, exp, sym, ext in _partials(*key, right=False):
+    for (sym, ext), group in terms.items():
+        for v, k, psym, pext, part in _partials(sym, ext, group, False, backend):
             if v in q:
-                _mul_into(out, q[v], (sym, ext, ((exp, c * k),)), dual)
-    return out
+                _mul_into(out, q[v], (psym, pext, part), backend, k)
+    return _pruned(out)
 
 
 def roth_bracket(a: RothElement, b: RothElement, conn: Connection) -> RothElement:
@@ -410,10 +454,10 @@ def roth_bracket(a: RothElement, b: RothElement, conn: Connection) -> RothElemen
     module = a.module
     if conn.module != module:
         raise ModuleError("connection lives on a different module")
-    terms, d_b = _cleared(b.flat())
-    needed = sorted({p[0] for key in terms for p in _partials(*key, right=False)})
-    q, d_q = _hamiltonian(*_cleared(a.flat()), conn, needed)
-    return _to_roth(module, _apply_derivation(q, terms, module.backend.is_dual), d_q * d_b)
+    backend = module.backend
+    terms, d_b = _cleared_groups(b.flat())
+    q, d_q = _hamiltonian(*_cleared_groups(a.flat()), conn, _generators_of(terms, backend))
+    return _to_roth(module, _apply_derivation(q, terms, backend), d_q * d_b)
 
 
 def nested_bracket_with_scalars(phi: RothElement, args, conn: Connection) -> RothElement:
@@ -449,18 +493,19 @@ class ConnectionChange:
         self.target = target
         self.t_table = table
         # t on the generators D_i, as int numerators over one denominator
-        nums, d = _cleared({(i, key): c for i, xi in enumerate(table)
-                            for key, c in RothElement.from_lambda2(module, xi).flat().items()})
+        nums, d = _cleared({(i, key, e): c for i, xi in enumerate(table)
+                            for key, terms in RothElement.from_lambda2(module, xi).flat().items()
+                            for e, c in terms.items()})
         values: dict = {}
-        for (i, key), c in nums.items():
-            values.setdefault((2, i), {})[key] = c
-        self._t = ({v: _grouped(flat) for v, flat in values.items()}, d)
+        for (i, key, e), c in nums.items():
+            values.setdefault((2, i), {}).setdefault(key, {})[e] = c
+        self._t = (values, d)
 
     def apply_t(self, phi: RothElement) -> RothElement:
         """One application of t, the derivation sending D_i to its Lambda^2 image."""
         q, d_t = self._t
-        terms, d = _cleared(phi.flat())
-        return _to_roth(self.module, _apply_derivation(q, terms, self.module.backend.is_dual), d_t * d)
+        terms, d = _cleared_groups(phi.flat())
+        return _to_roth(self.module, _apply_derivation(q, terms, self.module.backend), d_t * d)
 
     def exp_t(self, phi: RothElement) -> RothElement:
         """exp(t) phi; the series stops once the symmetric degree is exhausted."""

@@ -26,10 +26,15 @@ from math import lcm
 from . import linalg
 from .cmaps import Cochain, generator_slice
 from .modules import Connection, MetricModule, ModuleElement, ModuleError, inner, raise_exterior
-from .poly import Poly, exponents_of_degree, num_der_generators
+from .poly import (
+    Poly,
+    _cleared_groups,
+    exponents_of_degree,
+    num_der_generators,
+    packed_exponents_of_degree,
+)
 from .rothstein import (
     RothElement,
-    _cleared,
     _hamiltonian,
     graded_monomials,
     nested_bracket_with_scalars,
@@ -40,7 +45,8 @@ def apply_J(phi: RothElement, conn: Connection) -> Cochain:
     """Image of a homogeneous element, with its full tower, in one
     depth-first walk of the bracket prefix tree.
 
-    A node is a nested bracket of phi, kept as a flat sum.  Its children are
+    A node is a nested bracket of phi, kept as a grouped sum on packed
+    monomials, as the kernel keeps it.  Its children are
     its brackets with the next generators, all read off one Hamiltonian
     Q_node: the basis elements e_b, and, while no e_b has been taken yet and
     the degree is at least 2, the scalar generators x_j with j at least the
@@ -58,25 +64,24 @@ def apply_J(phi: RothElement, conn: Connection) -> Cochain:
     degree = phi.degree()
     ngen = num_der_generators(backend)  # over the dual numbers the one D pairs with eps = x_0
     basis = [(1, b) for b in range(module.rank)]
-    leaves = []  # ((gens, bargs), {exp: numerator}, denominator)
+    leaves = []  # ((gens, bargs), {packed exponent: numerator}, denominator)
 
     def walk(node: dict, d: int, gens: tuple, bargs: tuple):
         left = degree - 2 * len(gens) - len(bargs)
         if not left:
-            leaves.append(((gens, bargs), {exp: c for (exp, _, _), c in node.items()}, d))
+            leaves.append(((gens, bargs), node[(), ()], d))
             return
         nexts = basis
         if left >= 2 and not bargs:
             nexts = basis + [(0, j) for j in range(gens[-1] if gens else 0, ngen)]
         children, d_child = _hamiltonian(node, d, conn, nexts)
         for (kind, i), child in children.items():
-            flat = {(exp, sym, ext): c for sym, ext, terms in child for exp, c in terms}
             if kind:
-                walk(flat, d_child, gens, bargs + (i,))
+                walk(child, d_child, gens, bargs + (i,))
             else:
-                walk(flat, d_child, gens + (i,), bargs)
+                walk(child, d_child, gens + (i,), bargs)
 
-    root, d = _cleared(phi.flat())
+    root, d = _cleared_groups(phi.flat())
     if root:
         walk(root, d, (), ())
     den = lcm(*[d for _, _, d in leaves])
@@ -191,10 +196,10 @@ def _roth_monomial_basis(module: MetricModule, degree: int, cap: int):
     backend = module.backend
 
     def exponents(sym, ext):
-        return (exp for total in range(cap + 1) for exp in exponents_of_degree(backend, total))
+        return (exp for total in range(cap + 1) for exp in packed_exponents_of_degree(backend, total))
 
     return [
-        RothElement(module, {(sym, ext): Poly.monomial(backend, exp)})
+        RothElement(module, {(sym, ext): Poly.monomial(backend, backend.unpack(exp))})
         for exp, sym, ext in graded_monomials(module, degree, exponents)
     ]
 

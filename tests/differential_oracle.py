@@ -20,10 +20,12 @@ from peeling_oracle import peel_bracket
 
 
 def column(cs, exp, sym, ext) -> dict:
-    """{Theta, x} on the monomial x = x^exp sym ext, as a flat sum {(exp, sym, ext): value}."""
-    mono = RothElement(cs.module, {(sym, ext): Poly.monomial(cs.module.backend, exp)})
+    """{Theta, x} on the monomial x = x^exp sym ext, as a flat sum {(exp, sym, ext): value};
+    exp is packed, as in the library's chain bases."""
+    backend = cs.module.backend
+    mono = RothElement(cs.module, {(sym, ext): Poly.monomial(backend, backend.unpack(exp))})
     image = peel_bracket(cs.theta, mono, cs.connection)
-    return {(iexp, isym, iext): frac for (isym, iext), poly in image.terms.items()
+    return {(backend.pack(iexp), isym, iext): frac for (isym, iext), poly in image.terms.items()
             for iexp, frac in poly.terms.items()}
 
 

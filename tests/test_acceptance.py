@@ -156,6 +156,13 @@ def test_criterion_1_graded_jacobi_suite():
         module, conn = ctx(key)
         jac(module, conn, degs)
         done += 1
+    # more degree-4 triples, and two-variable rank-4 triples of every degree
+    for key, degs in [((2, 4), (2, 4, 1)), ((2, 4), (1, 1, 4)), ((2, 4), (4, 1, 1)),
+                      ((2, 4), (1, 2, 3)), ((2, 4), (3, 1, 3)), ((2, 4), (1, 3, 2)),
+                      ((2, 4), (1, 3, 3)), ((1, 4), (4, 1, 2)), ((1, 3), (4, 2, 3))]:
+        module, conn = ctx(key)
+        jac(module, conn, degs)
+        done += 1
     assert done >= 200
     seconds = time.monotonic() - start
     _report("1 graded Jacobi suite", seconds < 60, seconds)

@@ -8,6 +8,7 @@ import pytest
 from courantalg import cli, deform
 from courantalg.cli import (
     COHOMOLOGY_CAP,
+    EXPONENT_CAP,
     SCHEMA,
     STANDARD_CAP,
     DocumentError,
@@ -352,3 +353,35 @@ def test_committed_cohomology_windows_are_within_the_cap():
         for command in json.loads(path.read_text()).get("commands", []):
             if command.get("op") == "cohomology":
                 assert max(abs(v) for v in command.get("r", [0, 5]) + command.get("d", [-3, 3])) <= COHOMOLOGY_CAP
+
+
+def test_symbol_tower_checks_level_zero_without_derivation_generators():
+    # freepoly with no variables has no Der generator, yet level 0 must still
+    # satisfy the swap identity against the (zero) symbol
+    report, code = run_document(_half_so3([{"op": "symbol-tower", "element": "m"}]))
+    assert code == 1 and report["commands"][0]["verdict"] is False
+    report, code = run_document(so3_document([{"op": "symbol-tower", "element": "m"}]))
+    assert code == 0 and report["commands"][0]["verdict"] is True
+
+
+@pytest.mark.parametrize("element", [
+    {"type": "scalar", "value": "x^%d"},
+    {"type": "module", "coeffs": ["1", "x^%d"]},
+    {"type": "roth", "terms": ["(x^%d) * d(x) (x) e1"]},
+])
+def test_exponents_above_the_cap_are_rejected(element):
+    def at(power):
+        spec = json.loads(json.dumps(element).replace("%d", str(power)))
+        return run_document(_standard(elements={"a": spec}, commands=[{"op": "j-map", "element": "a"}]
+                                      if element["type"] == "roth" else []))
+
+    report, code = at(EXPONENT_CAP)
+    assert code == 0, report
+    report, code = at(EXPONENT_CAP + 1)
+    assert code == 2
+    assert "EXPONENT_CAP" in report["error"] and str(EXPONENT_CAP + 1) in report["error"]
+
+
+def test_an_exponent_summed_over_factors_is_capped():
+    report, code = run_document(_standard(elements={"a": {"type": "scalar", "value": "x^%d*x" % EXPONENT_CAP}}))
+    assert code == 2 and "EXPONENT_CAP" in report["error"]
