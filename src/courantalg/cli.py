@@ -30,10 +30,11 @@ from .deform import (
     DeformationSeries,
     cohomology_dims,
     delta_squared_is_zero,
+    first_failing_order,
     make_standard_courant,
-    mc_extend,
+    mc_accepts,
     mc_obstruction,
-    mc_series_valid,
+    mc_residuals,
     verify_courant,
 )
 from .modules import Connection, MetricModule, ModuleElement, ModuleError, metrize
@@ -52,6 +53,12 @@ COHOMOLOGY_CAP = 8
 # the largest exponent a parsed polynomial may carry: products of document inputs
 # stay far below the packed field limit (poly.EXPONENT_LIMIT), and probe depths small
 EXPONENT_CAP = 32
+# the largest --truncation: a membership solve spans every coefficient monomial up to
+# it, binomial(cap + nvars, nvars) of them per key; a degree-4 member over
+# {"standard": 4} takes about 16 s of CPU at 4
+TRUNCATION_CAP = 4
+# the most coefficients an mc-extend series may have: its relations take k(k - 1)/2 brackets
+MC_ORDER_CAP = 8
 
 
 class DocumentError(ValueError):
@@ -344,7 +351,12 @@ class CommandRunner:
     def _structure(self, cmd) -> CourantStructure:
         if "element" in cmd:
             m = self._element(cmd)
-            return CourantStructure.from_cochain(m, self.doc.connection, check=False)
+            if m.degree != 3:
+                raise _fail("%s needs an element of degree 3, got degree %d" % (cmd["op"], m.degree), "commands")
+            try:
+                return CourantStructure.from_cochain(m, self.doc.connection, check=False)
+            except ValueError as ex:  # a table outside the complex has no preimage
+                raise _fail("element %r has no preimage under J: %s" % (cmd["element"], ex), "commands")
         if self.doc.structure is not None:
             return self.doc.structure
         raise _fail("command needs an element or a standard module", "commands")
@@ -522,14 +534,19 @@ class CommandRunner:
         return {"status": "ok", "delta_squared_zero": squares, "table": table}
 
     def cmd_mc_extend(self, cmd) -> dict:
-        from .deform import mc_residuals
-
         names = self._arg(cmd, "series", [], lambda v: isinstance(v, list))
+        if len(names) > MC_ORDER_CAP:
+            raise _fail("series of %d coefficients exceeds the %d cap (MC_ORDER_CAP)"
+                        % (len(names), MC_ORDER_CAP), "mc-extend")
         cs = self._structure(cmd)
-        series = DeformationSeries(cs, [self.doc.lookup_roth(n) for n in names])
+        coefficients = [self.doc.lookup_roth(n) for n in names]
+        try:
+            series = DeformationSeries(cs, coefficients)
+        except ValueError as ex:  # a coefficient not of degree 3
+            raise _fail(str(ex), "mc-extend")
         residuals = mc_residuals(series)
-        valid, bad_order = mc_series_valid(series)
-        if not valid:
+        bad_order = first_failing_order(residuals)
+        if bad_order is not None:
             raise _fail("input series fails its relation at order %d" % bad_order, "mc-extend")
         obs, cocycle = mc_obstruction(series)
         self._mark(cocycle)
@@ -544,7 +561,7 @@ class CommandRunner:
             "obstruction_is_cocycle": cocycle,
         }
         if "candidate" in cmd:
-            record["accepted"] = mc_extend(series, self.doc.lookup_roth(cmd["candidate"]))
+            record["accepted"] = mc_accepts(series, obs, self.doc.lookup_roth(cmd["candidate"]))
         return record
 
     def cmd_counterexample_sder(self, cmd) -> dict:
@@ -587,6 +604,8 @@ class CommandRunner:
 
 def run_document(raw: dict, truncation: int | None = None, seed: int = 0) -> tuple[dict, int]:
     try:
+        if truncation is not None and not 0 <= truncation <= TRUNCATION_CAP:
+            raise _fail("truncation %d is outside 0..%d (TRUNCATION_CAP)" % (truncation, TRUNCATION_CAP))
         doc = ProblemDocument(raw)
         runner = CommandRunner(doc, truncation, seed)
         report = runner.run()

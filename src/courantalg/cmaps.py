@@ -28,9 +28,10 @@ wedge are one graded Leibniz recursion over basis insertions and generator
 slices.
 
 The tower is fraction-free: one table {(gens, args): {exp: int}} of int
-numerators over one positive denominator per cochain, kept canonical (no
-zero entry, and no common factor of the numerators and the denominator), so
-equal cochains have equal tables.  exp is a packed monomial (see `poly`):
+numerators over one positive denominator per cochain, the format of a
+`RothElement`, kept canonical by `poly._canonical` (no zero entry, and no
+common factor of the numerators and the denominator), so equal cochains
+have equal tables.  exp is a packed monomial (see `poly`):
 the unit is 0, a product of monomials is one add, and the (exp, basis
 index) arguments of `_eval_mono` and its memo keys are pairs of ints.  With
 G the least common denominator of the gram, a level-p evaluation is over
@@ -47,7 +48,6 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 from fractions import Fraction
-from math import gcd, lcm
 
 from .modules import MetricModule, ModuleElement, ModuleError, inner
 from .poly import (
@@ -56,8 +56,11 @@ from .poly import (
     Poly,
     _as_poly,
     _axpy,
+    _canonical,
     _cleared,
+    _grouped_sum,
     _mul_add,
+    _numerators,
     _packed,
     _partial,
     der_generator_var,
@@ -104,23 +107,11 @@ class Cochain:
                 raise ValueError("tower level %d too high for degree %d" % (p, degree))
             if any(len(gens) != p or len(args) != degree - 2 * p for gens, args in table):
                 raise ValueError("malformed tower key")
-        flat, den = _cleared({(key, e): c for table in levels.values()
-                              for key, v in table.items() for e, c in _packed(v).items()})
-        num: dict = {}
-        for (key, e), c in flat.items():
-            num.setdefault(key, {})[e] = c
-        self._set(module, degree, num, den)
+        self._set(module, degree, *_numerators({(key, e): c for table in levels.values()
+                                                for key, v in table.items() for e, c in _packed(v).items()}))
 
     def _set(self, module, degree, num, den):
-        num = {k: v for k, v in num.items() if v}
-        g = den
-        for v in num.values():
-            if g == 1:
-                break
-            g = gcd(g, *v.values())
-        if g > 1:
-            num = {k: {e: c // g for e, c in v.items()} for k, v in num.items()}
-            den //= g
+        num, den = _canonical(num, den)
         self.module = module
         self.degree = degree
         self._num = num
@@ -265,13 +256,8 @@ class Cochain:
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._check(other)
-        den = lcm(self._den, other._den)
-        num: dict = {}
-        for c in (self, other):
-            f = den // c._den
-            for k, v in c._num.items():
-                _axpy(num.setdefault(k, {}), v, f)
-        return Cochain.from_numerators(self.module, self.degree, num, den)
+        return Cochain.from_numerators(self.module, self.degree,
+                                       *_grouped_sum([(1, self._den, self._num), (1, other._den, other._num)]))
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + (-other)
@@ -591,13 +577,7 @@ def _compose_from_slices(op, a: Cochain, b: Cochain, degree: int, parts: list) -
                 # an entry led by a generator below j is counted by that generator
                 parts.append((1, c._den, {(tuple(sorted((j,) + gens)), args): v
                                           for (gens, args), v in c._num.items() if not gens or gens[0] >= j}))
-    den = lcm(*[d for _, d, _ in parts])
-    num: dict = {}
-    for sign, d, entries in parts:
-        f = sign * (den // d)
-        for k, v in entries.items():
-            _axpy(num.setdefault(k, {}), v, f)
-    return Cochain.from_numerators(a.module, degree, num, den)
+    return Cochain.from_numerators(a.module, degree, *_grouped_sum(parts))
 
 
 def cwedge(a: Cochain, b: Cochain) -> Cochain:

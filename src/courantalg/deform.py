@@ -7,10 +7,11 @@ deformation differential is delta = {Theta, .} on the connection side, with
 of Theta (Roytenberg, math/0203110): its values on all generators are built
 once per structure, and delta g = sum_v Q(v) (d->/dv g) follows by Leibniz,
 in the kernel `roth_bracket` runs on, on int numerators over one
-denominator; a block entry or an element is divided once, on its way out,
-and the delta^2 check divides nothing.  The graded blocks are cut by an
-internal polynomial degree (a variable counts +1, a derivation generator -1,
-module basis elements carry the module's declared internal degrees).
+denominator; a block entry is divided once, on its way out, an element
+leaves as numerators, and the delta^2 check divides nothing.  The graded
+blocks are cut by an internal polynomial degree (a variable counts +1, a
+derivation generator -1, module basis elements carry the module's declared
+internal degrees).
 
 Over the dual numbers that grading is not preserved when Theta has a Der
 factor: epsd(eps) = eps, yet eps counts +1 and epsd -1, so {Theta, .} maps
@@ -27,14 +28,13 @@ from fractions import Fraction
 from . import linalg
 from .cmaps import Cochain, Memo, _q_terms, cbracket, cmap_verify, probe_elements
 from .modules import Connection, MetricModule, ModuleElement, ModuleError, inner
-from .poly import Backend, Poly, _cleared, _cleared_groups, _divided, packed_exponents_of_degree
+from .poly import Backend, Poly, _cleared, _divided, packed_exponents_of_degree
 from .rothstein import (
     AlgebraMap,
     ModuleMap,
     RothElement,
     _apply_derivation,
     _hamiltonian,
-    _to_roth,
     generators,
     graded_monomials,
     roth_bracket,
@@ -330,7 +330,7 @@ def _q_table(cs: CourantStructure) -> tuple[dict, int, bool]:
     Built on first use and kept on the immutable structure."""
     if cs._q is None:
         module = cs.module
-        q, d = _hamiltonian(*_cleared_groups(cs.theta.flat()), cs.connection, generators(module))
+        q, d = _hamiltonian(cs.theta._num, cs.theta._den, cs.connection, generators(module))
         keeps = all(2 * len(sym) + len(ext) == kind + 1
                     and internal_degree_of_term(module, module.backend.unpack(e), sym, ext)
                     == (1 if kind == 0 else -1 if kind == 2 else module.internal_degrees[i])
@@ -351,7 +351,7 @@ def deformation_differential(cs: CourantStructure, c):
     """delta = {Theta, .} on the connection side, [m, .] on the complex side."""
     if isinstance(c, RothElement):
         cs.theta._check(c)
-        return _to_roth(c.module, *_apply_q(cs, *_cleared_groups(c.flat())))
+        return RothElement.from_numerators(c.module, *_apply_q(cs, c._num, c._den))
     if isinstance(c, Cochain):
         return cbracket(cs.cochain, c)
     raise TypeError("expected a graded element")
@@ -365,11 +365,9 @@ def internal_degree_of_term(module: MetricModule, exp, sym, ext) -> int:
 
 
 def roth_internal_degrees(phi: RothElement) -> set[int]:
-    out = set()
-    for (sym, ext), c in phi.terms.items():
-        for exp in c.terms:
-            out.add(internal_degree_of_term(phi.module, exp, sym, ext))
-    return out
+    unpack = phi.module.backend.unpack
+    return {internal_degree_of_term(phi.module, unpack(e), sym, ext)
+            for (sym, ext), terms in phi._num.items() for e in terms}
 
 
 def enumerate_chain_basis(module: MetricModule, r: int, d: int):
@@ -476,7 +474,7 @@ def delta_squared_is_zero(cs: CourantStructure, r: int, d: int) -> bool:
     _require_degree_zero_generator(cs)
     for exp, sym, ext in enumerate_chain_basis(cs.module, r, d):
         image, den = _image_in_block(cs, {(sym, ext): {exp: 1}}, 1, r + 1, d)
-        if _image_in_block(cs, image, den, r + 2, d)[0]:
+        if any(_image_in_block(cs, image, den, r + 2, d)[0].values()):
             return False
     return True
 
@@ -527,24 +525,29 @@ def mc_residuals(series: DeformationSeries) -> list[RothElement]:
     return out
 
 
+def first_failing_order(residuals: list[RothElement]) -> int | None:
+    """The first order whose residual (as `mc_residuals` lists them) is nonzero, or None."""
+    return next((j for j, res in enumerate(residuals, start=1) if not res.is_zero()), None)
+
+
 def mc_series_valid(series: DeformationSeries):
-    for j, res in enumerate(mc_residuals(series), start=1):
-        if not res.is_zero():
-            return False, j
-    return True, None
+    bad_order = first_failing_order(mc_residuals(series))
+    return bad_order is None, bad_order
 
 
 def mc_obstruction(series: DeformationSeries) -> tuple[RothElement, bool]:
     """The degree-4 element sum_{i=1}^{k} {m_i, m_{k+1-i}} and its cocycle flag."""
     cs = series.structure
-    conn = cs.connection
     ms = series.coefficients
-    k = len(ms)
     obs = RothElement.zero(cs.module)
-    for i in range(1, k + 1):
-        obs = obs + roth_bracket(ms[i - 1], ms[k - i], conn)
-    flag = deformation_differential(cs, obs).is_zero()
-    return obs, flag
+    for i in range(1, len(ms) + 1):
+        obs = obs + roth_bracket(ms[i - 1], ms[-i], cs.connection)
+    return obs, deformation_differential(cs, obs).is_zero()
+
+
+def mc_accepts(series: DeformationSeries, obs: RothElement, candidate: RothElement) -> bool:
+    """2 delta(m_{k+1}) = -obs, for obs the obstruction of the series."""
+    return (deformation_differential(series.structure, candidate).scale(2) + obs).is_zero()
 
 
 def mc_extend(series: DeformationSeries, candidate: RothElement) -> bool:
@@ -552,10 +555,7 @@ def mc_extend(series: DeformationSeries, candidate: RothElement) -> bool:
     ok, bad_order = mc_series_valid(series)
     if not ok:
         raise ValueError("input series fails its relations at order %d" % bad_order)
-    cs = series.structure
-    obs, _ = mc_obstruction(series)
-    lhs = deformation_differential(cs, candidate).scale(2)
-    return (lhs + obs).is_zero()
+    return mc_accepts(series, mc_obstruction(series)[0], candidate)
 
 
 def mc_bruteforce_orders(series: DeformationSeries, candidate: RothElement) -> list[bool]:

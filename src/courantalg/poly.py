@@ -17,13 +17,17 @@ ModuleError.  Over the dual numbers the guard is the key 2 of eps^2, so
 eps^2 = 0 is the same test, and such a product is dropped.  Values are
 packed where they enter the layer (`Backend.pack`, `_packed`) and unpacked
 where they leave it (`_as_poly`); both directions are memoized per backend.
+
+Both algebras store an element as grouped int numerators {group: {packed
+key: int}} over one positive denominator (FLINT's fmpq_poly layout, Hart,
+ICMS 2010); only `_canonical` and `_grouped_sum` below normalise and add it.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator
 
 QZERO = Fraction(0)
@@ -148,15 +152,6 @@ def _cleared(flat: dict) -> tuple[dict, int]:
     return {k: c.numerator * (d // c.denominator) for k, c in flat.items()}, d
 
 
-def _cleared_groups(groups: dict) -> tuple[dict, int]:
-    """`_cleared` for grouped sums {group: {key: c}}, over one denominator for all groups."""
-    dens = [c.denominator for g in groups.values() for c in g.values() if type(c) is not int]
-    if not dens:
-        return groups, 1
-    d = lcm(*dens)
-    return {k: {e: c.numerator * (d // c.denominator) for e, c in g.items()} for k, g in groups.items()}, d
-
-
 def _quotient(c: int, d: int):
     """c / d as an int when the division is exact, else as a Fraction."""
     q, r = divmod(c, d)
@@ -177,6 +172,45 @@ def _axpy(out: dict, v: dict, f: int = 1) -> dict:
         else:
             del out[e]
     return out
+
+
+def _canonical(groups: dict, den: int) -> tuple[dict, int]:
+    """Grouped numerators over den > 0 in the form both algebras store: no
+    empty group, no zero entry (none is ever kept), gcd of all numerators and
+    den 1, so equal elements are stored equally.  groups is taken over."""
+    if not all(groups.values()):
+        groups = {k: v for k, v in groups.items() if v}
+    g = den
+    for v in groups.values():
+        if g == 1:
+            break
+        g = gcd(g, *v.values())
+    if g > 1:
+        groups = {k: {e: c // g for e, c in v.items()} for k, v in groups.items()}
+        den //= g
+    return groups, den
+
+
+def _grouped_sum(parts) -> tuple[dict, int]:
+    """The sum of the parts (f, den, groups), each f times grouped numerators
+    over den, as grouped numerators over the lcm of the dens (not canonical)."""
+    den = lcm(*[d for _, d, _ in parts])
+    out: dict = {}
+    for f, d, groups in parts:
+        f *= den // d
+        for k, v in groups.items():
+            _axpy(out.setdefault(k, {}), v, f)
+    return out, den
+
+
+def _numerators(values: dict) -> tuple[dict, int]:
+    """Nonzero rational values {(group, key): c} as grouped numerators over
+    one denominator (not canonical)."""
+    flat, den = _cleared(values)
+    groups: dict = {}
+    for (g, e), c in flat.items():
+        groups.setdefault(g, {})[e] = c
+    return groups, den
 
 
 def _field_error(backend: Backend, j: int, e: int) -> ModuleError:

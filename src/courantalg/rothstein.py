@@ -1,11 +1,10 @@
 """The graded algebra Sym(Der A) (x) Lambda(E) with its degree -2 Poisson bracket.
 
-Elements are stored as normalized term sums c * D_{i1} v ... v D_{ip} (x)
-e_{a1} ^ ... ^ e_{ak}; a Der generator counts degree 2 and a module basis
-element degree 1.  This is the function algebra of a degree-2 symplectic
-graded manifold (Rothstein 1991; Roytenberg, math/0203110), so {a, .} is the
-Hamiltonian derivation Q_a of a, fixed by its values on the generators
-x_j, D_i, e_a:
+Elements are sums c * D_{i1} v ... v D_{ip} (x) e_{a1} ^ ... ^ e_{ak}; a
+Der generator counts degree 2 and a module basis element degree 1.  This is
+the function algebra of a degree-2 symplectic graded manifold (Rothstein
+1991; Roytenberg, math/0203110), so {a, .} is the Hamiltonian derivation
+Q_a of a, fixed by its values on the generators x_j, D_i, e_a:
 
     Q_a(v) = {a, v} = sum_u (a d<-/du) {u, v},   {a, b} = sum_v Q_a(v) (d->/dv b),
 
@@ -16,32 +15,30 @@ with the generator table
 
 up to graded antisymmetry, and 0 on the other pairs; it depends on a metric
 connection through nabla and the curvature bivector r.  One kernel does all
-of this on grouped sums {(sym, ext): {packed exponent: coefficient}}:
+of this on grouped sums {(sym, ext): {packed exponent: int}}:
 `_hamiltonian` builds Q_a, `_apply_derivation` applies it by Leibniz, and
 both multiply through `_mul_into`, as does the wedge product.
 `roth_bracket`, the deformation differential of `deform` and the tower walk
 of `symbol_map.apply_J` are this kernel.
 
-The kernel is fraction-free.  A grouped sum inside it holds int numerators
-over one positive denominator that travels beside it: `_cleared_groups`
-clears an element's denominators on entry, the generator table of a
-connection is kept as ints over the connection's own denominator d (built
-once, on first use), so Q_a on a sum over d_a is a sum over d_a * d, and a
-Leibniz product multiplies the denominators.  Each coefficient is divided
-once, when the result leaves the kernel (`_to_roth`).
-
-Monomials are packed ints (see `poly`): `RothElement.flat` packs an
-element's exponent tuples on entry and `_to_roth` unpacks on exit, so inside
-the kernel a monomial product is one int add and a derivative in x_j a
-shift, a mask and a subtraction.  `_mul_into` multiplies group by group, so
-its inner loop is `poly._mul_add`, the one product routine of both algebras.
+The kernel is fraction-free, and a `RothElement` is stored in its format
+(`poly`), as a `Cochain` is: `_num` = {(sym, ext): {packed exponent: int}}
+over one positive denominator `_den`, canonical.  The kernel reads them as
+they are; a connection's generator table is kept as ints over its own
+denominator d (built once, on first use), so Q_a on a sum over d_a is a
+sum over d_a * d, and a Leibniz product multiplies the denominators.  A
+result leaves through `RothElement.from_numerators`, which only cancels the
+common factor.  A monomial product is one int add (`poly._mul_add`, called
+by `_mul_into` once per pair of groups) and a derivative in x_j a shift, a
+mask and a subtraction.  Poly coefficients and exponent tuples exist only
+at the boundary: the constructor packs its Poly terms once, and the
+`terms` view unpacks them on read.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
 
 from .modules import (
     Connection,
@@ -57,9 +54,11 @@ from .poly import (
     Derivation,
     Poly,
     _as_poly,
-    _cleared,
-    _cleared_groups,
+    _axpy,
+    _canonical,
+    _grouped_sum,
     _mul_add,
+    _numerators,
     _packed,
     _partial,
     _variables,
@@ -114,48 +113,42 @@ def _mul_into(out: dict, lefts: dict, right, backend: Backend, f: int = 1):
             _mul_add(out.setdefault((sym, ext), {}), terms1, terms2, backend, sign * f)
 
 
-def _pruned(groups: dict) -> dict:
-    """A grouped sum without its empty groups."""
-    return groups if all(groups.values()) else {key: terms for key, terms in groups.items() if terms}
-
-
-def _to_roth(module: MetricModule, groups: dict, d: int) -> "RothElement":
-    """The grouped sum of numerators over d as an element, each coefficient divided once."""
-    backend = module.backend
-    return RothElement(module, {key: _as_poly(backend, terms, d) for key, terms in groups.items() if terms})
-
-
 class RothElement:
-    """Sum of graded terms over a metric module; immutable."""
+    """Sum of graded terms over a metric module; immutable.  Stored as the
+    kernel computes on it (module docstring): `_num` over `_den`, canonical."""
 
-    __slots__ = ("module", "terms", "_hash")
+    __slots__ = ("module", "_num", "_den", "_hash")
 
     def __init__(self, module: MetricModule, terms: dict[TermKey, Poly]):
-        backend = module.backend
-        clean: dict[TermKey, Poly] = {}
+        """The element sum c * sym (x) ext over the given terms.  Over the dual
+        numbers eps * D = 0, so a coefficient beside a Der factor reduces mod eps."""
+        dual = module.backend.is_dual
+        values: dict = {}
         for (sym, ext), c in terms.items():
-            if backend.is_dual and len(sym) >= 1:
-                # eps * (epsd v ...) = 0, so coefficients reduce mod eps
-                c = Poly(backend, {(0,): c.constant_part()})
-            if c.is_zero():
-                continue
-            sym = tuple(sorted(sym))
             if any(ext[i] >= ext[i + 1] for i in range(len(ext) - 1)):
                 raise ValueError("exterior part must be strictly increasing")
-            key = (sym, ext)
-            prev = clean.get(key)
-            clean[key] = c if prev is None else prev + c
-            if clean[key].is_zero():
-                del clean[key]
+            key = (tuple(sorted(sym)), ext)
+            _axpy(values, {(key, e): v for e, v in _packed(c).items() if not (dual and sym and e)})
+        self._set(module, *_numerators(values))
+
+    def _set(self, module: MetricModule, num: dict, den: int):
         self.module = module
-        self.terms = clean
+        self._num, self._den = _canonical(num, den)
         self._hash = None
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
+    def from_numerators(module: MetricModule, num: dict, den: int) -> "RothElement":
+        """The element with groups {(sym, ext): {packed exponent: int}} over
+        den > 0, made canonical; num is taken over, not copied."""
+        x = object.__new__(RothElement)
+        x._set(module, num, den)
+        return x
+
+    @staticmethod
     def zero(module: MetricModule) -> "RothElement":
-        return RothElement(module, {})
+        return RothElement.from_numerators(module, {}, 1)
 
     @staticmethod
     def from_scalar(module: MetricModule, a: Poly) -> "RothElement":
@@ -182,11 +175,17 @@ class RothElement:
 
     # -- structure -----------------------------------------------------
 
+    @property
+    def terms(self) -> dict[TermKey, Poly]:
+        """The element as {(sym, ext): Poly}, built on every read."""
+        backend, den = self.module.backend, self._den
+        return {key: _as_poly(backend, v, den) for key, v in self._num.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def degrees(self) -> set[int]:
-        return {2 * len(sym) + len(ext) for (sym, ext) in self.terms}
+        return {2 * len(sym) + len(ext) for (sym, ext) in self._num}
 
     def degree(self) -> int:
         degs = self.degrees()
@@ -195,23 +194,22 @@ class RothElement:
         return degs.pop() if degs else 0
 
     def homogeneous_part(self, r: int) -> "RothElement":
-        return RothElement(
+        return RothElement.from_numerators(
             self.module,
-            {k: c for k, c in self.terms.items() if 2 * len(k[0]) + len(k[1]) == r},
+            {k: v for k, v in self._num.items() if 2 * len(k[0]) + len(k[1]) == r},
+            self._den,
         )
 
     def max_sym_degree(self) -> int:
-        return max((len(sym) for (sym, ext) in self.terms), default=0)
+        return max((len(sym) for (sym, ext) in self._num), default=0)
 
     def scalar_part(self) -> Poly:
-        return self.terms.get(((), ()), Poly.zero(self.module.backend))
+        return _as_poly(self.module.backend, self._num.get(((), ()), {}), self._den)
 
     def module_part(self) -> ModuleElement:
-        coeffs = [Poly.zero(self.module.backend) for _ in range(self.module.rank)]
-        for (sym, ext), c in self.terms.items():
-            if not sym and len(ext) == 1:
-                coeffs[ext[0]] = coeffs[ext[0]] + c
-        return ModuleElement(self.module, coeffs)
+        backend = self.module.backend
+        return ModuleElement(self.module, [_as_poly(backend, self._num.get(((), (a,)), {}), self._den)
+                                           for a in range(self.module.rank)])
 
     # -- ring operations -------------------------------------------------
 
@@ -221,46 +219,44 @@ class RothElement:
 
     def __add__(self, other: "RothElement") -> "RothElement":
         self._check(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, Poly.zero(self.module.backend)) + c
-        return RothElement(self.module, terms)
+        return RothElement.from_numerators(
+            self.module, *_grouped_sum([(1, self._den, self._num), (1, other._den, other._num)]))
 
     def __sub__(self, other: "RothElement") -> "RothElement":
         return self + (-other)
 
     def __neg__(self) -> "RothElement":
-        return RothElement(self.module, {k: -c for k, c in self.terms.items()})
+        return RothElement.from_numerators(
+            self.module, {k: {e: -c for e, c in v.items()} for k, v in self._num.items()}, self._den)
 
     def scale(self, a) -> "RothElement":
-        if not isinstance(a, Poly):
-            a = Poly.const(self.module.backend, a)
-        return RothElement(self.module, {k: a * c for k, c in self.terms.items()})
-
-    def flat(self) -> dict:
-        """The terms as a grouped sum {(sym, ext): {packed exponent: coefficient}},
-        integral coefficients as ints: the form in which they enter the kernel."""
-        return {key: {e: c.numerator if c.denominator == 1 else c for e, c in _packed(poly).items()}
-                for key, poly in self.terms.items()}
+        """a times the element, for a rational or an algebra element."""
+        if isinstance(a, Poly):
+            return RothElement.from_scalar(self.module, a).wedge(self)
+        a = Fraction(a)
+        if not a:
+            return RothElement.zero(self.module)
+        return RothElement.from_numerators(
+            self.module, {k: {e: a.numerator * c for e, c in v.items()} for k, v in self._num.items()},
+            self._den * a.denominator)
 
     def wedge(self, other: "RothElement") -> "RothElement":
         self._check(other)
         backend = self.module.backend
         out: dict = {}
-        lefts, d1 = _cleared_groups(self.flat())
-        rights, d2 = _cleared_groups(other.flat())
-        for (sym, ext), terms in rights.items():
-            _mul_into(out, lefts, (sym, ext, terms), backend)
-        return _to_roth(self.module, out, d1 * d2)
+        for (sym, ext), terms in other._num.items():
+            _mul_into(out, self._num, (sym, ext, terms), backend)
+        return RothElement.from_numerators(self.module, out, self._den * other._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RothElement):
             return NotImplemented
-        return self.module == other.module and self.terms == other.terms
+        return self.module == other.module and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.module, tuple(sorted(self.terms.items()))))
+            frozen = tuple(sorted((k, tuple(sorted(v.items()))) for k, v in self._num.items()))
+            self._hash = hash((self.module, self._den, frozen))
         return self._hash
 
     def __repr__(self) -> str:
@@ -328,18 +324,17 @@ def generators(module: MetricModule) -> list[tuple[int, int]]:
     return [(d, i) for d, n in enumerate(counts) for i in range(n)]
 
 
-def _table_rows(rows: dict, found: list, d: int):
-    """Add the brackets found, [(u, v, [(ext, Poly)])], to rows as numerators over d."""
-    for u, v, entries in found:
-        entries = [((), ext, {e: a.numerator * (d // a.denominator) for e, a in _packed(c).items()})
-                   for ext, c in entries if c.terms]
-        if entries:
-            rows.setdefault(v, {})[u] = entries
-
-
-def _denominator(found: list) -> int:
-    """The lcm of the denominators of the brackets found."""
-    return lcm(*[a.denominator for _, _, entries in found for _, c in entries for a in c.terms.values()])
+def _table(found: list, has_dd: bool, entries: dict, d: int) -> list:
+    """The table (see `_generator_table`) of the brackets found, [(u, v,
+    [(ext, Poly)])], added to the entries {(v, u, ext): {packed exponent:
+    int}} over d of a table."""
+    new, d_new = _numerators({((v, u, ext), e): c for u, v, pairs in found
+                              for ext, poly in pairs for e, c in _packed(poly).items()})
+    entries, d = _grouped_sum([(1, d, entries), (1, d_new, new)])
+    rows: dict = {}
+    for (v, u, ext), terms in entries.items():
+        rows.setdefault(v, {}).setdefault(u, []).append(((), ext, terms))
+    return [rows, d, has_dd, entries]
 
 
 def _generator_table(conn: Connection) -> list:
@@ -347,11 +342,12 @@ def _generator_table(conn: Connection) -> list:
 
     Generators are (degree, index): (0, j) is the variable x_j, (1, a) the
     basis element e_a and (2, i) the Der generator D_i.  Returns [rows, d,
-    has_dd]: rows[v][u] is d {u, v} as groups ((), ext, {packed exponent:
-    int}) on the pairs with a nonzero value, d is the lcm of the
-    denominators of the entries, and has_dd says whether the D-D pairs are
-    in the table.  They are added by `_add_dd_rows` on the first read of
-    one, because only they need the curvature bivector, and so a metric
+    has_dd, entries]: rows[v][u] is d {u, v} as groups ((), ext, {packed
+    exponent: int}) on the pairs with a nonzero value, d is the lcm of the
+    denominators of the entries, has_dd says whether the D-D pairs are in
+    the table, and entries holds the same numerators keyed (v, u, ext).
+    The D-D pairs are added by `_add_dd_rows` on the first read of one,
+    because only they need the curvature bivector, and so a metric
     connection.  Built once per connection, on first use, and kept in its
     `_generators` slot.
     """
@@ -366,13 +362,9 @@ def _generator_table(conn: Connection) -> list:
             found += [((0, j), (2, i), [((), c)]), ((2, i), (0, j), [((), -c)])]
         for a, image in enumerate(conn.gamma[i]):
             # {e_a, D_i} = nabla_{D_i} e_a = -{D_i, e_a}
-            nonzero = [(b, c) for b, c in enumerate(image.coeffs) if c.terms]
-            found += [((1, a), (2, i), [((b,), c) for b, c in nonzero]),
-                      ((2, i), (1, a), [((b,), -c) for b, c in nonzero])]
-    d = _denominator(found)
-    rows: dict = {}
-    _table_rows(rows, found, d)
-    return [rows, d, False]
+            found += [((1, a), (2, i), [((b,), c) for b, c in enumerate(image.coeffs)]),
+                      ((2, i), (1, a), [((b,), -c) for b, c in enumerate(image.coeffs)])]
+    return _table(found, False, {}, 1)
 
 
 def _add_dd_rows(table: list, conn: Connection):
@@ -383,15 +375,7 @@ def _add_dd_rows(table: list, conn: Connection):
     ngen = num_der_generators(conn.module.backend)
     found = [((2, i), (2, j), [(ab, -c) for ab, c in cur.pair(i, j).items()])
              for i in range(ngen) for j in range(ngen)]
-    rows, d = table[0], table[1]
-    both = lcm(d, _denominator(found))
-    if both != d:
-        f = both // d
-        for row in rows.values():
-            for u, entries in row.items():
-                row[u] = [(sym, ext, {e: f * c for e, c in terms.items()}) for sym, ext, terms in entries]
-    _table_rows(rows, found, both)
-    table[1], table[2] = both, True
+    table[:] = _table(found, True, table[3], table[1])
 
 
 def _hamiltonian(a: dict, d: int, conn: Connection, vs) -> tuple[dict, int]:
@@ -423,7 +407,7 @@ def _hamiltonian(a: dict, d: int, conn: Connection, vs) -> tuple[dict, int]:
         for u, lefts in partials.items():
             for entry in row.get(u, ()):
                 _mul_into(out, lefts, entry, backend)
-        out = _pruned(out)
+        out = {key: terms for key, terms in out.items() if terms}
         if out:
             q[v] = out
     return q, d * d_conn
@@ -432,13 +416,14 @@ def _hamiltonian(a: dict, d: int, conn: Connection, vs) -> tuple[dict, int]:
 def _apply_derivation(q: dict, terms: dict, backend: Backend) -> dict:
     """The derivation with values q on generators (as `_hamiltonian` returns
     them) on a grouped sum, by Leibniz: Q(t) = sum_v Q(v) (d->/dv t).  Int
-    numerators: the result is over the denominator of q times that of terms."""
+    numerators: the result is over the denominator of q times that of terms.
+    A group of the result may be empty."""
     out: dict = {}
     for (sym, ext), group in terms.items():
         for v, k, psym, pext, part in _partials(sym, ext, group, False, backend):
             if v in q:
                 _mul_into(out, q[v], (psym, pext, part), backend, k)
-    return _pruned(out)
+    return out
 
 
 def roth_bracket(a: RothElement, b: RothElement, conn: Connection) -> RothElement:
@@ -455,9 +440,8 @@ def roth_bracket(a: RothElement, b: RothElement, conn: Connection) -> RothElemen
     if conn.module != module:
         raise ModuleError("connection lives on a different module")
     backend = module.backend
-    terms, d_b = _cleared_groups(b.flat())
-    q, d_q = _hamiltonian(*_cleared_groups(a.flat()), conn, _generators_of(terms, backend))
-    return _to_roth(module, _apply_derivation(q, terms, backend), d_q * d_b)
+    q, d_q = _hamiltonian(a._num, a._den, conn, _generators_of(b._num, backend))
+    return RothElement.from_numerators(module, _apply_derivation(q, b._num, backend), d_q * b._den)
 
 
 def nested_bracket_with_scalars(phi: RothElement, args, conn: Connection) -> RothElement:
@@ -493,19 +477,19 @@ class ConnectionChange:
         self.target = target
         self.t_table = table
         # t on the generators D_i, as int numerators over one denominator
-        nums, d = _cleared({(i, key, e): c for i, xi in enumerate(table)
-                            for key, terms in RothElement.from_lambda2(module, xi).flat().items()
-                            for e, c in terms.items()})
+        images = [RothElement.from_lambda2(module, xi) for xi in table]
+        nums, d = _grouped_sum([(1, x._den, {((2, i), key): terms for key, terms in x._num.items()})
+                                for i, x in enumerate(images)])
         values: dict = {}
-        for (i, key, e), c in nums.items():
-            values.setdefault((2, i), {}).setdefault(key, {})[e] = c
+        for (v, key), terms in nums.items():
+            values.setdefault(v, {})[key] = terms
         self._t = (values, d)
 
     def apply_t(self, phi: RothElement) -> RothElement:
         """One application of t, the derivation sending D_i to its Lambda^2 image."""
         q, d_t = self._t
-        terms, d = _cleared_groups(phi.flat())
-        return _to_roth(self.module, _apply_derivation(q, terms, self.module.backend), d_t * d)
+        return RothElement.from_numerators(
+            self.module, _apply_derivation(q, phi._num, self.module.backend), d_t * phi._den)
 
     def exp_t(self, phi: RothElement) -> RothElement:
         """exp(t) phi; the series stops once the symmetric degree is exhausted."""

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .cmaps import Cochain, generator_slice
 from .modules import Connection, MetricModule, ModuleElement, ModuleError, inner, raise_exterior
 from .poly import (
     Poly,
-    _cleared_groups,
+    _grouped_sum,
+    _numerators,
     exponents_of_degree,
     num_der_generators,
     packed_exponents_of_degree,
@@ -64,12 +64,12 @@ def apply_J(phi: RothElement, conn: Connection) -> Cochain:
     degree = phi.degree()
     ngen = num_der_generators(backend)  # over the dual numbers the one D pairs with eps = x_0
     basis = [(1, b) for b in range(module.rank)]
-    leaves = []  # ((gens, bargs), {packed exponent: numerator}, denominator)
+    leaves = []  # (1, denominator, {(gens, bargs): {packed exponent: numerator}})
 
     def walk(node: dict, d: int, gens: tuple, bargs: tuple):
         left = degree - 2 * len(gens) - len(bargs)
         if not left:
-            leaves.append(((gens, bargs), node[(), ()], d))
+            leaves.append((1, d, {(gens, bargs): node[(), ()]}))
             return
         nexts = basis
         if left >= 2 and not bargs:
@@ -81,13 +81,9 @@ def apply_J(phi: RothElement, conn: Connection) -> Cochain:
             else:
                 walk(child, d_child, gens + (i,), bargs)
 
-    root, d = _cleared_groups(phi.flat())
-    if root:
-        walk(root, d, (), ())
-    den = lcm(*[d for _, _, d in leaves])
-    num = {key: entry if d == den else {e: c * (den // d) for e, c in entry.items()}
-           for key, entry, d in leaves}
-    return Cochain.from_numerators(module, degree, num, den)
+    if phi._num:
+        walk(phi._num, phi._den, (), ())
+    return Cochain.from_numerators(module, degree, *_grouped_sum(leaves))
 
 
 def invert_J_deg2(c: Cochain, conn: Connection) -> RothElement:
@@ -191,29 +187,24 @@ def invert_J(c: Cochain, conn: Connection) -> RothElement:
 # -- membership in the image ----------------------------------------------------
 
 
-def _roth_monomial_basis(module: MetricModule, degree: int, cap: int):
-    """Monomial basis of the degree bucket with coefficient degree <= cap."""
+def _roth_monomial_basis(module: MetricModule, degree: int, cap: int) -> list:
+    """Monomial basis (exp, sym, ext) of the degree bucket with coefficient degree <= cap."""
     backend = module.backend
 
     def exponents(sym, ext):
         return (exp for total in range(cap + 1) for exp in packed_exponents_of_degree(backend, total))
 
-    return [
-        RothElement(module, {(sym, ext): Poly.monomial(backend, backend.unpack(exp))})
-        for exp, sym, ext in graded_monomials(module, degree, exponents)
-    ]
+    return list(graded_monomials(module, degree, exponents))
 
 
-def _flatten(c: Cochain, coords: dict, grow: bool) -> dict[tuple, Fraction]:
+def _flatten(c: Cochain, coords: dict) -> dict[tuple, Fraction]:
+    """The entries of c by coordinate key, each new key given the next coordinate."""
     vec = {}
     for p, table in c.levels.items():
         for (gens, args), poly in table.items():
             for exp, frac in poly.terms.items():
                 key = (p, gens, args, exp)
-                if key not in coords:
-                    if not grow:
-                        raise KeyError(key)
-                    coords[key] = len(coords)
+                coords.setdefault(key, len(coords))
                 vec[key] = frac
     return vec
 
@@ -233,20 +224,22 @@ def chat_membership(c: Cochain, conn: Connection, cap: int | None = None) -> dic
         for table in c.levels.values():
             for v in table.values():
                 cap = max(cap, v.total_degree() + 1)
-    conclusive = module.backend.is_dual
+    # over the dual numbers a coefficient has degree <= 1, so a cap >= 1 spans them all
+    conclusive = module.backend.is_dual and cap >= 1
     if degree <= 3:
         return {"member": True, "preimage": invert_J(c, conn), "cap": cap, "conclusive": True}
     basis = _roth_monomial_basis(module, degree, cap)
-    images = [apply_J(b, conn) for b in basis]
+    images = [apply_J(RothElement.from_numerators(module, {(sym, ext): {exp: 1}}, 1), conn)
+              for exp, sym, ext in basis]
     coords: dict[tuple, int] = {}
-    target_vec = _flatten(c, coords, grow=True)
-    image_vecs = [_flatten(im, coords, grow=True) for im in images]
+    target_vec = _flatten(c, coords)
+    image_vecs = [_flatten(im, coords) for im in images]
     rows = [{} for _ in coords]  # column len(basis) holds the target
     for j, vec in enumerate(image_vecs + [target_vec]):
         for key, frac in vec.items():
             rows[coords[key]][j] = frac
     if not basis:
-        nz = next((k for k, v in target_vec.items() if v), None)
+        nz = next(iter(target_vec), None)
         if nz is None:
             return {"member": True, "preimage": RothElement.zero(module), "cap": cap,
                     "conclusive": True}
@@ -265,20 +258,15 @@ def chat_membership(c: Cochain, conn: Connection, cap: int | None = None) -> dic
                 "reason": "eliminated system contains 0 = 1",
             },
         }
-    phi = RothElement.zero(module)
-    for cval, b in zip(sol, basis):
-        if cval:
-            phi = phi + b.scale(cval)
+    phi = RothElement.from_numerators(module, *_numerators(
+        {((sym, ext), exp): v for v, (exp, sym, ext) in zip(sol, basis) if v}))
     if apply_J(phi, conn) != c:
         raise AssertionError("membership solve produced a non-preimage")
     return {"member": True, "preimage": phi, "cap": cap, "conclusive": True}
 
 
 def _first_target_coord(target_vec, coords):
-    for key, v in sorted(target_vec.items(), key=lambda kv: coords[kv[0]]):
-        if v:
-            return key
-    return next(iter(target_vec), ((), (), (), ()))
+    return min(target_vec, key=coords.__getitem__)
 
 
 def _coord_name(module: MetricModule, key) -> str:
@@ -300,23 +288,14 @@ def lambda_check(phi: RothElement, conn: Connection, cap: int = 2) -> bool:
     Der-part that every probe annihilates (an injectivity failure, which the
     dual numbers exhibit).
     """
-    module = phi.module
-    backend = module.backend
+    backend = phi.module.backend
     monos = [Poly.monomial(backend, e) for t in range(1, cap + 1) for e in exponents_of_degree(backend, t)]
-    present = sorted({len(sym) for (sym, ext) in phi.terms if len(sym) >= 1})
+    present = sorted({len(sym) for (sym, ext) in phi._num if sym})
     for p in present:
-        part = RothElement(module, {k: v for k, v in phi.terms.items() if len(k[0]) == p})
-        if part.is_zero():
-            continue
-        detected = False
         for probe in itertools.combinations_with_replacement(monos, p):
             val = nested_bracket_with_scalars(phi, list(probe), conn)
-            flat = RothElement(
-                module, {k: v for k, v in val.terms.items() if len(k[0]) == 0}
-            )
-            if not flat.is_zero():
-                detected = True
+            if any(not sym for (sym, ext) in val._num):
                 break
-        if not detected:
+        else:
             return False
     return True

@@ -86,13 +86,13 @@ def parse_poly(text: str, backend: Backend) -> Poly:
 
 def roth_to_text(phi) -> str:
     """Canonical text form of a Rothstein element."""
-    if not phi.terms:
+    terms = phi.terms
+    if not terms:
         return "0"
     module = phi.module
     names = module.backend.names
     parts = []
-    for (sym, ext) in sorted(phi.terms):
-        c = phi.terms[(sym, ext)]
+    for (sym, ext), c in sorted(terms.items()):
         symtxt = VEE.join(
             "d(%s)" % (names[0] if module.backend.is_dual else names[i]) for i in sym
         ) or "1"

@@ -9,8 +9,10 @@ from courantalg import cli, deform
 from courantalg.cli import (
     COHOMOLOGY_CAP,
     EXPONENT_CAP,
+    MC_ORDER_CAP,
     SCHEMA,
     STANDARD_CAP,
+    TRUNCATION_CAP,
     DocumentError,
     ProblemDocument,
     run_document,
@@ -385,3 +387,91 @@ def test_exponents_above_the_cap_are_rejected(element):
 def test_an_exponent_summed_over_factors_is_capped():
     report, code = run_document(_standard(elements={"a": {"type": "scalar", "value": "x^%d*x" % EXPONENT_CAP}}))
     assert code == 2 and "EXPONENT_CAP" in report["error"]
+
+
+@pytest.mark.parametrize("truncation", [-1, TRUNCATION_CAP + 1])
+def test_truncation_outside_the_cap_is_rejected(monkeypatch, truncation):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a membership solve ran")
+
+    monkeypatch.setattr(cli, "chat_membership", refuse)
+    doc = json.loads((DOCUMENTS / "chat_membership_quartic.json").read_text())
+    report, code = run_document(doc, truncation=truncation)
+    assert code == 2
+    assert "TRUNCATION_CAP" in report["error"] and str(TRUNCATION_CAP) in report["error"]
+    assert cli.main([str(DOCUMENTS / "chat_membership_quartic.json"), "--truncation", str(truncation)]) == 2
+
+
+@pytest.mark.parametrize("truncation, conclusive", [(0, False), (1, True), (TRUNCATION_CAP, True)])
+def test_truncation_inside_the_cap_runs(truncation, conclusive):
+    doc = json.loads((DOCUMENTS / "chat_membership_quartic.json").read_text())
+    report, code = run_document(doc, truncation=truncation)
+    assert code == 0
+    record = report["commands"][0]
+    assert record["truncation_cap"] == truncation and record["member"] is False
+    assert record["conclusive"] is conclusive
+
+
+def _mc_document(series, candidate=None):
+    command = {"op": "mc-extend", "series": series}
+    if candidate is not None:
+        command["candidate"] = candidate
+    return _standard(elements={"zero3": {"type": "roth", "terms": []},
+                               "xi": {"type": "roth", "terms": ["(x) * 1 (x) e1^f1"]}},
+                     commands=[command])
+
+
+def test_a_series_above_the_order_cap_is_rejected_before_any_bracket(monkeypatch):
+    deform.make_standard_courant(1)  # the document's structure exists before the count starts
+    calls = []
+
+    def counted(real):
+        def call(*args):
+            calls.append(real.__name__)
+            return real(*args)
+        return call
+
+    from courantalg import rothstein, symbol_map
+    for module in (rothstein, deform, symbol_map):
+        monkeypatch.setattr(module, "_hamiltonian", counted(rothstein._hamiltonian))
+    monkeypatch.setattr(deform, "_apply_derivation", counted(rothstein._apply_derivation))
+    report, code = run_document(_mc_document(["zero3"] * (MC_ORDER_CAP + 1), "zero3"))
+    assert code == 2 and calls == []
+    assert "MC_ORDER_CAP" in report["error"] and str(MC_ORDER_CAP) in report["error"]
+    report, code = run_document(_mc_document(["zero3"] * MC_ORDER_CAP))
+    assert code == 0 and len(report["commands"][0]["relations"]) == MC_ORDER_CAP
+
+
+def test_mc_extend_takes_each_bracket_and_differential_once(monkeypatch):
+    counts = {"roth_bracket": 0, "deformation_differential": 0}
+
+    def counted(name):
+        real = getattr(deform, name)
+
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(deform, name, counted(name))
+    k = 3
+    report, code = run_document(_mc_document(["zero3"] * k, "xi"))
+    assert code == 0 and report["commands"][0]["accepted"] is False
+    # k(k - 1)/2 brackets in the relations and k in the obstruction; a differential
+    # per relation, one for the cocycle flag and one for the candidate
+    assert counts == {"roth_bracket": k * (k - 1) // 2 + k, "deformation_differential": k + 2}
+
+
+@pytest.mark.parametrize("op", ["cohomology", "mc-extend"])
+def test_a_structure_element_without_a_preimage_is_rejected(op):
+    command = {"op": op, "element": "m", "r": [0, 1], "d": [0, 0], "series": []}
+    report, code = run_document(_half_so3([command]))
+    assert code == 2 and "no preimage under J" in report["error"]
+    report, code = run_document(_mc_document([], None) | {"commands": [dict(command, element="xi")]})
+    assert code == 2 and "needs an element of degree 3, got degree 2" in report["error"]
+
+
+def test_a_series_coefficient_of_another_degree_is_rejected():
+    report, code = run_document(_mc_document(["xi"], "zero3"))
+    assert code == 2 and "homogeneous of degree 3" in report["error"]

@@ -3,8 +3,12 @@
 Each example takes one `docs/documents/*.json`, replaces or adds elements
 (cmaps of degree 0-4, roth elements with homogeneous or inhomogeneous terms,
 element names old, new and empty) and replaces its commands by a list of
-`verify-courant`, `j-map`, `j-invert`, `bracket`, `symbol-tower` and
-`chat-membership` commands on those names.
+`verify-courant`, `j-map`, `j-invert`, `bracket`, `symbol-tower`,
+`chat-membership`, `cohomology` and `mc-extend` commands on those names.
+Cohomology windows are small, or have an end just outside COHOMOLOGY_CAP;
+an mc-extend series has up to three of the document's names, with or
+without a candidate, or MC_ORDER_CAP + 1 of them; the truncation is unset,
+-1, 0 or just above TRUNCATION_CAP.
 Whatever the document, `run_document` must return exit code 0, 1 or 2
 without raising, and the same report, in both formats, on a second run.
 The examples are derandomized, so every run checks the same documents.
@@ -16,7 +20,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from courantalg.cli import format_human, run_document
+from courantalg.cli import COHOMOLOGY_CAP, MC_ORDER_CAP, TRUNCATION_CAP, format_human, run_document
 from courantalg.deform import standard_module
 
 DOCUMENTS = {p.stem: json.loads(p.read_text())
@@ -76,16 +80,32 @@ def _cmap(draw, variables, basis):
     return spec
 
 
-def _command(draw, names):
-    def name():
-        return draw(st.sampled_from(NAMES if _rarely(draw) else names))
+def _command(draw, names, roths, standard):
+    def name(pool=names):
+        return draw(st.sampled_from(NAMES if _rarely(draw) else pool))
 
     op = draw(st.sampled_from(["verify-courant", "j-map", "j-invert", "bracket", "symbol-tower",
-                               "chat-membership"]))
+                               "chat-membership", "cohomology", "mc-extend"]))
     if op == "bracket":
         cmd = {"op": op, "lhs": name(), "rhs": name()}
+    elif op in ("cohomology", "mc-extend"):
+        cmd = {"op": op}  # on the standard structure, where the document has one
+        if not standard or _rarely(draw):
+            cmd["element"] = name()
     else:
         cmd = {"op": op, "element": name()}
+    if op == "cohomology":
+        for key in ("r", "d"):
+            lo = draw(st.integers(-1, 1))
+            window = [lo, draw(st.integers(lo - 1, lo + 1))]
+            if _rarely(draw):
+                window[draw(st.integers(0, 1))] = draw(st.sampled_from([-1, 1])) * (COHOMOLOGY_CAP + 1)
+            cmd[key] = window
+    if op == "mc-extend":
+        size = MC_ORDER_CAP + 1 if _rarely(draw) else draw(st.integers(0, 3))
+        cmd["series"] = [name(roths or names) for _ in range(size)]
+        if draw(st.booleans()):
+            cmd["candidate"] = name(roths or names)
     if op in ("verify-courant", "symbol-tower") and draw(st.booleans()):
         cmd["depth"] = draw(st.integers(0, 1))
     if op == "j-invert" and draw(st.booleans()):
@@ -104,16 +124,18 @@ def documents(draw):
         shape = _roth(variables, basis) if draw(st.booleans()) else _cmap(variables, basis)
         elements[draw(st.sampled_from(NAMES))] = draw(shape)
     names = sorted(elements) or NAMES
-    doc["commands"] = [_command(draw, names) for _ in range(draw(st.integers(1, 3)))]
+    roths = sorted(n for n, spec in elements.items() if spec.get("type") == "roth")
+    standard = "standard" in doc["module"]
+    doc["commands"] = [_command(draw, names, roths, standard) for _ in range(draw(st.integers(1, 3)))]
     return doc
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(documents())
-def test_run_document_keeps_the_cli_contract(doc):
-    first, code = run_document(doc)
-    again, code_again = run_document(doc)
+@given(documents(), st.sampled_from([None] * 5 + [-1, 0, TRUNCATION_CAP + 1]))
+def test_run_document_keeps_the_cli_contract(doc, truncation):
+    first, code = run_document(doc, truncation=truncation)
+    again, code_again = run_document(doc, truncation=truncation)
     assert code in (0, 1, 2) and code_again == code
     assert json.dumps(first, sort_keys=True) == json.dumps(again, sort_keys=True)
     assert format_human(first) == format_human(again)

@@ -8,8 +8,9 @@ flat sum and divides once, when a result leaves it.  On the connections of
 equal its oracle exactly, on seeded elements scaled by thirds and fifths:
 the bracket against Leibniz peeling, Q_Theta on monomials against
 `differential_oracle.column`, J against `apply_J_oracle`, and t and exp(t)
-of a connection change against their expansion by wedge products.  Values
-that are integral leave `.flat()` as ints.
+of a connection change against their expansion by wedge products.  Results
+are stored canonically: int numerators over a positive denominator with no
+common factor, so integral values are ints over 1.
 
 The count tests check that a connection builds its generator table once,
 however many brackets, J images and Q tables use it, and that a connection
@@ -25,6 +26,7 @@ and hash equal.  A bracket of two J-images builds no `Poly` at all.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -83,8 +85,12 @@ def _element(rng, M, degree: int, density: float = 0.6) -> RothElement:
     return random_roth(rng, M, degree, density=density).scale(rng.choice(SCALES))
 
 
-def _exact_flat(x: RothElement) -> RothElement:
-    assert all(type(c) is int or c.denominator != 1 for terms in x.flat().values() for c in terms.values())
+def _canonical_form(x: RothElement) -> RothElement:
+    """x, once its stored form is checked canonical: no empty group, nonzero
+    int numerators, and a positive denominator that no factor divides out."""
+    numerators = [c for terms in x._num.values() for c in terms.values()]
+    assert all(x._num.values()) and all(type(c) is int and c for c in numerators)
+    assert x._den > 0 and math.gcd(x._den, *numerators) == 1
     return x
 
 
@@ -95,7 +101,7 @@ def test_bracket_equals_peeling(name):
     nonzero = 0
     for _ in range(20):
         a, b = (_element(rng, M, rng.randint(0, 4)) for _ in range(2))
-        closed = _exact_flat(roth_bracket(a, b, conn))
+        closed = _canonical_form(roth_bracket(a, b, conn))
         assert closed == peel_bracket(a, b, conn)
         nonzero += not closed.is_zero()
     assert nonzero >= 6
@@ -125,7 +131,7 @@ def test_q_theta_columns_equal_the_oracle(name):
         assert all(type(c) is int or c.denominator != 1 for c in got.values())
         nonzero += bool(got)
     phi = _element(rng, M, 2)
-    _exact_flat(deformation_differential(cs, phi))
+    _canonical_form(deformation_differential(cs, phi))
     assert nonzero >= 3 or theta.is_zero()
 
 
@@ -161,12 +167,12 @@ def test_connection_change_equals_its_wedge_expansion(name):
     for change in (ConnectionChange(conn, flat), ConnectionChange(flat, conn)):
         for degree in range(1, 6):
             phi = _element(rng, M, degree)
-            assert _exact_flat(change.apply_t(phi)) == _t_by_wedges(change, phi)
+            assert _canonical_form(change.apply_t(phi)) == _t_by_wedges(change, phi)
             expected, term, n = RothElement.zero(M), phi, 0
             while not term.is_zero():
                 expected = expected + term.scale(Fraction(1, _factorial(n)))
                 term, n = _t_by_wedges(change, term), n + 1
-            assert _exact_flat(change.exp_t(phi)) == expected
+            assert _canonical_form(change.exp_t(phi)) == expected
 
 
 def _factorial(n: int) -> int:
@@ -178,7 +184,7 @@ def test_wedge_keeps_integral_values_as_ints():
     for name, (M, conn) in CONTEXTS.items():
         for _ in range(4):
             a, b = _element(rng, M, rng.randint(0, 3)), _element(rng, M, rng.randint(0, 3))
-            product = _exact_flat(a.wedge(b))
+            product = _canonical_form(a.wedge(b))
             assert product.wedge(RothElement.from_scalar(M, Poly.one(M.backend))) == product
 
 

@@ -8,7 +8,7 @@ eps^2 and eps times a Der factor are dropped.  Keys round-trip and order as
 exponent tuples do; a product at the field limit is exact and one past it
 raises instead of carrying into the next field; and a bracket on either
 side multiplies packed keys only, making an exponent tuple nowhere but where
-its value leaves the layer.
+its value leaves the layer, through the `terms` view.
 """
 
 import itertools
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from courantalg import Backend, ModuleError, Poly, RothElement, apply_J, cbracket, cmaps, roth_bracket
 from courantalg import modules, poly, rothstein
 from courantalg.poly import EXPONENT_LIMIT, _mul_add, _partial
-from courantalg.rothstein import _mul_into, _pruned
+from courantalg.rothstein import _mul_into
 
 from conftest import denominator_contexts, hyperbolic_module, random_roth
 
@@ -113,7 +113,8 @@ def test_grouped_product_equals_the_tuple_reference(data):
     _mul_into(out, {key: _packed(backend, t) for key, t in lefts.items()},
               (sym2, ext2, _packed(backend, terms2)), backend)
     expected = {key: {e: c for e, c in t.items() if c} for key, t in expected.items()}
-    assert {key: _unpacked(backend, t) for key, t in _pruned(out).items()} == _pruned(expected)
+    assert ({key: _unpacked(backend, t) for key, t in out.items() if t}
+            == {key: t for key, t in expected.items() if t})
 
 
 def test_dual_numbers_drop_eps_squared_and_eps_beside_a_der_factor():
@@ -166,16 +167,18 @@ def test_products_at_the_field_limit_and_past_it():
 
 
 def test_brackets_multiply_packed_keys_only(monkeypatch):
-    """One roth_bracket and one cbracket over the thirds/fifths connection: every
-    product and partial in the layer is on int keys, and neither a Poly nor an
-    exponent tuple is made except where `_to_roth` hands the value out."""
+    """Over the thirds/fifths connection, one roth_bracket, one cbracket, a
+    nested roth_bracket and the Jacobiator lhs - rhs - t2: every product and
+    partial in the layer is on int keys, and neither a Poly nor an exponent
+    tuple is made until the `terms` view of a result is read."""
     M, conn = next(denominator_contexts())
     rng = random.Random(127)
     a, b = (random_roth(rng, M, 3, density=1.0).scale(Fraction(1, 3)) for _ in range(2))
+    c = random_roth(rng, M, 2, density=1.0).scale(Fraction(2, 5))
     ca, cb = apply_J(a, conn), apply_J(b, conn)
     roth_bracket(a, b, conn)  # the connection's generator table is built once, on first use
     monkeypatch.setattr(cmaps, "_BRACKET_CACHE", cmaps.Memo())
-    keys, made, leaving = [], [], [False]
+    keys, made = [], []
 
     def checked(real):
         def call(*args):
@@ -188,29 +191,24 @@ def test_brackets_multiply_packed_keys_only(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, checked(getattr(poly, name)))
 
-    def outside(real, what):
+    def counted(real, what):
         def call(*args, **kwargs):
-            if not leaving[0]:
-                made.append(what)
+            made.append(what)
             return real(*args, **kwargs)
         return call
 
     real_raw = Poly._raw.__func__
-    monkeypatch.setattr(Poly, "_raw", classmethod(outside(real_raw, "Poly._raw")))
-    monkeypatch.setattr(Poly, "__init__", outside(Poly.__init__, "Poly"))
-    monkeypatch.setattr(Backend, "unpack", outside(Backend.unpack, "unpack"))
-    real_to_roth = rothstein._to_roth
-
-    def to_roth(*args):
-        leaving[0] = True
-        try:
-            return real_to_roth(*args)
-        finally:
-            leaving[0] = False
-
-    monkeypatch.setattr(rothstein, "_to_roth", to_roth)
+    monkeypatch.setattr(Poly, "_raw", classmethod(counted(real_raw, "Poly._raw")))
+    monkeypatch.setattr(Poly, "__init__", counted(Poly.__init__, "Poly"))
+    monkeypatch.setattr(Backend, "unpack", counted(Backend.unpack, "unpack"))
     out = roth_bracket(a, b, conn), cbracket(ca, cb)
-    monkeypatch.undo()
+    nested = roth_bracket(a, roth_bracket(b, c, conn), conn)
+    rhs = roth_bracket(roth_bracket(a, b, conn), c, conn)
+    t2 = -roth_bracket(b, roth_bracket(a, c, conn), conn)  # |a| |b| is odd
+    jacobiator = nested - rhs - t2
     assert keys and set(keys) == {int}
     assert made == []
+    assert nested.terms and made  # the view is the boundary
+    monkeypatch.undo()
+    assert jacobiator.is_zero() and not nested.is_zero()
     assert not out[0].is_zero() and not out[1].is_zero()

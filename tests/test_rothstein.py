@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -20,7 +22,7 @@ from courantalg import (
     roth_pushforward,
     roth_wedge,
 )
-from courantalg.poly import _cleared_groups, _divided
+from courantalg.poly import _divided
 from courantalg.rothstein import _hamiltonian, generators
 from courantalg.textforms import parse_roth, roth_to_text
 
@@ -153,6 +155,11 @@ def _generator_element(module, v):
     return RothElement.monomial(module, (i,) if kind == 2 else (), (i,) if kind == 1 else ())
 
 
+def _values(x: RothElement) -> dict:
+    """The groups of x with each numerator divided by the denominator, integral values as ints."""
+    return {key: _divided(terms, x._den) for key, terms in x._num.items()}
+
+
 def test_hamiltonian_equals_peeling_on_generators():
     # Q_a(v) = {a, v} at every generator v, and a call restricted to a subset
     # of generators returns the same entries for that subset
@@ -162,14 +169,14 @@ def test_hamiltonian_equals_peeling_on_generators():
         gens = generators(M)
         for _ in range(15):
             a = random_roth(rng, M, rng.randint(0, 5), coeff_deg=2)
-            numerators, d_a = _cleared_groups(a.flat())
+            numerators, d_a = a._num, a._den
             q, d = _hamiltonian(numerators, d_a, conn, gens)
             assert set(q) <= set(gens)
             for v in gens:
                 got = q.get(v, {})
                 assert all(type(c) is int for terms in got.values() for c in terms.values())
                 assert ({key: _divided(terms, d) for key, terms in got.items()}
-                        == peel_bracket(a, _generator_element(M, v), conn).flat())
+                        == _values(peel_bracket(a, _generator_element(M, v), conn)))
                 nonzero += bool(got)
             subset = [v for v in gens if rng.random() < 0.5]
             assert _hamiltonian(numerators, d_a, conn, subset) == ({v: q[v] for v in subset if v in q}, d)
@@ -315,3 +322,79 @@ def test_dual_number_curved_connection_bracket():
         assert (lhs - rhs - t2).is_zero()
         closed = roth_bracket(a, b, conn)
         assert closed == peel_bracket(a, b, conn, "left") == peel_bracket(a, b, conn, "right")
+
+
+# -- the stored form against Poly arithmetic on the terms view ------------------
+
+CONTEXTS = list(oracle_contexts())
+
+
+def _poly_add(x: dict, y: dict, sign: int = 1) -> dict:
+    """x + sign y for {key: Poly} term dicts, by Poly addition; zero sums dropped."""
+    out = dict(x)
+    for key, c in y.items():
+        prev = out.get(key)
+        total = (c if sign > 0 else -c) if prev is None else (prev + c if sign > 0 else prev - c)
+        if total.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = total
+    return out
+
+
+def _poly_wedge(module, x: dict, y: dict) -> dict:
+    """x ^ y for term dicts: exterior signs by counting inversions, eps * D = 0 over the dual numbers."""
+    out: dict = {}
+    for ((sym1, ext1), c1), ((sym2, ext2), c2) in itertools.product(x.items(), y.items()):
+        merged = ext1 + ext2
+        if len(set(merged)) < len(merged):
+            continue
+        inversions = sum(merged[i] > merged[j] for i, j in itertools.combinations(range(len(merged)), 2))
+        sym = tuple(sorted(sym1 + sym2))
+        c = (c1 * c2).scale((-1) ** inversions)
+        if module.backend.is_dual and sym:
+            c = Poly.const(module.backend, c.constant_part())
+        out = _poly_add(out, {(sym, tuple(sorted(merged))): c})
+    return out
+
+
+def _assert_canonical(x: RothElement):
+    numerators = [c for terms in x._num.values() for c in terms.values()]
+    assert all(x._num.values()) and all(type(c) is int and c for c in numerators)
+    assert x._den > 0 and math.gcd(x._den, *numerators) == 1
+    twin = RothElement(x.module, x.terms)  # the same element, packed again from its view
+    assert (twin._num, twin._den, hash(twin)) == (x._num, x._den, hash(x))
+
+
+@pytest.mark.parametrize("context", range(len(CONTEXTS)))
+def test_stored_form_equals_poly_arithmetic_on_the_terms_view(context):
+    M, conn = CONTEXTS[context]
+    rng = random.Random(211 + context)
+    scales = [Fraction(1), Fraction(-1, 3), Fraction(2, 5), Fraction(6, 7)]
+    nonzero = 0
+    for _ in range(8):
+        a, b = (random_roth(rng, M, rng.randint(0, 3)).scale(rng.choice(scales)) for _ in range(2))
+        q = rng.choice(scales + [Fraction(0)])
+        p = random_roth(rng, M, 0, density=1.0).scalar_part()
+        ta, tb = a.terms, b.terms
+        bracket = {}
+        for (k1, c1), (k2, c2) in itertools.product(ta.items(), tb.items()):
+            one = roth_bracket(RothElement(M, {k1: c1}), RothElement(M, {k2: c2}), conn)
+            bracket = _poly_add(bracket, one.terms)
+        results = [
+            (a + b, _poly_add(ta, tb)),
+            (a - b, _poly_add(ta, tb, -1)),
+            (-a, _poly_add({}, ta, -1)),
+            (a.scale(q), {key: c.scale(q) for key, c in ta.items()} if q else {}),
+            (a.scale(p), _poly_wedge(M, {((), ()): p}, ta)),
+            (a.wedge(b), _poly_wedge(M, ta, tb)),
+            (roth_bracket(a, b, conn), bracket),
+        ]
+        for got, expected in results:
+            assert got.terms == expected
+            _assert_canonical(got)
+            nonzero += not got.is_zero()
+        # equal elements, reached two ways, are stored equally
+        for x, y in (((a + b) - b, a), (a.scale(q).scale(1 / q) if q else a, a), (a - a, RothElement.zero(M))):
+            assert (x._num, x._den, hash(x)) == (y._num, y._den, hash(y)) and x == y
+    assert nonzero >= 15

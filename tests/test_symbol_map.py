@@ -181,6 +181,21 @@ def test_membership_degree4_badc_is_outside():
     assert res["certificate"]["residual_row"]
 
 
+def test_dual_membership_is_conclusive_only_from_cap_one():
+    # eps e1^e2^e3^e4 is in the image, but its J-image has an eps coefficient:
+    # a cap below 1 leaves the candidate that reaches it out, so no verdict is final
+    D = Backend.dual()
+    M = MetricModule(D, [[Poly.one(D) if a == b else Poly.zero(D) for b in range(4)] for a in range(4)])
+    conn = Connection.flat(M)
+    c = apply_J(RothElement.monomial(M, (), (0, 1, 2, 3), Poly.var(D, 0)), conn)
+    for cap, reason in ((0, "eliminated system"), (-1, "no candidate monomials")):
+        res = chat_membership(c, conn, cap=cap)
+        assert not res["member"] and not res["conclusive"]
+        assert res["certificate"]["reason"].startswith(reason)
+    res = chat_membership(c, conn, cap=1)
+    assert res["member"] and res["conclusive"]
+
+
 def test_membership_on_images_and_degree3():
     M = hyperbolic2()
     conn = curved_connection(M, seed=14)
