@@ -16,7 +16,7 @@ from courantalg import (
 )
 from courantalg.cmaps import quartic_from_biderivation
 
-# free backend: the map J is injective and degree 3 inverts in closed form
+# free backend: the map J is injective and degree 3 inverts exactly
 backend = Backend.free(1, ("x",))
 one, zero = Poly.one(backend), Poly.zero(backend)
 module = MetricModule(backend, [[zero, one], [one, zero]])

@@ -38,7 +38,7 @@ from .deform import (
     verify_courant,
 )
 from .modules import Connection, MetricModule, ModuleElement, ModuleError, metrize
-from .poly import Backend, Derivation, MultiDerivation, Poly
+from .poly import Backend, Derivation, MultiDerivation, Poly, num_der_generators
 from .rothstein import RothElement
 from .symbol_map import apply_J, chat_membership, invert_J
 from .textforms import parse_poly, parse_roth, roth_to_text
@@ -53,10 +53,6 @@ COHOMOLOGY_CAP = 8
 # the largest exponent a parsed polynomial may carry: products of document inputs
 # stay far below the packed field limit (poly.EXPONENT_LIMIT), and probe depths small
 EXPONENT_CAP = 32
-# the largest --truncation: a membership solve spans every coefficient monomial up to
-# it, binomial(cap + nvars, nvars) of them per key; a degree-4 member over
-# {"standard": 4} takes about 16 s of CPU at 4
-TRUNCATION_CAP = 4
 # the most coefficients an mc-extend series may have: its relations take k(k - 1)/2 brackets
 MC_ORDER_CAP = 8
 
@@ -207,6 +203,9 @@ class ProblemDocument:
         return ModuleElement(self.module, [_parse_poly(str(c), self.backend) for c in coeffs])
 
     def _parse_derivation(self, coeffs) -> Derivation:
+        ngen = num_der_generators(self.backend)
+        if not isinstance(coeffs, list) or len(coeffs) != ngen:
+            raise ValueError("a symbol entry needs a list of %d coefficients, got %r" % (ngen, coeffs))
         if self.backend.is_dual:
             return Derivation(self.backend, Fraction(str(coeffs[0])))
         return Derivation(self.backend, tuple(_parse_poly(str(c), self.backend) for c in coeffs))
@@ -238,7 +237,9 @@ class ProblemDocument:
                     _capped(c)
                 return phi
             if kind == "cmap":
-                degree = int(spec["degree"])
+                degree = spec["degree"]
+                if not _is_int(degree):
+                    raise ValueError("degree must be an integer, got %r" % (degree,))
                 values = {
                     self._basis_key(k): self._parse_module_element(v)
                     for k, v in (spec.get("values") or {}).items()
@@ -296,11 +297,11 @@ class ProblemDocument:
         raise _fail("element %r has no connection-side form" % name, "commands")
 
     def preimage(self, name: str, c: Cochain) -> RothElement:
-        """The closed-form preimage of c (degree <= 3); a table that is no element of the complex is rejected."""
+        """The preimage of c (degree <= 3); a table that is no element of the complex is rejected."""
         try:
             return invert_J(c, self.connection)
         except ValueError as ex:
-            raise _fail("element %r has no preimage under J: %s" % (name, ex), "commands")
+            raise _fail("element %r: %s" % (name, ex), "commands")
 
 
 def _describe(obj) -> object:
@@ -323,9 +324,8 @@ def _describe(obj) -> object:
 class CommandRunner:
     """Executes the command list; collects one record per command."""
 
-    def __init__(self, doc: ProblemDocument, truncation: int | None, seed: int):
+    def __init__(self, doc: ProblemDocument, seed: int):
         self.doc = doc
-        self.truncation = truncation
         self.seed = seed
         self.records: list[dict] = []
         self.failed_verification = False
@@ -356,7 +356,7 @@ class CommandRunner:
             try:
                 return CourantStructure.from_cochain(m, self.doc.connection, check=False)
             except ValueError as ex:  # a table outside the complex has no preimage
-                raise _fail("element %r has no preimage under J: %s" % (cmd["element"], ex), "commands")
+                raise _fail("element %r: %s" % (cmd["element"], ex), "commands")
         if self.doc.structure is not None:
             return self.doc.structure
         raise _fail("command needs an element or a standard module", "commands")
@@ -473,8 +473,8 @@ class CommandRunner:
         if degree != c.degree:
             raise _fail("element degree %d does not match requested %d" % (c.degree, degree))
         if degree not in (2, 3):
-            raise _fail("closed-form inversion supports degrees 2 and 3")
-        # the inversions check J(phi) = c themselves; a failed round trip is a rejected document
+            raise _fail("j-invert supports degrees 2 and 3")
+        # the peel leaves no remainder only when J(phi) = c; a table with no preimage is a rejected document
         phi = self.doc.preimage(name, c)
         self._bind(cmd, phi)
         return {"status": "ok", "round_trip": True, "preimage": roth_to_text(phi)}
@@ -482,15 +482,15 @@ class CommandRunner:
     def cmd_chat_membership(self, cmd) -> dict:
         name = self._arg(cmd, "element")
         c = self.doc.lookup_cochain(name)
-        try:
-            res = chat_membership(c, self.doc.connection, cap=self.truncation)
-        except ValueError as ex:
-            # degrees <= 3 are inverted in closed form, which fails only on a table outside the complex
-            raise _fail("element %r has no preimage under J: %s" % (name, ex), "commands")
+        res = chat_membership(c, self.doc.connection)
+        if not res["member"] and c.degree <= 3:
+            # J is onto the complex in degrees <= 3: a table outside the image there is outside the complex
+            raise _fail("element %r: no preimage under J: %s, residual %s"
+                        % (name, res["certificate"]["coordinate"], res["certificate"]["residual"]), "commands")
         record = {
             "status": "ok",
             "member": res["member"],
-            "truncation_cap": res["cap"],
+            "truncation_cap": None,
             "conclusive": res["conclusive"],
         }
         if res["member"]:
@@ -575,7 +575,7 @@ class CommandRunner:
         P = MultiDerivation(backend, 2, {(0, 0): eps})
         bad = quartic_from_biderivation(module, P)
         in_complex, _ = cmap_verify(bad)
-        membership = chat_membership(bad, conn, cap=self.truncation)
+        membership = chat_membership(bad, conn)
         rng = random.Random(self.seed)
         degree3_members = 0
         trials = self._arg(cmd, "degree3_trials", 5, _is_count)
@@ -602,12 +602,10 @@ class CommandRunner:
         }
 
 
-def run_document(raw: dict, truncation: int | None = None, seed: int = 0) -> tuple[dict, int]:
+def run_document(raw: dict, seed: int = 0) -> tuple[dict, int]:
     try:
-        if truncation is not None and not 0 <= truncation <= TRUNCATION_CAP:
-            raise _fail("truncation %d is outside 0..%d (TRUNCATION_CAP)" % (truncation, TRUNCATION_CAP))
         doc = ProblemDocument(raw)
-        runner = CommandRunner(doc, truncation, seed)
+        runner = CommandRunner(doc, seed)
         report = runner.run()
     except DocumentError as ex:
         return {"schema": REPORT_SCHEMA, "ok": False, "error": str(ex)}, 2
@@ -637,8 +635,6 @@ def main(argv=None) -> int:
         description="Run a structured problem document against the library.",
     )
     ap.add_argument("document", help="path to the JSON problem document ('-' for stdin)")
-    ap.add_argument("--truncation", type=int, default=None,
-                    help="coefficient-degree cap for membership solves")
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for randomized probe commands")
     ap.add_argument("--format", choices=("human", "json"), default="human")
@@ -649,7 +645,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as ex:
         print("cannot read document: %s" % ex, file=sys.stderr)
         return 2
-    report, code = run_document(raw, truncation=args.truncation, seed=args.seed)
+    report, code = run_document(raw, seed=args.seed)
     if args.format == "json":
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
     else:

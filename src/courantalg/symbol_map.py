@@ -12,33 +12,31 @@ The entries share their prefixes, so `apply_J` walks the prefix tree once:
 each node's children are read off one Hamiltonian Q_node (`rothstein`'s
 kernel) built on the next generators, and the leaves are the entries.
 
-The image is generated in degrees 0, 1, 2; degrees 2 and 3 are inverted in
-closed form, and membership in higher degrees is decided by an exact linear
-solve over Q against a coefficient-degree truncation.
+J is inverted in every degree by one recursion, the symbol calculus of a
+degree-2 symplectic manifold (Roytenberg, math/0203110).  The brackets with
+x_g strip one D_g each and see no connection, so level p of J(phi) depends
+only on the Sym^p part of phi, through the gram: it is that part's top
+symbol.  Over Q[x] every top symbol that is alternating in its arguments is
+reached; over the dual numbers D(eps) = eps, so a level-1 symbol must be a
+multiple of eps and a level-2 or higher one is never reached.  `_peel`
+reads the Sym^p part off the top level of the remainder, subtracts its
+J-image and goes down one level; an entry the subtraction leaves is an
+exact witness of non-membership, and a remainder of 0 proves membership.
+`invert_J`, `invert_J_deg2`, `invert_J_deg3` and `chat_membership` are its
+entry points.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 
-from . import linalg
-from .cmaps import Cochain, generator_slice
-from .modules import Connection, MetricModule, ModuleElement, ModuleError, inner, raise_exterior
-from .poly import (
-    Poly,
-    _grouped_sum,
-    _numerators,
-    exponents_of_degree,
-    num_der_generators,
-    packed_exponents_of_degree,
-)
-from .rothstein import (
-    RothElement,
-    _hamiltonian,
-    graded_monomials,
-    nested_bracket_with_scalars,
-)
+from .cmaps import Cochain
+from .modules import Connection, MetricModule, ModuleError
+from .poly import Poly, _grouped_sum, _mul_add, exponents_of_degree, num_der_generators
+from .rothstein import RothElement, _hamiltonian, nested_bracket_with_scalars
 
 
 def apply_J(phi: RothElement, conn: Connection) -> Cochain:
@@ -86,187 +84,114 @@ def apply_J(phi: RothElement, conn: Connection) -> Cochain:
     return Cochain.from_numerators(module, degree, *_grouped_sum(leaves))
 
 
-def invert_J_deg2(c: Cochain, conn: Connection) -> RothElement:
-    """Preimage of a degree-2 element: a bivector part plus minus the symbol.
+def _peeled(level: dict, p: int, q: int, den: int, module: MetricModule) -> tuple[dict, int]:
+    """The part of Sym^p(Der A) (x) Lambda^q(E) whose J-image has the given
+    top level {(gens, args): {exp: int}} over den, as grouped numerators.
 
-    The bivector pairs against x ^ y as <nabla_{sigma} x - C(x), y>; the
-    derivation part is minus the symbol of C (the image of a derivation D has
-    symbol -D).  Verified by an exact round trip.
+    On level p, J puts (-1)^p prod m_i! on c D_{g_1}..D_{g_p} (x) e^B, with
+    m_i the multiplicities of the g_i, and (-1)^(q(q-1)/2) <e^B, e_{b_1} ^ ..
+    ^ e_{b_q}> on the arguments, so raising the q slots through the inverse
+    gram leaves the coefficient on increasing arguments.  Over the dual
+    numbers D(eps) = eps puts a factor eps on the level too, lifted off here;
+    for p >= 2 that J-image is 0.  Entries that are no such image are
+    dropped, so subtracting J of the result leaves them as the witness.
+    """
+    backend = module.backend
+    inv, H = module.numerators()[2:]
+    for i in range(q):
+        raised: dict = {}
+        for (gens, args), v in level.items():
+            for a in range(module.rank):
+                if inv[args[i]][a]:
+                    _mul_add(raised.setdefault((gens, args[:i] + (a,) + args[i + 1:]), {}),
+                             v, inv[args[i]][a], backend)
+        level = raised
+    sign = (-1) ** (p + q * (q - 1) // 2)
+    parts = []
+    for (gens, args), v in level.items():
+        if any(args[i] >= args[i + 1] for i in range(q - 1)):
+            continue
+        if backend.is_dual and p:
+            v = {0: v[1]} if 1 in v else {}  # lift off the eps of D(eps) = eps
+        if v:
+            parts.append((sign, prod(map(factorial, Counter(gens).values())), {(gens, args): v}))
+    num, d = _grouped_sum(parts)
+    return num, den * H ** q * d
+
+
+def _peel(c: Cochain, conn: Connection) -> tuple[RothElement | None, dict | None]:
+    """(phi, None) with J(phi) = c, or (None, certificate) for a non-member.
+
+    From the top tower level down: level p of J(phi) is the gram contraction
+    of the Sym^p part of phi alone, so that part is read off level p of the
+    remainder (`_peeled`) and its J-image subtracted, which clears level p
+    exactly when the level was an image.  The first entry left there, in
+    sorted order, is an exact witness; a remainder of 0 proves membership.
     """
     module = c.module
-    if c.is_zero():
-        return RothElement.zero(module)
-    if c.degree != 2:
-        raise ValueError("degree-2 inversion only")
-    sigma = c.symbol(())
-    basis = module.basis_elements()
-    values = [c(x) for x in basis]
-    pairing = {
-        (a, b): inner(conn.nabla(sigma, basis[a]) - values[a], basis[b])
-        for a, b in itertools.product(range(module.rank), repeat=2)
-    }
-    xi = raise_exterior(module, 2, pairing)
-    phi = RothElement.from_lambda2(module, xi) - RothElement.from_derivation(module, sigma)
-    if apply_J(phi, conn) != c:
-        raise ValueError("degree-2 inversion round trip failed")
-    return phi
-
-
-def derivation_tail(c: Cochain) -> list[ModuleElement]:
-    """For degree 3: the module elements v_j with [C, a] = sum_j da/dg_j v_j."""
-    if c.degree != 3:
-        raise ValueError("derivation tail extraction expects degree 3")
-    module = c.module
-    backend = module.backend
-    out = []
-    for j in range(num_der_generators(backend)):
-        sliced = generator_slice(c, j)
-        x = sliced.module_part() if not sliced.is_zero() else module.zero()
-        if backend.is_dual:
-            # the slice equals eps * u; lift off the eps factor
-            coeffs = []
-            for poly in x.coeffs:
-                if poly.terms.get((0,), 0) != 0:
-                    raise ValueError("dual-number derivation tail must be a multiple of eps")
-                coeffs.append(Poly.const(backend, poly.terms.get((1,), Fraction(0))))
-            x = ModuleElement(module, coeffs)
-        out.append(x)
-    return out
-
-
-def invert_J_deg3(c: Cochain, conn: Connection) -> RothElement:
-    """Preimage of a degree-3 element: trivector part minus the Der-wedge part."""
-    module = c.module
-    if c.is_zero():
-        return RothElement.zero(module)
-    if c.degree != 3:
-        raise ValueError("degree-3 inversion only")
-    backend = module.backend
-    tails = derivation_tail(c)
-    der_part = RothElement.zero(module)
-    for j, v in enumerate(tails):
-        if v.is_zero():
+    rem, phi = c, RothElement.zero(module)
+    for p in range(c.degree // 2, -1, -1):
+        level = {key: v for key, v in rem._num.items() if len(key[0]) == p}
+        if not level:
             continue
-        der_part = der_part + RothElement.monomial(module, (j,), ()).wedge(
-            RothElement.from_module_element(v)
-        )
-    t_elem = c + apply_J(der_part, conn) if not der_part.is_zero() else c
-    # the remainder must be a pure trivector: symbol-free and alternating
-    for j in range(num_der_generators(backend)):
-        if not generator_slice(t_elem, j).is_zero():
-            raise ValueError("degree-3 remainder has a residual symbol; invalid input")
-    basis = module.basis_elements()
-    minus_theta = {
-        idx: -t_elem.omega(tuple(basis[b] for b in idx))
-        for idx in itertools.product(range(module.rank), repeat=3)
-    }
-    xi = raise_exterior(module, 3, minus_theta)
-    phi = RothElement(module, {((), key): val for key, val in xi.items()}) - der_part
-    if apply_J(phi, conn) != c:
-        raise ValueError("degree-3 inversion round trip failed")
-    return phi
+        num, den = _peeled(level, p, c.degree - 2 * p, rem._den, module)
+        if num:
+            phi_p = RothElement.from_numerators(module, num, den)
+            rem, phi = rem - apply_J(phi_p, conn), phi + phi_p
+        left = sorted(key for key in rem._num if len(key[0]) == p)
+        if left:
+            (gens, args), v = left[0], rem._num[left[0]]
+            exp = min(v)  # packed keys sort as exponent tuples do
+            return None, {
+                "coordinate": _coord_name(module, (p, gens, args, module.backend.unpack(exp))),
+                "residual": str(Fraction(v[exp], rem._den)),
+                "reason": "level %d of the remainder is not the J-image of a Sym^%d part" % (p, p),
+            }
+    return phi, None
 
 
 def invert_J(c: Cochain, conn: Connection) -> RothElement:
-    """Closed-form preimage of an element of degree 0 to 3 under J.
+    """The preimage of c under J, in any degree, by peeling the top symbol.
 
-    Degrees 0 and 1 are their own preimages; degrees 2 and 3 are inverted by
-    `invert_J_deg2` and `invert_J_deg3`.  Raises ValueError above degree 3.
+    Raises ValueError when c has none; in degrees <= 3 J is onto the
+    complex, so there that means c is no element of the complex.
     """
-    if c.degree > 3:
-        raise ValueError("closed-form inversion stops at degree 3, got degree %d" % c.degree)
-    if c.degree == 3:
-        return invert_J_deg3(c, conn)
-    if c.degree == 2:
-        return invert_J_deg2(c, conn)
-    if c.degree == 1:
-        return RothElement.from_module_element(c.module_part())
-    return RothElement.from_scalar(c.module, c.scalar_part())
+    phi, certificate = _peel(c, conn)
+    if certificate is not None:
+        raise ValueError("no preimage under J: %s, residual %s"
+                         % (certificate["coordinate"], certificate["residual"]))
+    return phi
+
+
+def invert_J_deg2(c: Cochain, conn: Connection) -> RothElement:
+    """`invert_J` on a degree-2 element: a bivector part minus the symbol."""
+    if c.degree != 2 and not c.is_zero():  # the zero image carries degree 0
+        raise ValueError("degree-2 inversion only")
+    return invert_J(c, conn)
+
+
+def invert_J_deg3(c: Cochain, conn: Connection) -> RothElement:
+    """`invert_J` on a degree-3 element: a trivector part plus a Der-wedge part."""
+    if c.degree != 3 and not c.is_zero():  # the zero image carries degree 0
+        raise ValueError("degree-3 inversion only")
+    return invert_J(c, conn)
 
 
 # -- membership in the image ----------------------------------------------------
 
 
-def _roth_monomial_basis(module: MetricModule, degree: int, cap: int) -> list:
-    """Monomial basis (exp, sym, ext) of the degree bucket with coefficient degree <= cap."""
-    backend = module.backend
+def chat_membership(c: Cochain, conn: Connection) -> dict:
+    """Decide whether c lies in the image of J, in any degree, on either backend.
 
-    def exponents(sym, ext):
-        return (exp for total in range(cap + 1) for exp in packed_exponents_of_degree(backend, total))
-
-    return list(graded_monomials(module, degree, exponents))
-
-
-def _flatten(c: Cochain, coords: dict) -> dict[tuple, Fraction]:
-    """The entries of c by coordinate key, each new key given the next coordinate."""
-    vec = {}
-    for p, table in c.levels.items():
-        for (gens, args), poly in table.items():
-            for exp, frac in poly.terms.items():
-                key = (p, gens, args, exp)
-                coords.setdefault(key, len(coords))
-                vec[key] = frac
-    return vec
-
-
-def chat_membership(c: Cochain, conn: Connection, cap: int | None = None) -> dict:
-    """Decide whether c lies in the image of J; exact linear algebra over Q.
-
-    Degrees <= 3 use the closed-form inversions (always members).  Higher
-    degrees solve J(phi) = c over the monomial basis with coefficient degree
-    <= cap.  Over the dual numbers the spaces are finite so the answer is
-    conclusive; over free polynomials the report carries the cap.
+    The verdict is always conclusive: a member comes with its preimage, a
+    non-member with the exact certificate of `_peel` (the level, generators,
+    basis arguments and monomial of the first entry no preimage reaches, and
+    its residual).
     """
-    module = c.module
-    degree = c.degree
-    if cap is None:
-        cap = 2
-        for table in c.levels.values():
-            for v in table.values():
-                cap = max(cap, v.total_degree() + 1)
-    # over the dual numbers a coefficient has degree <= 1, so a cap >= 1 spans them all
-    conclusive = module.backend.is_dual and cap >= 1
-    if degree <= 3:
-        return {"member": True, "preimage": invert_J(c, conn), "cap": cap, "conclusive": True}
-    basis = _roth_monomial_basis(module, degree, cap)
-    images = [apply_J(RothElement.from_numerators(module, {(sym, ext): {exp: 1}}, 1), conn)
-              for exp, sym, ext in basis]
-    coords: dict[tuple, int] = {}
-    target_vec = _flatten(c, coords)
-    image_vecs = [_flatten(im, coords) for im in images]
-    rows = [{} for _ in coords]  # column len(basis) holds the target
-    for j, vec in enumerate(image_vecs + [target_vec]):
-        for key, frac in vec.items():
-            rows[coords[key]][j] = frac
-    if not basis:
-        nz = next(iter(target_vec), None)
-        if nz is None:
-            return {"member": True, "preimage": RothElement.zero(module), "cap": cap,
-                    "conclusive": True}
-        return {"member": False, "cap": cap, "conclusive": conclusive,
-                "certificate": {"coordinate": _coord_name(module, nz), "residual": str(target_vec[nz]),
-                                "reason": "no candidate monomials in the image"}}
-    sol, witness = linalg.solve(rows, len(basis))
-    if sol is None:
-        return {
-            "member": False,
-            "cap": cap,
-            "conclusive": conclusive,
-            "certificate": {
-                "residual_row": [str(v) for v in witness],
-                "coordinate": _coord_name(module, _first_target_coord(target_vec, coords)),
-                "reason": "eliminated system contains 0 = 1",
-            },
-        }
-    phi = RothElement.from_numerators(module, *_numerators(
-        {((sym, ext), exp): v for v, (exp, sym, ext) in zip(sol, basis) if v}))
-    if apply_J(phi, conn) != c:
-        raise AssertionError("membership solve produced a non-preimage")
-    return {"member": True, "preimage": phi, "cap": cap, "conclusive": True}
-
-
-def _first_target_coord(target_vec, coords):
-    return min(target_vec, key=coords.__getitem__)
+    phi, certificate = _peel(c, conn)
+    if certificate is not None:
+        return {"member": False, "conclusive": True, "certificate": certificate}
+    return {"member": True, "conclusive": True, "preimage": phi}
 
 
 def _coord_name(module: MetricModule, key) -> str:

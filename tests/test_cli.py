@@ -12,7 +12,6 @@ from courantalg.cli import (
     MC_ORDER_CAP,
     SCHEMA,
     STANDARD_CAP,
-    TRUNCATION_CAP,
     DocumentError,
     ProblemDocument,
     run_document,
@@ -389,27 +388,55 @@ def test_an_exponent_summed_over_factors_is_capped():
     assert code == 2 and "EXPONENT_CAP" in report["error"]
 
 
-@pytest.mark.parametrize("truncation", [-1, TRUNCATION_CAP + 1])
-def test_truncation_outside_the_cap_is_rejected(monkeypatch, truncation):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a membership solve ran")
-
-    monkeypatch.setattr(cli, "chat_membership", refuse)
-    doc = json.loads((DOCUMENTS / "chat_membership_quartic.json").read_text())
-    report, code = run_document(doc, truncation=truncation)
-    assert code == 2
-    assert "TRUNCATION_CAP" in report["error"] and str(TRUNCATION_CAP) in report["error"]
-    assert cli.main([str(DOCUMENTS / "chat_membership_quartic.json"), "--truncation", str(truncation)]) == 2
-
-
-@pytest.mark.parametrize("truncation, conclusive", [(0, False), (1, True), (TRUNCATION_CAP, True)])
-def test_truncation_inside_the_cap_runs(truncation, conclusive):
-    doc = json.loads((DOCUMENTS / "chat_membership_quartic.json").read_text())
-    report, code = run_document(doc, truncation=truncation)
-    assert code == 0
+def test_the_truncation_flag_is_gone():
+    # membership needs no cap, so --truncation is an unknown argument (argparse exits 2)
+    with pytest.raises(SystemExit) as ex:
+        cli.main([str(DOCUMENTS / "chat_membership_quartic.json"), "--truncation", "1"])
+    assert ex.value.code == 2
+    report, code = run_document(json.loads((DOCUMENTS / "chat_membership_quartic.json").read_text()))
     record = report["commands"][0]
-    assert record["truncation_cap"] == truncation and record["member"] is False
-    assert record["conclusive"] is conclusive
+    assert code == 0 and record["member"] is False
+    assert record["truncation_cap"] is None and record["conclusive"] is True
+
+
+@pytest.mark.parametrize("k", [8, EXPONENT_CAP])
+def test_membership_work_does_not_grow_with_the_coefficient_degree(k):
+    doc = _standard({"standard": 3}, elements={"t": {"type": "roth", "terms": ["(x^%d) * d(x) (x) e1^f1" % k]}},
+                    commands=[{"op": "chat-membership", "element": "t"}])
+    start = time.monotonic()
+    report, code = run_document(doc)
+    seconds = time.monotonic() - start
+    assert code == 0 and report["commands"][0]["member"] is True
+    assert report["commands"][0]["preimage"] == "(x^%d) * d(x) ⊗ e1∧f1" % k
+    assert seconds < 2, seconds
+
+
+def _dual_rank1(**fields):
+    return dict({"schema": SCHEMA, "backend": {"kind": "dualnum", "var": "eps"},
+                 "module": {"rank": 1, "basis": ["e1"], "gram": [["1"]]}}, **fields)
+
+
+def _cmap(degree, values, symbol=None):
+    spec = {"type": "cmap", "degree": degree, "values": values}
+    if symbol is not None:
+        spec["symbol"] = symbol
+    return {"m": spec}
+
+
+@pytest.mark.parametrize("doc, words", [
+    pytest.param(_dual_rank1(elements=_cmap(2, {"e1": ["0"]}, {"": []})), "list of 1 coefficients",
+                 id="dual-symbol-empty"),
+    pytest.param(dict(_dual_rank1(elements=_cmap(2, {"e1": ["0"]}, {"": "xy"})),
+                      backend={"kind": "freepoly", "vars": ["x", "y"]}), "list of 2 coefficients",
+                 id="free-symbol-string"),
+    pytest.param(_so3(elements=_cmap(2.9, {"e1": ["0", "0", "0"]})), "degree must be an integer",
+                 id="degree-float"),
+    pytest.param(_so3(elements=_cmap("3", {"e1,e2": ["0", "0", "1"]})), "degree must be an integer",
+                 id="degree-text"),
+])
+def test_cmap_degrees_and_symbol_entries_are_checked(doc, words):
+    report, code = run_document(doc)
+    assert code == 2 and words in report["error"], report
 
 
 def _mc_document(series, candidate=None):
