@@ -399,7 +399,19 @@ def test_the_truncation_flag_is_gone():
     assert record["truncation_cap"] is None and record["conclusive"] is True
 
 
-@pytest.mark.parametrize("k", [8, EXPONENT_CAP])
+@pytest.mark.parametrize("truncation", [-1, 5])
+def test_truncation_outside_the_cap_is_rejected(monkeypatch, truncation):
+    # the values the old cap refused are refused still, as an unknown argument, before any membership solve
+    def refuse(*args, **kwargs):
+        raise AssertionError("a membership solve ran")
+
+    monkeypatch.setattr(cli, "chat_membership", refuse)
+    with pytest.raises(SystemExit) as ex:
+        cli.main([str(DOCUMENTS / "chat_membership_quartic.json"), "--truncation", str(truncation)])
+    assert ex.value.code == 2
+
+
+@pytest.mark.parametrize("k",[8, EXPONENT_CAP])
 def test_membership_work_does_not_grow_with_the_coefficient_degree(k):
     doc = _standard({"standard": 3}, elements={"t": {"type": "roth", "terms": ["(x^%d) * d(x) (x) e1^f1" % k]}},
                     commands=[{"op": "chat-membership", "element": "t"}])
