@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -55,6 +56,12 @@ COHOMOLOGY_CAP = 8
 EXPONENT_CAP = 32
 # the most coefficients an mc-extend series may have: its relations take k(k - 1)/2 brackets
 MC_ORDER_CAP = 8
+# the largest explicit module: its gram is inverted by cofactors, O(r! r^2), 0.1 s at rank 6, 7 s at 8
+RANK_CAP = 6
+# the most probes of verify-courant and symbol-tower, those of {"standard": 4} at depth 1 (probes^3 triples)
+PROBE_CAP = 40
+# the most degree-3 membership trials of counterexample-sder, about 60 us each
+TRIALS_CAP = 1000
 
 
 class DocumentError(ValueError):
@@ -87,6 +94,13 @@ def _capped(p: Poly) -> Poly:
 
 def _parse_poly(text: str, backend: Backend) -> Poly:
     return _capped(parse_poly(text, backend))
+
+
+def _probe_count(module: MetricModule, depth: int) -> int:
+    """The size of `cmaps.probe_elements(module, depth)`: rank x the monomials of degree <= depth."""
+    backend = module.backend
+    monomials = min(depth, 1) + 1 if backend.is_dual else math.comb(backend.nvars + depth, depth)
+    return module.rank * monomials
 
 
 class ProblemDocument:
@@ -155,6 +169,8 @@ class ProblemDocument:
         gram_rows = spec.get("gram")
         if not _is_list_of(gram_rows, list):
             raise _fail("module needs a gram matrix (a list of rows)", "module")
+        if len(gram_rows) > RANK_CAP:
+            raise _fail("rank %d exceeds the %d cap (RANK_CAP)" % (len(gram_rows), RANK_CAP), "module")
         rank = spec.get("rank")
         if rank is not None and (not _is_int(rank) or rank != len(gram_rows)):
             raise _fail("rank must be an integer equal to the number of gram rows", "module")
@@ -387,11 +403,20 @@ class CommandRunner:
 
     # -- command handlers ------------------------------------------------
 
+    @staticmethod
+    def _within_probe_cap(cmd, module: MetricModule, depth: int):
+        """Reject a probe set above PROBE_CAP before any probe is read."""
+        count = _probe_count(module, depth)
+        if count > PROBE_CAP:
+            raise _fail("%s: %d probes at depth %d exceed the %d cap (PROBE_CAP)"
+                        % (cmd["op"], count, depth, PROBE_CAP), "commands")
+
     def cmd_verify_courant(self, cmd) -> dict:
         depth = self._arg(cmd, "depth", 1, _is_count)
         m = self._element(cmd) if "element" in cmd else self._structure(cmd).cochain
         if m.degree != 3:
             raise _fail("verify-courant needs an element of degree 3, got degree %d" % m.degree, "commands")
+        self._within_probe_cap(cmd, m.module, depth)
         ok, report = verify_courant(m, depth=depth)
         self._mark(ok)
         return {
@@ -450,6 +475,7 @@ class CommandRunner:
     def cmd_symbol_tower(self, cmd) -> dict:
         depth = self._arg(cmd, "depth", 1, _is_count)
         c = self._element(cmd)
+        self._within_probe_cap(cmd, c.module, depth)
         try:
             tower = symbol_tower(to_form(c), depth=depth)
         except ValueError as ex:
@@ -568,6 +594,9 @@ class CommandRunner:
         """The dual-number quartic: in the complex, outside the symbol image."""
         import random
 
+        trials = self._arg(cmd, "degree3_trials", 5, _is_count)
+        if trials > TRIALS_CAP:
+            raise _fail("degree3_trials %d exceeds the %d cap (TRIALS_CAP)" % (trials, TRIALS_CAP), "commands")
         backend = Backend.dual()
         eps = Poly.var(backend, 0)
         module = MetricModule(backend, [[Poly.one(backend)]])
@@ -578,7 +607,6 @@ class CommandRunner:
         membership = chat_membership(bad, conn)
         rng = random.Random(self.seed)
         degree3_members = 0
-        trials = self._arg(cmd, "degree3_trials", 5, _is_count)
         for _ in range(trials):
             sym = () if rng.random() < 0.5 else (0,)
             coeff = Poly(backend, {(0,): Fraction(rng.randint(-3, 3)),

@@ -28,12 +28,13 @@ wedge are one graded Leibniz recursion over basis insertions and generator
 slices.
 
 The tower is fraction-free: one table {(gens, args): {exp: int}} of int
-numerators over one positive denominator per cochain, the format of a
-`RothElement`, kept canonical by `poly._canonical` (no zero entry, and no
-common factor of the numerators and the denominator), so equal cochains
-have equal tables.  exp is a packed monomial (see `poly`):
-the unit is 0, a product of monomials is one add, and the (exp, basis
-index) arguments of `_eval_mono` and its memo keys are pairs of ints.  With
+numerators over one positive denominator per cochain, kept canonical, so
+equal cochains have equal tables: a `Cochain` is a `poly.GroupedElement`,
+as a `RothElement` is, and holds nothing else.  Each reading operation
+passes `_eval_mono` a memo dict of its own and drops it when it returns.
+exp is a packed monomial (see `poly`): the unit is 0, a product of
+monomials is one add, and the (exp, basis index) arguments of `_eval_mono`
+and its memo keys are pairs of ints.  With
 G the least common denominator of the gram, a level-p evaluation is over
 den * G^(L-p), L = degree // 2: each swap correction multiplies by one gram
 entry.  `Poly` is the boundary type,
@@ -46,17 +47,17 @@ evaluation arguments) and unpacked only there.
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from fractions import Fraction
 
 from .modules import MetricModule, ModuleElement, ModuleError, inner
 from .poly import (
     Backend,
     Derivation,
+    GroupedElement,
+    Memo,
     Poly,
     _as_poly,
     _axpy,
-    _canonical,
     _cleared,
     _grouped_sum,
     _mul_add,
@@ -72,31 +73,16 @@ from .rothstein import ModuleMap
 
 LevelTable = dict[tuple[tuple[int, ...], tuple[int, ...]], Poly]  # one level of the `levels` view
 
-MEMO_LIMIT = 1 << 14  # entries per memo table, read on every store
-
-
-class Memo(OrderedDict):
-    """A memo table of at most MEMO_LIMIT entries that drops its oldest first.
-
-    Eviction is first in, first out, so a hit is a plain dict lookup.
-    """
-
-    def remember(self, key, value):
-        while self and len(self) >= MEMO_LIMIT:
-            self.popitem(last=False)
-        self[key] = value
-        return value
-
 
 def _q_terms(x: ModuleElement) -> dict:
     """x as its Q-terms {(packed exponent, basis index): coefficient}."""
     return {(e, b): c for b, poly in enumerate(x.coeffs) for e, c in _packed(poly).items()}
 
 
-class Cochain:
-    """Degree-r element of the quasi-Courant complex (immutable)."""
+class Cochain(GroupedElement):
+    """Degree-r element of the quasi-Courant complex; zero cochains of all degrees are equal."""
 
-    __slots__ = ("module", "degree", "_num", "_den", "_hash", "_memo")
+    __slots__ = ("degree",)
 
     def __init__(self, module: MetricModule, degree: int, levels: dict[int, LevelTable]):
         """The cochain with the given Poly-valued tower levels."""
@@ -107,17 +93,9 @@ class Cochain:
                 raise ValueError("tower level %d too high for degree %d" % (p, degree))
             if any(len(gens) != p or len(args) != degree - 2 * p for gens, args in table):
                 raise ValueError("malformed tower key")
-        self._set(module, degree, *_numerators({(key, e): c for table in levels.values()
-                                                for key, v in table.items() for e, c in _packed(v).items()}))
-
-    def _set(self, module, degree, num, den):
-        num, den = _canonical(num, den)
-        self.module = module
         self.degree = degree
-        self._num = num
-        self._den = den
-        self._hash = None
-        self._memo = Memo()
+        self._set(module, *_numerators({(key, e): c for table in levels.values()
+                                        for key, v in table.items() for e, c in _packed(v).items()}))
 
     # -- constructors --------------------------------------------------
 
@@ -126,7 +104,8 @@ class Cochain:
         """The cochain with tower entries {(gens, args): {exp: int}} over den > 0,
         made canonical; num is taken over, not copied."""
         c = object.__new__(Cochain)
-        c._set(module, degree, num, den)
+        c.degree = degree
+        c._set(module, num, den)
         return c
 
     @staticmethod
@@ -218,30 +197,16 @@ class Cochain:
     @property
     def levels(self) -> dict[int, LevelTable]:
         """The tower as {p: {(gens, args): Poly}}, built on every read."""
-        backend = self.module.backend
         out: dict = {}
-        for (gens, args), v in self._num.items():
-            out.setdefault(len(gens), {})[gens, args] = _as_poly(backend, v, self._den)
+        for gens, args in self._num:
+            out.setdefault(len(gens), {})[gens, args] = self._poly((gens, args))
         return out
 
-    def is_zero(self) -> bool:
-        return not self._num
+    def _like(self, num: dict, den: int) -> "Cochain":
+        return Cochain.from_numerators(self.module, self.degree, num, den)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Cochain):
-            return NotImplemented
-        if self.module != other.module:
-            return False
-        if not self._num and not other._num:
-            return True  # the zero element regardless of nominal degree
-        return self.degree == other.degree and self._den == other._den and self._num == other._num
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            frozen = tuple(sorted((k, tuple(sorted(v.items()))) for k, v in self._num.items()))
-            degree = self.degree if self._num else -1
-            self._hash = hash((self.module, degree, self._den, frozen))
-        return self._hash
+    def _grade(self):
+        return self.degree if self._num else None  # the zero element regardless of nominal degree
 
     def __repr__(self) -> str:
         return "Cochain(degree=%d, %d tower entries)" % (self.degree, len(self._num))
@@ -249,22 +214,9 @@ class Cochain:
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "Cochain"):
-        if self.module != other.module:
-            raise ModuleError("module mismatch")
+        super()._check(other)
         if self.degree != other.degree:
             raise ValueError("degree mismatch: %d vs %d" % (self.degree, other.degree))
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        self._check(other)
-        return Cochain.from_numerators(self.module, self.degree,
-                                       *_grouped_sum([(1, self._den, self._num), (1, other._den, other._num)]))
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + (-other)
-
-    def __neg__(self) -> "Cochain":
-        num = {k: {e: -c for e, c in v.items()} for k, v in self._num.items()}
-        return Cochain.from_numerators(self.module, self.degree, num, self._den)
 
     def scale(self, a) -> "Cochain":
         """Module action of the coefficient algebra (multiplies every level)."""
@@ -274,10 +226,11 @@ class Cochain:
 
     # -- evaluation --------------------------------------------------------
 
-    def _eval_mono(self, p: int, gens: tuple[int, ...], margs) -> dict:
+    def _eval_mono(self, p: int, gens: tuple[int, ...], margs, memo: dict) -> dict:
         """Level p on (packed monomial, basis index) arguments, as int
         numerators over den * G^(degree // 2 - p); the result is shared, not
-        to be changed.
+        to be changed.  memo holds the values read so far: the reading
+        operation that passes it makes it and drops it when it returns.
 
         The last argument x^e e_a that is not a basis element moves to the
         last slot, where the form is linear over the algebra, past the t
@@ -285,39 +238,40 @@ class Cochain:
         (-1)^i sigma(the other arguments)(<x^e e_a, e_b>), one level up the
         tower, and the moved value is multiplied by (-1)^t x^e.
         """
-        key = (gens, margs)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
         gram, G = self.module.numerators()[:2]
         idx = len(margs) - 1
         while idx >= 0 and not margs[idx][0]:
             idx -= 1
-        if idx < 0:
+        if idx < 0:  # basis elements only: a stored entry, read without the memo
             out = self._num.get((gens, tuple([b for _, b in margs])), {})
             if out and G != 1:
                 f = G ** (self.degree // 2 - p)
                 out = {e: f * c for e, c in out.items()}
-            return self._memo.remember(key, out)
+            return out
+        key = (gens, margs)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
         backend = self.module.backend
         exp, a = margs[idx]
         head, tail = margs[:idx], margs[idx + 1:]
-        moved = self._eval_mono(p, gens, head + tail + ((0, a),))
+        moved = self._eval_mono(p, gens, head + tail + ((0, a),), memo)
         out = _mul_add({}, {exp: 1}, moved, backend, -1 if len(tail) % 2 else 1)
         for i, (_, b) in enumerate(tail):
             if gram[a][b]:
                 ip = _mul_add({}, {exp: 1}, gram[a][b], backend, -1 if i % 2 else 1)
-                self._apply_symbol(p, gens, ip, head + tail[:i] + tail[i + 1:], out)
-        return self._memo.remember(key, out)
+                self._apply_symbol(p, gens, ip, head + tail[:i] + tail[i + 1:], out, memo)
+        memo[key] = out
+        return out
 
-    def _apply_symbol(self, p: int, gens: tuple[int, ...], a: dict, margs, out: dict) -> dict:
+    def _apply_symbol(self, p: int, gens: tuple[int, ...], a: dict, margs, out: dict, memo: dict) -> dict:
         """out += sigma of the level-p form applied to a, i.e. one level up the
         tower; a is a numerator sum over G.  Returns out."""
         backend = self.module.backend
         for j, shift in enumerate(backend.shifts):
             part = _partial(a, shift)
             if part:
-                _mul_add(out, part, self._eval_mono(p + 1, tuple(sorted(gens + (j,))), margs), backend)
+                _mul_add(out, part, self._eval_mono(p + 1, tuple(sorted(gens + (j,))), margs, memo), backend)
         return out
 
     def eval_level(self, p: int, gen_args, mod_args) -> Poly:
@@ -326,15 +280,15 @@ class Cochain:
             raise ValueError("expected %d module arguments" % (self.degree - 2 * p))
         if len(gen_args) != p:
             raise ValueError("expected %d algebra arguments" % p)
-        return self._eval_sder(p, tuple(gen_args), (), mod_args)
+        return self._eval_sder(p, tuple(gen_args), (), mod_args, {})
 
-    def _eval_sder(self, p, pending, gens, mod_args) -> Poly:
+    def _eval_sder(self, p, pending, gens, mod_args, memo: dict) -> Poly:
         backend = self.module.backend
         if pending:
             a, rest = pending[0], pending[1:]
             out = Poly.zero(backend)
             for j, part in der_partials(a):
-                out = out + part * self._eval_sder(p, rest, tuple(sorted(gens + (j,))), mod_args)
+                out = out + part * self._eval_sder(p, rest, tuple(sorted(gens + (j,))), mod_args, memo)
             return out
         den = self._den * self.module.numerators()[1] ** (self.degree // 2 - p)
         expansions = []
@@ -347,7 +301,7 @@ class Cochain:
             k = 1
             for _, c in combo:
                 k *= c
-            _axpy(out, self._eval_mono(p, gens, tuple(q for q, _ in combo)), k)
+            _axpy(out, self._eval_mono(p, gens, tuple(q for q, _ in combo), memo), k)
         return _as_poly(backend, out, den)
 
     def omega(self, args) -> Poly:
@@ -360,14 +314,14 @@ class Cochain:
             raise ValueError("degree-0 elements take no arguments")
         if len(args) != self.degree - 1:
             raise ValueError("expected %d arguments" % (self.degree - 1))
-        module = self.module
-        vals = [self.omega(tuple(args) + (module.basis(b),)) for b in range(module.rank)]
-        return module.raise_form(vals)
+        module, memo = self.module, {}
+        return module.raise_form([self._eval_sder(0, (), (), args + (module.basis(b),), memo)
+                                  for b in range(module.rank)])
 
     def scalar_part(self) -> Poly:
         if self.degree != 0:
             raise ValueError("not a degree-0 element")
-        return _as_poly(self.module.backend, self._num.get(((), ()), {}), self._den)
+        return self._poly(((), ()))
 
     def module_part(self) -> ModuleElement:
         if self.degree != 1:
@@ -443,16 +397,12 @@ def insert(c: Cochain, x: ModuleElement) -> Cochain:
         raise ValueError("insertion needs degree >= 2")
     if x.module != c.module:
         raise ModuleError("module mismatch")
-    return _insert(c, x)
-
-
-def _insert(c: Cochain, x: ModuleElement) -> Cochain:
-    """i_x C in any degree, Q-linear in x: the primitive of the complex."""
     return _insert_terms(c, *_cleared(_q_terms(x)))
 
 
 def _insert_terms(c: Cochain, terms: dict, d: int) -> Cochain:
-    """i_x C for x with Q-terms {(packed exponent, a): int} over d.
+    """i_x C in any degree for x with Q-terms {(packed exponent, a): int}
+    over d: the primitive of the complex, Q-linear in x.
 
     A term k e_a of x re-keys the stored entries whose first argument is a;
     a term k x^e e_a with x^e not the unit reads every entry of the result
@@ -465,6 +415,7 @@ def _insert_terms(c: Cochain, terms: dict, d: int) -> Cochain:
     G = module.numerators()[1]
     lift = G ** (c.degree // 2) if any(e for e, _ in terms) else 1
     num: dict = {}
+    memo: dict = {}
     for (e, a), k in terms.items():
         if not e:
             for (gens, args), v in c._num.items():
@@ -475,7 +426,7 @@ def _insert_terms(c: Cochain, terms: dict, d: int) -> Cochain:
             f = k * G ** p
             for gens in itertools.combinations_with_replacement(range(ngen), p):
                 for bargs in itertools.product(range(module.rank), repeat=degree - 2 * p):
-                    v = c._eval_mono(p, gens, ((e, a),) + tuple((0, b) for b in bargs))
+                    v = c._eval_mono(p, gens, ((e, a),) + tuple((0, b) for b in bargs), memo)
                     if v:
                         _axpy(num.setdefault((gens, bargs), {}), v, f)
     return Cochain.from_numerators(module, degree, num, d * c._den * lift)
@@ -623,6 +574,7 @@ def cwedge_shuffle(a: Cochain, b: Cochain) -> Cochain:
         return cwedge(a, b)
     backend = a.module.backend
     n = r + s
+    _check_degree_cap(n, "wedge")
     sign_rs = -1 if (r * s) % 2 else 1
     firsts = [(sign_rs * sgn, blk1, blk2, a._num, b._num) for sgn, blk1, blk2 in _shuffles(r, s - 1)]
     firsts += [(sgn, blk1, blk2, b._num, a._num) for sgn, blk1, blk2 in _shuffles(s, r - 1)]
@@ -706,6 +658,7 @@ def cmap_verify(c: Cochain, depth: int | None = None) -> tuple[bool, dict]:
     keys = list(_probe_keys(backend, module.rank, depth))
     omega: dict = {}
     partials: dict = {}
+    memo: dict = {}
     for y in itertools.product(range(len(keys)), repeat=r):
         for i in range(r - 1):
             a, b = y[i], y[i + 1]
@@ -717,11 +670,11 @@ def cmap_verify(c: Cochain, depth: int | None = None) -> tuple[bool, dict]:
             rest = tuple(keys[k] for k in y[:i] + y[i + 2:])
             rhs: dict = {}
             for g, part in partials[a, b]:
-                _mul_add(rhs, part, c._eval_mono(1, (g,), rest), backend)
+                _mul_add(rhs, part, c._eval_mono(1, (g,), rest, memo), backend)
             swapped = y[:i] + (b, a) + y[i + 2:]
             for t in (y, swapped):
                 if t not in omega:
-                    omega[t] = c._eval_mono(0, (), tuple(keys[k] for k in t))
+                    omega[t] = c._eval_mono(0, (), tuple(keys[k] for k in t), memo)
             if _axpy(dict(omega[y]), omega[swapped]) != rhs:
                 probes = probe_elements(module, depth)
                 report["violation"] = (
@@ -760,19 +713,10 @@ def to_form(c: Cochain) -> CochainForm:
 
 
 def from_form(form: CochainForm) -> Cochain:
-    """Back to the map picture; re-checks linearity of the last slot."""
-    c = form.cochain
-    module = c.module
-    if c.degree >= 1:
-        probes = probe_elements(module, 1)
-        for args in itertools.product(probes, repeat=max(c.degree - 1, 0)):
-            for x in probes:
-                a = Poly.var(module.backend, 0) if module.backend.nvars else Poly.const(module.backend, 2)
-                lhs = c.omega(tuple(args) + (x.scale(a),))
-                rhs = a * c.omega(tuple(args) + (x,))
-                if lhs != rhs:
-                    raise ValueError("form is not linear over the algebra in its last slot")
-    return c
+    """Back to the map picture.  Nothing is checked: the form is linear over the
+    algebra in its last slot by construction, as `_eval_mono` multiplies the
+    value on a last argument x^e e_b by x^e."""
+    return form.cochain
 
 
 class SymbolTower:
@@ -813,6 +757,7 @@ def symbol_tower(form: CochainForm, depth: int = 1) -> SymbolTower:
     keys = list(_probe_keys(backend, module.rank, depth))
     units = [(0, b) for b in range(module.rank)]
     gen_vars = [der_generator_var(backend, j) for j in range(ngen)]
+    memo: dict = {}
     for p in range(0, c.degree // 2):
         nargs = c.degree - 2 * p
         if nargs < 2:
@@ -821,9 +766,9 @@ def symbol_tower(form: CochainForm, depth: int = 1) -> SymbolTower:
             for u, v in itertools.product(keys, repeat=2):
                 ip = _probe_pairing(module, u, v)
                 for zargs in itertools.product(units, repeat=nargs - 2):
-                    lhs = c._apply_symbol(p, gens, ip, zargs, {})
-                    rhs = _axpy(dict(c._eval_mono(p, gens, (u, v) + zargs)),
-                                c._eval_mono(p, gens, (v, u) + zargs))
+                    lhs = c._apply_symbol(p, gens, ip, zargs, {}, memo)
+                    rhs = _axpy(dict(c._eval_mono(p, gens, (u, v) + zargs, memo)),
+                                c._eval_mono(p, gens, (v, u) + zargs, memo))
                     if lhs != rhs:
                         raise ValueError(
                             "symbol extraction inconsistent at level %d" % (p + 1)
@@ -859,11 +804,12 @@ def cmap_pushforward(c: Cochain, gmap: ModuleMap) -> Cochain:
     g = gmap.algebra_map
     ginv = g.inverse()
     pre_basis = [gmap.left_inverse(dst.basis(b)) for b in range(dst.rank)]
+    memo: dict = {}
 
     def entries_at(gvars):
         src_gvars = tuple(ginv(v) for v in gvars)
         return lambda bargs: g(c._eval_sder(
-            len(gvars), src_gvars, (), tuple(pre_basis[b] for b in bargs)))
+            len(gvars), src_gvars, (), tuple(pre_basis[b] for b in bargs), memo))
 
     return _tabulate(dst, c.degree, entries_at)
 

@@ -26,9 +26,9 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .cmaps import Cochain, Memo, _q_terms, cbracket, cmap_verify, probe_elements
+from .cmaps import Cochain, _q_terms, cbracket, cmap_verify, probe_elements
 from .modules import Connection, MetricModule, ModuleElement, ModuleError, inner
-from .poly import Backend, Poly, _cleared, _divided, packed_exponents_of_degree
+from .poly import Backend, Memo, Poly, _axpy, _cleared, _divided, packed_exponents_of_degree
 from .rothstein import (
     AlgebraMap,
     ModuleMap,
@@ -174,6 +174,7 @@ def jacobi_identity_holds(m: Cochain, probes) -> tuple[bool, str | None]:
         raise ValueError("the Jacobi check needs a degree-3 element, got degree %d" % m.degree)
     module = m.module
     table: dict = {}
+    memo: dict = {}
 
     def bilinear(u: dict, v: dict, out: dict | None = None) -> dict:
         out = {} if out is None else out
@@ -181,15 +182,9 @@ def jacobi_identity_holds(m: Cochain, probes) -> tuple[bool, str | None]:
             for q2, c2 in v.items():
                 value = table.get((q1, q2))
                 if value is None:
-                    vals = {c: m._eval_mono(0, (), (q1, q2, (0, c))) for c in range(module.rank)}
+                    vals = {c: m._eval_mono(0, (), (q1, q2, (0, c)), memo) for c in range(module.rank)}
                     value = table[(q1, q2)] = module.raise_terms(vals)
-                c = c1 * c2
-                for q, a in value.items():
-                    s = out.get(q, 0) + c * a
-                    if s:
-                        out[q] = s
-                    else:
-                        del out[q]
+                _axpy(out, value, c1 * c2)
         return out
 
     probes = list(probes)

@@ -20,12 +20,18 @@ where they leave it (`_as_poly`); both directions are memoized per backend.
 
 Both algebras store an element as grouped int numerators {group: {packed
 key: int}} over one positive denominator (FLINT's fmpq_poly layout, Hart,
-ICMS 2010); only `_canonical` and `_grouped_sum` below normalise and add it.
+ICMS 2010).  `GroupedElement` is that value type: `RothElement` and
+`Cochain` subclass it, and it alone normalises (`_canonical`), adds
+(`_grouped_sum`), compares and hashes the format.
+
+Every table that lives across calls (the pack tables here, the bracket and
+wedge tables of `cmaps`, the standard structures of `deform`) is a `Memo`.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator
@@ -37,7 +43,17 @@ FIELD_BITS = 16  # bits per variable in a packed monomial, the top one a guard
 EXPONENT_LIMIT = (1 << (FIELD_BITS - 1)) - 1  # the largest exponent a field holds
 FIELD_MASK = (1 << FIELD_BITS) - 1
 EPS_SQUARED = 2  # the packed key of eps^2 over the dual numbers
-PACK_MEMO_LIMIT = 1 << 16  # exponent vectors remembered per backend, each way
+MEMO_LIMIT = 1 << 14  # entries per memo table, read on every store
+
+
+class Memo(OrderedDict):
+    """A memo table of at most MEMO_LIMIT entries that drops its oldest first, so a hit is a dict lookup."""
+
+    def remember(self, key, value):
+        while self and len(self) >= MEMO_LIMIT:
+            self.popitem(last=False)
+        self[key] = value
+        return value
 
 
 class BackendError(ValueError):
@@ -69,8 +85,8 @@ class Backend:
         self.shifts = tuple(FIELD_BITS * (self.nvars - 1 - j) for j in range(self.nvars))
         self.guard = EPS_SQUARED if self.is_dual else sum(1 << (s + FIELD_BITS - 1) for s in self.shifts)
         self._hash = hash((kind, self.names))
-        self._packs: dict = {}  # exponent tuple -> packed key
-        self._unpacks: dict = {}  # packed key -> exponent tuple
+        self._packs = Memo()  # exponent tuple -> packed key
+        self._unpacks = Memo()  # packed key -> exponent tuple
 
     @staticmethod
     def free(n: int, names: Iterable[str] | None = None) -> "Backend":
@@ -96,7 +112,8 @@ class Backend:
                 if not 0 <= e <= EXPONENT_LIMIT:
                     raise _field_error(self, j, e)
                 k |= e << s
-            self._remember(exp, k)
+            self._packs.remember(exp, k)
+            self._unpacks.remember(k, exp)
         return k
 
     def unpack(self, k: int) -> tuple[int, ...]:
@@ -104,15 +121,9 @@ class Backend:
         exp = self._unpacks.get(k)
         if exp is None:
             exp = tuple([k >> s & FIELD_MASK for s in self.shifts])
-            self._remember(exp, k)
+            self._packs.remember(exp, k)
+            self._unpacks.remember(k, exp)
         return exp
-
-    def _remember(self, exp: tuple[int, ...], k: int):
-        if len(self._unpacks) >= PACK_MEMO_LIMIT:
-            self._packs.clear()
-            self._unpacks.clear()
-        self._packs[exp] = k
-        self._unpacks[k] = exp
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -507,6 +518,62 @@ class Poly:
         return out
 
     __repr__ = __str__
+
+
+class GroupedElement:
+    """An immutable value over a module stored as grouped int numerators
+    `_num` = {group: {packed key: int}} over one positive denominator `_den`,
+    canonical (`_canonical`).  The base of `RothElement` and `Cochain`: a
+    subclass with a grading builds its results in `_like` and shows the
+    grading to equality and the hash in `_grade`."""
+
+    __slots__ = ("module", "_num", "_den", "_hash")
+
+    def _set(self, module, num: dict, den: int):
+        self.module = module
+        self._num, self._den = _canonical(num, den)
+        self._hash = None
+
+    def _like(self, num: dict, den: int):
+        x = object.__new__(type(self))
+        x._set(self.module, num, den)
+        return x
+
+    def _grade(self):
+        return None
+
+    def _poly(self, group) -> Poly:
+        """One group as a Poly, each coefficient divided once."""
+        return _as_poly(self.module.backend, self._num.get(group, {}), self._den)
+
+    def is_zero(self) -> bool:
+        return not self._num
+
+    def _check(self, other: "GroupedElement"):
+        if self.module != other.module:
+            raise ModuleError("module mismatch")
+
+    def __add__(self, other):
+        self._check(other)
+        return self._like(*_grouped_sum([(1, self._den, self._num), (1, other._den, other._num)]))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({k: {e: -c for e, c in v.items()} for k, v in self._num.items()}, self._den)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.module == other.module and self._grade() == other._grade()
+                and self._den == other._den and self._num == other._num)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            frozen = tuple(sorted((k, tuple(sorted(v.items()))) for k, v in self._num.items()))
+            self._hash = hash((self.module, self._grade(), self._den, frozen))
+        return self._hash
 
 
 class Derivation:

@@ -21,9 +21,9 @@ both multiply through `_mul_into`, as does the wedge product.
 `roth_bracket`, the deformation differential of `deform` and the tower walk
 of `symbol_map.apply_J` are this kernel.
 
-The kernel is fraction-free, and a `RothElement` is stored in its format
-(`poly`), as a `Cochain` is: `_num` = {(sym, ext): {packed exponent: int}}
-over one positive denominator `_den`, canonical.  The kernel reads them as
+The kernel is fraction-free, and a `RothElement` is a `poly.GroupedElement`
+in its format, as a `Cochain` is: `_num` = {(sym, ext): {packed exponent:
+int}} over one positive denominator `_den`, canonical.  The kernel reads them as
 they are; a connection's generator table is kept as ints over its own
 denominator d (built once, on first use), so Q_a on a sum over d_a is a
 sum over d_a * d, and a Leibniz product multiplies the denominators.  A
@@ -52,10 +52,9 @@ from .modules import (
 from .poly import (
     Backend,
     Derivation,
+    GroupedElement,
     Poly,
-    _as_poly,
     _axpy,
-    _canonical,
     _grouped_sum,
     _mul_add,
     _numerators,
@@ -113,11 +112,11 @@ def _mul_into(out: dict, lefts: dict, right, backend: Backend, f: int = 1):
             _mul_add(out.setdefault((sym, ext), {}), terms1, terms2, backend, sign * f)
 
 
-class RothElement:
+class RothElement(GroupedElement):
     """Sum of graded terms over a metric module; immutable.  Stored as the
     kernel computes on it (module docstring): `_num` over `_den`, canonical."""
 
-    __slots__ = ("module", "_num", "_den", "_hash")
+    __slots__ = ()
 
     def __init__(self, module: MetricModule, terms: dict[TermKey, Poly]):
         """The element sum c * sym (x) ext over the given terms.  Over the dual
@@ -130,11 +129,6 @@ class RothElement:
             key = (tuple(sorted(sym)), ext)
             _axpy(values, {(key, e): v for e, v in _packed(c).items() if not (dual and sym and e)})
         self._set(module, *_numerators(values))
-
-    def _set(self, module: MetricModule, num: dict, den: int):
-        self.module = module
-        self._num, self._den = _canonical(num, den)
-        self._hash = None
 
     # -- constructors --------------------------------------------------
 
@@ -178,11 +172,7 @@ class RothElement:
     @property
     def terms(self) -> dict[TermKey, Poly]:
         """The element as {(sym, ext): Poly}, built on every read."""
-        backend, den = self.module.backend, self._den
-        return {key: _as_poly(backend, v, den) for key, v in self._num.items()}
-
-    def is_zero(self) -> bool:
-        return not self._num
+        return {key: self._poly(key) for key in self._num}
 
     def degrees(self) -> set[int]:
         return {2 * len(sym) + len(ext) for (sym, ext) in self._num}
@@ -204,30 +194,12 @@ class RothElement:
         return max((len(sym) for (sym, ext) in self._num), default=0)
 
     def scalar_part(self) -> Poly:
-        return _as_poly(self.module.backend, self._num.get(((), ()), {}), self._den)
+        return self._poly(((), ()))
 
     def module_part(self) -> ModuleElement:
-        backend = self.module.backend
-        return ModuleElement(self.module, [_as_poly(backend, self._num.get(((), (a,)), {}), self._den)
-                                           for a in range(self.module.rank)])
+        return ModuleElement(self.module, [self._poly(((), (a,))) for a in range(self.module.rank)])
 
     # -- ring operations -------------------------------------------------
-
-    def _check(self, other: "RothElement"):
-        if self.module != other.module:
-            raise ModuleError("module mismatch")
-
-    def __add__(self, other: "RothElement") -> "RothElement":
-        self._check(other)
-        return RothElement.from_numerators(
-            self.module, *_grouped_sum([(1, self._den, self._num), (1, other._den, other._num)]))
-
-    def __sub__(self, other: "RothElement") -> "RothElement":
-        return self + (-other)
-
-    def __neg__(self) -> "RothElement":
-        return RothElement.from_numerators(
-            self.module, {k: {e: -c for e, c in v.items()} for k, v in self._num.items()}, self._den)
 
     def scale(self, a) -> "RothElement":
         """a times the element, for a rational or an algebra element."""
@@ -247,17 +219,6 @@ class RothElement:
         for (sym, ext), terms in other._num.items():
             _mul_into(out, self._num, (sym, ext, terms), backend)
         return RothElement.from_numerators(self.module, out, self._den * other._den)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RothElement):
-            return NotImplemented
-        return self.module == other.module and self._den == other._den and self._num == other._num
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            frozen = tuple(sorted((k, tuple(sorted(v.items()))) for k, v in self._num.items()))
-            self._hash = hash((self.module, self._den, frozen))
-        return self._hash
 
     def __repr__(self) -> str:
         from .textforms import roth_to_text

@@ -25,9 +25,11 @@ def insert(c: Cochain, x: ModuleElement) -> Cochain:
         return Cochain.zero(module, new_degree)
     basis_idx = _basis_index(x)
     if basis_idx is None:
+        memo: dict = {}
+
         def entries_at(gvars):
             return lambda bargs: c._eval_sder(
-                len(gvars), gvars, (), (x,) + tuple(module.basis(b) for b in bargs))
+                len(gvars), gvars, (), (x,) + tuple(module.basis(b) for b in bargs), memo)
 
         return _tabulate(module, new_degree, entries_at)
     # basis insertion just re-keys the stored tables

@@ -5,17 +5,21 @@ from pathlib import Path
 
 import pytest
 
-from courantalg import cli, deform
+from courantalg import Backend, MetricModule, Poly, cli, deform
 from courantalg.cli import (
     COHOMOLOGY_CAP,
     EXPONENT_CAP,
     MC_ORDER_CAP,
+    PROBE_CAP,
+    RANK_CAP,
     SCHEMA,
     STANDARD_CAP,
+    TRIALS_CAP,
     DocumentError,
     ProblemDocument,
     run_document,
 )
+from courantalg.cmaps import probe_elements
 
 DOCUMENTS = Path(__file__).resolve().parent.parent / "docs" / "documents"
 
@@ -291,6 +295,68 @@ def test_standard_above_the_cap_is_rejected_before_building():
     assert time.monotonic() - start < 1
     assert code == 2
     assert "STANDARD_CAP" in report["error"] and "12" in report["error"]
+
+
+def _dense_module(rank):
+    """A document over Q[x] with gram 2 on the diagonal and 1 elsewhere (det rank + 1), no commands."""
+    return {"schema": SCHEMA, "backend": {"kind": "freepoly", "vars": ["x"]},
+            "module": {"gram": [["2" if i == j else "1" for j in range(rank)] for i in range(rank)]}}
+
+
+def test_a_module_above_the_rank_cap_is_rejected_before_building(monkeypatch):
+    assert run_document(_dense_module(RANK_CAP))[1] == 0
+    monkeypatch.setattr(cli, "MetricModule", None)  # building one now would raise a TypeError
+    start = time.monotonic()
+    report, code = run_document(_dense_module(RANK_CAP + 3))  # minutes of cofactor expansion if built
+    assert time.monotonic() - start < 1
+    assert code == 2
+    assert "RANK_CAP" in report["error"] and str(RANK_CAP + 3) in report["error"]
+
+
+def test_the_probe_count_is_the_size_of_the_probe_set():
+    for module in (deform.standard_module(1), deform.standard_module(2), ProblemDocument(_so3()).module):
+        for depth in range(4):
+            assert cli._probe_count(module, depth) == len(probe_elements(module, depth))
+    dual = MetricModule(Backend.dual(), [[Poly.one(Backend.dual())]])
+    assert [cli._probe_count(dual, depth) for depth in range(3)] == [1, 2, 2]
+    assert cli._probe_count(deform.standard_module(4), 1) == PROBE_CAP
+
+
+@pytest.mark.parametrize("command", [
+    {"op": "verify-courant", "depth": 4},
+    {"op": "symbol-tower", "element": "t", "depth": 4},
+    {"op": "verify-courant", "depth": 10 ** 6},
+])
+def test_probe_sets_above_the_cap_are_rejected_before_any_probe(monkeypatch, command):
+    # {"standard": 2}: rank 4 times the monomials of degree <= depth in two variables
+    doc = _standard({"standard": 2}, elements={"t": {"type": "roth", "terms": ["1 * 1 (x) e1^f1"]}},
+                    commands=[command])
+    monkeypatch.setattr(cli, "verify_courant", None)
+    monkeypatch.setattr(cli, "symbol_tower", None)
+    start = time.monotonic()
+    report, code = run_document(doc)
+    assert time.monotonic() - start < 1
+    assert code == 2
+    assert "PROBE_CAP" in report["error"] and command["op"] in report["error"]
+
+
+def test_a_probe_set_at_the_cap_is_accepted():
+    # 4 x 10 monomials of degree <= 3 in two variables
+    doc = _standard({"standard": 2}, elements={"t": {"type": "roth", "terms": ["1 * 1 (x) e1^f1"]}},
+                    commands=[{"op": "symbol-tower", "element": "t", "depth": 3}])
+    report, code = run_document(doc)
+    assert code == 0 and report["commands"][0]["probe_bound"] == 3
+
+
+def test_sder_trials_above_the_cap_are_rejected_before_any_trial(monkeypatch):
+    def document(trials):
+        return _standard(commands=[{"op": "counterexample-sder", "degree3_trials": trials}])
+
+    assert run_document(document(TRIALS_CAP))[1] == 0
+    monkeypatch.setattr(cli, "chat_membership", None)
+    report, code = run_document(document(TRIALS_CAP + 1))
+    assert code == 2
+    assert "TRIALS_CAP" in report["error"] and str(TRIALS_CAP + 1) in report["error"]
 
 
 def _half_so3(commands):

@@ -114,16 +114,15 @@ def test_cmap_verify_matches_oracle_on_curved_j_images():
 
 def test_cmap_verify_reads_level_zero_once_per_probe_tuple(monkeypatch):
     m = make_standard_courant(2).cochain
-    m = Cochain(m.module, m.degree, m.levels)  # an empty evaluation memo
     depth, level0, forbidden = [0], [], []
     real_eval_mono = Cochain._eval_mono
 
-    def counting_eval_mono(self, p, gens, margs):
+    def counting_eval_mono(self, p, gens, margs, memo):
         if depth[0] == 0 and p == 0:
             level0.append(margs)
         depth[0] += 1
         try:
-            return real_eval_mono(self, p, gens, margs)
+            return real_eval_mono(self, p, gens, margs, memo)
         finally:
             depth[0] -= 1
 

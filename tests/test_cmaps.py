@@ -30,7 +30,7 @@ from courantalg import (
     symbol_tower,
     to_form,
 )
-from courantalg import cmaps
+from courantalg import cmaps, poly
 from courantalg.cmaps import bracket_scalar, quartic_from_biderivation
 
 from conftest import curved_connection, random_module_element, random_roth, so3_constants
@@ -272,8 +272,8 @@ def test_bracket_graded_jacobi_randomized():
 
 def _memo_workload(monkeypatch, seed):
     """Brackets, wedges and evaluations on fresh bracket and wedge tables."""
-    monkeypatch.setattr(cmaps, "_BRACKET_CACHE", cmaps.Memo())
-    monkeypatch.setattr(cmaps, "_WEDGE_CACHE", cmaps.Memo())
+    monkeypatch.setattr(cmaps, "_BRACKET_CACHE", poly.Memo())
+    monkeypatch.setattr(cmaps, "_WEDGE_CACHE", poly.Memo())
     B, M, conn = hyperbolic_setup(seed=seed)
     rng = random.Random(seed + 1)
 
@@ -288,16 +288,52 @@ def _memo_workload(monkeypatch, seed):
         ab = cbracket(a, b)
         results += [ab, cwedge(a, b), cmap_eval(a, (x, y)), cmap_eval(ab, (y, x))]
         held += [a, ab]
-    return held, results
+    return B, held, results
 
 
 def test_memo_tables_stay_at_a_small_bound(monkeypatch):
-    _, expected = _memo_workload(monkeypatch, seed=31)
-    monkeypatch.setattr(cmaps, "MEMO_LIMIT", 4)
-    held, results = _memo_workload(monkeypatch, seed=31)
+    _, _, expected = _memo_workload(monkeypatch, seed=31)
+    monkeypatch.setattr(poly, "MEMO_LIMIT", 4)
+    B, held, results = _memo_workload(monkeypatch, seed=31)
     assert results == expected
     assert len(cmaps._BRACKET_CACHE) == len(cmaps._WEDGE_CACHE) == 4
-    assert all(isinstance(c._memo, cmaps.Memo) and len(c._memo) == 4 for c in held)
+    assert len(B._packs) == len(B._unpacks) == 4
+    # a cochain is a plain value: every evaluation memo lives only while its call runs
+    slots = {name for cls in Cochain.__mro__ for name in getattr(cls, "__slots__", ())}
+    assert slots == {"module", "degree", "_num", "_den", "_hash"}
+    assert not any(hasattr(c, "__dict__") for c in held)
+
+
+def _flat(v) -> dict:
+    """A RothElement or a Cochain as its Poly view {group: Poly}."""
+    return v.terms if isinstance(v, RothElement) else {k: c for t in v.levels.values() for k, c in t.items()}
+
+
+def test_both_algebras_share_one_value_type():
+    B, M, conn = hyperbolic_setup(seed=41)
+    rng = random.Random(42)
+    zeros = [Cochain.zero(M, r) for r in range(4)]
+    assert all(z == zeros[0] and hash(z) == hash(zeros[0]) for z in zeros)
+    assert Cochain.zero(M, 2) != Cochain.from_module_element(M.basis(0))
+    x = Poly.var(B, 0)
+    assert RothElement.from_scalar(M, x) != Cochain.scalar(M, x)
+    assert RothElement.zero(M) != zeros[0] and zeros[0] != RothElement.zero(M)
+    zero = Poly.zero(B)
+    checked = 0
+    for _ in range(8):
+        r = rng.randint(1, 3)
+        phi, psi = random_roth(rng, M, r, density=1.0), random_roth(rng, M, r, density=1.0)
+        if phi.is_zero() or psi.is_zero():
+            continue  # J of 0 is the degree-0 zero
+        checked += 1
+        for u, w in ((phi, psi), (apply_J(phi, conn), apply_J(psi, conn))):
+            assert isinstance(u, poly.GroupedElement)
+            fu, fw = _flat(u), _flat(w)
+            for got, op in ((u + w, Poly.__add__), (u - w, Poly.__sub__)):
+                expected = {k: op(fu.get(k, zero), fw.get(k, zero)) for k in fu.keys() | fw.keys()}
+                assert _flat(got) == {k: c for k, c in expected.items() if not c.is_zero()}
+            assert _flat(-u) == {k: -c for k, c in fu.items()}
+    assert checked >= 4
 
 
 # -- the wedge ---------------------------------------------------------------------
@@ -318,6 +354,19 @@ def test_wedge_dual_modes_agree_on_random_pairs():
         a = apply_J(random_roth(rng, M, r), conn)
         b = apply_J(random_roth(rng, M, s), conn)
         assert cmap_wedge(a, b, "recursive") == cmap_wedge(a, b, "shuffle")
+
+
+def test_both_wedge_modes_refuse_a_product_above_the_degree_cap():
+    cs = make_standard_courant(1)
+    a = apply_J(RothElement.monomial(cs.module, (0, 0), ()), cs.connection)
+    b = apply_J(RothElement.monomial(cs.module, (0, 0), (0,)), cs.connection)
+    assert (a.degree, b.degree) == (4, 5) and not (a.is_zero() or b.is_zero())
+    messages = set()
+    for mode in ("recursive", "shuffle"):
+        with pytest.raises(ValueError) as err:
+            cmap_wedge(a, b, mode)
+        messages.add(str(err.value))
+    assert messages == {"wedge of result degree 9 exceeds the 8 cap"}
 
 
 def test_wedge_associative_and_bracket_biderivation():

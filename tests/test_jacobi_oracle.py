@@ -101,12 +101,12 @@ def test_jacobi_evaluates_each_monomial_pair_once(monkeypatch):
     depth = [0]
     real_eval_mono = Cochain._eval_mono
 
-    def recording_eval_mono(self, p, gens, margs):
+    def recording_eval_mono(self, p, gens, margs, memo):
         if not depth[0]:
             calls.append((p, gens, margs))
         depth[0] += 1
         try:
-            return real_eval_mono(self, p, gens, margs)
+            return real_eval_mono(self, p, gens, margs, memo)
         finally:
             depth[0] -= 1
 
