@@ -56,8 +56,12 @@ COHOMOLOGY_CAP = 8
 EXPONENT_CAP = 32
 # the most coefficients an mc-extend series may have: its relations take k(k - 1)/2 brackets
 MC_ORDER_CAP = 8
-# the largest explicit module: its gram is inverted by cofactors, O(r! r^2), 0.1 s at rank 6, 7 s at 8
+# the largest explicit module: its towers hold up to rank^degree entries per level, degrees up to
+# cmaps.DEGREE_CAP
 RANK_CAP = 6
+# the most variables of an explicit freepoly backend, twice those of {"standard": STANDARD_CAP}: a
+# tower level p has C(vars + p - 1, p) generator tuples, a probe set C(vars + depth, depth) monomials
+VARS_CAP = 8
 # the most probes of verify-courant and symbol-tower, those of {"standard": 4} at depth 1 (probes^3 triples)
 PROBE_CAP = 40
 # the most degree-3 membership trials of counterexample-sder, about 60 us each
@@ -158,6 +162,8 @@ class ProblemDocument:
             names = spec.get("vars")
             if not _is_list_of(names, str) or len(set(names)) != len(names):
                 raise _fail("freepoly backend needs a list of distinct vars", "backend")
+            if len(names) > VARS_CAP:
+                raise _fail("%d vars exceed the %d cap (VARS_CAP)" % (len(names), VARS_CAP), "backend")
             return Backend.free(len(names), tuple(names))
         if kind in ("dualnum", "dual"):
             return Backend.dual(spec.get("var", "eps"))

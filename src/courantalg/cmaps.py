@@ -634,7 +634,7 @@ def default_verify_depth(c: Cochain) -> int:
     return 2 * (maxdeg + 1)
 
 
-def cmap_verify(c: Cochain, depth: int | None = None) -> tuple[bool, dict]:
+def cmap_verify(c: Cochain, depth: int | None = None, *, memo: dict | None = None) -> tuple[bool, dict]:
     """Check the two defining identities on all bounded-degree probe tuples.
 
     For every probe tuple y and adjacent position i, the swap identity
@@ -644,7 +644,8 @@ def cmap_verify(c: Cochain, depth: int | None = None) -> tuple[bool, dict]:
     table of level-0 `_eval_mono` values, one per probe tuple, and both sides
     are numerators over den * G^(r // 2).  (y, i) and (y swapped at i, i) are
     one identity, and the second comes first in product order, so only
-    y_i <= y_{i+1} is checked: the first violation is unchanged.  Returns
+    y_i <= y_{i+1} is checked: the first violation is unchanged.  memo is the
+    `_eval_mono` memo, fresh unless the caller reads c again.  Returns
     (ok, report).
     """
     if depth is None:
@@ -658,7 +659,7 @@ def cmap_verify(c: Cochain, depth: int | None = None) -> tuple[bool, dict]:
     keys = list(_probe_keys(backend, module.rank, depth))
     omega: dict = {}
     partials: dict = {}
-    memo: dict = {}
+    memo = {} if memo is None else memo
     for y in itertools.product(range(len(keys)), repeat=r):
         for i in range(r - 1):
             a, b = y[i], y[i + 1]

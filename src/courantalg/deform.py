@@ -159,7 +159,7 @@ def make_quadratic_lie(structure_constants, gram) -> CourantStructure:
 # -- verification ----------------------------------------------------------------
 
 
-def jacobi_identity_holds(m: Cochain, probes) -> tuple[bool, str | None]:
+def jacobi_identity_holds(m: Cochain, probes, *, memo: dict | None = None) -> tuple[bool, str | None]:
     """m(x, m(y, z)) = m(m(x, y), z) + m(y, m(x, z)) on the probe set.
 
     m is Q-bilinear, so every value is assembled from a table of m on pairs
@@ -168,13 +168,14 @@ def jacobi_identity_holds(m: Cochain, probes) -> tuple[bool, str | None]:
     Q-terms, which is exactly as strict as comparing module elements.  The
     table holds int numerators over one denominator and each probe is
     cleared of its own, so both sides of an identity are numerators over the
-    same denominator: they are compared undivided.
+    same denominator: they are compared undivided.  memo is the `_eval_mono`
+    memo, fresh unless the caller has read m already.
     """
     if m.degree != 3:
         raise ValueError("the Jacobi check needs a degree-3 element, got degree %d" % m.degree)
     module = m.module
     table: dict = {}
-    memo: dict = {}
+    memo = {} if memo is None else memo
 
     def bilinear(u: dict, v: dict, out: dict | None = None) -> dict:
         out = {} if out is None else out
@@ -215,13 +216,15 @@ def verify_courant(m: Cochain, depth: int = 1) -> tuple[bool, dict]:
     inner-product compatibilities, which coincide with the complex's defining
     identities).  The bracket route checks membership plus [m, m] = 0, and a
     nonzero [m, m] is witnessed by its first tower entry in sorted order.  The
-    report carries both verdicts; they must agree.
+    report carries both verdicts; they must agree.  Both routes read level 0
+    of m through one `_eval_mono` memo, so each value is computed once.
     """
     report: dict = {}
-    valid, vreport = cmap_verify(m, depth=depth)
+    memo: dict = {}
+    valid, vreport = cmap_verify(m, depth=depth, memo=memo)
     probes = probe_elements(m.module, depth)
     if valid:
-        jac_ok, jac_msg = jacobi_identity_holds(m, probes)
+        jac_ok, jac_msg = jacobi_identity_holds(m, probes, memo=memo)
     else:
         jac_ok, jac_msg = False, "not a complex element: %s" % vreport["violation"]
     axiom_route = valid and jac_ok

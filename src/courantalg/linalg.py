@@ -1,10 +1,12 @@
-"""Exact sparse linear algebra over Q, plus inverses of unit-determinant Poly matrices."""
+"""Exact sparse linear algebra over Q, and the inverse of a unit-determinant
+matrix over either coefficient algebra by Faddeev-LeVerrier on int numerators."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from .poly import Poly, QONE, QZERO
+from .poly import QONE, QZERO, Backend, _axpy, _mul_add
 
 
 def echelon(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
@@ -79,73 +81,54 @@ def solve(rows: list[dict[int, Fraction]], ncols: int):
     return x, None
 
 
-# -- Poly matrices -----------------------------------------------------
+# -- gram inversion ----------------------------------------------------
 
 
-def poly_matmul(a: list[list[Poly]], b: list[list[Poly]]) -> list[list[Poly]]:
-    backend = a[0][0].backend
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = Poly.zero(backend)
-            for t in range(k):
-                s = s + a[i][t] * b[t][j]
-            row.append(s)
-        out.append(row)
-    return out
+def unit_inverse(rows: list[dict], den: int, backend: Backend) -> tuple[dict, list | None, int]:
+    """Determinant and inverse of a square matrix A = B / den, by the
+    Faddeev-LeVerrier recurrence (Faddeev and Sominsky, 1949) on B.
 
-
-def poly_det(m: list[list[Poly]]) -> Poly:
-    """Determinant by cofactor expansion; fine at the ranks used here."""
-    n = len(m)
-    backend = m[0][0].backend
-    if n == 1:
-        return m[0][0]
-    det = Poly.zero(backend)
-    for j in range(n):
-        if m[0][j].is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * poly_det(minor)
-        det = det + (term if j % 2 == 0 else -term)
-    return det
-
-
-def poly_unit_inverse(u: Poly) -> Poly:
-    """Inverse of a unit of the coefficient algebra.
-
-    FreePoly units are the nonzero rationals; DualNum units are c0 + c1*eps
-    with c0 != 0, inverted as 1/c0 - (c1/c0^2)*eps.
+    rows[i] maps each column j of a nonzero entry of row i of B to that
+    entry, a packed int sum {key: int}.  With M_1 = I, c_k = -tr(B M_k) / k
+    and M_(k+1) = B M_k + c_k I, det B = (-1)^n c_n and adj B = (-1)^(n-1)
+    M_n: n sparse products, and each division by k is exact (the c_k are the
+    coefficients of the characteristic polynomial of B, int sums again), so
+    it holds in any commutative Q-algebra.  Returns (det B, inv, H) with
+    inv[i][j] H times the (i, j) entry of A^-1 = den adj B / det B, as a
+    packed int sum over the least common denominator H.  A unit det B is a
+    nonzero rational c0, or c0 + c1 eps with c0 != 0 over the dual numbers,
+    inverted as (c0 - c1 eps) / c0^2; for any other det B, inv is None.
     """
-    backend = u.backend
-    if backend.is_dual:
-        c0 = u.terms.get((0,), QZERO)
-        c1 = u.terms.get((1,), QZERO)
-        if c0 == 0:
-            raise ZeroDivisionError("not a unit: %s" % u)
-        return Poly(backend, {(0,): 1 / c0, (1,): -c1 / (c0 * c0)})
-    if not u.is_constant() or u.is_zero():
-        raise ZeroDivisionError("not a unit: %s" % u)
-    return Poly.const(backend, 1 / u.constant_part())
-
-
-def poly_matrix_inverse(m: list[list[Poly]]) -> list[list[Poly]]:
-    """Inverse via the adjugate; requires the determinant to be a unit."""
-    n = len(m)
-    det = poly_det(m)
-    det_inv = poly_unit_inverse(det)
-    if n == 1:
-        return [[det_inv]]
-    adj = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [r[:i] + r[i + 1:] for k, r in enumerate(m) if k != j]
-            cof = poly_det(minor)
-            if (i + j) % 2:
-                cof = -cof
-            row.append(cof * det_inv)
-        adj.append(row)
-    return adj
+    n = len(rows)
+    m = [{i: {0: 1}} for i in range(n)]
+    for k in range(1, n + 1):
+        trace: dict = {}
+        for i, row in enumerate(rows):
+            for t, v in row.items():
+                if w := m[t].get(i):
+                    _mul_add(trace, v, w, backend)
+        c = {e: -s // k for e, s in trace.items()}
+        if k == n:
+            break
+        product = []
+        for i, row in enumerate(rows):
+            out: dict = {}
+            for t, v in row.items():
+                for j, w in m[t].items():
+                    _mul_add(out.setdefault(j, {}), v, w, backend)
+            _axpy(out.setdefault(i, {}), c)
+            product.append({j: w for j, w in out.items() if w})
+        m = product
+    sign = -1 if n % 2 else 1
+    det = {e: sign * s for e, s in c.items()}
+    c0 = det.get(0)
+    if not c0 or (len(det) > 1 and not backend.is_dual):
+        return det, None, 1
+    conj = {e: s if e == 0 else -s for e, s in det.items()}
+    inv = [[_mul_add({}, row[j], conj, backend, -sign * den) if j in row else {} for j in range(n)]
+           for row in m]
+    h = c0 * c0
+    g = gcd(h, *[s for row in inv for v in row for s in v.values()])
+    if g > 1:
+        inv = [[{e: s // g for e, s in v.items()} for v in row] for row in inv]
+    return det, inv, h // g

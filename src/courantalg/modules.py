@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .linalg import poly_det, poly_matrix_inverse
+from .linalg import unit_inverse
 from .poly import (
     Backend,
     Derivation,
@@ -23,7 +23,10 @@ class MetricModule:
     """Free module A^m with a symmetric gram matrix whose determinant is a unit.
 
     Unit determinant gives strong non-degeneracy (explicit inverse gram) and
-    fullness (a one-pair witness read off the first row of the inverse).
+    fullness (a one-pair witness read off the first row of the inverse).  The
+    determinant and the inverse come from one Faddeev-LeVerrier pass over
+    the int numerators of the gram (`linalg.unit_inverse`); `gram_inv` is
+    the Poly view of those inverse numerators.
     Optional per-basis internal degrees feed the graded cohomology blocks.
     `inner` walks only the nonzero entries of each gram row, recorded once,
     and `raise_form` only the nonzero inverse-gram entries, as int numerator
@@ -44,20 +47,22 @@ class MetricModule:
             for b in range(rank):
                 if gram[a][b] != gram[b][a]:
                     raise ModuleError("gram must be symmetric")
-        det = poly_det(gram)
-        if backend.is_dual:
-            if det.constant_part() == 0:
-                raise ModuleError("gram determinant must be a unit (invertible constant part)")
-        else:
-            if det.is_zero() or not det.is_constant():
-                raise ModuleError("gram determinant must be a nonzero rational")
+        flat, G = _cleared({(a, b, e): c for a, row in enumerate(gram)
+                            for b, v in enumerate(row) for e, c in _packed(v).items()})
+        nums = [[{} for _ in range(rank)] for _ in range(rank)]
+        for (a, b, e), c in flat.items():
+            nums[a][b][e] = c
+        _, inv, H = unit_inverse([{b: v for b, v in enumerate(row) if v} for row in nums], G, backend)
+        if inv is None:
+            raise ModuleError("gram determinant must be a unit (invertible constant part)" if backend.is_dual
+                              else "gram determinant must be a nonzero rational")
         self.backend = backend
         self.rank = rank
         self.gram = tuple(tuple(row) for row in gram)
-        self.gram_inv = tuple(tuple(row) for row in poly_matrix_inverse([list(r) for r in gram]))
+        self.gram_inv = tuple(tuple(_as_poly(backend, v, H) for v in row) for row in inv)
         self._gram_rows = tuple(tuple((b, v) for b, v in enumerate(row) if not v.is_zero())
                                 for row in self.gram)
-        self._numerators = None
+        self._numerators = (nums, G, inv, H)
         if names is None:
             names = tuple("e%d" % (a + 1) for a in range(rank))
         self.names = tuple(names)
@@ -94,20 +99,9 @@ class MetricModule:
         return out
 
     def numerators(self) -> tuple[list, int, list, int]:
-        """(gram, G, inv, H), built on first use: gram[a][b] is G <e_a, e_b> and
-        inv[a][b] is H times the (a, b) inverse-gram entry, each an int
-        numerator sum {packed exponent: int}, with G and H the least common
-        denominators."""
-        if self._numerators is None:
-            out = []
-            for matrix in (self.gram, self.gram_inv):
-                flat, d = _cleared({(a, b, e): c for a, row in enumerate(matrix)
-                                    for b, v in enumerate(row) for e, c in _packed(v).items()})
-                grouped = [[{} for _ in matrix] for _ in matrix]
-                for (a, b, e), c in flat.items():
-                    grouped[a][b][e] = c
-                out += [grouped, d]
-            self._numerators = tuple(out)
+        """(gram, G, inv, H): gram[a][b] is G <e_a, e_b> and inv[a][b] is H
+        times the (a, b) inverse-gram entry, each an int numerator sum
+        {packed exponent: int}, with G and H the least common denominators."""
         return self._numerators
 
     def fullness_witness(self) -> list[tuple["ModuleElement", "ModuleElement"]]:

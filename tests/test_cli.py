@@ -15,11 +15,12 @@ from courantalg.cli import (
     SCHEMA,
     STANDARD_CAP,
     TRIALS_CAP,
+    VARS_CAP,
     DocumentError,
     ProblemDocument,
     run_document,
 )
-from courantalg.cmaps import probe_elements
+from courantalg.cmaps import DEGREE_CAP, probe_elements
 
 DOCUMENTS = Path(__file__).resolve().parent.parent / "docs" / "documents"
 
@@ -307,10 +308,31 @@ def test_a_module_above_the_rank_cap_is_rejected_before_building(monkeypatch):
     assert run_document(_dense_module(RANK_CAP))[1] == 0
     monkeypatch.setattr(cli, "MetricModule", None)  # building one now would raise a TypeError
     start = time.monotonic()
-    report, code = run_document(_dense_module(RANK_CAP + 3))  # minutes of cofactor expansion if built
+    report, code = run_document(_dense_module(RANK_CAP + 3))  # towers of up to 9^degree entries if built
     assert time.monotonic() - start < 1
     assert code == 2
     assert "RANK_CAP" in report["error"] and str(RANK_CAP + 3) in report["error"]
+
+
+def test_a_backend_above_the_vars_cap_is_rejected_before_building(monkeypatch):
+    names = ["v%d" % i for i in range(100000)]
+    doc = dict(_dense_module(1), backend={"kind": "freepoly", "vars": names[:VARS_CAP]})
+    assert run_document(doc)[1] == 0
+    monkeypatch.setattr(cli, "Backend", None)  # building one now would raise an AttributeError
+    start = time.monotonic()
+    report, code = run_document(dict(doc, backend={"kind": "freepoly", "vars": names}))
+    assert time.monotonic() - start < 1
+    assert code == 2
+    assert "VARS_CAP" in report["error"] and "100000" in report["error"]
+
+
+def test_every_cap_is_documented_with_its_value():
+    schema = " ".join((DOCUMENTS.parent / "cli_schema.md").read_text().split())
+    caps = {name: value for name, value in vars(cli).items() if name.endswith("_CAP")}
+    caps["DEGREE_CAP"] = DEGREE_CAP
+    assert len(caps) >= 9
+    for name, value in caps.items():
+        assert "`%s` = %d" % (name, value) in schema, name
 
 
 def test_the_probe_count_is_the_size_of_the_probe_set():

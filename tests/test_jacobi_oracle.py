@@ -3,7 +3,8 @@
 `jacobi_identity_holds` must return the oracle's (ok, message) exactly, the
 first failing triple included, on passing structures and on complex elements
 that fail Jacobi; it reads m from the tower only on pairs of monomial
-elements, each pair at most once per call.
+elements, each pair at most once per call, and `verify_courant` hands it
+the memo of `cmap_verify`, so each value is computed once for both routes.
 """
 
 import itertools
@@ -121,6 +122,22 @@ def test_jacobi_evaluates_each_monomial_pair_once(monkeypatch):
         # m(x^e1 e_a, x^e2 e_b) paired with a basis element e_c (packed unit monomial 0)
         assert (p, gens, len(margs), margs[2][0]) == (0, (), 3, 0)
     assert len(set(calls)) == len(calls)
+
+
+def test_verify_courant_computes_each_value_once_across_both_routes(monkeypatch):
+    """cmap_verify and the Jacobi check share one memo: no value off the basis is computed twice."""
+    m = make_standard_courant(2).cochain
+    computed = []
+    real_eval_mono = Cochain._eval_mono
+
+    def recording_eval_mono(self, p, gens, margs, memo):
+        if any(e for e, _ in margs) and (gens, margs) not in memo:
+            computed.append((gens, margs))
+        return real_eval_mono(self, p, gens, margs, memo)
+
+    monkeypatch.setattr(Cochain, "_eval_mono", recording_eval_mono)
+    assert verify_courant(m, depth=1)[0]
+    assert computed and len(set(computed)) == len(computed)
 
 
 @pytest.mark.parametrize("seed", range(4))
