@@ -42,7 +42,7 @@ from .modules import Connection, MetricModule, ModuleElement, ModuleError, metri
 from .poly import Backend, Derivation, MultiDerivation, Poly, num_der_generators
 from .rothstein import RothElement
 from .symbol_map import apply_J, chat_membership, invert_J
-from .textforms import parse_poly, parse_roth, roth_to_text
+from .textforms import parse_terms, roth_to_text, split_roth_term
 
 SCHEMA = "courantalg/1"
 REPORT_SCHEMA = "courantalg-report/1"
@@ -88,16 +88,14 @@ def _is_list_of(value, kind) -> bool:
     return isinstance(value, list) and all(isinstance(v, kind) for v in value)
 
 
-def _capped(p: Poly) -> Poly:
-    """p, unless one of its exponents is above EXPONENT_CAP (ValueError)."""
-    top = max(map(max, p.terms), default=0) if p.backend.nvars else 0
+def _parse_poly(text: str, backend: Backend) -> Poly:
+    """The polynomial of text; an exponent above EXPONENT_CAP is refused (ValueError)
+    on the parsed exponent tuples, before a Poly is built."""
+    terms = parse_terms(text, backend)
+    top = max((e for exp in terms for e in exp), default=0)
     if top > EXPONENT_CAP:
         raise ValueError("exponent %d exceeds the %d cap (EXPONENT_CAP)" % (top, EXPONENT_CAP))
-    return p
-
-
-def _parse_poly(text: str, backend: Backend) -> Poly:
-    return _capped(parse_poly(text, backend))
+    return Poly(backend, terms)
 
 
 def _probe_count(module: MetricModule, depth: int) -> int:
@@ -254,9 +252,10 @@ class ProblemDocument:
             if kind == "module":
                 return Cochain.from_module_element(self._parse_module_element(spec["coeffs"]))
             if kind == "roth":
-                phi = parse_roth(spec["terms"], self.module)
-                for c in phi.terms.values():
-                    _capped(c)
+                phi = RothElement.zero(self.module)
+                for term in spec["terms"]:
+                    coeftxt, sym, ext = split_roth_term(term, self.module)
+                    phi = phi + RothElement(self.module, {(sym, ext): _parse_poly(coeftxt, self.backend)})
                 return phi
             if kind == "cmap":
                 degree = spec["degree"]

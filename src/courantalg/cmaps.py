@@ -39,9 +39,10 @@ G the least common denominator of the gram, a level-p evaluation is over
 den * G^(L-p), L = degree // 2: each swap correction multiplies by one gram
 entry.  `Poly` is the boundary type,
 built only where a value leaves: `levels`, `omega`, `eval_level`,
-`__call__`, `symbol`, `scalar_part` and `module_part`; exponents are packed
-where Poly values enter (the constructor, `from_module_element`, `scale`,
-evaluation arguments) and unpacked only there.
+`__call__`, `symbol`, `scalar_part` and `module_part`.  A Poly keeps the
+same packed numerators over its own denominator, so where one enters (the
+constructor, `from_module_element`, `scale`, evaluation arguments) its
+numerators are summed as they are.
 """
 
 from __future__ import annotations
@@ -58,11 +59,8 @@ from .poly import (
     Poly,
     _as_poly,
     _axpy,
-    _cleared,
     _grouped_sum,
     _mul_add,
-    _numerators,
-    _packed,
     _partial,
     der_generator_var,
     der_partials,
@@ -74,9 +72,10 @@ from .rothstein import ModuleMap
 LevelTable = dict[tuple[tuple[int, ...], tuple[int, ...]], Poly]  # one level of the `levels` view
 
 
-def _q_terms(x: ModuleElement) -> dict:
-    """x as its Q-terms {(packed exponent, basis index): coefficient}."""
-    return {(e, b): c for b, poly in enumerate(x.coeffs) for e, c in _packed(poly).items()}
+def _q_terms(x: ModuleElement) -> tuple[dict, int]:
+    """x as its Q-terms {(packed exponent, basis index): int} over one denominator."""
+    nums, d = _grouped_sum([(1, c._den, {b: c._num}) for b, c in enumerate(x.coeffs)])
+    return {(e, b): k for b, v in nums.items() for e, k in v.items()}, d
 
 
 class Cochain(GroupedElement):
@@ -94,8 +93,8 @@ class Cochain(GroupedElement):
             if any(len(gens) != p or len(args) != degree - 2 * p for gens, args in table):
                 raise ValueError("malformed tower key")
         self.degree = degree
-        self._set(module, *_numerators({(key, e): c for table in levels.values()
-                                        for key, v in table.items() for e, c in _packed(v).items()}))
+        self._set(module, *_grouped_sum([(1, v._den, {key: v._num}) for table in levels.values()
+                                         for key, v in table.items()]))
 
     # -- constructors --------------------------------------------------
 
@@ -121,7 +120,7 @@ class Cochain(GroupedElement):
         """The form <x, .>: for x over d, entries over d * G."""
         module = x.module
         gram, G = module.numerators()[:2]
-        terms, d = _cleared(_q_terms(x))
+        terms, d = _q_terms(x)
         num: dict = {}
         for (e, a), k in terms.items():
             for b, g in enumerate(gram[a]):
@@ -222,7 +221,7 @@ class Cochain(GroupedElement):
         """Module action of the coefficient algebra (multiplies every level)."""
         if not isinstance(a, Poly):
             a = Poly.const(self.module.backend, a)
-        return _times(self, *_cleared(_packed(a)))
+        return _times(self, a._num, a._den)
 
     # -- evaluation --------------------------------------------------------
 
@@ -293,7 +292,7 @@ class Cochain(GroupedElement):
         den = self._den * self.module.numerators()[1] ** (self.degree // 2 - p)
         expansions = []
         for x in mod_args:
-            terms, d = _cleared(_q_terms(x))
+            terms, d = _q_terms(x)
             expansions.append(list(terms.items()))
             den *= d
         out: dict = {}
@@ -380,7 +379,7 @@ def generator_slice(c: Cochain, j: int) -> Cochain:
 
 def bracket_scalar(c: Cochain, a: Poly) -> Cochain:
     """[C, a]: the derivation-in-a slice of the tower."""
-    return _bracket_scalar(c, *_cleared(_packed(a)))
+    return _bracket_scalar(c, a._num, a._den)
 
 
 def _bracket_scalar(c: Cochain, a: dict, d: int) -> Cochain:
@@ -397,7 +396,7 @@ def insert(c: Cochain, x: ModuleElement) -> Cochain:
         raise ValueError("insertion needs degree >= 2")
     if x.module != c.module:
         raise ModuleError("module mismatch")
-    return _insert_terms(c, *_cleared(_q_terms(x)))
+    return _insert_terms(c, *_q_terms(x))
 
 
 def _insert_terms(c: Cochain, terms: dict, d: int) -> Cochain:
@@ -617,7 +616,7 @@ def _probe_keys(backend: Backend, rank: int, depth: int):
 def probe_elements(module: MetricModule, depth: int):
     """Basis elements times every monomial of total degree <= depth (the unit first)."""
     backend = module.backend
-    return [module.basis(b).scale(Poly.monomial(backend, backend.unpack(exp)))
+    return [module.basis(b).scale(_as_poly(backend, {exp: 1}))
             for exp, b in _probe_keys(backend, module.rank, depth)]
 
 

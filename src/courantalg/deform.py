@@ -28,7 +28,7 @@ from fractions import Fraction
 from . import linalg
 from .cmaps import Cochain, _q_terms, cbracket, cmap_verify, probe_elements
 from .modules import Connection, MetricModule, ModuleElement, ModuleError, inner
-from .poly import Backend, Memo, Poly, _axpy, _cleared, _divided, packed_exponents_of_degree
+from .poly import Backend, Memo, Poly, _axpy, _divided, packed_exponents_of_degree
 from .rothstein import (
     AlgebraMap,
     ModuleMap,
@@ -189,7 +189,7 @@ def jacobi_identity_holds(m: Cochain, probes, *, memo: dict | None = None) -> tu
         return out
 
     probes = list(probes)
-    terms = [_cleared(_q_terms(x))[0] for x in probes]
+    terms = [_q_terms(x)[0] for x in probes]
     pairs = {(j, k): bilinear(terms[j], terms[k])
              for j, k in itertools.product(range(len(terms)), repeat=2)}
     for i, j, k in itertools.product(range(len(terms)), repeat=3):

@@ -12,9 +12,8 @@ from .poly import (
     ModuleError,
     Poly,
     _as_poly,
-    _cleared,
+    _grouped_sum,
     _mul_add,
-    _packed,
     num_der_generators,
 )
 
@@ -34,7 +33,7 @@ class MetricModule:
     """
 
     __slots__ = ("backend", "rank", "names", "gram", "gram_inv", "internal_degrees", "_basis",
-                 "_gram_rows", "_numerators", "_hash")
+                 "_gram_rows", "_nums", "_hash")
 
     def __init__(self, backend: Backend, gram: list[list[Poly]], names=None, internal_degrees=None):
         rank = len(gram)
@@ -47,11 +46,9 @@ class MetricModule:
             for b in range(rank):
                 if gram[a][b] != gram[b][a]:
                     raise ModuleError("gram must be symmetric")
-        flat, G = _cleared({(a, b, e): c for a, row in enumerate(gram)
-                            for b, v in enumerate(row) for e, c in _packed(v).items()})
-        nums = [[{} for _ in range(rank)] for _ in range(rank)]
-        for (a, b, e), c in flat.items():
-            nums[a][b][e] = c
+        flat, G = _grouped_sum([(1, v._den, {(a, b): v._num}) for a, row in enumerate(gram)
+                                for b, v in enumerate(row)])
+        nums = [[flat[a, b] for b in range(rank)] for a in range(rank)]
         _, inv, H = unit_inverse([{b: v for b, v in enumerate(row) if v} for row in nums], G, backend)
         if inv is None:
             raise ModuleError("gram determinant must be a unit (invertible constant part)" if backend.is_dual
@@ -62,7 +59,7 @@ class MetricModule:
         self.gram_inv = tuple(tuple(_as_poly(backend, v, H) for v in row) for row in inv)
         self._gram_rows = tuple(tuple((b, v) for b, v in enumerate(row) if not v.is_zero())
                                 for row in self.gram)
-        self._numerators = (nums, G, inv, H)
+        self._nums = (nums, G, inv, H)
         if names is None:
             names = tuple("e%d" % (a + 1) for a in range(rank))
         self.names = tuple(names)
@@ -102,7 +99,7 @@ class MetricModule:
         """(gram, G, inv, H): gram[a][b] is G <e_a, e_b> and inv[a][b] is H
         times the (a, b) inverse-gram entry, each an int numerator sum
         {packed exponent: int}, with G and H the least common denominators."""
-        return self._numerators
+        return self._nums
 
     def fullness_witness(self) -> list[tuple["ModuleElement", "ModuleElement"]]:
         """Pairs (x_i, y_i) with sum <x_i, y_i> = 1; here a single pair."""
@@ -111,10 +108,7 @@ class MetricModule:
 
     def raise_form(self, values: list[Poly]) -> "ModuleElement":
         """The element v with <v, e_b> = values[b] for every basis index b."""
-        flat, d = _cleared({(b, e): c for b, v in enumerate(values) for e, c in _packed(v).items()})
-        vals: dict = {}
-        for (b, e), c in flat.items():
-            vals.setdefault(b, {})[e] = c
+        vals, d = _grouped_sum([(1, v._den, {b: v._num}) for b, v in enumerate(values)])
         return self.element_of_terms(self.raise_terms(vals), d * self.numerators()[3])
 
     def raise_terms(self, vals: dict) -> dict:

@@ -4,28 +4,28 @@ Two coefficient algebras are supported: the free polynomial algebra
 Q[x_1..x_n] and the dual numbers Q[eps]/(eps^2).  Everything downstream
 (modules, brackets, cohomology) is built on the types in this module.
 
-`Poly` keys its terms by exponent tuples; that is the boundary type.  The
-int-numerator layer below it (`rothstein`'s kernel, the cochain towers of
-`cmaps`, `MetricModule.numerators`) keys a monomial by one packed int
-instead (Monagan and Pearce, ISSAC 2007).  Variable x_j owns the
-FIELD_BITS-bit field at shift FIELD_BITS * (nvars - 1 - j), so x_1 is the
-most significant and packed keys order as exponent tuples do.  The top bit
-of each field is a guard: an exponent is at most EXPONENT_LIMIT =
-2^(FIELD_BITS - 1) - 1, a product of two monomials is one int add, and a
-sum that sets a guard bit has overflowed its field and is refused with a
-ModuleError.  Over the dual numbers the guard is the key 2 of eps^2, so
-eps^2 = 0 is the same test, and such a product is dropped.  Values are
-packed where they enter the layer (`Backend.pack`, `_packed`) and unpacked
-where they leave it (`_as_poly`); both directions are memoized per backend.
+Every value keys a monomial by one packed int (Monagan and Pearce, ISSAC
+2007).  Variable x_j owns the FIELD_BITS-bit field at shift FIELD_BITS *
+(nvars - 1 - j), so x_1 is the most significant and packed keys order as
+exponent tuples do.  The top bit of each field is a guard: an exponent is
+at most EXPONENT_LIMIT = 2^(FIELD_BITS - 1) - 1, a product of two monomials
+is one int add, and a sum that sets a guard bit has overflowed its field
+and is refused with a ModuleError.  Over the dual numbers the guard is the
+key 2 of eps^2, so eps^2 = 0 is the same test, and such a product is
+dropped.  Exponent tuples exist only at the boundary: `Backend.pack`
+refuses one outside the fields where a `Poly` is built from tuples, and
+`Backend.unpack` makes one where a `terms` view is read.
 
-Both algebras store an element as grouped int numerators {group: {packed
-key: int}} over one positive denominator (FLINT's fmpq_poly layout, Hart,
-ICMS 2010).  `GroupedElement` is that value type: `RothElement` and
-`Cochain` subclass it, and it alone normalises (`_canonical`), adds
-(`_grouped_sum`), compares and hashes the format.
+Every value is stored as int numerators over one positive denominator with
+no common factor (FLINT's fmpq_poly layout, Hart, ICMS 2010), so equal
+values are stored equally.  A `Poly` is one numerator sum `_num` = {packed
+key: int} over `_den`, made by `_as_poly`; a `GroupedElement`, the base of
+`RothElement` and `Cochain`, groups such sums {group: {packed key: int}}
+over one `_den`, made by `_canonical`.  `_grouped_sum` adds either, a Poly
+being one group.
 
-Every table that lives across calls (the pack tables here, the bracket and
-wedge tables of `cmaps`, the standard structures of `deform`) is a `Memo`.
+Every table that lives across calls (the bracket and wedge tables of
+`cmaps`, the standard structures of `deform`) is a `Memo`.
 """
 
 from __future__ import annotations
@@ -47,7 +47,9 @@ MEMO_LIMIT = 1 << 14  # entries per memo table, read on every store
 
 
 class Memo(OrderedDict):
-    """A memo table of at most MEMO_LIMIT entries that drops its oldest first, so a hit is a dict lookup."""
+    """A memo table of at most MEMO_LIMIT entries that drops its oldest first,
+    so a hit is a dict lookup: the bracket and wedge tables of `cmaps` and the
+    standard structures of `deform`."""
 
     def remember(self, key, value):
         while self and len(self) >= MEMO_LIMIT:
@@ -67,7 +69,7 @@ class ModuleError(ValueError):
 class Backend:
     """A coefficient algebra: FreePoly(n) = Q[x_1..x_n] or DualNum = Q[eps]/(eps^2)."""
 
-    __slots__ = ("kind", "names", "nvars", "is_dual", "shifts", "guard", "_hash", "_packs", "_unpacks")
+    __slots__ = ("kind", "names", "nvars", "is_dual", "shifts", "guard", "_hash")
 
     FREE = "free"
     DUAL = "dual"
@@ -85,8 +87,6 @@ class Backend:
         self.shifts = tuple(FIELD_BITS * (self.nvars - 1 - j) for j in range(self.nvars))
         self.guard = EPS_SQUARED if self.is_dual else sum(1 << (s + FIELD_BITS - 1) for s in self.shifts)
         self._hash = hash((kind, self.names))
-        self._packs = Memo()  # exponent tuple -> packed key
-        self._unpacks = Memo()  # packed key -> exponent tuple
 
     @staticmethod
     def free(n: int, names: Iterable[str] | None = None) -> "Backend":
@@ -102,28 +102,19 @@ class Backend:
         return Backend(Backend.DUAL, (name,))
 
     def pack(self, exp: tuple[int, ...]) -> int:
-        """The packed key of an exponent tuple; refuses an exponent past EXPONENT_LIMIT."""
-        k = self._packs.get(exp)
-        if k is None:
-            if len(exp) != self.nvars:
-                raise ValueError("exponent arity mismatch")
-            k = 0
-            for j, (e, s) in enumerate(zip(exp, self.shifts)):
-                if not 0 <= e <= EXPONENT_LIMIT:
-                    raise _field_error(self, j, e)
-                k |= e << s
-            self._packs.remember(exp, k)
-            self._unpacks.remember(k, exp)
+        """The packed key of an exponent tuple; refuses an exponent outside 0..EXPONENT_LIMIT."""
+        if len(exp) != self.nvars:
+            raise ValueError("exponent arity mismatch")
+        k = 0
+        for j, (e, s) in enumerate(zip(exp, self.shifts)):
+            if not 0 <= e <= EXPONENT_LIMIT:
+                raise _field_error(self, j, e)
+            k |= e << s
         return k
 
     def unpack(self, k: int) -> tuple[int, ...]:
         """The exponent tuple of a packed key."""
-        exp = self._unpacks.get(k)
-        if exp is None:
-            exp = tuple([k >> s & FIELD_MASK for s in self.shifts])
-            self._packs.remember(exp, k)
-            self._unpacks.remember(k, exp)
-        return exp
+        return tuple([k >> s & FIELD_MASK for s in self.shifts])
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -149,18 +140,6 @@ def default_var_names(n: int) -> tuple[str, ...]:
 
 
 # -- int numerator sums: {key: int} over one denominator kept beside them -----
-
-
-def _cleared(flat: dict) -> tuple[dict, int]:
-    """Rational values {key: c} as int numerators over one positive denominator:
-    (numerators, d).  A sum of ints is returned as it is, over 1."""
-    for c in flat.values():
-        if type(c) is not int:
-            break
-    else:
-        return flat, 1
-    d = lcm(*[c.denominator for c in flat.values()])
-    return {k: c.numerator * (d // c.denominator) for k, c in flat.items()}, d
 
 
 def _quotient(c: int, d: int):
@@ -204,7 +183,8 @@ def _canonical(groups: dict, den: int) -> tuple[dict, int]:
 
 def _grouped_sum(parts) -> tuple[dict, int]:
     """The sum of the parts (f, den, groups), each f times grouped numerators
-    over den, as grouped numerators over the lcm of the dens (not canonical)."""
+    over den, as grouped numerators over the lcm of the dens (not canonical).
+    A Poly p enters as (f, p._den, {group: p._num})."""
     den = lcm(*[d for _, d, _ in parts])
     out: dict = {}
     for f, d, groups in parts:
@@ -212,16 +192,6 @@ def _grouped_sum(parts) -> tuple[dict, int]:
         for k, v in groups.items():
             _axpy(out.setdefault(k, {}), v, f)
     return out, den
-
-
-def _numerators(values: dict) -> tuple[dict, int]:
-    """Nonzero rational values {(group, key): c} as grouped numerators over
-    one denominator (not canonical)."""
-    flat, den = _cleared(values)
-    groups: dict = {}
-    for (g, e), c in flat.items():
-        groups.setdefault(g, {})[e] = c
-    return groups, den
 
 
 def _field_error(backend: Backend, j: int, e: int) -> ModuleError:
@@ -275,32 +245,19 @@ def _variables(backend: Backend, a: dict) -> list[int]:
     return [j for j, s in enumerate(backend.shifts) if seen >> s & FIELD_MASK]
 
 
-def _packed(p: "Poly") -> dict:
-    """The terms of p as a packed sum {key: coefficient}, integral values maybe
-    ints; built once per Poly and shared, so not to be changed."""
-    out = p._keys
-    if out is None:
-        backend = p.backend
-        get = backend._packs.get
-        out = {}
-        for exp, c in p.terms.items():
-            k = get(exp)
-            out[backend.pack(exp) if k is None else k] = c
-        p._keys = out
-    return out
-
-
-def _as_poly(backend: Backend, flat: dict, d: int = 1) -> "Poly":
-    """The packed sum of numerators over d as a Poly, each coefficient divided
-    once.  Over d = 1 the Poly keeps flat as its packed terms, so flat is not
-    to be changed afterwards."""
-    get = backend._unpacks.get
-    terms = {}
-    for k, c in flat.items():
-        exp = get(k)
-        terms[backend.unpack(k) if exp is None else exp] = (
-            c if d == 1 and type(c) is Fraction else Fraction(c, d))
-    return Poly._raw(backend, terms, flat if d == 1 else None)
+def _as_poly(backend: Backend, num: dict, den: int = 1) -> "Poly":
+    """The Poly of the int numerator sum {packed key: int} over den > 0, the
+    common factor cancelled; num is taken over, not copied."""
+    g = gcd(den, *num.values()) if den > 1 else 1
+    if g > 1:
+        num = {e: c // g for e, c in num.items()}
+        den //= g
+    p = object.__new__(Poly)
+    p.backend = backend
+    p._num = num
+    p._den = den
+    p._hash = None
+    return p
 
 
 def packed_exponents_of_degree(backend: Backend, total: int) -> list[int]:
@@ -333,47 +290,39 @@ def _grlex_key(exp: tuple[int, ...]):
 
 
 class Poly:
-    """Sparse polynomial: map from exponent tuples to nonzero Fractions.
+    """Sparse polynomial: int numerators `_num` = {packed key: int} over one
+    positive denominator `_den`, with no common factor (module docstring).
 
     Immutable.  Over the dual-number backend the relation eps^2 = 0 is
-    applied on every product, so exponents stay in {0, 1}.  Products and
-    partials run on packed keys (module docstring); `terms` stays keyed by
-    tuples.
+    applied on every product, so exponents stay in {0, 1}.  `terms` is the
+    view {exponent tuple: Fraction}, built on every read.
     """
 
-    __slots__ = ("backend", "terms", "_hash", "_keys")
+    __slots__ = ("backend", "_num", "_den", "_hash")
 
     def __init__(self, backend: Backend, terms: dict[tuple[int, ...], Fraction]):
-        clean = {}
+        """The sum of c x^exp over terms {exponent tuple: rational}; an
+        exponent outside 0..EXPONENT_LIMIT raises ModuleError."""
+        values = {}
         for exp, c in terms.items():
             if not c:
                 continue
-            if len(exp) != backend.nvars:
-                raise ValueError("exponent arity mismatch")
-            if backend.is_dual and exp[0] > 1:
+            k = backend.pack(exp)
+            if backend.is_dual and k > 1:
                 continue  # eps^2 = 0
-            clean[exp] = c if type(c) is Fraction else Fraction(c)
+            values[k] = c if type(c) in (int, Fraction) else Fraction(c)
+        # each c is in lowest terms, so no factor is common to den and every numerator
+        den = lcm(*[c.denominator for c in values.values()])
         self.backend = backend
-        self.terms = clean
+        self._num = {k: c.numerator * (den // c.denominator) for k, c in values.items()}
+        self._den = den
         self._hash = None
-        self._keys = None
-
-    @classmethod
-    def _raw(cls, backend: Backend, terms: dict[tuple[int, ...], Fraction], keys=None) -> "Poly":
-        """Internal constructor for already-normalized sparse data; keys, when
-        given, is the same sum on packed keys (values may be ints)."""
-        self = object.__new__(cls)
-        self.backend = backend
-        self.terms = terms
-        self._hash = None
-        self._keys = keys
-        return self
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def zero(backend: Backend) -> "Poly":
-        return Poly(backend, {})
+        return _as_poly(backend, {})
 
     @staticmethod
     def const(backend: Backend, c) -> "Poly":
@@ -381,13 +330,11 @@ class Poly:
 
     @staticmethod
     def one(backend: Backend) -> "Poly":
-        return Poly.const(backend, 1)
+        return _as_poly(backend, {0: 1})
 
     @staticmethod
     def var(backend: Backend, i: int) -> "Poly":
-        exp = [0] * backend.nvars
-        exp[i] = 1
-        return Poly(backend, {tuple(exp): QONE})
+        return _as_poly(backend, {1 << backend.shifts[i]: 1})
 
     @staticmethod
     def monomial(backend: Backend, exp: tuple[int, ...], c=1) -> "Poly":
@@ -395,28 +342,31 @@ class Poly:
 
     # -- structure ---------------------------------------------------
 
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """The polynomial as {exponent tuple: Fraction}, built on every read."""
+        unpack, den = self.backend.unpack, self._den
+        return {unpack(k): Fraction(c, den) for k, c in self._num.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_one(self) -> bool:
-        unit = (0,) * self.backend.nvars
-        return self.terms == {unit: QONE}
+        return self._den == 1 and self._num == {0: 1}
 
     def is_constant(self) -> bool:
-        unit = (0,) * self.backend.nvars
-        return all(e == unit for e in self.terms)
+        return not any(self._num)
 
     def constant_part(self) -> Fraction:
-        return self.terms.get((0,) * self.backend.nvars, QZERO)
+        return Fraction(self._num.get(0, 0), self._den)
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return max((sum(self.backend.unpack(k)) for k in self._num), default=0)
 
     def monomials(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        for exp in sorted(self.terms, key=_grlex_key):
-            yield exp, self.terms[exp]
+        terms = self.terms
+        for exp in sorted(terms, key=_grlex_key):
+            yield exp, terms[exp]
 
     # -- arithmetic --------------------------------------------------
 
@@ -424,30 +374,26 @@ class Poly:
         if self.backend != other.backend:
             raise BackendError("backend mismatch: %r vs %r" % (self.backend, other.backend))
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _plus(self, other: "Poly", f: int) -> "Poly":
+        """self + f other over the lcm of both denominators."""
         self._check(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            v = terms.get(exp, QZERO) + c
-            if v:
-                terms[exp] = v
-            elif exp in terms:
-                del terms[exp]
-        return Poly._raw(self.backend, terms)
+        if not other._num:
+            return self
+        if not self._num and f == 1:
+            return other
+        d1, d2 = self._den, other._den
+        den = d1 if d1 == d2 else lcm(d1, d2)
+        out = dict(self._num) if den == d1 else {e: c * (den // d1) for e, c in self._num.items()}
+        return _as_poly(self.backend, _axpy(out, other._num, f * (den // d2)), den)
+
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            v = terms.get(exp, QZERO) - c
-            if v:
-                terms[exp] = v
-            elif exp in terms:
-                del terms[exp]
-        return Poly._raw(self.backend, terms)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly._raw(self.backend, {e: -c for e, c in self.terms.items()})
+        return _as_poly(self.backend, {e: -c for e, c in self._num.items()}, self._den)
 
     def __mul__(self, other) -> "Poly":
         if type(other) is not Poly:  # the ABC check below costs 50x this one
@@ -456,44 +402,44 @@ class Poly:
             if not isinstance(other, Poly):
                 return NotImplemented
         self._check(other)
-        if not self.terms:
+        if not self._num:
             return self
-        if not other.terms:
+        if not other._num:
             return other
-        return _as_poly(self.backend, _mul_add({}, _packed(self), _packed(other), self.backend))
+        return _as_poly(self.backend, _mul_add({}, self._num, other._num, self.backend), self._den * other._den)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        if type(c) is not Fraction:
+        if type(c) not in (int, Fraction):
             c = Fraction(c)
         if not c:
             return Poly.zero(self.backend)
-        return Poly._raw(self.backend, {e: c * v for e, v in self.terms.items()})
+        n = c.numerator
+        return _as_poly(self.backend, {e: n * v for e, v in self._num.items()}, self._den * c.denominator)
 
     def partial(self, i: int) -> "Poly":
         """Formal partial derivative with respect to the i-th variable."""
-        if not self.terms:
+        if not self._num:
             return self
-        return _as_poly(self.backend, _partial(_packed(self), self.backend.shifts[i]))
+        return _as_poly(self.backend, _partial(self._num, self.backend.shifts[i]), self._den)
 
     # -- comparison / hashing ----------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.backend == other.backend and self.terms == other.terms
+        return self.backend == other.backend and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         if self._hash is None:
-            items = tuple(sorted(self.terms.items()))
-            self._hash = hash((self.backend, items))
+            self._hash = hash((self.backend, self._den, frozenset(self._num.items())))
         return self._hash
 
     # -- display -----------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return "0"
         names = self.backend.names
         parts = []

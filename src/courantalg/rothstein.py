@@ -30,9 +30,9 @@ sum over d_a * d, and a Leibniz product multiplies the denominators.  A
 result leaves through `RothElement.from_numerators`, which only cancels the
 common factor.  A monomial product is one int add (`poly._mul_add`, called
 by `_mul_into` once per pair of groups) and a derivative in x_j a shift, a
-mask and a subtraction.  Poly coefficients and exponent tuples exist only
-at the boundary: the constructor packs its Poly terms once, and the
-`terms` view unpacks them on read.
+mask and a subtraction.  Poly coefficients exist only at the boundary:
+the constructor sums the numerators of its Poly terms, and the `terms`
+view builds a Poly per group on read.
 """
 
 from __future__ import annotations
@@ -54,11 +54,8 @@ from .poly import (
     Derivation,
     GroupedElement,
     Poly,
-    _axpy,
     _grouped_sum,
     _mul_add,
-    _numerators,
-    _packed,
     _partial,
     _variables,
     num_der_generators,
@@ -122,13 +119,12 @@ class RothElement(GroupedElement):
         """The element sum c * sym (x) ext over the given terms.  Over the dual
         numbers eps * D = 0, so a coefficient beside a Der factor reduces mod eps."""
         dual = module.backend.is_dual
-        values: dict = {}
+        parts = []
         for (sym, ext), c in terms.items():
             if any(ext[i] >= ext[i + 1] for i in range(len(ext) - 1)):
                 raise ValueError("exterior part must be strictly increasing")
-            key = (tuple(sorted(sym)), ext)
-            _axpy(values, {(key, e): v for e, v in _packed(c).items() if not (dual and sym and e)})
-        self._set(module, *_numerators(values))
+            parts.append((1, c._den, {(tuple(sorted(sym)), ext): _eps_free(c._num) if dual and sym else c._num}))
+        self._set(module, *_grouped_sum(parts))
 
     # -- constructors --------------------------------------------------
 
@@ -289,9 +285,9 @@ def _table(found: list, has_dd: bool, entries: dict, d: int) -> list:
     """The table (see `_generator_table`) of the brackets found, [(u, v,
     [(ext, Poly)])], added to the entries {(v, u, ext): {packed exponent:
     int}} over d of a table."""
-    new, d_new = _numerators({((v, u, ext), e): c for u, v, pairs in found
-                              for ext, poly in pairs for e, c in _packed(poly).items()})
-    entries, d = _grouped_sum([(1, d, entries), (1, d_new, new)])
+    entries, d = _grouped_sum([(1, d, entries)] + [(1, poly._den, {(v, u, ext): poly._num})
+                                                   for u, v, pairs in found for ext, poly in pairs
+                                                   if not poly.is_zero()])
     rows: dict = {}
     for (v, u, ext), terms in entries.items():
         rows.setdefault(v, {}).setdefault(u, []).append(((), ext, terms))

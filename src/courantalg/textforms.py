@@ -21,6 +21,12 @@ _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\d+|\^|\*|\+|-|/|\(|\))")
 
 def parse_poly(text: str, backend: Backend) -> Poly:
     """Parse `3/2*x^2*y - 1` into a Poly over the given backend."""
+    return Poly(backend, parse_terms(text, backend))
+
+
+def parse_terms(text: str, backend: Backend) -> dict[tuple[int, ...], Fraction]:
+    """Parse `3/2*x^2*y - 1` into its terms {exponent tuple: Fraction}, like
+    terms added and the ones that cancel dropped; no exponent is checked."""
     pos = 0
     tokens = []
     while pos < len(text):
@@ -35,7 +41,7 @@ def parse_poly(text: str, backend: Backend) -> Poly:
         raise ValueError("empty polynomial")
     name_to_idx = {n: i for i, n in enumerate(backend.names)}
 
-    out = Poly.zero(backend)
+    out: dict = {}
     i = 0
     sign = 1
     while i < len(tokens):
@@ -80,7 +86,10 @@ def parse_poly(text: str, backend: Backend) -> Poly:
             raise ValueError("unexpected token %r in polynomial" % tok)
         if not saw_factor:
             raise ValueError("dangling sign in polynomial")
-        out = out + Poly.monomial(backend, tuple(exp), coeff)
+        exp = tuple(exp)
+        coeff += out.pop(exp, 0)
+        if coeff:
+            out[exp] = coeff
     return out
 
 
@@ -103,6 +112,12 @@ def roth_to_text(phi) -> str:
 
 def parse_roth_term(text: str, module) -> tuple[Poly, tuple[int, ...], tuple[int, ...]]:
     """Parse one `coef * d(x)vd(y) (x) e1^e2` term; returns (coef, sym, ext)."""
+    coeftxt, sym, ext = split_roth_term(text, module)
+    return parse_poly(coeftxt, module.backend), sym, ext
+
+
+def split_roth_term(text: str, module) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
+    """Split one `coef * d(x)vd(y) (x) e1^e2` term into (coefficient text, sym, ext)."""
     backend = module.backend
     body = text.replace(OTIMES, "@")
     # ASCII alias for the tensor sign: only after the symmetric part, which
@@ -120,7 +135,6 @@ def parse_roth_term(text: str, module) -> tuple[Poly, tuple[int, ...], tuple[int
     if coeftxt.startswith("(") and coeftxt.endswith(")"):
         coeftxt = coeftxt[1:-1].strip()
     symtxt = left[m.start():].strip()
-    coef = parse_poly(coeftxt or "1", backend)
     sym = []
     if symtxt != "1":
         for piece in re.split(r"%s|v" % VEE, symtxt):
@@ -145,7 +159,7 @@ def parse_roth_term(text: str, module) -> tuple[Poly, tuple[int, ...], tuple[int
             ext.append(module.names.index(piece))
     if any(ext[i] >= ext[i + 1] for i in range(len(ext) - 1)):
         raise ValueError("exterior factors must be strictly increasing: %r" % text)
-    return coef, tuple(sorted(sym)), tuple(ext)
+    return coeftxt or "1", tuple(sorted(sym)), tuple(ext)
 
 
 def parse_roth(terms, module):

@@ -17,8 +17,9 @@ layout of `MetricModule.numerators`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from courantalg.poly import Poly, _cleared, _packed
+from courantalg.poly import Poly
 
 QZERO, QONE = Fraction(0), Fraction(1)
 
@@ -114,14 +115,15 @@ def poly_inverse(m: list[list[Poly]]) -> list[list[Poly]]:
     return out
 
 
+def packed(p: Poly) -> dict:
+    """The terms of p keyed by packed exponent, read from its tuple view."""
+    return {p.backend.pack(e): c for e, c in p.terms.items()}
+
+
 def numerators(gram: list[list[Poly]], inverse: list[list[Poly]]) -> tuple[list, int, list, int]:
     """(gram, G, inv, H) as int numerator sums {packed exponent: int}, inv from the inverse."""
     out = []
     for matrix in (gram, inverse):
-        flat, d = _cleared({(a, b, e): c for a, row in enumerate(matrix)
-                            for b, v in enumerate(row) for e, c in _packed(v).items()})
-        grouped = [[{} for _ in matrix] for _ in matrix]
-        for (a, b, e), c in flat.items():
-            grouped[a][b][e] = c
-        out += [grouped, d]
+        d = lcm(*[c.denominator for row in matrix for v in row for c in v.terms.values()])
+        out += [[[{e: int(c * d) for e, c in packed(v).items()} for v in row] for row in matrix], d]
     return tuple(out)

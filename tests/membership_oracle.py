@@ -17,7 +17,7 @@ from fractions import Fraction
 from courantalg import linalg
 from courantalg.cmaps import Cochain
 from courantalg.modules import Connection, MetricModule
-from courantalg.poly import Poly, _numerators, packed_exponents_of_degree
+from courantalg.poly import Poly, packed_exponents_of_degree
 from courantalg.rothstein import RothElement, graded_monomials
 from courantalg.symbol_map import apply_J
 
@@ -90,8 +90,11 @@ def chat_membership(c: Cochain, conn: Connection, cap: int | None = None) -> dic
                 "reason": "eliminated system contains 0 = 1",
             },
         }
-    phi = RothElement.from_numerators(module, *_numerators(
-        {((sym, ext), exp): v for v, (exp, sym, ext) in zip(sol, basis) if v}))
+    groups: dict = {}
+    for v, (exp, sym, ext) in zip(sol, basis):
+        if v:
+            groups.setdefault((sym, ext), {})[module.backend.unpack(exp)] = v
+    phi = RothElement(module, {key: Poly(module.backend, terms) for key, terms in groups.items()})
     if apply_J(phi, conn) != c:
         raise AssertionError("membership solve produced a non-preimage")
     return {"member": True, "preimage": phi, "cap": cap, "conclusive": True}

@@ -476,6 +476,34 @@ def test_an_exponent_summed_over_factors_is_capped():
     assert code == 2 and "EXPONENT_CAP" in report["error"]
 
 
+def _one_variable(**fields):
+    doc = {"schema": SCHEMA, "backend": {"kind": "freepoly", "vars": ["x"]},
+           "module": {"rank": 2, "basis": ["e1", "e2"], "gram": [["1", "0"], ["0", "1"]]}}
+    doc.update(fields)
+    return doc
+
+
+HUGE = "x^40000"  # past poly.EXPONENT_LIMIT as well as EXPONENT_CAP
+
+
+@pytest.mark.parametrize("doc", [
+    _one_variable(elements={"a": {"type": "scalar", "value": HUGE}}),
+    _one_variable(elements={"a": {"type": "module", "coeffs": ["1", HUGE]}}),
+    _one_variable(module={"rank": 2, "basis": ["e1", "e2"], "gram": [["1", "0"], ["0", HUGE]]}),
+    _one_variable(connection={"kind": "christoffel", "gamma": [[[HUGE, "0"], ["0", "0"]]]}),
+    _one_variable(elements={"a": {"type": "cmap", "degree": 2, "values": {"e1": [HUGE, "0"]}}}),
+    _one_variable(elements={"a": {"type": "cmap", "degree": 2, "values": {}, "symbol": {"": [HUGE]}}}),
+    _one_variable(elements={"a": {"type": "roth", "terms": ["(%s) * 1 (x) e1" % HUGE]}}),
+    _one_variable(elements={"a": {"type": "sder-quartic", "p_table": {"x,x": HUGE}}}),
+], ids=["scalar", "module", "gram", "christoffel", "cmap-value", "symbol", "roth", "sder-quartic"])
+def test_a_huge_exponent_names_the_cap_in_every_section(doc):
+    # the cap is checked on the parsed exponent tuples, before a Poly could refuse its packed field
+    report, code = run_document(doc)
+    assert code == 2
+    assert "EXPONENT_CAP" in report["error"] and "40000" in report["error"], report["error"]
+    assert "EXPONENT_LIMIT" not in report["error"]
+
+
 def test_the_truncation_flag_is_gone():
     # membership needs no cap, so --truncation is an unknown argument (argparse exits 2)
     with pytest.raises(SystemExit) as ex:

@@ -16,7 +16,6 @@ import pytest
 import linalg_oracle as oracle
 from conftest import denominator_contexts, gram_denominator_contexts, oracle_contexts, random_poly
 from courantalg import Backend, MetricModule, ModuleError, Poly, linalg
-from courantalg.poly import _packed
 
 FREE = Backend.free(2, ("x", "y"))
 DUAL = Backend.dual()
@@ -76,7 +75,7 @@ def test_determinant_and_inverse_equal_the_cofactor_oracle(name):
     expected = oracle.numerators(gram, inverse)
     nums, G = expected[:2]
     det, inv, H = linalg.unit_inverse([{b: v for b, v in enumerate(row) if v} for row in nums], G, backend)
-    assert det == _packed(oracle.poly_det(gram).scale(G ** rank))
+    assert det == oracle.packed(oracle.poly_det(gram).scale(G ** rank))
     assert (inv, H) == expected[2:]
     M = MetricModule(backend, gram)
     assert M.numerators() == expected
@@ -89,7 +88,7 @@ def test_determinant_and_inverse_equal_the_cofactor_oracle(name):
 def test_seeded_grams_are_not_all_constant():
     grams = [g for name, g in GRAMS.items() if "rank1" not in name]
     assert any(not v.is_constant() for g in grams if g[0][0].backend is FREE for row in g for v in row)
-    assert any(1 in _packed(v) for g in grams if g[0][0].backend is DUAL for row in g for v in row)
+    assert any(1 in oracle.packed(v) for g in grams if g[0][0].backend is DUAL for row in g for v in row)
 
 
 def _contexts():
@@ -114,7 +113,7 @@ def test_numerators_and_gram_inv_equal_the_cofactor_route_on_every_context(index
 def test_a_gram_without_a_unit_determinant_is_rejected(backend, entry, message):
     with pytest.raises(ModuleError, match=message):
         MetricModule(backend, [[entry]])
-    assert linalg.unit_inverse([{0: _packed(entry)} if not entry.is_zero() else {}], 1, backend)[1:] == (None, 1)
+    assert linalg.unit_inverse([{0: oracle.packed(entry)} if not entry.is_zero() else {}], 1, backend)[1:] == (None, 1)
 
 
 def test_a_dense_rank_8_gram_builds_in_under_a_second():

@@ -133,7 +133,7 @@ def test_pack_round_trip_and_order(backend):
     top = 1 if backend.is_dual else EXPONENT_LIMIT
     exps = {tuple(rng.choice([0, 1, 2, top - 1, top, rng.randrange(top + 1)]) if not backend.is_dual
                   else rng.randrange(2) for _ in range(backend.nvars)) for _ in range(200)}
-    fresh = Backend(backend.kind, backend.names)  # nothing memoized yet
+    fresh = Backend(backend.kind, backend.names)  # an equal backend packs alike
     for exp in exps:
         k = backend.pack(exp)
         assert type(k) is int and not k & fresh.guard
@@ -164,6 +164,17 @@ def test_products_at_the_field_limit_and_past_it():
     c = cmaps.Cochain.scalar(M, Poly.monomial(M.backend, (EXPONENT_LIMIT, 0)))
     with pytest.raises(ModuleError, match="EXPONENT_LIMIT"):
         c.scale(Poly.var(M.backend, 0))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Poly(Backend.free(2), {(-1, 0): 1}),
+    lambda: Poly.monomial(Backend.free(2), (EXPONENT_LIMIT + 1, 0)),
+    lambda: Poly.monomial(Backend.free(2), (0, -2), Fraction(1, 3)),
+    lambda: Poly(Backend.dual(), {(-1,): 1}),
+], ids=["negative", "past-limit", "negative-fraction", "dual-negative"])
+def test_bad_exponents_are_refused_when_the_poly_is_built(build):
+    with pytest.raises(ModuleError, match="EXPONENT_LIMIT"):
+        build()
 
 
 def test_brackets_multiply_packed_keys_only(monkeypatch):
@@ -197,8 +208,9 @@ def test_brackets_multiply_packed_keys_only(monkeypatch):
             return real(*args, **kwargs)
         return call
 
-    real_raw = Poly._raw.__func__
-    monkeypatch.setattr(Poly, "_raw", classmethod(counted(real_raw, "Poly._raw")))
+    for module in (poly, modules, rothstein, cmaps):
+        if hasattr(module, "_as_poly"):  # the one factory of a Poly from numerators
+            monkeypatch.setattr(module, "_as_poly", counted(poly._as_poly, "_as_poly"))
     monkeypatch.setattr(Poly, "__init__", counted(Poly.__init__, "Poly"))
     monkeypatch.setattr(Backend, "unpack", counted(Backend.unpack, "unpack"))
     out = roth_bracket(a, b, conn), cbracket(ca, cb)
