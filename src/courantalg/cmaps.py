@@ -23,9 +23,22 @@ numbers is the motivating case.
 
 Insertion i_x C is the primitive of the complex: a basis element re-keys
 the stored tables, and any other Q-term of x is read from the tower through
-the slot reduction above.  The bracket ([C, x] = i_x C in degree 1) and the
-wedge are one graded Leibniz recursion over basis insertions and generator
-slices.
+the slot reduction above.  A scalar brackets as a generator slice and a
+module element as an insertion ([C, x] = i_x C).  From degree 2 on, the
+bracket and the wedge are transported through the Poisson isomorphism
+J_nabla0 of `symbol_map` onto the connection-side kernel,
+
+    [a, b] = J{J^-1 a, J^-1 b},    a ^ b = J(J^-1 a ^ J^-1 b),
+
+for one reference metric connection nabla0 per module
+(`MetricModule.reference_connection`).  `_PREIMAGES` keeps the peeled
+preimage of each operand and each transported result with the preimage it
+was built from, so a nested bracket peels only its inputs.  An operand that
+is no J-image (the quartic over the dual numbers, or a table that passes
+the swap check but fails the complex's identities) keeps the graded Leibniz
+recursion over basis insertions and generator slices (`_recursive_bracket`,
+`_recursive_wedge`), which is also the oracle the tests hold the transport
+to.
 
 The tower is fraction-free: one table {(gens, args): {exp: int}} of int
 numerators over one positive denominator per cochain, kept canonical, so
@@ -67,7 +80,7 @@ from .poly import (
     num_der_generators,
     packed_exponents_of_degree,
 )
-from .rothstein import ModuleMap
+from .rothstein import ModuleMap, RothElement, roth_bracket
 
 LevelTable = dict[tuple[tuple[int, ...], tuple[int, ...]], Poly]  # one level of the `levels` view
 
@@ -458,6 +471,8 @@ DEGREE_CAP = 8  # table sizes grow as rank^(r-1); results above this degree refu
 
 _BRACKET_CACHE = Memo()
 _WEDGE_CACHE = Memo()
+_PREIMAGES = Memo()  # cochain -> its J-preimage under the reference connection, or _NON_MEMBER
+_NON_MEMBER = object()
 
 
 def _check_degree_cap(result_degree: int, what: str):
@@ -467,8 +482,57 @@ def _check_degree_cap(result_degree: int, what: str):
         )
 
 
+def _preimage(c: Cochain, conn) -> RothElement | None:
+    """J^-1 c under the reference connection conn of c's module, peeled on
+    the first read and kept in `_PREIMAGES`; None when c is no J-image."""
+    hit = _PREIMAGES.get(c)
+    if hit is None:
+        from .symbol_map import _peel  # symbol_map builds on Cochain
+
+        phi, certificate = _peel(c, conn)
+        hit = _PREIMAGES.remember(c, _NON_MEMBER if certificate is not None else phi)
+    return None if hit is _NON_MEMBER else hit
+
+
+def _transported(product, a: Cochain, b: Cochain, degree: int) -> Cochain | None:
+    """J(product(J^-1 a, J^-1 b, conn)) for J of the module's reference
+    connection conn, as a cochain of the given degree (J of 0 has degree 0),
+    or None when a or b is no J-image.  The result is remembered with its
+    preimage, so a later product built on it peels nothing."""
+    conn = a.module.reference_connection()
+    phi = _preimage(a, conn)
+    psi = None if phi is None else _preimage(b, conn)
+    if psi is None:
+        return None
+    chi = product(phi, psi, conn)
+    if chi.is_zero():
+        return Cochain.zero(a.module, degree)
+    from .symbol_map import apply_J  # symbol_map builds on Cochain
+
+    out = apply_J(chi, conn)
+    _PREIMAGES.remember(out, chi)
+    return out
+
+
+def _negated(c: Cochain) -> Cochain:
+    """-c, remembered with -phi as its preimage when phi is c's."""
+    out = -c
+    phi = _PREIMAGES.get(c)
+    if phi is not None and phi is not _NON_MEMBER:
+        _PREIMAGES.remember(out, -phi)
+    return out
+
+
 def cbracket(a: Cochain, b: Cochain) -> Cochain:
-    """The graded bracket [a, b] of degree -2, built by the insertion recursion."""
+    """The graded bracket [a, b] of degree -2.
+
+    A scalar or a module element takes its one-step formula (`_one_step`).
+    From degree 2 on, the bracket is transported through the Poisson
+    isomorphism J of the module's reference connection:
+    [a, b] = J{J^-1 a, J^-1 b}.  An operand that is no J-image (the quartic
+    over the dual numbers) takes the insertion recursion
+    `_recursive_bracket`, which is also the oracle of the transport.
+    """
     if a.module != b.module:
         raise ModuleError("module mismatch")
     r, s = a.degree, b.degree
@@ -478,22 +542,43 @@ def cbracket(a: Cochain, b: Cochain) -> Cochain:
     _check_degree_cap(n, "bracket")
     if r > s:
         out = cbracket(b, a)
-        if (r * s) % 2 == 0:
-            out = -out
-        return out
+        return out if (r * s) % 2 else _negated(out)
     key = (a, b)
     hit = _BRACKET_CACHE.get(key)
     if hit is not None:
         return hit
-    if r == 0:
-        out = -_bracket_scalar(b, a._num[(), ()], a._den)
-    elif r == 1:
-        out = _insert_terms(b, *_raised(a))
-        if s % 2 == 0:
-            out = -out
-    else:
-        out = _by_insertion(cbracket, a, b, n)
+    out = _one_step(a, b) if r < 2 else _transported(roth_bracket, a, b, n)
+    if out is None:
+        out = _recursive_bracket(a, b, {})
     return _BRACKET_CACHE.remember(key, out)
+
+
+def _one_step(a: Cochain, b: Cochain) -> Cochain:
+    """[a, b] for a of degree 0, the scalar slice, or 1, the insertion [b, x] = i_x b."""
+    if a.degree == 0:
+        return -_bracket_scalar(b, a._num[(), ()], a._den)
+    out = _insert_terms(b, *_raised(a))
+    return -out if b.degree % 2 == 0 else out
+
+
+def _recursive_bracket(a: Cochain, b: Cochain, memo: dict) -> Cochain:
+    """[a, b] by the graded Leibniz recursion alone, the sub-brackets of one
+    call kept in memo: the route of an operand that is no J-image, and the
+    oracle the tests hold the transport to."""
+    r, s = a.degree, b.degree
+    if a.is_zero() or b.is_zero():
+        return Cochain.zero(a.module, r + s - 2)
+    if r > s:
+        out = _recursive_bracket(b, a, memo)
+        return out if (r * s) % 2 else -out
+    out = memo.get((a, b))
+    if out is None:
+        if r < 2:
+            out = _one_step(a, b)
+        else:
+            out = _by_insertion(lambda x, y: _recursive_bracket(x, y, memo), a, b, r + s - 2)
+        memo[a, b] = out
+    return out
 
 
 def _by_insertion(op, a: Cochain, b: Cochain, n: int) -> Cochain:
@@ -531,7 +616,13 @@ def _compose_from_slices(op, a: Cochain, b: Cochain, degree: int, parts: list) -
 
 
 def cwedge(a: Cochain, b: Cochain) -> Cochain:
-    """Associative graded-commutative product, by the same recursion scheme."""
+    """Associative graded-commutative product.
+
+    A scalar side multiplies the tower.  Otherwise the wedge is transported
+    through J of the module's reference connection, a ^ b = J(J^-1 a ^ J^-1 b),
+    as `cbracket` is; an operand that is no J-image takes the insertion
+    recursion `_recursive_wedge`.
+    """
     if a.module != b.module:
         raise ModuleError("module mismatch")
     r, s = a.degree, b.degree
@@ -547,7 +638,20 @@ def cwedge(a: Cochain, b: Cochain) -> Cochain:
     hit = _WEDGE_CACHE.get(key)
     if hit is not None:
         return hit
-    return _WEDGE_CACHE.remember(key, _by_insertion(cwedge, a, b, n))
+    out = _transported(lambda phi, psi, conn: phi.wedge(psi), a, b, n)
+    if out is None:
+        out = _recursive_wedge(a, b, {})
+    return _WEDGE_CACHE.remember(key, out)
+
+
+def _recursive_wedge(a: Cochain, b: Cochain, memo: dict) -> Cochain:
+    """a ^ b by the graded Leibniz recursion alone, as `_recursive_bracket`."""
+    if a.is_zero() or b.is_zero() or a.degree == 0 or b.degree == 0:
+        return cwedge(a, b)  # no transport: the zero or the tower times the scalar
+    out = memo.get((a, b))
+    if out is None:
+        out = memo[a, b] = _by_insertion(lambda x, y: _recursive_wedge(x, y, memo), a, b, a.degree + b.degree)
+    return out
 
 
 def _shuffles(p: int, q: int):

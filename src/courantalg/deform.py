@@ -169,7 +169,9 @@ def jacobi_identity_holds(m: Cochain, probes, *, memo: dict | None = None) -> tu
     table holds int numerators over one denominator and each probe is
     cleared of its own, so both sides of an identity are numerators over the
     same denominator: they are compared undivided.  memo is the `_eval_mono`
-    memo, fresh unless the caller has read m already.
+    memo, fresh unless the caller has read m already.  A failure names the
+    first triple and the first nonzero Q-term of lhs - rhs, by basis element
+    and then monomial (`_jacobi_witness`).
     """
     if m.degree != 3:
         raise ValueError("the Jacobi check needs a degree-3 element, got degree %d" % m.degree)
@@ -189,15 +191,29 @@ def jacobi_identity_holds(m: Cochain, probes, *, memo: dict | None = None) -> tu
         return out
 
     probes = list(probes)
-    terms = [_q_terms(x)[0] for x in probes]
+    cleared = [_q_terms(x) for x in probes]  # (Q-terms, denominator) of each probe
+    terms = [t for t, _ in cleared]
     pairs = {(j, k): bilinear(terms[j], terms[k])
              for j, k in itertools.product(range(len(terms)), repeat=2)}
     for i, j, k in itertools.product(range(len(terms)), repeat=3):
         lhs = bilinear(terms[i], pairs[j, k])
         rhs = bilinear(terms[j], pairs[i, k], bilinear(pairs[i, j], terms[k]))
         if lhs != rhs:
-            return False, "Jacobi fails on (%r, %r, %r)" % (probes[i], probes[j], probes[k])
+            # a table value is over D = den * G * H, so each side is over D^2 times the probe denominators
+            D = m._den * module.numerators()[1] * module.numerators()[3]
+            diff = _axpy(lhs, rhs, -1)
+            a, exp = min((b, e) for e, b in diff)  # packed exponents sort as exponent tuples do
+            value = Fraction(diff[exp, a], D * D * cleared[i][1] * cleared[j][1] * cleared[k][1])
+            return False, _jacobi_witness(probes[i], probes[j], probes[k], a, module.backend.unpack(exp), value)
     return True, None
+
+
+def _jacobi_witness(x, y, z, a: int, exp: tuple, value: Fraction) -> str:
+    """The failure message of the Jacobi check on (x, y, z), whose lhs - rhs
+    has the given value on the monomial exp times the basis element e_a."""
+    module = x.module
+    return "Jacobi fails on (%r, %r, %r): lhs - rhs is first nonzero on %s, monomial %s, value %s" % (
+        x, y, z, module.names[a], Poly.monomial(module.backend, exp), value)
 
 
 def _first_entry(c: Cochain) -> str:
@@ -436,7 +452,7 @@ def delta_block(cs: CourantStructure, r: int, d: int) -> GradedComplexBlock:
                 row = index.get((e, isym, iext))
                 if row is None:  # dst is all of block (r + 1, d)
                     raise _block_error(module, e, isym, iext)
-                matrix[row][col] = Fraction(v)
+                matrix[row][col] = v  # an int where integral: `linalg.echelon` makes it a Fraction
     return GradedComplexBlock(r, d, src, dst, matrix)
 
 

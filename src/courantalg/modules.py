@@ -30,10 +30,12 @@ class MetricModule:
     `inner` walks only the nonzero entries of each gram row, recorded once,
     and `raise_form` only the nonzero inverse-gram entries, as int numerator
     sums over one denominator (`numerators`); every skipped product is zero.
+    The reference connection of `reference_connection` is built on first
+    use and kept.
     """
 
     __slots__ = ("backend", "rank", "names", "gram", "gram_inv", "internal_degrees", "_basis",
-                 "_gram_rows", "_nums", "_hash")
+                 "_gram_rows", "_nums", "_hash", "_reference")
 
     def __init__(self, backend: Backend, gram: list[list[Poly]], names=None, internal_degrees=None):
         rank = len(gram)
@@ -71,6 +73,7 @@ class MetricModule:
         self._basis = tuple(
             ModuleElement(self, [one if b == a else zero for b in range(rank)]) for a in range(rank)
         )
+        self._reference = None
 
     def zero(self) -> "ModuleElement":
         return ModuleElement(self, [Poly.zero(self.backend)] * self.rank)
@@ -100,6 +103,16 @@ class MetricModule:
         times the (a, b) inverse-gram entry, each an int numerator sum
         {packed exponent: int}, with G and H the least common denominators."""
         return self._nums
+
+    def reference_connection(self) -> "Connection":
+        """The metric connection the products of the complex are transported
+        through (`cmaps`): flat when the gram is constant, else `metrize` of
+        the flat one.  Built once, so its generator table is too."""
+        if self._reference is None:
+            flat = Connection.flat(self)
+            constant = all(v.is_constant() for row in self.gram for v in row)
+            self._reference = flat if constant else metrize(flat)
+        return self._reference
 
     def fullness_witness(self) -> list[tuple["ModuleElement", "ModuleElement"]]:
         """Pairs (x_i, y_i) with sum <x_i, y_i> = 1; here a single pair."""

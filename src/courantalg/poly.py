@@ -24,8 +24,8 @@ key: int} over `_den`, made by `_as_poly`; a `GroupedElement`, the base of
 over one `_den`, made by `_canonical`.  `_grouped_sum` adds either, a Poly
 being one group.
 
-Every table that lives across calls (the bracket and wedge tables of
-`cmaps`, the standard structures of `deform`) is a `Memo`.
+Every table that lives across calls (the bracket, wedge and preimage
+tables of `cmaps`, the standard structures of `deform`) is a `Memo`.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ MEMO_LIMIT = 1 << 14  # entries per memo table, read on every store
 
 class Memo(OrderedDict):
     """A memo table of at most MEMO_LIMIT entries that drops its oldest first,
-    so a hit is a dict lookup: the bracket and wedge tables of `cmaps` and the
-    standard structures of `deform`."""
+    so a hit is a dict lookup: the bracket, wedge and preimage tables of
+    `cmaps` and the standard structures of `deform`."""
 
     def remember(self, key, value):
         while self and len(self) >= MEMO_LIMIT:

@@ -24,6 +24,13 @@ J-image and goes down one level; an entry the subtraction leaves is an
 exact witness of non-membership, and a remainder of 0 proves membership.
 `invert_J`, `invert_J_deg2`, `invert_J_deg3` and `chat_membership` are its
 entry points.
+
+J_nabla is a morphism of graded Poisson algebras for every metric
+connection nabla, so `cmaps` computes the bracket and the wedge of the
+complex from degree 2 on through it: `_peel` under the module's reference
+connection gives the preimages, the connection-side kernel takes the
+product, and `apply_J` maps it back.  `cmaps` imports this module inside
+those calls, since this module builds on `Cochain`.
 """
 
 from __future__ import annotations

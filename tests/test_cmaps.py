@@ -271,9 +271,11 @@ def test_bracket_graded_jacobi_randomized():
 
 
 def _memo_workload(monkeypatch, seed):
-    """Brackets, wedges and evaluations on fresh bracket and wedge tables."""
+    """Brackets, wedges and evaluations on fresh bracket, wedge and preimage
+    tables: five top-level pairs, so each table passes a bound of 4."""
     monkeypatch.setattr(cmaps, "_BRACKET_CACHE", poly.Memo())
     monkeypatch.setattr(cmaps, "_WEDGE_CACHE", poly.Memo())
+    monkeypatch.setattr(cmaps, "_PREIMAGES", poly.Memo())
     B, M, conn = hyperbolic_setup(seed=seed)
     rng = random.Random(seed + 1)
 
@@ -282,7 +284,7 @@ def _memo_workload(monkeypatch, seed):
         return apply_J(phi, conn) if not phi.is_zero() else nonzero(degree)
 
     held, results = [], []
-    for _ in range(3):
+    for _ in range(5):
         a, b = nonzero(3), nonzero(2)
         x, y = random_module_element(rng, M, 2), random_module_element(rng, M, 2)
         ab = cbracket(a, b)
@@ -296,7 +298,7 @@ def test_memo_tables_stay_at_a_small_bound(monkeypatch):
     monkeypatch.setattr(poly, "MEMO_LIMIT", 4)
     B, held, results = _memo_workload(monkeypatch, seed=31)
     assert results == expected
-    assert len(cmaps._BRACKET_CACHE) == len(cmaps._WEDGE_CACHE) == 4
+    assert len(cmaps._BRACKET_CACHE) == len(cmaps._WEDGE_CACHE) == len(cmaps._PREIMAGES) == 4
     # a backend holds no table: pack and unpack compute their results
     assert not any(isinstance(getattr(B, name), dict) for name in type(B).__slots__)
     # a cochain is a plain value: every evaluation memo lives only while its call runs

@@ -320,7 +320,9 @@ def test_bracket_of_two_images_builds_no_poly(monkeypatch):
     rng = random.Random(113)
     a, b = _image(rng, M, conn, 3), _image(rng, M, conn, 3)
     assert a._den > 1 and b._den > 1
+    cbracket(a, b)  # builds the module's reference connection and its tables, once per module
     monkeypatch.setattr(cmaps, "_BRACKET_CACHE", cmaps.Memo())
+    monkeypatch.setattr(cmaps, "_PREIMAGES", cmaps.Memo())
     calls = []
     for name in ("__mul__", "__rmul__", "__add__", "__sub__", "__init__"):
         def counted(*args, _name=name, _real=getattr(Poly, name)):

@@ -1,8 +1,9 @@
 """The table-assembled Jacobi check against the triple-loop oracle.
 
 `jacobi_identity_holds` must return the oracle's (ok, message) exactly, the
-first failing triple included, on passing structures and on complex elements
-that fail Jacobi; it reads m from the tower only on pairs of monomial
+first failing triple and the first nonzero term of lhs - rhs (basis
+element, monomial, exact value) included, on passing structures and on
+complex elements that fail Jacobi; it reads m from the tower only on pairs of monomial
 elements, each pair at most once per call, and `verify_courant` hands it
 the memo of `cmap_verify`, so each value is computed once for both routes.
 """
@@ -29,7 +30,7 @@ from courantalg.cmaps import cmap_verify, probe_elements
 from courantalg.deform import jacobi_identity_holds, standard_module, verify_courant
 from courantalg.modules import inner
 
-from conftest import random_roth, so3_constants
+from conftest import gram_denominator_contexts, random_roth, so3_constants
 from test_deform import so3_structure
 
 
@@ -92,6 +93,37 @@ def test_jacobi_matches_oracle_witness_on_failing_complex_elements(name):
     assert not expected[0]
     first = "Jacobi fails on (%r, %r, %r)" % (probes[0], probes[0], probes[0])
     assert expected[1] != first  # the witness is a later triple, so the order is tested
+    assert jacobi_identity_holds(m, probes) == expected
+
+
+def test_jacobi_witness_value_is_exact_over_denominators():
+    """J-images on a gram with denominators, scaled by 2/7, on probes with
+    coefficients in 1/2 and 1/3: the witness value divides out the gram's,
+    the element's and each probe's denominator, as the oracle's does."""
+    _, module, conn = next(gram_denominator_contexts())
+    probes = [p.scale(Fraction(1, 2 + k % 2)) for k, p in enumerate(probe_elements(module, 1))]
+    fractional = 0
+    for seed in range(6):
+        m = apply_J(random_roth(random.Random(seed), module, 3, coeff_deg=1), conn).scale(Fraction(2, 7))
+        assert cmap_verify(m, depth=1)[0]
+        expected = oracle.jacobi_identity_holds(m, probes)
+        assert jacobi_identity_holds(m, probes) == expected
+        fractional += not expected[0] and "/" in expected[1].rpartition("value ")[2]
+    assert fractional >= 4
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_jacobi_witness_orders_by_basis_element_then_monomial(seed):
+    """Probes that are sums of two monomial probes: at the first failing
+    triple lhs - rhs has terms on several basis elements and monomials, and
+    the first by basis element is not the first by monomial."""
+    m = _random_standard_rank4(seed)
+    base = probe_elements(m.module, 1)
+    rng = random.Random(1)
+    probes = [base[i] + base[j].scale(rng.randint(1, 3))
+              for i, j in [rng.sample(range(len(base)), 2) for _ in range(3)]]
+    expected = oracle.jacobi_identity_holds(m, probes)
+    assert not expected[0]
     assert jacobi_identity_holds(m, probes) == expected
 
 

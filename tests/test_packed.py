@@ -188,7 +188,9 @@ def test_brackets_multiply_packed_keys_only(monkeypatch):
     c = random_roth(rng, M, 2, density=1.0).scale(Fraction(2, 5))
     ca, cb = apply_J(a, conn), apply_J(b, conn)
     roth_bracket(a, b, conn)  # the connection's generator table is built once, on first use
+    cbracket(ca, cb)  # and so is the module's reference connection, with its tables
     monkeypatch.setattr(cmaps, "_BRACKET_CACHE", cmaps.Memo())
+    monkeypatch.setattr(cmaps, "_PREIMAGES", cmaps.Memo())
     keys, made = [], []
 
     def checked(real):
