@@ -226,7 +226,7 @@ class ProblemDocument:
         ngen = num_der_generators(self.backend)
         if not isinstance(coeffs, list) or len(coeffs) != ngen:
             raise ValueError("a symbol entry needs a list of %d coefficients, got %r" % (ngen, coeffs))
-        if self.backend.is_dual:
+        if self.backend.is_dual:  # a dualnum entry is a rational, the coordinate on epsd
             return Derivation(self.backend, Fraction(str(coeffs[0])))
         return Derivation(self.backend, tuple(_parse_poly(str(c), self.backend) for c in coeffs))
 

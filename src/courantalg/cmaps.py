@@ -8,7 +8,9 @@ with 2p <= r, a table of scalar values
 holding pi^(p) applied to the algebra generators g_i, evaluated on module
 basis elements and paired into the coefficient algebra (the degree-(r-2p)
 multilinear form).  Level 0 is the form of the raw multilinear map, level 1
-its symbol, level p+1 the symbol of level p.  Evaluation on arguments with
+its symbol, level p+1 the symbol of level p.  A level is read on other
+algebra arguments by the chain rule in each slot (`poly.generator_expansion`),
+as every derivation-like object is.  Evaluation on arguments with
 polynomial coefficients reduces slot by slot from the right: the last slot
 is linear over the algebra, and an adjacent swap at slot i costs the
 correction
@@ -61,7 +63,7 @@ numerators are summed as they are.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+from math import lcm
 
 from .modules import MetricModule, ModuleElement, ModuleError, inner
 from .poly import (
@@ -72,11 +74,12 @@ from .poly import (
     Poly,
     _as_poly,
     _axpy,
+    _der_unit,
     _grouped_sum,
     _mul_add,
     _partial,
     der_generator_var,
-    der_partials,
+    generator_expansion,
     num_der_generators,
     packed_exponents_of_degree,
 )
@@ -151,7 +154,6 @@ class Cochain(GroupedElement):
         """
         if degree not in (2, 3):
             raise ValueError("table constructor supports degrees 2 and 3")
-        backend = module.backend
         lvl0: LevelTable = {}
         for key in itertools.product(range(module.rank), repeat=degree - 1):
             val = value_table.get(tuple(key))
@@ -159,18 +161,11 @@ class Cochain(GroupedElement):
                 continue
             for b in range(module.rank):
                 lvl0[((), tuple(key) + (b,))] = inner(val, module.basis(b))
-        levels = {0: lvl0}
-        ngen = num_der_generators(backend)
-        if symbol_table and ngen:
-            lvl1: LevelTable = {}
-            for key in itertools.product(range(module.rank), repeat=degree - 2):
-                d = symbol_table.get(tuple(key))
-                if d is None:
-                    continue
-                for j in range(ngen):
-                    lvl1[((j,), tuple(key))] = d(der_generator_var(backend, j))
-            levels[1] = lvl1
-        return Cochain(module, degree, levels)
+        symbol_table = symbol_table or {}
+        lvl1: LevelTable = {  # the values D(g_j) of each symbol
+            (gens, key): v for key in itertools.product(range(module.rank), repeat=degree - 2)
+            if key in symbol_table for gens, v in symbol_table[key].table.items()}
+        return Cochain(module, degree, {0: lvl0, 1: lvl1})
 
     @staticmethod
     def from_callable(module: MetricModule, degree: int, fn) -> "Cochain":
@@ -189,19 +184,16 @@ class Cochain(GroupedElement):
             key: fn(*[module.basis(b) for b in key])
             for key in itertools.product(range(module.rank), repeat=degree - 1)
         }
-        ngen = num_der_generators(backend)
         symbol_table = {}
         for key in itertools.product(range(module.rank), repeat=degree - 2):
-            coeffs = []
-            for j in range(ngen):
+            values = []
+            for j in range(num_der_generators(backend)):
                 gx = wx.scale(der_generator_var(backend, j))
                 if degree == 2:
-                    val = inner(fn(gx), wy) + inner(gx, fn(wy))
+                    values.append(inner(fn(gx), wy) + inner(gx, fn(wy)))
                 else:
-                    u = module.basis(key[0])
-                    val = inner(fn(gx, wy) + fn(wy, gx), u)
-                coeffs.append(val)
-            symbol_table[key] = _derivation_from_values(backend, coeffs)
+                    values.append(inner(fn(gx, wy) + fn(wy, gx), module.basis(key[0])))
+            symbol_table[key] = Derivation.from_values(backend, values)
         return Cochain.from_tables(module, degree, value_table, symbol_table)
 
     # -- structural ------------------------------------------------------
@@ -292,28 +284,33 @@ class Cochain(GroupedElement):
             raise ValueError("expected %d module arguments" % (self.degree - 2 * p))
         if len(gen_args) != p:
             raise ValueError("expected %d algebra arguments" % p)
-        return self._eval_sder(p, tuple(gen_args), (), mod_args, {})
+        return self._eval_sder(gen_args, mod_args, {})
 
-    def _eval_sder(self, p, pending, gens, mod_args, memo: dict) -> Poly:
+    def _eval_sder(self, gen_args, mod_args, memo: dict) -> Poly:
+        """Level len(gen_args) on algebra and module arguments.  The algebra
+        arguments expand by the chain rule into sorted generator tuples
+        (`generator_expansion`), each read once; the module arguments expand
+        by Q-linearity into (monomial, basis index) probes read by
+        `_eval_mono` with the memo of the calling operation."""
         backend = self.module.backend
-        if pending:
-            a, rest = pending[0], pending[1:]
-            out = Poly.zero(backend)
-            for j, part in der_partials(a):
-                out = out + part * self._eval_sder(p, rest, tuple(sorted(gens + (j,))), mod_args, memo)
-            return out
-        den = self._den * self.module.numerators()[1] ** (self.degree // 2 - p)
+        p = len(gen_args)
+        expansion = generator_expansion(backend, gen_args)
+        lift = lcm(*[c._den for c in expansion.values()])
+        den = self._den * self.module.numerators()[1] ** (self.degree // 2 - p) * lift
         expansions = []
         for x in mod_args:
             terms, d = _q_terms(x)
             expansions.append(list(terms.items()))
             den *= d
         out: dict = {}
-        for combo in itertools.product(*expansions):
-            k = 1
-            for _, c in combo:
-                k *= c
-            _axpy(out, self._eval_mono(p, gens, tuple(q for q, _ in combo), memo), k)
+        for gens, c in expansion.items():
+            level: dict = {}
+            for combo in itertools.product(*expansions):
+                k = 1
+                for _, q in combo:
+                    k *= q
+                _axpy(level, self._eval_mono(p, gens, tuple(m for m, _ in combo), memo), k)
+            _mul_add(out, c._num, level, backend, lift // c._den)
         return _as_poly(backend, out, den)
 
     def omega(self, args) -> Poly:
@@ -327,7 +324,7 @@ class Cochain(GroupedElement):
         if len(args) != self.degree - 1:
             raise ValueError("expected %d arguments" % (self.degree - 1))
         module, memo = self.module, {}
-        return module.raise_form([self._eval_sder(0, (), (), args + (module.basis(b),), memo)
+        return module.raise_form([self._eval_sder((), args + (module.basis(b),), memo)
                                   for b in range(module.rank)])
 
     def scalar_part(self) -> Poly:
@@ -341,26 +338,13 @@ class Cochain(GroupedElement):
         return self.module.element_of_terms(*_raised(self))
 
     def symbol(self, args) -> Derivation:
-        """The symbol as a Derivation, on r-2 module arguments."""
+        """The symbol on r-2 module arguments: the Derivation whose values on
+        the algebra generators are the level-1 values."""
         if self.degree < 2:
             raise ValueError("degree >= 2 required")
         backend = self.module.backend
-        ngen = num_der_generators(backend)
-        coeffs = []
-        for j in range(ngen):
-            coeffs.append(self.eval_level(1, (der_generator_var(backend, j),), tuple(args)))
-        return _derivation_from_values(backend, coeffs)
-
-
-def _derivation_from_values(backend: Backend, values) -> Derivation:
-    """Derivation with prescribed values on the algebra generators."""
-    if backend.is_dual:
-        # value on eps must be c*eps; the coefficient recovers the generator multiple
-        v = values[0]
-        if v.terms.get((0,), 0) != 0:
-            raise ValueError("derivation value on eps must be a multiple of eps")
-        return Derivation(backend, v.terms.get((1,), Fraction(0)))
-    return Derivation(backend, tuple(values))
+        return Derivation.from_values(backend, [self.eval_level(1, (der_generator_var(backend, j),), tuple(args))
+                                                for j in range(num_der_generators(backend))])
 
 
 # -- slices and insertion ---------------------------------------------------
@@ -852,6 +836,10 @@ def symbol_tower(form: CochainForm, depth: int = 1) -> SymbolTower:
     derivation slots.  Raises on inconsistency.  The probes u, v are
     monomials x^e e_b, so the first check compares numerators over
     den * G^(r // 2 - p) read by `_eval_mono`, as `cmap_verify` does.
+    Levels are symmetric by their sorted generator keys, and read by the
+    chain rule in every slot, so the derivation check fails only on a
+    stored value that is no multiple of D_i(g_i): over the dual numbers, a
+    level p >= 1 entry with a constant term.
     """
     c = form.cochain
     module = c.module
@@ -860,7 +848,6 @@ def symbol_tower(form: CochainForm, depth: int = 1) -> SymbolTower:
     tower = SymbolTower(c)
     keys = list(_probe_keys(backend, module.rank, depth))
     units = [(0, b) for b in range(module.rank)]
-    gen_vars = [der_generator_var(backend, j) for j in range(ngen)]
     memo: dict = {}
     for p in range(0, c.degree // 2):
         nargs = c.degree - 2 * p
@@ -877,21 +864,14 @@ def symbol_tower(form: CochainForm, depth: int = 1) -> SymbolTower:
                         raise ValueError(
                             "symbol extraction inconsistent at level %d" % (p + 1)
                         )
-    # per-slot derivation property of each level on generator products
-    for p in range(1, c.degree // 2 + 1):
-        nargs = c.degree - 2 * p
-        basis_args = list(itertools.product([module.basis(b) for b in range(module.rank)], repeat=nargs))
-        for gens in itertools.combinations_with_replacement(range(ngen), p):
-            for slot in range(p):
-                for j in range(ngen):
-                    gargs = [gen_vars[g] for g in gens]
-                    prod_arg = gargs[slot] * gen_vars[j]
-                    for zargs in basis_args:
-                        lhs = c.eval_level(p, tuple(gargs[:slot] + [prod_arg] + gargs[slot + 1:]), zargs)
-                        rhs = gargs[slot] * c.eval_level(p, tuple(gargs[:slot] + [gen_vars[j]] + gargs[slot + 1:]), zargs) \
-                            + gen_vars[j] * c.eval_level(p, tuple(gargs), zargs)
-                        if lhs != rhs:
-                            raise ValueError("level %d is not a derivation in slot %d" % (p, slot))
+    # each level p >= 1 must be a derivation in every slot.  Every argument is
+    # read by the chain rule, so this is a condition on the stored values
+    # L(g_j, ...): they are multiples of D_i(g_i) (`_der_unit`), as over the
+    # dual numbers 0 = L(eps^2, ...) = 2 eps L(eps, ...)
+    unit = _der_unit(backend)
+    bad = [len(gens) for (gens, _), v in c._num.items() if gens and any(k < unit for k in v)]
+    if bad:
+        raise ValueError("level %d is not a derivation in slot 0" % min(bad))
     return tower
 
 
@@ -912,8 +892,7 @@ def cmap_pushforward(c: Cochain, gmap: ModuleMap) -> Cochain:
 
     def entries_at(gvars):
         src_gvars = tuple(ginv(v) for v in gvars)
-        return lambda bargs: g(c._eval_sder(
-            len(gvars), src_gvars, (), tuple(pre_basis[b] for b in bargs), memo))
+        return lambda bargs: g(c._eval_sder(src_gvars, tuple(pre_basis[b] for b in bargs), memo))
 
     return _tabulate(dst, c.degree, entries_at)
 
@@ -949,7 +928,7 @@ class DerivationTail:
     def apply(self, args, a: Poly) -> ModuleElement:
         entry = self.table[tuple(args)]
         out = self.cochain.module.zero()
-        for j, part in der_partials(a):
+        for (j,), part in generator_expansion(self.cochain.module.backend, (a,)).items():
             out = out + entry[j].scale(part)
         return out
 

@@ -280,8 +280,6 @@ class Connection:
 
     def nabla(self, d: Derivation, x: ModuleElement) -> ModuleElement:
         module = self.module
-        if module.backend.is_dual:
-            return self.nabla_gen(0, x).scale(Poly.const(module.backend, d.coeffs[0]))
         out = module.zero()
         for i, c in enumerate(d.coeffs):
             if not c.is_zero():

@@ -24,6 +24,14 @@ key: int} over `_den`, made by `_as_poly`; a `GroupedElement`, the base of
 over one `_den`, made by `_canonical`.  `_grouped_sum` adds either, a Poly
 being one group.
 
+Every derivation-like object is stored by its values on the algebra
+generators g_j, which are x_j over Q[x] and eps over the dual numbers: a
+`MultiDerivation` by {sorted generator tuple: Poly}, a `Derivation` as the
+arity-1 case, and a cochain's tower levels (`cmaps`) by the same tuples.
+One chain-rule expansion, `generator_expansion`, reads any of them on
+other arguments.  The two backends differ in one fact, D_i(g_i) = 1 over
+Q[x] and eps over the dual numbers (`_der_unit`).
+
 Every table that lives across calls (the bracket, wedge and preimage
 tables of `cmaps`, the standard structures of `deform`) is a `Memo`.
 """
@@ -522,139 +530,53 @@ class GroupedElement:
         return self._hash
 
 
-class Derivation:
-    """Element of Der(A).
-
-    FreePoly(n): free module on the coordinate derivations, stored as a
-    coefficient vector.  DualNum: Der is one-dimensional over Q with
-    generator epsd (epsd(eps) = eps) and module relation eps*epsd = 0, so a
-    single Fraction suffices.
-    """
-
-    __slots__ = ("backend", "coeffs", "_hash")
-
-    def __init__(self, backend: Backend, coeffs):
-        self.backend = backend
-        if backend.is_dual:
-            self.coeffs = (Fraction(coeffs),) if not isinstance(coeffs, tuple) else (Fraction(coeffs[0]),)
-        else:
-            coeffs = tuple(coeffs)
-            if len(coeffs) != backend.nvars:
-                raise ValueError("need one coefficient per coordinate derivation")
-            self.coeffs = coeffs
-        self._hash = None
-
-    @staticmethod
-    def zero(backend: Backend) -> "Derivation":
-        if backend.is_dual:
-            return Derivation(backend, QZERO)
-        return Derivation(backend, tuple(Poly.zero(backend) for _ in range(backend.nvars)))
-
-    @staticmethod
-    def basis(backend: Backend, i: int) -> "Derivation":
-        """The i-th generator: d/dx_i for FreePoly, epsd for DualNum."""
-        if backend.is_dual:
-            if i != 0:
-                raise IndexError("dual-number derivation module has one generator")
-            return Derivation(backend, QONE)
-        coeffs = [Poly.zero(backend) for _ in range(backend.nvars)]
-        coeffs[i] = Poly.one(backend)
-        return Derivation(backend, tuple(coeffs))
-
-    def is_zero(self) -> bool:
-        if self.backend.is_dual:
-            return self.coeffs[0] == 0
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __call__(self, a: Poly) -> Poly:
-        if a.backend != self.backend:
-            raise BackendError("backend mismatch")
-        if self.backend.is_dual:
-            # epsd sends c0 + c1*eps to c1*eps
-            c1 = a.terms.get((1,), QZERO)
-            return Poly(self.backend, {(1,): self.coeffs[0] * c1})
-        out = Poly.zero(self.backend)
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                out = out + c * a.partial(i)
-        return out
-
-    def __add__(self, other: "Derivation") -> "Derivation":
-        if self.backend.is_dual:
-            return Derivation(self.backend, self.coeffs[0] + other.coeffs[0])
-        return Derivation(self.backend, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Derivation") -> "Derivation":
-        if self.backend.is_dual:
-            return Derivation(self.backend, self.coeffs[0] - other.coeffs[0])
-        return Derivation(self.backend, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Derivation":
-        if self.backend.is_dual:
-            return Derivation(self.backend, -self.coeffs[0])
-        return Derivation(self.backend, tuple(-c for c in self.coeffs))
-
-    def scale(self, a) -> "Derivation":
-        """Module action.  Over DualNum the eps-part of the scalar annihilates."""
-        if self.backend.is_dual:
-            if isinstance(a, Poly):
-                a = a.constant_part()
-            return Derivation(self.backend, self.coeffs[0] * Fraction(a))
-        if not isinstance(a, Poly):
-            a = Poly.const(self.backend, a)
-        return Derivation(self.backend, tuple(a * c for c in self.coeffs))
-
-    def commutator(self, other: "Derivation") -> "Derivation":
-        if self.backend != other.backend:
-            raise BackendError("backend mismatch")
-        if self.backend.is_dual:
-            # [a*epsd, b*epsd](eps) = ab*eps - ba*eps = 0
-            return Derivation.zero(self.backend)
-        coeffs = tuple(
-            self(other.coeffs[j]) - other(self.coeffs[j])
-            for j in range(self.backend.nvars)
-        )
-        return Derivation(self.backend, coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        return self.backend == other.backend and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.backend, self.coeffs))
-        return self._hash
-
-    def __repr__(self) -> str:
-        if self.backend.is_dual:
-            return "%s*epsd" % self.coeffs[0]
-        names = self.backend.names
-        parts = ["(%s)*d/d%s" % (c, n) for c, n in zip(self.coeffs, names) if not c.is_zero()]
-        return " + ".join(parts) if parts else "0"
-
-
 def num_der_generators(backend: Backend) -> int:
-    """Rank of the chosen generating set of Der(A)."""
-    return 1 if backend.is_dual else backend.nvars
+    """Rank of the chosen generating set of Der(A): one D_j per variable g_j."""
+    return backend.nvars
 
 
 def der_generator_var(backend: Backend, i: int) -> Poly:
-    """The algebra generator paired with the i-th derivation generator."""
-    return Poly.var(backend, 0 if backend.is_dual else i)
+    """The algebra generator g_i paired with the i-th derivation generator."""
+    return Poly.var(backend, i)
+
+
+def _der_unit(backend: Backend) -> int:
+    """The packed monomial of D_i(g_i): 1 over Q[x], where D_i = d/dx_i, and
+    eps over the dual numbers, where the one generator epsd has epsd(eps) =
+    eps.  The one fact in which the two backends' derivations differ: a
+    derivation's value on g_i is its i-th coordinate times this monomial,
+    and every value is a multiple of it (no packed key lies below it)."""
+    return 1 if backend.is_dual else 0
 
 
 def der_partials(a: Poly) -> list[tuple[int, Poly]]:
     """(j, da/dg_j) for each nonzero partial of a along the Der generators.
 
     The generators are d/dx_j over Q[x] and d/deps over the dual numbers, so
-    the j-th one differentiates in the j-th variable either way.
+    the j-th one differentiates in the j-th variable either way, and its
+    partial is nonzero exactly when that variable occurs in a.
     """
-    out = []
-    for j in range(num_der_generators(a.backend)):
-        part = a.partial(j)
-        if not part.is_zero():
-            out.append((j, part))
+    return [(j, a.partial(j)) for j in _variables(a.backend, a._num)]
+
+
+def generator_expansion(backend: Backend, args) -> dict[tuple[int, ...], Poly]:
+    """{sorted generator tuple: c} with f(a_1..a_p) = sum c f(g_tuple) for
+    every symmetric f that is a derivation in each slot: the chain rule
+    f(.., a, ..) = sum_j (da/dg_j) f(.., g_j, ..) in every slot, each sorted
+    tuple collected once.  No arguments give {(): 1}."""
+    if not args:
+        return {(): Poly.one(backend)}
+    out = {(j,): part for j, part in der_partials(args[0])}
+    for a in args[1:]:
+        parts = der_partials(a)
+        step: dict = {}
+        for gens, c in out.items():
+            for j, part in parts:
+                key = tuple(sorted(gens + (j,)))
+                v = c * part
+                prev = step.get(key)
+                step[key] = v if prev is None else prev + v
+        out = {k: v for k, v in step.items() if v._num}
     return out
 
 
@@ -664,12 +586,10 @@ def exponents_of_degree(backend: Backend, total: int) -> Iterator[tuple[int, ...
 
 
 class MultiDerivation:
-    """Symmetric p-multiderivation of A, stored by values on generator tuples.
-
-    The table maps sorted tuples of generator indices to Poly values;
-    evaluation on arbitrary arguments expands each slot by Q-linearity and
-    the Leibniz rule (a first-order expansion through formal partials).
-    """
+    """Symmetric p-multiderivation of A, stored by its values on the algebra
+    generators: table maps sorted tuples of generator indices to Polys.
+    Every other argument is read through `generator_expansion`.  Over the
+    dual numbers every value is a multiple of eps (`_der_unit`)."""
 
     __slots__ = ("backend", "arity", "table", "_hash")
 
@@ -686,15 +606,14 @@ class MultiDerivation:
                 if prev is not None and prev != val:
                     raise ValueError("inconsistent symmetric table")
                 clean[key] = val
+        unit = _der_unit(backend)
+        if any(k < unit for val in clean.values() for k in val._num):
+            # eps * P(eps,...,eps) = P(eps^2, eps, ...) / 2 must vanish
+            raise ValueError("dual-number multiderivation values must be multiples of eps")
         self.backend = backend
         self.arity = arity
         self.table = clean
         self._hash = None
-        if backend.is_dual:
-            # eps * P(eps,...,eps) must vanish: values lie in Q*eps
-            for val in clean.values():
-                if val.constant_part():
-                    raise ValueError("dual-number multiderivation values must be multiples of eps")
 
     def is_zero(self) -> bool:
         return not self.table
@@ -705,21 +624,12 @@ class MultiDerivation:
         for a in args:
             if a.backend != self.backend:
                 raise BackendError("backend mismatch")
-        return self._eval(list(args))
-
-    def _eval(self, args: list[Poly]) -> Poly:
-        # expand the first non-generator slot via partials, recurse
-        fixed: list[int] = []
-        for k, a in enumerate(args):
-            idx = _as_generator_index(a)
-            if idx is None:
-                out = Poly.zero(self.backend)
-                for j, part in der_partials(a):
-                    sub = args[:k] + [der_generator_var(self.backend, j)] + args[k + 1:]
-                    out = out + part * self._eval(sub)
-                return out
-            fixed.append(idx)
-        return self.table.get(tuple(sorted(fixed)), Poly.zero(self.backend))
+        out = Poly.zero(self.backend)
+        for gens, c in generator_expansion(self.backend, args).items():
+            v = self.table.get(gens)
+            if v is not None:
+                out = out + c * v
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiDerivation):
@@ -736,34 +646,115 @@ class MultiDerivation:
         return self._hash
 
 
-def _as_generator_index(a: Poly) -> int | None:
-    """Index of the variable if a is exactly one generator, else None."""
-    if len(a.terms) != 1:
-        return None
-    (exp, c), = a.terms.items()
-    if c != 1 or sum(exp) != 1:
-        return None
-    return exp.index(1)
+class Derivation(MultiDerivation):
+    """Element of Der(A): the arity-1 MultiDerivation, stored by its values
+    D(g_j) on the algebra generators.
+
+    Its coordinates c_j on the Der generators D_j (d/dx_j over Q[x], epsd
+    over the dual numbers) give D(g_j) = c_j D_j(g_j), the unit monomial of
+    `_der_unit` times c_j; over the dual numbers eps * (c eps) = 0 makes
+    the module relation eps * epsd = 0 hold by itself.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, backend: Backend, coeffs):
+        """The derivation sum_j c_j D_j of the coordinates coeffs: one per
+        generator, or a bare scalar when there is one generator."""
+        if isinstance(coeffs, (Poly, int, Fraction)):
+            coeffs = (coeffs,)
+        coeffs = tuple(coeffs)
+        if len(coeffs) != num_der_generators(backend):
+            raise ValueError("need one coefficient per coordinate derivation")
+        unit = {_der_unit(backend): 1}
+        values = []
+        for c in coeffs:
+            if not isinstance(c, Poly):
+                c = Poly.const(backend, c)
+            values.append(_as_poly(backend, _mul_add({}, unit, c._num, backend), c._den))
+        super().__init__(backend, 1, {(j,): v for j, v in enumerate(values)})
+
+    @staticmethod
+    def from_values(backend: Backend, values) -> "Derivation":
+        """The derivation with D(g_j) = values[j]."""
+        d = object.__new__(Derivation)
+        MultiDerivation.__init__(d, backend, 1, {(j,): v for j, v in enumerate(values)})
+        return d
+
+    @staticmethod
+    def zero(backend: Backend) -> "Derivation":
+        return Derivation.from_values(backend, ())
+
+    @staticmethod
+    def basis(backend: Backend, i: int) -> "Derivation":
+        """The i-th generator: d/dx_i for FreePoly, epsd for DualNum."""
+        ngen = num_der_generators(backend)
+        if not 0 <= i < ngen:
+            raise IndexError("no derivation generator %d over %r" % (i, backend))
+        values = [Poly.zero(backend)] * ngen
+        values[i] = _as_poly(backend, {_der_unit(backend): 1})
+        return Derivation.from_values(backend, values)
+
+    @property
+    def coeffs(self) -> tuple[Poly, ...]:
+        """The coordinates c_j: each D(g_j) divided by the monomial of `_der_unit`."""
+        unit = _der_unit(self.backend)
+        return tuple(_as_poly(self.backend, {k - unit: c for k, c in v._num.items()}, v._den)
+                     for v in self._values())
+
+    def _of(self, values) -> "Derivation":
+        return Derivation.from_values(self.backend, values)
+
+    def _values(self) -> list[Poly]:
+        zero = Poly.zero(self.backend)
+        return [self.table.get((j,), zero) for j in range(num_der_generators(self.backend))]
+
+    def __add__(self, other: "Derivation") -> "Derivation":
+        return self._of([a + b for a, b in zip(self._values(), other._values())])
+
+    def __sub__(self, other: "Derivation") -> "Derivation":
+        return self._of([a - b for a, b in zip(self._values(), other._values())])
+
+    def __neg__(self) -> "Derivation":
+        return self._of([-v for v in self._values()])
+
+    def scale(self, a) -> "Derivation":
+        """Module action; over DualNum the eps-part of the scalar annihilates."""
+        if not isinstance(a, Poly):
+            a = Poly.const(self.backend, a)
+        return self._of([a * v for v in self._values()])
+
+    def commutator(self, other: "Derivation") -> "Derivation":
+        """[D1, D2](g_j) = D1(D2 g_j) - D2(D1 g_j)."""
+        if self.backend != other.backend:
+            raise BackendError("backend mismatch")
+        return self._of([self(b) - other(a) for a, b in zip(self._values(), other._values())])
+
+    def __repr__(self) -> str:
+        if self.backend.is_dual:
+            return "%s*epsd" % self.coeffs[0]
+        names = self.backend.names
+        parts = ["(%s)*d/d%s" % (c, n) for c, n in zip(self.coeffs, names) if not c.is_zero()]
+        return " + ".join(parts) if parts else "0"
 
 
 def sym_product_of_derivations(ds: list[Derivation]) -> MultiDerivation:
     """Canonical map Sym^p Der(A) -> SDer^p(A) on a factorized element.
 
-    (D_1 v ... v D_p)(a_1,...,a_p) = sum over permutations of prod D_i(a_j).
-    Over the dual numbers this map is identically zero for p >= 2.
+    (D_1 v ... v D_p)(g_1,...,g_p) = sum over permutations of prod D_i(g_j),
+    read from the stored values.  Over the dual numbers this map is
+    identically zero for p >= 2, as eps^2 = 0.
     """
     backend = ds[0].backend
     p = len(ds)
-    ngen = num_der_generators(backend)
+    values = [d._values() for d in ds]
     table: dict[tuple[int, ...], Poly] = {}
-    for gens in itertools.combinations_with_replacement(range(ngen), p):
+    for gens in itertools.combinations_with_replacement(range(num_der_generators(backend)), p):
         val = Poly.zero(backend)
-        args = [der_generator_var(backend, g) for g in gens]
         for perm in itertools.permutations(range(p)):
             term = Poly.one(backend)
             for slot, which in enumerate(perm):
-                term = term * ds[which](args[slot])
+                term = term * values[which][gens[slot]]
             val = val + term
-        if not val.is_zero():
-            table[gens] = val
+        table[gens] = val
     return MultiDerivation(backend, p, table)

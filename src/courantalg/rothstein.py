@@ -150,8 +150,6 @@ class RothElement(GroupedElement):
 
     @staticmethod
     def from_derivation(module: MetricModule, d: Derivation) -> "RothElement":
-        if module.backend.is_dual:
-            return RothElement(module, {((0,), ()): Poly.const(module.backend, d.coeffs[0])})
         return RothElement(module, {((i,), ()): c for i, c in enumerate(d.coeffs)})
 
     @staticmethod

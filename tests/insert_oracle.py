@@ -28,8 +28,7 @@ def insert(c: Cochain, x: ModuleElement) -> Cochain:
         memo: dict = {}
 
         def entries_at(gvars):
-            return lambda bargs: c._eval_sder(
-                len(gvars), gvars, (), (x,) + tuple(module.basis(b) for b in bargs), memo)
+            return lambda bargs: c._eval_sder(gvars, (x,) + tuple(module.basis(b) for b in bargs), memo)
 
         return _tabulate(module, new_degree, entries_at)
     # basis insertion just re-keys the stored tables

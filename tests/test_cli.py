@@ -567,6 +567,16 @@ def test_cmap_degrees_and_symbol_entries_are_checked(doc, words):
     assert code == 2 and words in report["error"], report
 
 
+def test_a_dual_symbol_entry_is_the_coordinate_on_epsd():
+    # the document gives a symbol by its coordinates: "3" over dualnum is
+    # 3*epsd, whose value on eps, the level-1 entry, is 3*eps
+    elements = dict(_cmap(2, {"e1": ["0"]}, {"": ["3"]}), one={"type": "scalar", "value": "1"})
+    report, code = run_document(_dual_rank1(
+        elements=elements, commands=[{"op": "wedge", "lhs": "one", "rhs": "m", "mode": "recursive"}]))
+    assert code == 0
+    assert report["commands"][0]["result"] == {"degree": 2, "levels": {"1": {"0 | ": "3*eps"}}}
+
+
 def _mc_document(series, candidate=None):
     command = {"op": "mc-extend", "series": series}
     if candidate is not None:

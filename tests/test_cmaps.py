@@ -33,7 +33,7 @@ from courantalg import (
 from courantalg import cmaps, poly
 from courantalg.cmaps import bracket_scalar, quartic_from_biderivation
 
-from conftest import curved_connection, random_module_element, random_roth, so3_constants
+from conftest import curved_connection, random_module_element, random_poly, random_roth, so3_constants
 
 
 B0 = Backend.free(0)
@@ -440,6 +440,81 @@ def test_tower_rejects_inconsistent_input():
     broken = Cochain(M, 4, levels)
     with pytest.raises(ValueError):
         symbol_tower(to_form(broken))
+
+
+@pytest.mark.parametrize("bad_levels", [(1,), (1, 2), (2,)])
+def test_tower_rejects_a_dual_level_with_a_constant_term(bad_levels):
+    # D(eps) lies in eps*A for every derivation of Q[eps]; an antisymmetric
+    # constant level 1 and a constant level 2 pass the consistency checks on
+    # basis probes (depth 0), and the first such level is reported
+    D = Backend.dual()
+    one, zero = Poly.one(D), Poly.zero(D)
+    M = MetricModule(D, [[zero, one], [one, zero]])
+    levels = {1: {((0,), (0, 1)): one, ((0,), (1, 0)): -one}, 2: {((0, 0), ()): one}}
+    c = Cochain(M, 4, {p: levels[p] for p in bad_levels})
+    with pytest.raises(ValueError) as caught:
+        symbol_tower(to_form(c), depth=0)
+    assert str(caught.value) == "level %d is not a derivation in slot 0" % bad_levels[0]
+    assert _slot_loop_verdict(c) == str(caught.value)
+
+
+def _slot_loop_verdict(c: Cochain):
+    """The per-slot derivation check on generator products, read through
+    `eval_level`: the first failing level's message, or None."""
+    backend, module = c.module.backend, c.module
+    gen_vars = [Poly.var(backend, j) for j in range(backend.nvars)]
+    for p in range(1, c.degree // 2 + 1):
+        basis_args = list(itertools.product(module.basis_elements(), repeat=c.degree - 2 * p))
+        for gens in itertools.combinations_with_replacement(range(backend.nvars), p):
+            gargs = [gen_vars[g] for g in gens]
+            for slot, j, zargs in itertools.product(range(p), range(backend.nvars), basis_args):
+                lhs = c.eval_level(p, tuple(gargs[:slot] + [gargs[slot] * gen_vars[j]] + gargs[slot + 1:]), zargs)
+                rhs = gargs[slot] * c.eval_level(p, tuple(gargs[:slot] + [gen_vars[j]] + gargs[slot + 1:]), zargs) \
+                    + gen_vars[j] * c.eval_level(p, tuple(gargs), zargs)
+                if lhs != rhs:
+                    return "level %d is not a derivation in slot %d" % (p, slot)
+    return None
+
+
+def _random_tower(rng: random.Random, module: MetricModule, degree: int) -> Cochain:
+    backend = module.backend
+    levels = {}
+    for p in range(degree // 2 + 1):
+        for gens in itertools.combinations_with_replacement(range(backend.nvars), p):
+            for args in itertools.product(range(module.rank), repeat=degree - 2 * p):
+                if rng.random() < 0.5:
+                    levels.setdefault(p, {})[gens, args] = random_poly(rng, backend, 1, scale=2)
+    return Cochain(module, degree, levels)
+
+
+@pytest.mark.parametrize("kind", ["free1", "free2", "dual"])
+def test_tower_derivation_stage_matches_the_slot_loop(kind):
+    # seeded random towers on basis probes: every one that passes the
+    # consistency checks gets the slot loop's verdict, and over Q[x] that
+    # verdict is always a pass, since eval_level expands by the chain rule
+    backend = Backend.dual() if kind == "dual" else Backend.free(int(kind[-1]))
+    one, zero = Poly.one(backend), Poly.zero(backend)
+    rng = random.Random(31)
+    verdicts = []
+    for rank in (1, 2):
+        module = MetricModule(backend, [[one if a == b else zero for b in range(rank)] for a in range(rank)])
+        for degree in (2, 3, 4):
+            for _ in range(15):
+                c = _random_tower(rng, module, degree)
+                try:
+                    symbol_tower(to_form(c), depth=0)
+                    got = None
+                except ValueError as ex:
+                    got = str(ex)
+                if got is None or "derivation" in got:
+                    expected = _slot_loop_verdict(c)
+                    assert got == expected
+                    verdicts.append(got)
+    assert verdicts.count(None) >= 10
+    if kind == "dual":
+        assert len(verdicts) - verdicts.count(None) >= 3
+    else:
+        assert verdicts.count(None) == len(verdicts)
 
 
 # -- push forward ------------------------------------------------------------------------
