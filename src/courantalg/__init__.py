@@ -66,6 +66,7 @@ from .deform import (
     deformation_differential,
     delta_block,
     delta_squared_is_zero,
+    delta_squared_witness,
     derived_bracket,
     dorfman_bracket,
     make_quadratic_lie,

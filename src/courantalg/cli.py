@@ -242,6 +242,15 @@ class ProblemDocument:
             idx.append(self.module.names.index(piece))
         return tuple(idx)
 
+    def _generator_pair(self, key: str) -> tuple[int, int]:
+        """A `p_table` key: two comma-separated variable names of the backend,
+        as the sorted pair of their generator indices."""
+        names = [piece.strip() for piece in key.split(",")]
+        if len(names) != 2 or any(v not in self.backend.names for v in names):
+            raise ValueError("p_table key %r must be two comma-separated variables of %s"
+                             % (key, ", ".join(self.backend.names)))
+        return tuple(sorted(self.backend.names.index(v) for v in names))
+
     def _parse_element(self, name: str, spec):
         if not isinstance(spec, dict) or "type" not in spec:
             raise _fail("element %r needs a type" % name, "elements")
@@ -273,10 +282,13 @@ class ProblemDocument:
                     }
                 return Cochain.from_tables(self.module, degree, values, symbol)
             if kind == "sder-quartic":
-                table = {}
+                table, keys = {}, {}
                 for k, v in spec["p_table"].items():
-                    gens = tuple(0 for _ in k.split(","))
-                    table[gens] = _parse_poly(str(v), self.backend)
+                    pair = self._generator_pair(k)
+                    if pair in keys:
+                        raise ValueError("p_table keys %r and %r name the same pair" % (keys[pair], k))
+                    keys[pair] = k
+                    table[pair] = _parse_poly(str(v), self.backend)
                 P = MultiDerivation(self.backend, 2, table)
                 return quartic_from_biderivation(self.module, P)
         except DocumentError:

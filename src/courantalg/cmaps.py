@@ -78,6 +78,7 @@ from .poly import (
     _grouped_sum,
     _mul_add,
     _partial,
+    _times_monomial,
     der_generator_var,
     generator_expansion,
     num_der_generators,
@@ -90,8 +91,25 @@ LevelTable = dict[tuple[tuple[int, ...], tuple[int, ...]], Poly]  # one level of
 
 def _q_terms(x: ModuleElement) -> tuple[dict, int]:
     """x as its Q-terms {(packed exponent, basis index): int} over one denominator."""
-    nums, d = _grouped_sum([(1, c._den, {b: c._num}) for b, c in enumerate(x.coeffs)])
+    nums, d = _grouped_sum([(1, c._den, {b: c._num}) for b, c in enumerate(x.coeffs) if c._num])
     return {(e, b): k for b, v in nums.items() for e, k in v.items()}, d
+
+
+def _expanded(args) -> tuple[list, int]:
+    """Module arguments expanded by Q-linearity: one (margs, k) for each choice
+    of a Q-term k_i x^e_i e_b_i of every argument, margs the (e_i, b_i) and k
+    the product of the k_i, and the product of the arguments' denominators."""
+    cleared = [_q_terms(x) for x in args]
+    den = 1
+    for _, d in cleared:
+        den *= d
+    combos = []
+    for combo in itertools.product(*[terms.items() for terms, _ in cleared]):
+        k = 1
+        for _, q in combo:
+            k *= q
+        combos.append((tuple(m for m, _ in combo), k))
+    return combos, den
 
 
 class Cochain(GroupedElement):
@@ -260,10 +278,10 @@ class Cochain(GroupedElement):
         exp, a = margs[idx]
         head, tail = margs[:idx], margs[idx + 1:]
         moved = self._eval_mono(p, gens, head + tail + ((0, a),), memo)
-        out = _mul_add({}, {exp: 1}, moved, backend, -1 if len(tail) % 2 else 1)
+        out = _times_monomial(moved, exp, backend, -1 if len(tail) % 2 else 1)
         for i, (_, b) in enumerate(tail):
             if gram[a][b]:
-                ip = _mul_add({}, {exp: 1}, gram[a][b], backend, -1 if i % 2 else 1)
+                ip = _times_monomial(gram[a][b], exp, backend, -1 if i % 2 else 1)
                 self._apply_symbol(p, gens, ip, head + tail[:i] + tail[i + 1:], out, memo)
         memo[key] = out
         return out
@@ -296,36 +314,44 @@ class Cochain(GroupedElement):
         p = len(gen_args)
         expansion = generator_expansion(backend, gen_args)
         lift = lcm(*[c._den for c in expansion.values()])
-        den = self._den * self.module.numerators()[1] ** (self.degree // 2 - p) * lift
-        expansions = []
-        for x in mod_args:
-            terms, d = _q_terms(x)
-            expansions.append(list(terms.items()))
-            den *= d
+        combos, d = _expanded(mod_args)
         out: dict = {}
         for gens, c in expansion.items():
             level: dict = {}
-            for combo in itertools.product(*expansions):
-                k = 1
-                for _, q in combo:
-                    k *= q
-                _axpy(level, self._eval_mono(p, gens, tuple(m for m, _ in combo), memo), k)
+            for margs, k in combos:
+                _axpy(level, self._eval_mono(p, gens, margs, memo), k)
             _mul_add(out, c._num, level, backend, lift // c._den)
+        den = d * self._den * self.module.numerators()[1] ** (self.degree // 2 - p) * lift
         return _as_poly(backend, out, den)
 
     def omega(self, args) -> Poly:
         """The degree-r multilinear form <C(x_1..x_{r-1}), x_r>."""
         return self.eval_level(0, (), tuple(args))
 
+    def _value_terms(self, margs, memo: dict) -> dict:
+        """The raw map on r-1 (packed monomial, basis index) arguments, as
+        Q-terms over den * G^(degree // 2) * H: its level-0 values against
+        each basis element, read by `_eval_mono`, raised by the inverse gram."""
+        module = self.module
+        return module.raise_terms({c: self._eval_mono(0, (), margs + ((0, c),), memo)
+                                   for c in range(module.rank)})
+
     def __call__(self, *args: ModuleElement) -> ModuleElement:
-        """The raw multilinear map on r-1 module arguments."""
+        """The raw multilinear map on r-1 module arguments.  Each argument is
+        expanded into its Q-terms once, and the map is Q-linear in each, so
+        the value sums `_value_terms` over the product of the expansions,
+        with one `_eval_mono` memo per call."""
         if self.degree < 1:
             raise ValueError("degree-0 elements take no arguments")
         if len(args) != self.degree - 1:
             raise ValueError("expected %d arguments" % (self.degree - 1))
         module, memo = self.module, {}
-        return module.raise_form([self._eval_sder((), args + (module.basis(b),), memo)
-                                  for b in range(module.rank)])
+        _, G, _, H = module.numerators()
+        combos, d = _expanded(args)
+        out: dict = {}
+        for margs, k in combos:
+            _axpy(out, self._value_terms(margs, memo), k)
+        return module.element_of_terms(out, d * self._den * G ** (self.degree // 2) * H)
 
     def scalar_part(self) -> Poly:
         if self.degree != 0:
@@ -710,9 +736,7 @@ def probe_elements(module: MetricModule, depth: int):
 
 def _probe_pairing(module: MetricModule, u, v) -> dict:
     """<x^e1 e_a, x^e2 e_b> for probe keys u = (e1, a), v = (e2, b), as numerators over G."""
-    backend = module.backend
-    monomial = _mul_add({}, {u[0]: 1}, {v[0]: 1}, backend)
-    return _mul_add({}, monomial, module.numerators()[0][u[1]][v[1]], backend)
+    return _times_monomial(module.numerators()[0][u[1]][v[1]], u[0] + v[0], module.backend)
 
 
 def default_verify_depth(c: Cochain) -> int:

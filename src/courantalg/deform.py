@@ -16,19 +16,31 @@ internal degrees).
 Over the dual numbers that grading is not preserved when Theta has a Der
 factor: epsd(eps) = eps, yet eps counts +1 and epsd -1, so {Theta, .} maps
 a block containing eps out of its internal degree.  `delta_block`,
-`delta_squared_is_zero` and `cohomology_dims` raise ModuleError on such a
-block; these structures have no cohomology table.
+`delta_squared_witness` (so `delta_squared_is_zero`) and `cohomology_dims`
+raise ModuleError on such a block; these structures have no cohomology
+table.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .cmaps import Cochain, _q_terms, cbracket, cmap_verify, probe_elements
 from .modules import Connection, MetricModule, ModuleElement, ModuleError, inner
-from .poly import Backend, Memo, Poly, _axpy, _divided, packed_exponents_of_degree
+from .poly import (
+    Backend,
+    Memo,
+    Poly,
+    _as_poly,
+    _axpy,
+    _divided,
+    _mul_add,
+    _partial,
+    packed_exponents_of_degree,
+)
 from .rothstein import (
     AlgebraMap,
     ModuleMap,
@@ -163,15 +175,16 @@ def jacobi_identity_holds(m: Cochain, probes, *, memo: dict | None = None) -> tu
     """m(x, m(y, z)) = m(m(x, y), z) + m(y, m(x, z)) on the probe set.
 
     m is Q-bilinear, so every value is assembled from a table of m on pairs
-    of monomial elements (x^e1 e_a, x^e2 e_b), each entry read from the tower
-    by `_eval_mono` at most once per call.  Elements are compared as their
-    Q-terms, which is exactly as strict as comparing module elements.  The
-    table holds int numerators over one denominator and each probe is
-    cleared of its own, so both sides of an identity are numerators over the
-    same denominator: they are compared undivided.  memo is the `_eval_mono`
-    memo, fresh unless the caller has read m already.  A failure names the
-    first triple and the first nonzero Q-term of lhs - rhs, by basis element
-    and then monomial (`_jacobi_witness`).
+    of monomial elements (x^e1 e_a, x^e2 e_b), each entry the pair read
+    `Cochain._value_terms` that `Cochain.__call__` sums, made at most once
+    per call.  Elements are compared as their Q-terms, which is exactly as
+    strict as comparing module elements.  The table holds int numerators
+    over one denominator and each probe is cleared of its own, so both sides
+    of an identity are numerators over the same denominator: they are
+    compared undivided.  memo is the `_eval_mono` memo, fresh unless the
+    caller has read m already.  A failure names the first triple and the
+    first nonzero Q-term of lhs - rhs, by basis element and then monomial
+    (`_jacobi_witness`).
     """
     if m.degree != 3:
         raise ValueError("the Jacobi check needs a degree-3 element, got degree %d" % m.degree)
@@ -185,8 +198,7 @@ def jacobi_identity_holds(m: Cochain, probes, *, memo: dict | None = None) -> tu
             for q2, c2 in v.items():
                 value = table.get((q1, q2))
                 if value is None:
-                    vals = {c: m._eval_mono(0, (), (q1, q2, (0, c)), memo) for c in range(module.rank)}
-                    value = table[(q1, q2)] = module.raise_terms(vals)
+                    value = table[(q1, q2)] = m._value_terms((q1, q2), memo)
                 _axpy(out, value, c1 * c2)
         return out
 
@@ -260,40 +272,52 @@ def verify_courant(m: Cochain, depth: int = 1) -> tuple[bool, dict]:
 
 
 def derived_bracket(cs: CourantStructure, x: ModuleElement, y: ModuleElement) -> ModuleElement:
-    """[[x, m], y], computed through the complex's bracket operations."""
-    m = cs.cochain
-    step = cbracket(Cochain.from_module_element(x), m)
-    out = cbracket(step, Cochain.from_module_element(y))
-    return out.module_part()
+    """[[x, m], y] = i_y i_x m, which is m(x, y): one pair read of m
+    (`Cochain.__call__`), with no bracket computed or cached."""
+    return cs.cochain(x, y)
+
+
+def _components(w: ModuleElement) -> tuple[list, int]:
+    """The coefficients of w as int numerator sums over one denominator,
+    shared with w where it is theirs: read them, do not change them."""
+    den = lcm(*[c._den for c in w.coeffs])
+    return [c._num if c._den == den else {e: k * (den // c._den) for e, k in c._num.items()}
+            for c in w.coeffs], den
 
 
 def dorfman_bracket(module: MetricModule, n: int, u: ModuleElement, v: ModuleElement) -> ModuleElement:
     """Independent evaluator: [X + xi, Y + eta] = [X, Y] + L_X eta - i_Y d xi.
 
     Components: [X,Y]^i = X(Y^i) - Y(X^i); (L_X eta)_i = X(eta_i) +
-    eta_j d_i X^j; (i_Y d xi)_i = Y^j (d_j xi_i - d_i xi_j).
+    eta_j d_i X^j; (i_Y d xi)_i = Y^j (d_j xi_i - d_i xi_j).  Every term is
+    a u-coefficient times a v-coefficient, so the sums run on int numerators
+    over the product of the two denominators, over the nonzero coefficients
+    only; it reads no cochain.
     """
     backend = module.backend
-    X, xi = u.coeffs[:n], u.coeffs[n:]
-    Y, eta = v.coeffs[:n], v.coeffs[n:]
+    shifts = backend.shifts
+    U, du = _components(u)
+    V, dv = _components(v)
+    X, xi, Y, eta = U[:n], U[n:], V[:n], V[n:]
+    out: list = [{} for _ in range(2 * n)]
+    vec, form = out[:n], out[n:]
 
-    def apply_field(F, a: Poly) -> Poly:
-        out = Poly.zero(backend)
-        for j in range(n):
-            out = out + F[j] * a.partial(j)
-        return out
+    def add(target: dict, a: dict, b: dict, shift: int, f: int = 1):
+        if b:  # target += f a d(b), d the derivative at shift
+            _mul_add(target, a, _partial(b, shift), backend, f)
 
-    vec = [apply_field(X, Y[i]) - apply_field(Y, X[i]) for i in range(n)]
-    form = []
-    for i in range(n):
-        lie = apply_field(X, eta[i])
-        for j in range(n):
-            lie = lie + eta[j] * X[j].partial(i)
-        contraction = Poly.zero(backend)
-        for j in range(n):
-            contraction = contraction + Y[j] * (xi[i].partial(j) - xi[j].partial(i))
-        form.append(lie - contraction)
-    return ModuleElement(module, vec + form)
+    for j, s in enumerate(shifts[:n]):
+        for i in range(n):
+            if X[j]:  # X(Y^i) and X(eta_i), with eta_j d_i X^j
+                add(vec[i], X[j], Y[i], s)
+                add(form[i], X[j], eta[i], s)
+                if eta[j]:
+                    add(form[i], eta[j], X[j], shifts[i])
+            if Y[j]:  # -Y(X^i) and -Y^j (d_j xi_i - d_i xi_j)
+                add(vec[i], Y[j], X[i], s, -1)
+                add(form[i], Y[j], xi[i], s, -1)
+                add(form[i], Y[j], xi[j], shifts[i])
+    return ModuleElement(module, [_as_poly(backend, c, du * dv) for c in out])
 
 
 def verify_morphism(cs1: CourantStructure, cs2: CourantStructure,
@@ -483,14 +507,24 @@ def cohomology_dims(cs: CourantStructure, r_range, d_range) -> dict:
     return results
 
 
-def delta_squared_is_zero(cs: CourantStructure, r: int, d: int) -> bool:
-    """Q(Q(x)) = 0 for every basis monomial x of block (r, d); no block is built."""
+def delta_squared_witness(cs: CourantStructure, r: int, d: int) -> tuple[RothElement, RothElement] | None:
+    """None when Q(Q(x)) = 0 for every basis monomial x of block (r, d), else
+    the first such x in basis order with its nonzero Q(Q(x)), both exact
+    elements; no block is built."""
     _require_degree_zero_generator(cs)
-    for exp, sym, ext in enumerate_chain_basis(cs.module, r, d):
-        image, den = _image_in_block(cs, {(sym, ext): {exp: 1}}, 1, r + 1, d)
-        if any(_image_in_block(cs, image, den, r + 2, d)[0].values()):
-            return False
-    return True
+    module = cs.module
+    for exp, sym, ext in enumerate_chain_basis(module, r, d):
+        x = {(sym, ext): {exp: 1}}
+        image, den = _image_in_block(cs, x, 1, r + 1, d)
+        image, den = _image_in_block(cs, image, den, r + 2, d)
+        if any(image.values()):
+            return RothElement.from_numerators(module, x, 1), RothElement.from_numerators(module, image, den)
+    return None
+
+
+def delta_squared_is_zero(cs: CourantStructure, r: int, d: int) -> bool:
+    """Q(Q(x)) = 0 for every basis monomial x of block (r, d)."""
+    return delta_squared_witness(cs, r, d) is None
 
 
 def lie_algebra_center_dim(structure_constants) -> int:

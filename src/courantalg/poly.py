@@ -238,6 +238,21 @@ def _mul_add(out: dict, a: dict, b: dict, backend: Backend, f: int = 1) -> dict:
     return out
 
 
+def _times_monomial(a: dict, exp: int, backend: Backend, f: int = 1) -> dict:
+    """f x^exp a for the packed sum a, as a new sum: a key shift, which
+    keeps keys distinct, so nothing cancels.  Guard bits act as in `_mul_add`."""
+    guard = backend.guard
+    out = {}
+    for e, c in a.items():
+        k = e + exp
+        if k & guard:
+            if backend.is_dual:
+                continue
+            raise _overflow(backend, k)
+        out[k] = f * c
+    return out
+
+
 def _partial(a: dict, shift: int) -> dict:
     """The derivative of a packed sum in the variable whose field is at shift
     (the j-th Der generator differentiates in x_j, at `Backend.shifts[j]`)."""

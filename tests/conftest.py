@@ -36,6 +36,20 @@ def random_module_element(rng: random.Random, module: MetricModule, deg: int = 1
     )
 
 
+def fractional_element(rng: random.Random, module: MetricModule, deg: int) -> ModuleElement:
+    """Coefficients with several terms of degree <= deg over denominators 1, 2, 3 and 5, some zero."""
+    backend = module.backend
+    coeffs = []
+    for _ in range(module.rank):
+        terms = {}
+        if rng.random() < 0.8:
+            for exp in itertools.product(range(deg + 1), repeat=backend.nvars):
+                if sum(exp) <= deg and rng.random() < 0.6:
+                    terms[exp] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3, 5)))
+        coeffs.append(Poly(backend, terms))
+    return ModuleElement(module, coeffs)
+
+
 def random_roth(rng: random.Random, module: MetricModule, degree: int,
                 coeff_deg: int = 1, density: float = 0.6) -> RothElement:
     backend = module.backend

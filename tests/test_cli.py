@@ -483,6 +483,36 @@ def _one_variable(**fields):
     return doc
 
 
+def _quartic_over_xy(p_table):
+    return {"schema": SCHEMA, "backend": {"kind": "freepoly", "vars": ["x", "y"]},
+            "module": {"rank": 1, "basis": ["e1"], "gram": [["1"]]},
+            "elements": {"p": {"type": "sder-quartic", "p_table": p_table}, "s": {"type": "scalar", "value": "1"}},
+            "commands": [{"op": "wedge", "lhs": "p", "rhs": "s"}]}
+
+
+def test_sder_quartic_table_keys_are_variable_pairs():
+    # p ^ 1 = p, so the wedge reports the quartic's tower: level 2 on sorted generator pairs
+    report, code = run_document(_quartic_over_xy({"x,x": "1", "y,y": "2"}))
+    assert code == 0
+    assert report["commands"][0]["result"]["levels"] == {"2": {"0,0 | ": "1", "1,1 | ": "2"}}
+    report, code = run_document(_quartic_over_xy({"y, x": "3"}))
+    assert code == 0
+    assert report["commands"][0]["result"]["levels"] == {"2": {"0,1 | ": "3"}}
+
+
+@pytest.mark.parametrize("key", ["foo,bar", "x", "x,y,x", "x,eps", ""])
+def test_sder_quartic_rejects_a_bad_table_key(key):
+    report, code = run_document(_quartic_over_xy({key: "1"}))
+    assert code == 2
+    assert "p_table key %r" % key in report["error"], report["error"]
+
+
+def test_sder_quartic_rejects_one_pair_named_twice():
+    report, code = run_document(_quartic_over_xy({"x,y": "1", "y,x": "2"}))
+    assert code == 2
+    assert "'x,y' and 'y,x' name the same pair" in report["error"], report["error"]
+
+
 HUGE = "x^40000"  # past poly.EXPONENT_LIMIT as well as EXPONENT_CAP
 
 

@@ -23,6 +23,7 @@ from courantalg import (
     cohomology_dims,
     deformation_differential,
     delta_squared_is_zero,
+    delta_squared_witness,
     derived_bracket,
     dorfman_bracket,
     inner,
@@ -37,7 +38,7 @@ from courantalg import (
     verify_morphism,
 )
 from courantalg import deform
-from courantalg.deform import delta_block, lie_algebra_center_dim, roth_internal_degrees
+from courantalg.deform import delta_block, enumerate_chain_basis, lie_algebra_center_dim, roth_internal_degrees
 from courantalg.cmaps import cmap_verify, probe_elements
 
 from conftest import random_roth, so3_constants
@@ -244,6 +245,25 @@ def test_delta_squared_detects_a_generator_with_nonzero_self_bracket():
     broken = deform.CourantStructure.from_theta(theta, cs.connection, check=False)
     for r, d in [(0, 1), (1, -1), (1, 1)]:
         assert not delta_squared_is_zero(broken, r, d)
+
+
+def test_delta_squared_witness_names_the_first_failing_monomial():
+    cs = make_standard_courant(1)
+    module = cs.module
+    x = Poly.var(module.backend, 0)
+    theta = cs.theta + RothElement(module, {((0,), (0,)): x * x})
+    broken = deform.CourantStructure.from_theta(theta, cs.connection, check=False)
+    for r, d in [(0, 1), (1, -1), (1, 1)]:
+        assert delta_squared_witness(cs, r, d) is None
+        monomial, value = delta_squared_witness(broken, r, d)
+        assert not value.is_zero()
+        assert value == deformation_differential(broken, deformation_differential(broken, monomial))
+        # the witness is the first basis monomial of the block with Q(Q(x)) != 0
+        basis = [RothElement.from_numerators(module, {(sym, ext): {e: 1}}, 1)
+                 for e, sym, ext in enumerate_chain_basis(module, r, d)]
+        first = next(b for b in basis
+                     if not deformation_differential(broken, deformation_differential(broken, b)).is_zero())
+        assert monomial == first
 
 
 def test_cohomology_so3_with_center_oracle():
