@@ -7,11 +7,15 @@ deformation differential is delta = {Theta, .} on the connection side, with
 of Theta (Roytenberg, math/0203110): its values on all generators are built
 once per structure, and delta g = sum_v Q(v) (d->/dv g) follows by Leibniz,
 in the kernel `roth_bracket` runs on, on int numerators over one
-denominator; a block entry is divided once, on its way out, an element
-leaves as numerators, and the delta^2 check divides nothing.  The graded
-blocks are cut by an internal polynomial degree (a variable counts +1, a
-derivation generator -1, module basis elements carry the module's declared
-internal degrees).
+denominator; a block entry is divided once, on its way out, and an element
+leaves as numerators.  Q is odd, so Q^2 = [Q, Q] / 2 is an even derivation,
+and its values on the generators are built with those of Q: delta^2 on a
+basis monomial is one Leibniz expansion of that table, which divides
+nothing, and for a Courant structure the table is empty, so the delta^2
+check applies no Q at all.  Block ranks come from fraction-free elimination
+on int rows (`linalg.rank`).  The graded blocks are cut by an internal
+polynomial degree (a variable counts +1, a derivation generator -1, module
+basis elements carry the module's declared internal degrees).
 
 Over the dual numbers that grading is not preserved when Theta has a Der
 factor: epsd(eps) = eps, yet eps counts +1 and epsd -1, so {Theta, .} maps
@@ -360,20 +364,32 @@ def verify_morphism(cs1: CourantStructure, cs2: CourantStructure,
 # -- the deformation differential and cohomology -----------------------------------
 
 
-def _q_table(cs: CourantStructure) -> tuple[dict, int, bool]:
+def _q_table(cs: CourantStructure) -> tuple[dict, int, bool, dict, set[int]]:
     """Q(v) = {Theta, v} on each generator v (keyed as in `rothstein.generators`)
-    with a nonzero value, as int numerators over one denominator: (table, d,
-    keeps).  keeps says that every Q(v) has degree |v| + 1 and the internal
-    degree of v, so that by Leibniz Q maps each block (r, d) into (r + 1, d).
-    Built on first use and kept on the immutable structure."""
+    with a nonzero value, as int numerators over one denominator, and what is
+    read off it: (table, d, keeps, squares, degrees).
+
+    keeps says that every Q(v) has degree |v| + 1 and the internal degree of
+    v, so that by Leibniz Q maps each block (r, d) into (r + 1, d).  Q is an
+    odd derivation, so Q^2 = [Q, Q] / 2 is an even one, fixed by its values
+    on the generators: squares holds the nonzero Q(Q(v)) over d^2, empty for
+    every Courant structure.  degrees are the internal degrees of the terms
+    of Theta, which the block guard reads.  Built on first use and kept on
+    the immutable structure."""
     if cs._q is None:
         module = cs.module
+        backend = module.backend
         q, d = _hamiltonian(cs.theta._num, cs.theta._den, cs.connection, generators(module))
         keeps = all(2 * len(sym) + len(ext) == kind + 1
-                    and internal_degree_of_term(module, module.backend.unpack(e), sym, ext)
+                    and internal_degree_of_term(module, backend.unpack(e), sym, ext)
                     == (1 if kind == 0 else -1 if kind == 2 else module.internal_degrees[i])
                     for (kind, i), value in q.items() for (sym, ext), terms in value.items() for e in terms)
-        cs._q = (q, d, keeps)
+        squares = {}
+        for v, value in q.items():
+            image = {key: terms for key, terms in _apply_derivation(q, value, backend).items() if terms}
+            if image:
+                squares[v] = image
+        cs._q = (q, d, keeps, squares, roth_internal_degrees(cs.theta))
     return cs._q
 
 
@@ -381,7 +397,7 @@ def _apply_q(cs: CourantStructure, terms: dict, den: int) -> tuple[dict, int]:
     """Q on a grouped sum {(sym, ext): {packed exponent: int}} of numerators
     over den, by Leibniz: the image's numerators and its denominator, den
     times that of the Q table (1 for an integral Theta on a flat connection)."""
-    q, d_q, _ = _q_table(cs)
+    q, d_q = _q_table(cs)[:2]
     return _apply_derivation(q, terms, cs.module.backend), d_q * den
 
 
@@ -432,7 +448,7 @@ class GradedComplexBlock:
 
 
 def _require_degree_zero_generator(cs: CourantStructure) -> None:
-    degs = roth_internal_degrees(cs.theta)
+    degs = _q_table(cs)[4]
     if degs - {0}:
         raise ModuleError(
             "block decomposition needs an internally homogeneous generator of degree 0; got %s"
@@ -440,19 +456,13 @@ def _require_degree_zero_generator(cs: CourantStructure) -> None:
         )
 
 
-def _image_in_block(cs: CourantStructure, terms: dict, den: int, r: int, d: int) -> tuple[dict, int]:
-    """Q(terms) as `_apply_q` returns it, for terms in block (r - 1, d); each
-    monomial of the image must lie in block (r, d), which it does when Q
-    keeps the blocks (`_q_table`)."""
-    module = cs.module
-    image, den = _apply_q(cs, terms, den)
-    if not _q_table(cs)[2]:
-        for (sym, ext), group in image.items():
-            for e in group:
-                if (2 * len(sym) + len(ext) != r
-                        or internal_degree_of_term(module, module.backend.unpack(e), sym, ext) != d):
-                    raise _block_error(module, e, sym, ext)
-    return image, den
+def _require_in_block(module: MetricModule, image: dict, r: int, d: int) -> None:
+    """Every monomial of the grouped sum image lies in block (r, d)."""
+    for (sym, ext), group in image.items():
+        for e in group:
+            if (2 * len(sym) + len(ext) != r
+                    or internal_degree_of_term(module, module.backend.unpack(e), sym, ext) != d):
+                raise _block_error(module, e, sym, ext)
 
 
 def _block_error(module: MetricModule, e: int, sym, ext) -> ModuleError:
@@ -476,7 +486,7 @@ def delta_block(cs: CourantStructure, r: int, d: int) -> GradedComplexBlock:
                 row = index.get((e, isym, iext))
                 if row is None:  # dst is all of block (r + 1, d)
                     raise _block_error(module, e, isym, iext)
-                matrix[row][col] = v  # an int where integral: `linalg.echelon` makes it a Fraction
+                matrix[row][col] = v  # an int where integral, else a Fraction
     return GradedComplexBlock(r, d, src, dst, matrix)
 
 
@@ -510,15 +520,31 @@ def cohomology_dims(cs: CourantStructure, r_range, d_range) -> dict:
 def delta_squared_witness(cs: CourantStructure, r: int, d: int) -> tuple[RothElement, RothElement] | None:
     """None when Q(Q(x)) = 0 for every basis monomial x of block (r, d), else
     the first such x in basis order with its nonzero Q(Q(x)), both exact
-    elements; no block is built."""
+    elements; no block is built.
+
+    Q(Q(x)) is read from the generator table of Q^2 (`_q_table`) by one
+    Leibniz expansion, which divides nothing.  When Q keeps the blocks and
+    that table is empty, as for every Courant structure, the verdict needs
+    no Q at all; the basis is still enumerated, so a block past the exponent
+    limit raises as `delta_block` does.  When Q may leave the blocks, Q(x)
+    must lie in (r + 1, d) and Q(Q(x)) in (r + 2, d), checked in that order.
+    """
     _require_degree_zero_generator(cs)
+    q, d_q, keeps, squares, _ = _q_table(cs)
     module = cs.module
-    for exp, sym, ext in enumerate_chain_basis(module, r, d):
+    backend = module.backend
+    basis = enumerate_chain_basis(module, r, d)
+    if keeps and not squares:
+        return None
+    for exp, sym, ext in basis:
         x = {(sym, ext): {exp: 1}}
-        image, den = _image_in_block(cs, x, 1, r + 1, d)
-        image, den = _image_in_block(cs, image, den, r + 2, d)
+        if not keeps:
+            _require_in_block(module, _apply_derivation(q, x, backend), r + 1, d)
+        image = _apply_derivation(squares, x, backend)
+        if not keeps:
+            _require_in_block(module, image, r + 2, d)
         if any(image.values()):
-            return RothElement.from_numerators(module, x, 1), RothElement.from_numerators(module, image, den)
+            return RothElement.from_numerators(module, x, 1), RothElement.from_numerators(module, image, d_q * d_q)
     return None
 
 

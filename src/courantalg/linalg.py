@@ -1,52 +1,97 @@
-"""Exact sparse linear algebra over Q, and the inverse of a unit-determinant
-matrix over either coefficient algebra by Faddeev-LeVerrier on int numerators."""
+"""Exact sparse linear algebra over Q by fraction-free elimination on int rows,
+and the inverse of a unit-determinant matrix over either coefficient algebra
+by Faddeev-LeVerrier on int numerators.
+
+A row is a sparse {column: value} dict of ints or Fractions.  Elimination
+runs on int rows (Bareiss, Math. Comp. 22, 1968): a row with Fraction
+entries is scaled by the lcm of their denominators once, on entry, and every
+row is kept primitive (the gcd of its entries divided out, its leading entry
+positive), which bounds the entries on the cohomology blocks.  `rank` counts
+the pivots of the forward elimination; `echelon` back-substitutes them into
+the unique reduced row echelon form over Q, which `nullspace` and `solve`
+read.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .poly import QONE, QZERO, Backend, _axpy, _mul_add
+
+
+def _primitive(row: dict[int, int], lead: int) -> dict[int, int]:
+    """row divided by the gcd of its entries, signed so that its entry in the
+    leading column lead is positive."""
+    g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+def _cancel(row: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
+    """a row - b p, which has no entry in column c (a / b = p[c] / row[c] in
+    lowest terms), dropping the entries that cancel; row may be reused."""
+    g = gcd(p[c], row[c])
+    a, b = p[c] // g, row[c] // g
+    if a != 1:
+        row = {k: a * v for k, v in row.items()}
+    for k, v in p.items():
+        w = row.get(k, 0) - b * v
+        if w:
+            row[k] = w
+        else:
+            del row[k]
+    return row
+
+
+def _pivot_rows(rows: list[dict]) -> dict[int, dict[int, int]]:
+    """Forward elimination: primitive int rows keyed by their leading column.
+
+    Rows are taken shortest first and cleared to int numerators once.  While
+    a stored row shares a row's leading column, the row becomes the primitive
+    part of a row - b stored, which cancels that column (a / b the ratio of
+    the two leading entries in lowest terms); a row that keeps a new leading
+    column is stored, one that vanishes is dropped."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in sorted(rows, key=len):
+        if not row:
+            continue
+        den = lcm(*[v.denominator for v in row.values()])
+        row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        while row:
+            pc = min(row)
+            row = _primitive(row, pc)
+            p = pivots.get(pc)
+            if p is None:
+                pivots[pc] = row
+                break
+            row = _cancel(row, p, pc)
+    return pivots
+
+
+def rank(rows: list[dict[int, Fraction]]) -> int:
+    return len(_pivot_rows(rows))
 
 
 def echelon(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
     """Reduced row echelon form of sparse {column: value} rows, keyed by pivot column.
 
-    Rows are taken shortest first.  Each is cleared of the pivot columns found
-    so far (the stored rows are fully reduced, so one pass suffices), pivots
-    on its lowest column and is normalized; that column is then cleared from
-    the earlier pivot rows.  The result is the unique reduced echelon form of
-    the row space, whatever the row order.
+    The pivot rows of the forward elimination are cleared of the later pivot
+    columns from the last pivot up, still on int rows (each cleared row is
+    primitive again), and divided by their pivot once, at the end.  The
+    result is the unique reduced echelon form of the row space, whatever the
+    row order.
     """
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for row in sorted(rows, key=len):
-        row = {c: Fraction(v) for c, v in row.items() if v}
-        for c in [c for c in row if c in pivots]:
-            _subtract(row, row[c], pivots[c])
-        if not row:
-            continue
-        pc = min(row)
-        inv = 1 / row[pc]
-        row = {c: v * inv for c, v in row.items()}
-        for other in pivots.values():
-            if pc in other:
-                _subtract(other, other[pc], row)
-        pivots[pc] = row
-    return pivots
-
-
-def _subtract(row: dict, f: Fraction, pivot_row: dict) -> None:
-    """row -= f * pivot_row, in place, dropping the entries that cancel."""
-    for c, v in pivot_row.items():
-        w = row.get(c, QZERO) - f * v
-        if w:
-            row[c] = w
-        else:
-            del row[c]
-
-
-def rank(rows: list[dict[int, Fraction]]) -> int:
-    return len(echelon(rows))
+    pivots = _pivot_rows(rows)
+    reduced: dict[int, dict[int, int]] = {}
+    for pc in sorted(pivots, reverse=True):
+        row = pivots[pc]
+        for c in [c for c in row if c in reduced]:
+            row = _cancel(row, reduced[c], c)
+            row = _primitive(row, pc)
+        reduced[pc] = row
+    return {pc: {c: Fraction(v, row[pc]) for c, v in row.items()} for pc, row in reduced.items()}
 
 
 def nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[list[Fraction]]:

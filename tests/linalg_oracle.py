@@ -1,11 +1,14 @@
-"""Reference oracles for `courantalg.linalg`: dense Gauss-Jordan over Q, and
-the cofactor determinant and adjugate of a Poly matrix.
+"""Reference oracles for `courantalg.linalg`: Gauss-Jordan over Q, dense and
+sparse, and the cofactor determinant and adjugate of a Poly matrix.
 
 `rref` eliminates a dense list-of-lists matrix column by column, taking the
 first nonzero entry at or below the current row as the pivot.  The reduced
 row echelon form of a matrix is unique, so `courantalg.linalg.echelon` must
 return the same pivots and the same rows; `nullspace` and `solve` read off
 the kernel basis and one solution exactly as the library did with it.
+`sparse_echelon` reaches the same form on {column: value} rows over
+Fraction, keeping every stored row fully reduced; it is fast enough to rank
+cohomology blocks of a few thousand rows, where the dense route is not.
 
 `poly_det` expands along the first row, O(r!) products, and `poly_inverse`
 divides the adjugate of cofactors by a unit determinant: the gram inverse
@@ -74,6 +77,43 @@ def solve(rows: list[list[Fraction]], rhs: list[Fraction]):
     for r, pc in enumerate(pivots):
         x[pc] = red[r][n]
     return x, None
+
+
+def sparse_echelon(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """Reduced row echelon form of sparse {column: value} rows, keyed by pivot column.
+
+    Rows are taken shortest first.  Each is cleared of the pivot columns found
+    so far (the stored rows are fully reduced, so one pass suffices), pivots
+    on its lowest column and is normalized; that column is then cleared from
+    the earlier pivot rows.  The result is the unique reduced echelon form of
+    the row space, whatever the row order.
+    """
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for row in sorted(rows, key=len):
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        for c in [c for c in row if c in pivots]:
+            _subtract_row(row, row[c], pivots[c])
+        if not row:
+            continue
+        pc = min(row)
+        inv = 1 / row[pc]
+        row = {c: v * inv for c, v in row.items()}
+        for other in pivots.values():
+            if pc in other:
+                _subtract_row(other, other[pc], row)
+        pivots[pc] = row
+    return pivots
+
+
+def _subtract_row(row: dict, f: Fraction, pivot_row: dict) -> None:
+    """row -= f * pivot_row, in place, dropping the entries that cancel."""
+    for c, v in pivot_row.items():
+        w = row.get(c, QZERO) - f * v
+        if w:
+            row[c] = w
+        else:
+            del row[c]
+
 
 
 def poly_det(m: list[list[Poly]]) -> Poly:

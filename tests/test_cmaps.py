@@ -34,6 +34,7 @@ from courantalg import cmaps, poly
 from courantalg.cmaps import bracket_scalar, quartic_from_biderivation
 
 from conftest import curved_connection, random_module_element, random_poly, random_roth, so3_constants
+from symbol_oracle import DerivationTail, symbol_via_fullness
 
 
 B0 = Backend.free(0)
@@ -110,8 +111,6 @@ def test_verify_badc_quartic():
 def test_symbol_uniqueness_via_fullness():
     # the stored symbol level agrees with the one forced by the values
     # through the fullness witness: the two routes must coincide exactly
-    from courantalg.cmaps import symbol_via_fullness
-
     B, M, conn = hyperbolic_setup(seed=1)
     rng = random.Random(2)
     x = Poly.var(B, 0)
@@ -554,8 +553,6 @@ def test_pushforward_rejects_scaling():
 
 
 def test_derivation_tail_pairing_invariant():
-    from courantalg.cmaps import DerivationTail
-
     B, M, conn = hyperbolic_setup(seed=23)
     rng = random.Random(24)
     for _ in range(6):

@@ -40,6 +40,7 @@ from courantalg import (
 from courantalg import deform
 from courantalg.deform import delta_block, enumerate_chain_basis, lie_algebra_center_dim, roth_internal_degrees
 from courantalg.cmaps import cmap_verify, probe_elements
+from courantalg.poly import EXPONENT_LIMIT
 
 from conftest import random_roth, so3_constants
 
@@ -266,6 +267,15 @@ def test_delta_squared_witness_names_the_first_failing_monomial():
         assert monomial == first
 
 
+def test_delta_squared_past_the_exponent_limit_raises_as_the_block_does():
+    # a Courant structure needs no Q for the verdict, but its block basis is still enumerated
+    cs = make_standard_courant(1)
+    for check in (delta_block, delta_squared_is_zero):
+        with pytest.raises(ModuleError, match="EXPONENT_LIMIT"):
+            check(cs, 0, EXPONENT_LIMIT + 1)
+    assert delta_squared_is_zero(cs, 0, EXPONENT_LIMIT)
+
+
 def test_cohomology_so3_with_center_oracle():
     cs = so3_structure()
     dims = cohomology_dims(cs, range(0, 2), [0])
@@ -310,10 +320,10 @@ def test_cohomology_known_answers():
     for n, rs, ds in [(1, range(0, 7), range(-3, 4)), (2, range(0, 7), range(-2, 4)),
                       (3, range(0, 5), range(-1, 2))]:
         assert nonzero(_standard_unchecked(n), rs, ds) == {(0, 0): 1}
-    # n = 3, r 0..6, d -2..2: every entry of the committed table
+    # n = 3, r 0..9, d -2..2: every entry of the committed table
     committed = json.loads((RESULTS / "cohomology_standard_n3.json").read_text())
-    table = cohomology_dims(_standard_unchecked(3), range(0, 7), range(-2, 3))
-    assert [committed["r"], committed["d"]] == [[0, 6], [-2, 2]]
+    table = cohomology_dims(_standard_unchecked(3), range(0, 10), range(-2, 3))
+    assert [committed["r"], committed["d"]] == [[0, 9], [-2, 2]]
     assert {(b["r"], b["d"]): {k: b[k] for k in ("dim", "chain_dim", "rank_out", "rank_in")}
             for b in committed["blocks"]} == table
     assert {rd for rd, v in table.items() if v["dim"]} == {(0, 0)} and table[(0, 0)]["dim"] == 1
@@ -359,6 +369,34 @@ def test_dual_number_der_factor_leaves_the_internal_degree_block():
         delta_squared_is_zero(cs, 0, 1)
     with pytest.raises(ModuleError, match="leaves the internal-degree block"):
         cohomology_dims(cs, range(0, 2), [0, 1])
+
+
+def test_block_guard_reads_the_degrees_of_theta_once(monkeypatch):
+    calls = []
+
+    def counting(theta):
+        calls.append(theta)
+        return real(theta)
+
+    real = deform.roth_internal_degrees
+    monkeypatch.setattr(deform, "roth_internal_degrees", counting)
+    cs = _standard_unchecked(1)
+    for r, d in itertools.product(range(0, 3), range(-1, 2)):
+        delta_block(cs, r, d)
+        delta_squared_is_zero(cs, r, d)
+    cohomology_dims(cs, range(0, 3), range(-1, 2))
+    assert calls == [cs.theta]
+
+
+def test_dual_number_courant_structure_that_leaves_the_blocks_has_no_delta_squared_verdict():
+    # -D (x) f over the dual numbers is Courant, so Q^2 = 0, yet Q(eps) = eps f leaves its internal degree
+    D = Backend.dual()
+    one, zero = Poly.one(D), Poly.zero(D)
+    module = MetricModule(D, [[zero, one], [one, zero]], names=("e", "f"), internal_degrees=(-1, 1))
+    theta = RothElement(module, {((0,), (1,)): -one})
+    cs = deform.CourantStructure.from_theta(theta, Connection.flat(module), check=True)
+    with pytest.raises(ModuleError, match=r"leaves the internal-degree block: \(\(1,\), \(\), \(1,\)\)"):
+        delta_squared_is_zero(cs, 0, 1)
 
 
 def test_delta_squared_needs_homogeneous_generator():

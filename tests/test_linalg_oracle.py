@@ -1,8 +1,10 @@
-"""The sparse elimination against the dense Gauss-Jordan oracle.
+"""The int-row elimination against the Gauss-Jordan oracles over Fraction.
 
 The reduced row echelon form is unique, so `linalg.echelon` must give the
 oracle's pivots and rows exactly, on any row order; `nullspace` and `solve`
-(witness included) must give the answers read off the oracle's form.
+(witness included) must give the answers read off the oracle's form, and
+`rank` the oracle's number of pivots.  The sparse oracle, checked against
+the dense one here, ranks every block of the n = 3 cohomology window.
 """
 
 import itertools
@@ -14,7 +16,7 @@ import pytest
 import linalg_oracle as oracle
 from courantalg import linalg, make_standard_courant
 from courantalg.deform import delta_block
-from test_deform import so3_structure
+from test_deform import _standard_unchecked, so3_structure
 from test_linalg import MATRICES, _product, _random_matrix, _sparse
 
 
@@ -58,6 +60,8 @@ def test_echelon_equals_dense_rref(rows):
     got = linalg.echelon(_sparse(rows))
     assert sorted(got) == sorted(expected)
     assert got == expected
+    assert linalg.rank(_sparse(rows)) == len(expected)
+    assert oracle.sparse_echelon(_sparse(rows)) == expected
     shuffled = _sparse(rows)
     random.Random(len(rows)).shuffle(shuffled)
     assert linalg.echelon(shuffled) == expected
@@ -76,3 +80,28 @@ def test_nullspace_and_solve_equal_the_oracle(rows):
     x, witness = oracle.solve(rows + [total], b + [sum(b) + 1])
     assert x is None
     assert linalg.solve(_sparse(rows + [total], b + [sum(b) + 1]), ncols) == (None, witness)
+
+
+def test_rank_on_mixed_int_and_fraction_rows():
+    # ints beside Fractions of large, coprime denominators, and zero entries kept in the rows
+    rng = random.Random(29)
+    for _ in range(60):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        rows = [{j: rng.choice((0, rng.randint(-9, 9), Fraction(rng.randint(-99, 99), rng.choice((7, 11, 97, 1024)))))
+                 for j in range(n) if rng.random() < 0.6} for _ in range(m)]
+        rows += [{j: 3 * v for j, v in row.items()} for row in rows[:rng.randint(0, 2)]]
+        expected = oracle.sparse_echelon(rows)
+        assert linalg.rank(rows) == len(expected)
+        assert linalg.echelon(rows) == expected
+
+
+def test_rank_and_echelon_on_the_standard_n3_window():
+    cs = _standard_unchecked(3)
+    ranked = 0
+    for r, d in itertools.product(range(0, 7), range(-2, 3)):
+        rows = delta_block(cs, r, d).matrix
+        expected = oracle.sparse_echelon(rows)
+        assert linalg.rank(rows) == len(expected)
+        assert linalg.echelon(rows) == expected
+        ranked += bool(expected)
+    assert ranked == 31  # blocks of nonzero rank
