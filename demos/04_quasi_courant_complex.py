@@ -11,7 +11,6 @@ from courantalg import (
     cmap_wedge,
     insert,
     symbol_tower,
-    to_form,
 )
 
 backend = Backend.free(0)
@@ -44,7 +43,6 @@ w_shu = cmap_wedge(x, y, "shuffle")
 print("\nwedge via recursion equals wedge via shuffles:", w_rec == w_shu)
 print("(e1 ^ e2)(e1) =", w_rec(module.basis(0)))
 
-omega = to_form(m)
-print("\nomega(e1, e2, e3) =", omega(module.basis(0), module.basis(1), module.basis(2)))
-tower = symbol_tower(omega)
-print("tower levels (sizes):", {p: len(tower.level(p)) for p in range(2)})
+print("\nomega(e1, e2, e3) =", m.omega((module.basis(0), module.basis(1), module.basis(2))))
+levels = symbol_tower(m)
+print("tower levels (sizes):", {p: len(levels.get(p, {})) for p in range(2)})

@@ -37,8 +37,6 @@ from .rothstein import (
 )
 from .cmaps import (
     Cochain,
-    CochainForm,
-    SymbolTower,
     cbracket,
     cmap_bracket,
     cmap_eval,
@@ -46,10 +44,8 @@ from .cmaps import (
     cmap_verify,
     cmap_wedge,
     cwedge,
-    from_form,
     insert,
     symbol_tower,
-    to_form,
 )
 from .symbol_map import (
     apply_J,

@@ -24,7 +24,6 @@ from .cmaps import (
     cmap_wedge,
     quartic_from_biderivation,
     symbol_tower,
-    to_form,
 )
 from .deform import (
     CourantStructure,
@@ -494,14 +493,12 @@ class CommandRunner:
         c = self._element(cmd)
         self._within_probe_cap(cmd, c.module, depth)
         try:
-            tower = symbol_tower(to_form(c), depth=depth)
+            levels = symbol_tower(c, depth=depth)
         except ValueError as ex:
             self._mark(False)
             return {"status": "inconsistent", "verdict": False, "detail": str(ex)}
-        levels = {
-            str(p): len(tower.level(p)) for p in range(0, c.degree // 2 + 1)
-        }
-        return {"status": "ok", "verdict": True, "level_sizes": levels, "probe_bound": depth}
+        sizes = {str(p): len(levels.get(p, {})) for p in range(c.degree // 2 + 1)}
+        return {"status": "ok", "verdict": True, "level_sizes": sizes, "probe_bound": depth}
 
     def cmd_j_map(self, cmd) -> dict:
         name = self._arg(cmd, "element")

@@ -23,6 +23,11 @@ second-order symbols (nonzero level 2 over vanishing levels 0 and 1)
 representable; the quartic built from a symmetric biderivation over the dual
 numbers is the motivating case.
 
+That swap identity, at every level, is the one condition on a tower;
+`_swap_violation` checks it on probe tuples for `cmap_verify` (level 0,
+every position) and `symbol_tower` (every level, the first position).
+A cochain is its own form (`omega`) and tower (`levels`).
+
 Insertion i_x C is the primitive of the complex: a basis element re-keys
 the stored tables, and any other Q-term of x is read from the tower through
 the slot reduction above.  A scalar brackets as a generator slice and a
@@ -185,35 +190,6 @@ class Cochain(GroupedElement):
             if key in symbol_table for gens, v in symbol_table[key].table.items()}
         return Cochain(module, degree, {0: lvl0, 1: lvl1})
 
-    @staticmethod
-    def from_callable(module: MetricModule, degree: int, fn) -> "Cochain":
-        """Degree 2 or 3 element from an evaluation callable, symbol inferred.
-
-        fn takes degree-1 ModuleElements and returns a ModuleElement.  The
-        symbol is reconstructed through the fullness witness (every algebra
-        element a equals <a x, y> for the witness pair) and must be verified
-        afterwards by the caller.
-        """
-        if degree not in (2, 3):
-            raise ValueError("callable constructor supports degrees 2 and 3")
-        backend = module.backend
-        (wx, wy), = module.fullness_witness()
-        value_table = {
-            key: fn(*[module.basis(b) for b in key])
-            for key in itertools.product(range(module.rank), repeat=degree - 1)
-        }
-        symbol_table = {}
-        for key in itertools.product(range(module.rank), repeat=degree - 2):
-            values = []
-            for j in range(num_der_generators(backend)):
-                gx = wx.scale(der_generator_var(backend, j))
-                if degree == 2:
-                    values.append(inner(fn(gx), wy) + inner(gx, fn(wy)))
-                else:
-                    values.append(inner(fn(gx, wy) + fn(wy, gx), module.basis(key[0])))
-            symbol_table[key] = Derivation.from_values(backend, values)
-        return Cochain.from_tables(module, degree, value_table, symbol_table)
-
     # -- structural ------------------------------------------------------
 
     @property
@@ -282,18 +258,12 @@ class Cochain(GroupedElement):
         for i, (_, b) in enumerate(tail):
             if gram[a][b]:
                 ip = _times_monomial(gram[a][b], exp, backend, -1 if i % 2 else 1)
-                self._apply_symbol(p, gens, ip, head + tail[:i] + tail[i + 1:], out, memo)
+                rest = head + tail[:i] + tail[i + 1:]
+                for j, shift in enumerate(backend.shifts):  # sigma(rest)(ip), one level up
+                    part = _partial(ip, shift)
+                    if part:
+                        _mul_add(out, part, self._eval_mono(p + 1, tuple(sorted(gens + (j,))), rest, memo), backend)
         memo[key] = out
-        return out
-
-    def _apply_symbol(self, p: int, gens: tuple[int, ...], a: dict, margs, out: dict, memo: dict) -> dict:
-        """out += sigma of the level-p form applied to a, i.e. one level up the
-        tower; a is a numerator sum over G.  Returns out."""
-        backend = self.module.backend
-        for j, shift in enumerate(backend.shifts):
-            part = _partial(a, shift)
-            if part:
-                _mul_add(out, part, self._eval_mono(p + 1, tuple(sorted(gens + (j,))), margs, memo), backend)
         return out
 
     def eval_level(self, p: int, gen_args, mod_args) -> Poly:
@@ -745,18 +715,56 @@ def default_verify_depth(c: Cochain) -> int:
     return 2 * (maxdeg + 1)
 
 
+def _swap_violation(c: Cochain, keys: list, p: int, gens: tuple[int, ...], ys, positions, memo: dict):
+    """The first (y, i), y from ys and i from positions, at which the swap
+    identity of level p fails, or None:
+
+        L_p(gens; .., y_i, y_{i+1}, ..) + L_p(gens; .., y_{i+1}, y_i, ..)
+            = sum_j d_j<y_i, y_{i+1}> L_{p+1}(sorted(gens + j); the rest).
+
+    y is a tuple of indices into keys, the (packed exponent, basis index) of
+    probes x^e e_b, so both sides are numerators over den * G^(r // 2 - p)
+    read by `_eval_mono` with memo.  Level p on each probe tuple and the
+    nonzero partials of each probe pairing are kept for the call.  (y, i)
+    and (y swapped at i, i) are one identity, so only y_i <= y_{i+1} is read;
+    for ys in product order the twin comes first, so the first violation is
+    unchanged.
+    """
+    module = c.module
+    backend = module.backend
+    values: dict = {}
+    partials: dict = {}
+    for y in ys:
+        for i in positions:
+            a, b = y[i], y[i + 1]
+            if a > b:
+                continue
+            if (a, b) not in partials:
+                ip = _probe_pairing(module, keys[a], keys[b])
+                partials[a, b] = [(tuple(sorted(gens + (j,))), part)
+                                  for j, s in enumerate(backend.shifts) if (part := _partial(ip, s))]
+            rest = tuple(keys[k] for k in y[:i] + y[i + 2:])
+            rhs: dict = {}
+            for up, part in partials[a, b]:
+                _mul_add(rhs, part, c._eval_mono(p + 1, up, rest, memo), backend)
+            swapped = y[:i] + (b, a) + y[i + 2:]
+            for t in (y, swapped):
+                if t not in values:
+                    values[t] = c._eval_mono(p, gens, tuple(keys[k] for k in t), memo)
+            if _axpy(dict(values[y]), values[swapped]) != rhs:
+                return y, i
+    return None
+
+
 def cmap_verify(c: Cochain, depth: int | None = None, *, memo: dict | None = None) -> tuple[bool, dict]:
     """Check the two defining identities on all bounded-degree probe tuples.
 
     For every probe tuple y and adjacent position i, the swap identity
-    omega(y) + omega(y swapped at i) = sigma(rest)(<y_i, y_{i+1}>) must hold;
-    the i = r-1 instance is the derivation identity of the symbol against the
-    inner product.  Probes are monomials x^e e_b, so omega is a call-local
-    table of level-0 `_eval_mono` values, one per probe tuple, and both sides
-    are numerators over den * G^(r // 2).  (y, i) and (y swapped at i, i) are
-    one identity, and the second comes first in product order, so only
-    y_i <= y_{i+1} is checked: the first violation is unchanged.  memo is the
-    `_eval_mono` memo, fresh unless the caller reads c again.  Returns
+    omega(y) + omega(y swapped at i) = sigma(rest)(<y_i, y_{i+1}>) must hold
+    (`_swap_violation` at level 0); the i = r-1 instance is the derivation
+    identity of the symbol against the inner product.  The tuples are read
+    in product order, so the violation reported is the first one.  memo is
+    the `_eval_mono` memo, fresh unless the caller reads c again.  Returns
     (ok, report).
     """
     if depth is None:
@@ -766,128 +774,45 @@ def cmap_verify(c: Cochain, depth: int | None = None, *, memo: dict | None = Non
     if r < 2:
         return True, report
     module = c.module
-    backend = module.backend
-    keys = list(_probe_keys(backend, module.rank, depth))
-    omega: dict = {}
-    partials: dict = {}
-    memo = {} if memo is None else memo
-    for y in itertools.product(range(len(keys)), repeat=r):
-        for i in range(r - 1):
-            a, b = y[i], y[i + 1]
-            if a > b:
-                continue
-            if (a, b) not in partials:
-                ip = _probe_pairing(module, keys[a], keys[b])
-                partials[a, b] = [(j, part) for j, s in enumerate(backend.shifts) if (part := _partial(ip, s))]
-            rest = tuple(keys[k] for k in y[:i] + y[i + 2:])
-            rhs: dict = {}
-            for g, part in partials[a, b]:
-                _mul_add(rhs, part, c._eval_mono(1, (g,), rest, memo), backend)
-            swapped = y[:i] + (b, a) + y[i + 2:]
-            for t in (y, swapped):
-                if t not in omega:
-                    omega[t] = c._eval_mono(0, (), tuple(keys[k] for k in t), memo)
-            if _axpy(dict(omega[y]), omega[swapped]) != rhs:
-                probes = probe_elements(module, depth)
-                report["violation"] = (
-                    "swap identity fails at position %d on %s" % (i + 1, [repr(probes[k]) for k in y])
-                )
-                return False, report
+    keys = list(_probe_keys(module.backend, module.rank, depth))
+    hit = _swap_violation(c, keys, 0, (), itertools.product(range(len(keys)), repeat=r), range(r - 1),
+                          {} if memo is None else memo)
+    if hit is not None:
+        y, i = hit
+        probes = probe_elements(module, depth)
+        report["violation"] = "swap identity fails at position %d on %s" % (i + 1, [repr(probes[k]) for k in y])
+        return False, report
     return True, report
 
 
-# -- forms and the symbol tower ----------------------------------------------
+def symbol_tower(c: Cochain, depth: int = 1) -> dict[int, LevelTable]:
+    """The tower of iterated symbols, `c.levels`, once it is verified.
 
-
-class CochainForm:
-    """The multilinear-form picture of a cochain (same tower, scalar values)."""
-
-    __slots__ = ("cochain",)
-
-    def __init__(self, cochain: Cochain):
-        self.cochain = cochain
-
-    @property
-    def degree(self) -> int:
-        return self.cochain.degree
-
-    def __call__(self, *args: ModuleElement) -> Poly:
-        return self.cochain.omega(args)
-
-    def __eq__(self, other):
-        if not isinstance(other, CochainForm):
-            return NotImplemented
-        return self.cochain == other.cochain
-
-
-def to_form(c: Cochain) -> CochainForm:
-    return CochainForm(c)
-
-
-def from_form(form: CochainForm) -> Cochain:
-    """Back to the map picture.  Nothing is checked: the form is linear over the
-    algebra in its last slot by construction, as `_eval_mono` multiplies the
-    value on a last argument x^e e_b by x^e."""
-    return form.cochain
-
-
-class SymbolTower:
-    """The sequence pi^(0), pi^(1), ... of iterated symbols of a form."""
-
-    __slots__ = ("cochain", "max_level")
-
-    def __init__(self, cochain: Cochain):
-        self.cochain = cochain
-        self.max_level = cochain.degree // 2 if cochain.module.backend.nvars else 0
-
-    def level(self, p: int) -> LevelTable:
-        return self.cochain.levels.get(p, {})
-
-    def delta(self, p: int, gen_args) -> Cochain:
-        """The level-p slice as a cochain of degree r - 2p."""
-        out = self.cochain
-        for a in gen_args:
-            out = bracket_scalar(out, a)
-        return out
-
-
-def symbol_tower(form: CochainForm, depth: int = 1) -> SymbolTower:
-    """Build and verify the tower of iterated symbols.
-
-    Checks, for each consecutive pair of levels and all probes bounded by
-    depth, that level p+1 applied to <u, v> reproduces the symmetrized
-    double insertion into level p, and that each level is symmetric with
-    derivation slots.  Raises on inconsistency.  The probes u, v are
-    monomials x^e e_b, so the first check compares numerators over
-    den * G^(r // 2 - p) read by `_eval_mono`, as `cmap_verify` does.
-    Levels are symmetric by their sorted generator keys, and read by the
-    chain rule in every slot, so the derivation check fails only on a
-    stored value that is no multiple of D_i(g_i): over the dual numbers, a
-    level p >= 1 entry with a constant term.
+    Checks, for each level p below the top, each generator tuple and all
+    probes bounded by depth in the first two slots (basis elements in the
+    others), that level p+1 applied to <u, v> reproduces the symmetrized
+    double insertion into level p: the swap identity at position 0
+    (`_swap_violation`).  Then checks that each level p >= 1 is a
+    derivation in every slot.  Levels are symmetric by their sorted
+    generator keys, and read by the chain rule in every slot, so the
+    derivation check fails only on a stored value that is no multiple of
+    D_i(g_i): over the dual numbers, a level p >= 1 entry with a constant
+    term.  Raises ValueError on the first inconsistency, naming the
+    generator tuple and the probes.
     """
-    c = form.cochain
     module = c.module
     backend = module.backend
-    ngen = num_der_generators(backend)
-    tower = SymbolTower(c)
     keys = list(_probe_keys(backend, module.rank, depth))
-    units = [(0, b) for b in range(module.rank)]
     memo: dict = {}
-    for p in range(0, c.degree // 2):
-        nargs = c.degree - 2 * p
-        if nargs < 2:
-            break
-        for gens in itertools.combinations_with_replacement(range(ngen), p):
-            for u, v in itertools.product(keys, repeat=2):
-                ip = _probe_pairing(module, u, v)
-                for zargs in itertools.product(units, repeat=nargs - 2):
-                    lhs = c._apply_symbol(p, gens, ip, zargs, {}, memo)
-                    rhs = _axpy(dict(c._eval_mono(p, gens, (u, v) + zargs, memo)),
-                                c._eval_mono(p, gens, (v, u) + zargs, memo))
-                    if lhs != rhs:
-                        raise ValueError(
-                            "symbol extraction inconsistent at level %d" % (p + 1)
-                        )
+    for p in range(c.degree // 2):
+        for gens in itertools.combinations_with_replacement(range(num_der_generators(backend)), p):
+            ys = ((u, v) + z for u, v in itertools.product(range(len(keys)), repeat=2)
+                  for z in itertools.product(range(module.rank), repeat=c.degree - 2 * p - 2))
+            hit = _swap_violation(c, keys, p, gens, ys, (0,), memo)
+            if hit is not None:
+                probes = probe_elements(module, depth)
+                raise ValueError("symbol extraction inconsistent at level %d on generators %s and probes %s"
+                                 % (p + 1, list(gens), [repr(probes[k]) for k in hit[0]]))
     # each level p >= 1 must be a derivation in every slot.  Every argument is
     # read by the chain rule, so this is a condition on the stored values
     # L(g_j, ...): they are multiples of D_i(g_i) (`_der_unit`), as over the
@@ -896,7 +821,7 @@ def symbol_tower(form: CochainForm, depth: int = 1) -> SymbolTower:
     bad = [len(gens) for (gens, _), v in c._num.items() if gens and any(k < unit for k in v)]
     if bad:
         raise ValueError("level %d is not a derivation in slot 0" % min(bad))
-    return tower
+    return c.levels
 
 
 # -- push forward -------------------------------------------------------------

@@ -36,6 +36,7 @@ from .cmaps import Cochain, _q_terms, cbracket, cmap_verify, probe_elements
 from .modules import Connection, MetricModule, ModuleElement, ModuleError, inner
 from .poly import (
     Backend,
+    Derivation,
     Memo,
     Poly,
     _as_poly,
@@ -61,16 +62,19 @@ from .symbol_map import apply_J, invert_J_deg3
 class CourantStructure:
     """Degree-3 element with vanishing self-bracket, in both pictures."""
 
-    __slots__ = ("module", "connection", "cochain", "theta", "anchor", "_q")
+    __slots__ = ("module", "connection", "cochain", "theta", "_q")
 
-    def __init__(self, module: MetricModule, connection: Connection,
-                 cochain: Cochain, theta: RothElement, anchor):
+    def __init__(self, module: MetricModule, connection: Connection, cochain: Cochain, theta: RothElement):
         self.module = module
         self.connection = connection
         self.cochain = cochain
         self.theta = theta
-        self.anchor = tuple(anchor)
         self._q = None  # the generator table of Q = {Theta, .}, built on first use
+
+    @property
+    def anchor(self) -> tuple[Derivation, ...]:
+        """The symbol of the structure on each basis element, read on every access."""
+        return tuple(self.cochain.symbol((x,)) for x in self.module.basis_elements())
 
     @staticmethod
     def from_cochain(m: Cochain, conn: Connection, check: bool = True) -> "CourantStructure":
@@ -82,8 +86,7 @@ class CourantStructure:
 
     @staticmethod
     def _from_both(m: Cochain, theta: RothElement, conn: Connection, check: bool) -> "CourantStructure":
-        anchor = [m.symbol((x,)) for x in m.module.basis_elements()]
-        cs = CourantStructure(theta.module, conn, m, theta, anchor)
+        cs = CourantStructure(theta.module, conn, m, theta)
         if check:
             ok, report = verify_courant(m)
             if not ok:

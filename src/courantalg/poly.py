@@ -595,11 +595,6 @@ def generator_expansion(backend: Backend, args) -> dict[tuple[int, ...], Poly]:
     return out
 
 
-def exponents_of_degree(backend: Backend, total: int) -> Iterator[tuple[int, ...]]:
-    """Exponent tuples of one total degree, in product order; eps^2 = 0 over DualNum."""
-    return map(backend.unpack, packed_exponents_of_degree(backend, total))
-
-
 class MultiDerivation:
     """Symmetric p-multiderivation of A, stored by its values on the algebra
     generators: table maps sorted tuples of generator indices to Polys.

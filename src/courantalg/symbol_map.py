@@ -42,7 +42,7 @@ from math import factorial, prod
 
 from .cmaps import Cochain
 from .modules import Connection, MetricModule, ModuleError
-from .poly import Poly, _grouped_sum, _mul_add, exponents_of_degree, num_der_generators
+from .poly import Poly, _grouped_sum, _mul_add, der_generator_var, num_der_generators
 from .rothstein import RothElement, _hamiltonian, nested_bracket_with_scalars
 
 
@@ -211,20 +211,23 @@ def _coord_name(module: MetricModule, key) -> str:
     )
 
 
-def lambda_check(phi: RothElement, conn: Connection, cap: int = 2) -> bool:
+def lambda_check(phi: RothElement, conn: Connection) -> bool:
     """Probe injectivity of the nested-scalar-bracket map on phi.
 
     For each symmetric degree p >= 1 present in phi, the p-fold bracket with
-    algebra monomials of degree <= cap is evaluated and projected onto the
-    symmetric-degree-zero part.  Returns False when phi has a nonzero
-    Der-part that every probe annihilates (an injectivity failure, which the
-    dual numbers exhibit).
+    the algebra generators x_g is evaluated and projected onto the
+    symmetric-degree-zero part, which is the Sym^p part of phi read on
+    D_{g_1}..D_{g_p}.  Other monomial probes decide nothing more: over
+    Q[x] the generators already read every Sym^p coefficient, and over the
+    dual numbers eps is the only monomial.  Returns False when phi has a
+    nonzero Der-part that every probe annihilates (an injectivity failure,
+    which the dual numbers exhibit).
     """
     backend = phi.module.backend
-    monos = [Poly.monomial(backend, e) for t in range(1, cap + 1) for e in exponents_of_degree(backend, t)]
+    gens = [der_generator_var(backend, j) for j in range(num_der_generators(backend))]
     present = sorted({len(sym) for (sym, ext) in phi._num if sym})
     for p in present:
-        for probe in itertools.combinations_with_replacement(monos, p):
+        for probe in itertools.combinations_with_replacement(gens, p):
             val = nested_bracket_with_scalars(phi, list(probe), conn)
             if any(not sym for (sym, ext) in val._num):
                 break

@@ -1,19 +1,20 @@
-"""Reference oracles for the symbol level of a cochain, by two routes the
+"""Reference oracles for the symbol level of a cochain, by routes the
 library does not take.
 
 `DerivationTail` is the Der(A) (x) E valued map dual to the symbol of a
 degree >= 3 element, read off the level-1 entries; its pairing invariant
 <tail(args) a, y> = sigma(args, y) a ties it back to `Cochain.eval_level`.
 `symbol_via_fullness` recovers the symbol from values alone, through the
-fullness witness of the module.  Both must agree with the stored symbol
-level of every J-image and complex element they are given.
+fullness witness of the module, and `from_callable` builds a whole degree 2
+or 3 cochain that way from an evaluation callable.  They must agree with
+the stored symbol level of every J-image and complex element they are given.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from courantalg import Cochain, ModuleElement, Poly, inner
+from courantalg import Cochain, Derivation, MetricModule, ModuleElement, Poly, inner
 from courantalg.cmaps import probe_elements
 from courantalg.poly import der_generator_var, generator_expansion, num_der_generators
 
@@ -84,3 +85,32 @@ def symbol_via_fullness(c: Cochain, args, g: Poly) -> Poly:
     gx = wx.scale(g)
     lhs = c.omega(tuple(args) + (gx, wy)) + c.omega(tuple(args) + (wy, gx))
     return lhs
+
+
+def from_callable(module: MetricModule, degree: int, fn) -> Cochain:
+    """Degree 2 or 3 element from an evaluation callable, symbol inferred.
+
+    fn takes degree-1 ModuleElements and returns a ModuleElement.  The
+    symbol is reconstructed through the fullness witness (every algebra
+    element a equals <a x, y> for the witness pair) and must be verified
+    afterwards by the caller.
+    """
+    if degree not in (2, 3):
+        raise ValueError("callable constructor supports degrees 2 and 3")
+    backend = module.backend
+    (wx, wy), = module.fullness_witness()
+    value_table = {
+        key: fn(*[module.basis(b) for b in key])
+        for key in itertools.product(range(module.rank), repeat=degree - 1)
+    }
+    symbol_table = {}
+    for key in itertools.product(range(module.rank), repeat=degree - 2):
+        values = []
+        for j in range(num_der_generators(backend)):
+            gx = wx.scale(der_generator_var(backend, j))
+            if degree == 2:
+                values.append(inner(fn(gx), wy) + inner(gx, fn(wy)))
+            else:
+                values.append(inner(fn(gx, wy) + fn(wy, gx), module.basis(key[0])))
+        symbol_table[key] = Derivation.from_values(backend, values)
+    return Cochain.from_tables(module, degree, value_table, symbol_table)

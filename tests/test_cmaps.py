@@ -22,19 +22,18 @@ from courantalg import (
     cmap_verify,
     cmap_wedge,
     cwedge,
-    from_form,
     insert,
     inner,
     make_standard_courant,
     metrize,
     symbol_tower,
-    to_form,
 )
 from courantalg import cmaps, poly
 from courantalg.cmaps import bracket_scalar, quartic_from_biderivation
 
 from conftest import curved_connection, random_module_element, random_poly, random_roth, so3_constants
-from symbol_oracle import DerivationTail, symbol_via_fullness
+from symbol_oracle import DerivationTail, from_callable, symbol_via_fullness
+from symbol_tower_oracle import slot_loop_verdict
 
 
 B0 = Backend.free(0)
@@ -391,45 +390,31 @@ def test_wedge_associative_and_bracket_biderivation():
 
 def test_form_of_so3():
     M, m = so3_cochain()
-    omega = to_form(m)
-    assert omega(M.basis(0), M.basis(1), M.basis(2)).is_one()
-    assert from_form(omega) == m
-
-
-def test_form_round_trip_random():
-    B, M, conn = hyperbolic_setup(seed=19)
-    rng = random.Random(20)
-    for _ in range(8):
-        c = apply_J(random_roth(rng, M, rng.randint(1, 3)), conn)
-        assert from_form(to_form(c)) == c
-    zero = Cochain.zero(M, 3)
-    assert from_form(to_form(zero)).is_zero()
+    assert m.omega((M.basis(0), M.basis(1), M.basis(2))).is_one()
 
 
 def test_tower_degree2_trivial_symbol():
     B, M, conn = hyperbolic_setup(seed=21)
     c = apply_J(RothElement.monomial(M, (), (0, 1)), Connection.flat(M))
-    tower = symbol_tower(to_form(c))
-    assert not tower.level(1)  # [omega, 0]
+    levels = symbol_tower(c)
+    assert levels == c.levels
+    assert not levels.get(1)  # [omega, 0]
 
 
 def test_tower_standard_structure_reproduces_tail():
     cs = make_standard_courant(1)
     m = cs.cochain
-    tower = symbol_tower(to_form(m))
+    symbol_tower(m)
     x = Poly.var(cs.module.backend, 0)
-    d1 = tower.delta(1, [x])
-    assert d1.module_part() == cs.module.basis(1)  # d_m x = f1
+    assert bracket_scalar(m, x).module_part() == cs.module.basis(1)  # d_m x = f1
 
 
 def test_tower_badc_second_level():
     D, M, bad = dual_setup()
-    tower = symbol_tower(to_form(bad))
     eps = Poly.var(D, 0)
-    assert tower.level(2) == {((0, 0), ()): eps}
+    assert symbol_tower(bad).get(2) == {((0, 0), ()): eps}
     # delta^(2) pairing: expanding the biderivation twice
-    d2 = tower.delta(2, [eps, eps])
-    assert d2.scalar_part() == eps
+    assert bracket_scalar(bracket_scalar(bad, eps), eps).scalar_part() == eps
 
 
 def test_tower_rejects_inconsistent_input():
@@ -438,7 +423,7 @@ def test_tower_rejects_inconsistent_input():
     levels[1] = {((0,), (0, 0)): Poly.var(D, 0)}  # foreign symbol entry
     broken = Cochain(M, 4, levels)
     with pytest.raises(ValueError):
-        symbol_tower(to_form(broken))
+        symbol_tower(broken)
 
 
 @pytest.mark.parametrize("bad_levels", [(1,), (1, 2), (2,)])
@@ -452,27 +437,9 @@ def test_tower_rejects_a_dual_level_with_a_constant_term(bad_levels):
     levels = {1: {((0,), (0, 1)): one, ((0,), (1, 0)): -one}, 2: {((0, 0), ()): one}}
     c = Cochain(M, 4, {p: levels[p] for p in bad_levels})
     with pytest.raises(ValueError) as caught:
-        symbol_tower(to_form(c), depth=0)
+        symbol_tower(c, depth=0)
     assert str(caught.value) == "level %d is not a derivation in slot 0" % bad_levels[0]
-    assert _slot_loop_verdict(c) == str(caught.value)
-
-
-def _slot_loop_verdict(c: Cochain):
-    """The per-slot derivation check on generator products, read through
-    `eval_level`: the first failing level's message, or None."""
-    backend, module = c.module.backend, c.module
-    gen_vars = [Poly.var(backend, j) for j in range(backend.nvars)]
-    for p in range(1, c.degree // 2 + 1):
-        basis_args = list(itertools.product(module.basis_elements(), repeat=c.degree - 2 * p))
-        for gens in itertools.combinations_with_replacement(range(backend.nvars), p):
-            gargs = [gen_vars[g] for g in gens]
-            for slot, j, zargs in itertools.product(range(p), range(backend.nvars), basis_args):
-                lhs = c.eval_level(p, tuple(gargs[:slot] + [gargs[slot] * gen_vars[j]] + gargs[slot + 1:]), zargs)
-                rhs = gargs[slot] * c.eval_level(p, tuple(gargs[:slot] + [gen_vars[j]] + gargs[slot + 1:]), zargs) \
-                    + gen_vars[j] * c.eval_level(p, tuple(gargs), zargs)
-                if lhs != rhs:
-                    return "level %d is not a derivation in slot %d" % (p, slot)
-    return None
+    assert slot_loop_verdict(c) == str(caught.value)
 
 
 def _random_tower(rng: random.Random, module: MetricModule, degree: int) -> Cochain:
@@ -501,12 +468,12 @@ def test_tower_derivation_stage_matches_the_slot_loop(kind):
             for _ in range(15):
                 c = _random_tower(rng, module, degree)
                 try:
-                    symbol_tower(to_form(c), depth=0)
+                    symbol_tower(c, depth=0)
                     got = None
                 except ValueError as ex:
                     got = str(ex)
                 if got is None or "derivation" in got:
-                    expected = _slot_loop_verdict(c)
+                    expected = slot_loop_verdict(c)
                     assert got == expected
                     verdicts.append(got)
     assert verdicts.count(None) >= 10
@@ -598,7 +565,7 @@ def test_from_callable_infers_standard_structure():
     for n in (1, 2):
         cs = make_standard_courant(n)
         M = cs.module
-        rebuilt = Cochain.from_callable(M, 3, lambda u, v: dorfman_bracket(M, n, u, v))
+        rebuilt = from_callable(M, 3, lambda u, v: dorfman_bracket(M, n, u, v))
         assert rebuilt == cs.cochain
         ok, _ = cmap_verify(rebuilt)
         assert ok
@@ -609,7 +576,7 @@ def test_from_callable_infers_degree2_symbol():
 
     B, M, conn = hyperbolic_setup(seed=29)
     d = Derivation.basis(B, 0)
-    rebuilt = Cochain.from_callable(M, 2, lambda y: -conn.nabla(d, y))
+    rebuilt = from_callable(M, 2, lambda y: -conn.nabla(d, y))
     phi = RothElement.from_derivation(M, d)
     assert rebuilt == apply_J(phi, conn)
     assert rebuilt.symbol(()) == -d

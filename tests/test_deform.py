@@ -347,7 +347,7 @@ def test_block_decomposition_needs_homogeneous_generator():
     assert roth_internal_degrees(cs.theta) == {0}
     x = Poly.var(cs.module.backend, 0)
     skew = cs.theta + RothElement(cs.module, {((), (0,)): x * x})
-    fake = type(cs)(cs.module, cs.connection, cs.cochain, skew, cs.anchor)
+    fake = type(cs)(cs.module, cs.connection, cs.cochain, skew)
     with pytest.raises(ModuleError):
         delta_block(fake, 1, 0)
 
@@ -404,7 +404,7 @@ def test_delta_squared_needs_homogeneous_generator():
     cs = make_standard_courant(1)
     x = Poly.var(cs.module.backend, 0)
     skew = cs.theta + RothElement(cs.module, {((), (0,)): x * x})
-    fake = type(cs)(cs.module, cs.connection, cs.cochain, skew, cs.anchor)
+    fake = type(cs)(cs.module, cs.connection, cs.cochain, skew)
     with pytest.raises(ModuleError):
         delta_squared_is_zero(fake, 1, 0)
 

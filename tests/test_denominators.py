@@ -121,7 +121,7 @@ def test_q_theta_columns_equal_the_oracle(name):
     M, conn = CONTEXTS[name]
     rng = random.Random(67 + list(CONTEXTS).index(name))
     theta = _element(rng, M, 3)
-    cs = CourantStructure(M, conn, None, theta, ())  # Theta need not be Courant
+    cs = CourantStructure(M, conn, None, theta)  # Theta need not be Courant
     monos = _monomials(M)
     nonzero = 0
     for exp, sym, ext in rng.sample(monos, min(len(monos), 40)):
@@ -211,7 +211,7 @@ def test_generator_table_is_built_once_per_connection(monkeypatch):
     for degree in range(1, 4):
         apply_J(_element(rng, M, degree), conn)
     for _ in range(3):
-        cs = CourantStructure(M, conn, None, _element(rng, M, 3), ())
+        cs = CourantStructure(M, conn, None, _element(rng, M, 3))
         deform._q_table(cs)
         deformation_differential(cs, _element(rng, M, 2))
     assert builds == [conn]

@@ -77,7 +77,7 @@ def test_differential_equals_the_bracket_on_random_elements(context):
     nonzero = 0
     for _ in range(6):
         theta = random_roth(rng, module, 3, coeff_deg=2)
-        cs = CourantStructure(module, conn, None, theta, ())  # Theta need not be Courant
+        cs = CourantStructure(module, conn, None, theta)  # Theta need not be Courant
         for _ in range(12):
             phi = random_roth(rng, module, rng.randint(0, 4), coeff_deg=2)
             expected = peel_bracket(theta, phi, conn)
@@ -169,7 +169,7 @@ def _random_generators(context, seed, count=3, nterms=5):
         for exp, sym, ext in rng.sample(monomials, min(nterms, len(monomials))):
             num.setdefault((sym, ext), {})[exp] = rng.choice((-2, -1, 1, 2, 3))
         theta = RothElement.from_numerators(module, num, rng.choice((1, 2, 3)))
-        yield CourantStructure(module, conn, None, theta, ())
+        yield CourantStructure(module, conn, None, theta)
 
 
 SQUARES = {  # name: (structures, r window, d window, Courant)

@@ -28,6 +28,8 @@ from courantalg import (
     roth_bracket,
 )
 from courantalg.cmaps import quartic_from_biderivation
+from courantalg.poly import packed_exponents_of_degree
+from courantalg.rothstein import nested_bracket_with_scalars
 
 from conftest import curved_connection, random_module_element, random_roth
 
@@ -101,8 +103,6 @@ def test_lambda_check_examples():
     conn = curved_connection(M, seed=8)
     # (d v d) tensor 1 evaluates to 2 on (x, x)
     phi = RothElement.monomial(M, (0, 0), ())
-    from courantalg.rothstein import nested_bracket_with_scalars
-
     val = nested_bracket_with_scalars(phi, [X, X], conn)
     assert val.homogeneous_part(0) == RothElement.from_scalar(M, Poly.const(B1, 2))
     assert lambda_check(phi, conn)
@@ -112,6 +112,44 @@ def test_lambda_check_examples():
         psi = random_roth(rng, M, rng.randint(2, 4))
         if psi.max_sym_degree() >= 1:
             assert lambda_check(psi, conn)
+
+
+def _lambda_check_by_monomials(phi: RothElement, conn: Connection, cap: int) -> bool:
+    """The oracle of `lambda_check`: the same loop with every algebra monomial
+    of degree 1..cap as a probe, not only the generators."""
+    backend = phi.module.backend
+    monos = [Poly.monomial(backend, backend.unpack(e))
+             for t in range(1, cap + 1) for e in packed_exponents_of_degree(backend, t)]
+    for p in sorted({len(sym) for (sym, ext) in phi._num if sym}):
+        for probe in itertools.combinations_with_replacement(monos, p):
+            if any(not sym for (sym, ext) in nested_bracket_with_scalars(phi, list(probe), conn)._num):
+                break
+        else:
+            return False
+    return True
+
+
+def test_lambda_check_by_generators_equals_the_monomial_probes():
+    # seeded elements over Q[x] and Q[x, y] under flat and curved connections,
+    # and the dual-number monomials with coefficients 1, eps and 1 + eps
+    cases = []
+    rng = random.Random(12)
+    for nvars in (1, 2):
+        B = Backend.free(nvars)
+        M = MetricModule(B, [[Poly.zero(B), Poly.one(B)], [Poly.one(B), Poly.zero(B)]])
+        for conn in (Connection.flat(M), curved_connection(M, seed=nvars)):
+            cases += [(random_roth(rng, M, degree), conn) for degree in (2, 3, 4) for _ in range(4)]
+    D = Backend.dual()
+    eps = Poly.var(D, 0)
+    M = MetricModule(D, [[Poly.zero(D), Poly.one(D)], [Poly.one(D), Poly.zero(D)]])
+    for conn in (Connection.flat(M), curved_connection(M, seed=3)):
+        for p, k, coeff in itertools.product((1, 2, 3), (0, 1, 2), (Poly.one(D), eps, Poly.one(D) + eps)):
+            cases += [(RothElement.monomial(M, (0,) * p, ext, coeff), conn)
+                      for ext in itertools.combinations(range(2), k)]
+    verdicts = [lambda_check(phi, conn) for phi, conn in cases]
+    for cap in (1, 2, 3):
+        assert verdicts == [_lambda_check_by_monomials(phi, conn, cap) for phi, conn in cases]
+    assert 0 < verdicts.count(False) < len(verdicts)
 
 
 def test_degree2_surjectivity():
