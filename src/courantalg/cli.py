@@ -30,7 +30,7 @@ from .deform import (
     DeformationSeries,
     cohomology_dims,
     delta_squared_is_zero,
-    first_failing_order,
+    failing_relation,
     make_standard_courant,
     mc_accepts,
     mc_obstruction,
@@ -552,7 +552,7 @@ class CommandRunner:
         cs = self._structure(cmd)
         try:
             dims = cohomology_dims(cs, range(r_lo, r_hi + 1), range(d_lo, d_hi + 1))
-        except ModuleError as ex:  # the generator does not respect the internal grading
+        except ModuleError as ex:  # Q leaves the bidegree of a generator: no blocks
             raise _fail(str(ex), "cohomology")
         table = [
             {
@@ -585,9 +585,9 @@ class CommandRunner:
         except ValueError as ex:  # a coefficient not of degree 3
             raise _fail(str(ex), "mc-extend")
         residuals = mc_residuals(series)
-        bad_order = first_failing_order(residuals)
-        if bad_order is not None:
-            raise _fail("input series fails its relation at order %d" % bad_order, "mc-extend")
+        failure = failing_relation(residuals)
+        if failure is not None:
+            raise _fail("input series fails its relation " + failure, "mc-extend")
         obs, cocycle = mc_obstruction(series)
         self._mark(cocycle)
         record = {

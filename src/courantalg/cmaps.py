@@ -24,8 +24,8 @@ representable; the quartic built from a symmetric biderivation over the dual
 numbers is the motivating case.
 
 That swap identity, at every level, is the one condition on a tower;
-`_swap_violation` checks it on probe tuples for `cmap_verify` (level 0,
-every position) and `symbol_tower` (every level, the first position).
+`_swap_violation` checks it on probe tuples for `cmap_verify` (level 0)
+and `symbol_tower` (every level), at every position.
 A cochain is its own form (`omega`) and tower (`levels`).
 
 Insertion i_x C is the primitive of the complex: a basis element re-keys
@@ -790,15 +790,15 @@ def symbol_tower(c: Cochain, depth: int = 1) -> dict[int, LevelTable]:
 
     Checks, for each level p below the top, each generator tuple and all
     probes bounded by depth in the first two slots (basis elements in the
-    others), that level p+1 applied to <u, v> reproduces the symmetrized
-    double insertion into level p: the swap identity at position 0
-    (`_swap_violation`).  Then checks that each level p >= 1 is a
-    derivation in every slot.  Levels are symmetric by their sorted
+    others), that level p+1 applied to the pairing of two adjacent
+    arguments reproduces level p symmetrized in them: the swap identity at
+    every position (`_swap_violation`).  Then checks that each level p >= 1
+    is a derivation in every slot.  Levels are symmetric by their sorted
     generator keys, and read by the chain rule in every slot, so the
     derivation check fails only on a stored value that is no multiple of
     D_i(g_i): over the dual numbers, a level p >= 1 entry with a constant
     term.  Raises ValueError on the first inconsistency, naming the
-    generator tuple and the probes.
+    generator tuple, the probes and the position.
     """
     module = c.module
     backend = module.backend
@@ -808,11 +808,12 @@ def symbol_tower(c: Cochain, depth: int = 1) -> dict[int, LevelTable]:
         for gens in itertools.combinations_with_replacement(range(num_der_generators(backend)), p):
             ys = ((u, v) + z for u, v in itertools.product(range(len(keys)), repeat=2)
                   for z in itertools.product(range(module.rank), repeat=c.degree - 2 * p - 2))
-            hit = _swap_violation(c, keys, p, gens, ys, (0,), memo)
+            hit = _swap_violation(c, keys, p, gens, ys, range(c.degree - 2 * p - 1), memo)
             if hit is not None:
                 probes = probe_elements(module, depth)
                 raise ValueError("symbol extraction inconsistent at level %d on generators %s and probes %s"
-                                 % (p + 1, list(gens), [repr(probes[k]) for k in hit[0]]))
+                                 " at position %d"
+                                 % (p + 1, list(gens), [repr(probes[k]) for k in hit[0]], hit[1] + 1))
     # each level p >= 1 must be a derivation in every slot.  Every argument is
     # read by the chain rule, so this is a condition on the stored values
     # L(g_j, ...): they are multiples of D_i(g_i) (`_der_unit`), as over the

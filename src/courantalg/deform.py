@@ -17,12 +17,14 @@ on int rows (`linalg.rank`).  The graded blocks are cut by an internal
 polynomial degree (a variable counts +1, a derivation generator -1, module
 basis elements carry the module's declared internal degrees).
 
-Over the dual numbers that grading is not preserved when Theta has a Der
-factor: epsd(eps) = eps, yet eps counts +1 and epsd -1, so {Theta, .} maps
-a block containing eps out of its internal degree.  `delta_block`,
-`delta_squared_witness` (so `delta_squared_is_zero`) and `cohomology_dims`
-raise ModuleError on such a block; these structures have no cohomology
-table.
+The blocks H^{r,d} exist exactly when Q keeps the bidegree of every
+generator: Q(v) has degree |v| + 1 and the internal degree of v, so that by
+Leibniz Q maps each block (r, d) into (r + 1, d).  That is read once off the
+Q table, whatever the window; `delta_block`, `delta_squared_witness` (so
+`delta_squared_is_zero`) and `cohomology_dims` raise ModuleError naming the
+first term that breaks it.  Over the dual numbers a Theta of internal
+degree 0 with a Der factor breaks it: epsd(eps) = eps, yet eps counts +1
+and epsd -1.  Such structures have no cohomology table.
 """
 
 from __future__ import annotations
@@ -367,33 +369,42 @@ def verify_morphism(cs1: CourantStructure, cs2: CourantStructure,
 # -- the deformation differential and cohomology -----------------------------------
 
 
-def _q_table(cs: CourantStructure) -> tuple[dict, int, bool, dict, set[int]]:
+def _q_table(cs: CourantStructure) -> tuple[dict, int, tuple | None, dict]:
     """Q(v) = {Theta, v} on each generator v (keyed as in `rothstein.generators`)
     with a nonzero value, as int numerators over one denominator, and what is
-    read off it: (table, d, keeps, squares, degrees).
+    read off it: (table, d, leak, squares).
 
-    keeps says that every Q(v) has degree |v| + 1 and the internal degree of
-    v, so that by Leibniz Q maps each block (r, d) into (r + 1, d).  Q is an
-    odd derivation, so Q^2 = [Q, Q] / 2 is an even one, fixed by its values
-    on the generators: squares holds the nonzero Q(Q(v)) over d^2, empty for
-    every Courant structure.  degrees are the internal degrees of the terms
-    of Theta, which the block guard reads.  Built on first use and kept on
-    the immutable structure."""
+    leak is the first term (exp, sym, ext) of some Q(v) whose degree is not
+    |v| + 1 or whose internal degree is not that of v, or None when Q keeps
+    every generator's bidegree, which is when the blocks exist
+    (`_require_blocks`).  Q is an odd derivation, so Q^2 = [Q, Q] / 2 is an
+    even one, fixed by its values on the generators: squares holds the
+    nonzero Q(Q(v)) over d^2, empty for every Courant structure.  Built on
+    first use and kept on the immutable structure."""
     if cs._q is None:
         module = cs.module
         backend = module.backend
         q, d = _hamiltonian(cs.theta._num, cs.theta._den, cs.connection, generators(module))
-        keeps = all(2 * len(sym) + len(ext) == kind + 1
-                    and internal_degree_of_term(module, backend.unpack(e), sym, ext)
-                    == (1 if kind == 0 else -1 if kind == 2 else module.internal_degrees[i])
-                    for (kind, i), value in q.items() for (sym, ext), terms in value.items() for e in terms)
+        leak = next(((backend.unpack(e), sym, ext)
+                     for (kind, i), value in q.items() for (sym, ext), terms in value.items() for e in terms
+                     if 2 * len(sym) + len(ext) != kind + 1
+                     or internal_degree_of_term(module, backend.unpack(e), sym, ext)
+                     != (1 if kind == 0 else -1 if kind == 2 else module.internal_degrees[i])), None)
         squares = {}
         for v, value in q.items():
             image = {key: terms for key, terms in _apply_derivation(q, value, backend).items() if terms}
             if image:
                 squares[v] = image
-        cs._q = (q, d, keeps, squares, roth_internal_degrees(cs.theta))
+        cs._q = (q, d, leak, squares)
     return cs._q
+
+
+def _require_blocks(cs: CourantStructure) -> None:
+    """Raise ModuleError unless Q keeps every generator's bidegree, naming the
+    first term that leaves it (`_q_table`)."""
+    leak = _q_table(cs)[2]
+    if leak is not None:
+        raise ModuleError("differential leaves the internal-degree block: %s" % (leak,))
 
 
 def _apply_q(cs: CourantStructure, terms: dict, den: int) -> tuple[dict, int]:
@@ -421,12 +432,6 @@ def internal_degree_of_term(module: MetricModule, exp, sym, ext) -> int:
     return d
 
 
-def roth_internal_degrees(phi: RothElement) -> set[int]:
-    unpack = phi.module.backend.unpack
-    return {internal_degree_of_term(phi.module, unpack(e), sym, ext)
-            for (sym, ext), terms in phi._num.items() for e in terms}
-
-
 def enumerate_chain_basis(module: MetricModule, r: int, d: int):
     """Monomials (exp, sym, ext) of the degree-r bucket with internal degree d
     (a finite set), exp packed, sorted: packed keys sort as exponent tuples."""
@@ -450,33 +455,12 @@ class GradedComplexBlock:
         self.matrix = matrix  # one {source column: value} row per target monomial
 
 
-def _require_degree_zero_generator(cs: CourantStructure) -> None:
-    degs = _q_table(cs)[4]
-    if degs - {0}:
-        raise ModuleError(
-            "block decomposition needs an internally homogeneous generator of degree 0; got %s"
-            % sorted(degs)
-        )
-
-
-def _require_in_block(module: MetricModule, image: dict, r: int, d: int) -> None:
-    """Every monomial of the grouped sum image lies in block (r, d)."""
-    for (sym, ext), group in image.items():
-        for e in group:
-            if (2 * len(sym) + len(ext) != r
-                    or internal_degree_of_term(module, module.backend.unpack(e), sym, ext) != d):
-                raise _block_error(module, e, sym, ext)
-
-
-def _block_error(module: MetricModule, e: int, sym, ext) -> ModuleError:
-    return ModuleError("differential leaves the internal-degree block: %s"
-                       % ((module.backend.unpack(e), sym, ext),))
-
-
 def delta_block(cs: CourantStructure, r: int, d: int) -> GradedComplexBlock:
     """The exact matrix of the differential from block (r, d) into (r+1, d);
-    the bases are the packed monomials of `enumerate_chain_basis`."""
-    _require_degree_zero_generator(cs)
+    the bases are the packed monomials of `enumerate_chain_basis`.  Q keeps
+    the bidegree of every generator (`_require_blocks`), so every image
+    monomial is a target basis element."""
+    _require_blocks(cs)
     module = cs.module
     src = enumerate_chain_basis(module, r, d)
     dst = enumerate_chain_basis(module, r + 1, d)
@@ -486,15 +470,15 @@ def delta_block(cs: CourantStructure, r: int, d: int) -> GradedComplexBlock:
         image, den = _apply_q(cs, {(sym, ext): {exp: 1}}, 1)
         for (isym, iext), group in image.items():
             for e, v in _divided(group, den).items():
-                row = index.get((e, isym, iext))
-                if row is None:  # dst is all of block (r + 1, d)
-                    raise _block_error(module, e, isym, iext)
-                matrix[row][col] = v  # an int where integral, else a Fraction
+                matrix[index[e, isym, iext]][col] = v  # an int where integral, else a Fraction
     return GradedComplexBlock(r, d, src, dst, matrix)
 
 
 def cohomology_dims(cs: CourantStructure, r_range, d_range) -> dict:
-    """dim H^{r,d} = null(delta^{r,d}) - rank(delta^{r-1,d}), all exact."""
+    """dim H^{r,d} = null(delta^{r,d}) - rank(delta^{r-1,d}), all exact.
+    A structure whose Q leaves the blocks is rejected before any block,
+    even on an empty window (`_require_blocks`)."""
+    _require_blocks(cs)
     r_range = list(r_range)  # walked once per d, so a one-shot iterator is kept
     ranked: dict[tuple[int, int], tuple[int, int]] = {}
 
@@ -526,26 +510,21 @@ def delta_squared_witness(cs: CourantStructure, r: int, d: int) -> tuple[RothEle
     elements; no block is built.
 
     Q(Q(x)) is read from the generator table of Q^2 (`_q_table`) by one
-    Leibniz expansion, which divides nothing.  When Q keeps the blocks and
-    that table is empty, as for every Courant structure, the verdict needs
-    no Q at all; the basis is still enumerated, so a block past the exponent
-    limit raises as `delta_block` does.  When Q may leave the blocks, Q(x)
-    must lie in (r + 1, d) and Q(Q(x)) in (r + 2, d), checked in that order.
+    Leibniz expansion, which divides nothing.  When that table is empty, as
+    for every Courant structure, the verdict needs no Q at all; the basis is
+    still enumerated, so a block past the exponent limit raises as
+    `delta_block` does.  A structure whose Q leaves the blocks raises as
+    there too (`_require_blocks`).
     """
-    _require_degree_zero_generator(cs)
-    q, d_q, keeps, squares, _ = _q_table(cs)
+    _require_blocks(cs)
+    _, d_q, _, squares = _q_table(cs)
     module = cs.module
-    backend = module.backend
     basis = enumerate_chain_basis(module, r, d)
-    if keeps and not squares:
+    if not squares:
         return None
     for exp, sym, ext in basis:
         x = {(sym, ext): {exp: 1}}
-        if not keeps:
-            _require_in_block(module, _apply_derivation(q, x, backend), r + 1, d)
-        image = _apply_derivation(squares, x, backend)
-        if not keeps:
-            _require_in_block(module, image, r + 2, d)
+        image = _apply_derivation(squares, x, module.backend)
         if any(image.values()):
             return RothElement.from_numerators(module, x, 1), RothElement.from_numerators(module, image, d_q * d_q)
     return None
@@ -607,6 +586,20 @@ def first_failing_order(residuals: list[RothElement]) -> int | None:
     return next((j for j, res in enumerate(residuals, start=1) if not res.is_zero()), None)
 
 
+def failing_relation(residuals: list[RothElement]) -> str | None:
+    """None when every residual (as `mc_residuals` lists them) vanishes, else
+    the first failing order and the first nonzero term of its residual, by
+    (sym, ext) and then monomial, with its exact coefficient."""
+    order = first_failing_order(residuals)
+    if order is None:
+        return None
+    res = residuals[order - 1]
+    key = min(res._num)
+    e = min(res._num[key])  # packed exponents sort as exponent tuples do
+    term = RothElement.from_numerators(res.module, {key: {e: res._num[key][e]}}, res._den)
+    return "at order %d, first nonzero term %r" % (order, term)
+
+
 def mc_series_valid(series: DeformationSeries):
     bad_order = first_failing_order(mc_residuals(series))
     return bad_order is None, bad_order
@@ -628,10 +621,12 @@ def mc_accepts(series: DeformationSeries, obs: RothElement, candidate: RothEleme
 
 
 def mc_extend(series: DeformationSeries, candidate: RothElement) -> bool:
-    """Order k+1 acceptance: 2 delta(m_{k+1}) = -obstruction."""
-    ok, bad_order = mc_series_valid(series)
-    if not ok:
-        raise ValueError("input series fails its relations at order %d" % bad_order)
+    """Order k+1 acceptance: 2 delta(m_{k+1}) = -obstruction.  A series that
+    fails its own relations is rejected with its first failing term
+    (`failing_relation`)."""
+    failure = failing_relation(mc_residuals(series))
+    if failure is not None:
+        raise ValueError("input series fails its relations " + failure)
     return mc_accepts(series, mc_obstruction(series)[0], candidate)
 
 

@@ -19,14 +19,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from courantalg import ModuleError, Poly, RothElement, deform
-from courantalg.deform import (
-    GradedComplexBlock,
-    enumerate_chain_basis,
-    internal_degree_of_term,
-    roth_internal_degrees,
-)
+from courantalg.deform import GradedComplexBlock, enumerate_chain_basis, internal_degree_of_term
 
 from peeling_oracle import peel_bracket
+
+
+def roth_internal_degrees(phi: RothElement) -> set[int]:
+    """The internal degrees of the terms of phi."""
+    unpack = phi.module.backend.unpack
+    return {internal_degree_of_term(phi.module, unpack(e), sym, ext)
+            for (sym, ext), terms in phi._num.items() for e in terms}
 
 
 def _require_degree_zero(cs) -> None:

@@ -1,11 +1,12 @@
 """Reference oracle for the symbol-tower check: the per-level loop on general arguments.
 
 For each level p below the top, each sorted generator tuple, each pair of
-probes (u, v) and basis elements z in the other slots, level p+1 applied to
-<u, v> must equal the symmetrized level p on (u, v, z) and (v, u, z); both
-sides are read through `Cochain.eval_level`, with the algebra generators as
-the algebra arguments.  Then every level p >= 1 must be a derivation in each
-slot, checked on products of generators (`slot_loop_verdict`).
+probes (u, v) followed by basis elements z, and each adjacent position i,
+level p+1 applied to the pairing of the arguments at i and i + 1 must equal
+level p symmetrized in them; both sides are read through
+`Cochain.eval_level`, with the algebra generators as the algebra arguments.
+Then every level p >= 1 must be a derivation in each slot, checked on
+products of generators (`slot_loop_verdict`).
 `courantalg.cmaps.symbol_tower` reads the same identities from `_eval_mono`
 tables and must fail at the same level with the same leading words.
 """
@@ -19,13 +20,15 @@ from courantalg.modules import inner
 from courantalg.poly import der_generator_var, num_der_generators
 
 
-def swap_holds(c: Cochain, gens, args) -> bool:
-    """The level-len(gens) identity at position 0 on the module arguments args."""
+def swap_holds(c: Cochain, gens, args, i: int = 0) -> bool:
+    """The level-len(gens) identity at position i on the module arguments args."""
     backend = c.module.backend
     gargs = tuple(der_generator_var(backend, j) for j in gens)
-    u, v, rest = args[0], args[1], tuple(args[2:])
+    args = tuple(args)
+    u, v, rest = args[i], args[i + 1], args[:i] + args[i + 2:]
+    swapped = args[:i] + (v, u) + args[i + 2:]
     lhs = c.eval_level(len(gens) + 1, gargs + (inner(u, v),), rest)
-    return lhs == c.eval_level(len(gens), gargs, (u, v) + rest) + c.eval_level(len(gens), gargs, (v, u) + rest)
+    return lhs == c.eval_level(len(gens), gargs, args) + c.eval_level(len(gens), gargs, swapped)
 
 
 def symbol_tower_verdict(c: Cochain, depth: int = 1) -> str | None:
@@ -38,7 +41,7 @@ def symbol_tower_verdict(c: Cochain, depth: int = 1) -> str | None:
         for gens in itertools.combinations_with_replacement(range(ngen), p):
             for u, v in itertools.product(probes, repeat=2):
                 for z in itertools.product(module.basis_elements(), repeat=c.degree - 2 * p - 2):
-                    if not swap_holds(c, gens, (u, v) + z):
+                    if not all(swap_holds(c, gens, (u, v) + z, i) for i in range(c.degree - 2 * p - 1)):
                         return "symbol extraction inconsistent at level %d" % (p + 1)
     return slot_loop_verdict(c)
 

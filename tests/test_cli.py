@@ -21,6 +21,7 @@ from courantalg.cli import (
     run_document,
 )
 from courantalg.cmaps import DEGREE_CAP, probe_elements
+from courantalg.textforms import parse_roth, parse_roth_term
 
 DOCUMENTS = Path(__file__).resolve().parent.parent / "docs" / "documents"
 
@@ -120,6 +121,25 @@ def test_cohomology_of_a_dual_number_der_generator_is_rejected():
     report, code = run_document(doc)
     assert code == 2
     assert "leaves the internal-degree block" in report["error"]
+
+
+def test_cohomology_of_a_dual_courant_structure_that_leaves_the_blocks_is_rejected():
+    # -D (x) f over the dual numbers is Courant, but Q(eps) = eps f leaves its
+    # internal degree; eps f = delta(eps) is exact, so no H^{1,2} may be reported
+    doc = {
+        "schema": SCHEMA,
+        "backend": {"kind": "dualnum", "var": "eps"},
+        "module": {"basis": ["e", "f"], "internal_degrees": [-1, 1], "gram": [["0", "1"], ["1", "0"]]},
+        "connection": {"kind": "flat"},
+        "elements": {"theta": {"type": "roth", "terms": ["-1 * d(eps) (x) f"]}},
+        "commands": [{"op": "verify-courant", "element": "theta"},
+                     {"op": "cohomology", "element": "theta", "r": [0, 2], "d": [2, 2]}],
+    }
+    report, code = run_document(doc)
+    assert code == 2
+    assert "leaves the internal-degree block: ((1,), (), (1,))" in report["error"]
+    report, code = run_document(dict(doc, commands=doc["commands"][:1]))
+    assert code == 0 and report["commands"][0]["verdict"] is True
 
 
 def test_standard_module_document():
@@ -402,6 +422,14 @@ def test_bracket_and_wedge_reject_a_table_outside_the_complex(command):
                                "swap identity fails at position 1 on ['e1', 'e2', 'e3']")
 
 
+def test_symbol_tower_rejects_a_table_alternating_only_in_its_first_slots():
+    # C(e1, e2) = e3 = -C(e2, e1) fails the swap identity at position 2 only
+    values = {"e1,e2": ["0", "0", "1"], "e2,e1": ["0", "0", "-1"]}
+    report, code = run_document(_so3(elements=_cmap(3, values), commands=[{"op": "symbol-tower", "element": "m"}]))
+    assert code == 1 and report["commands"][0]["verdict"] is False
+    assert report["commands"][0]["detail"].endswith("at position 2")
+
+
 def test_a_table_outside_the_complex_is_read_and_fails_verification():
     report, code = run_document(_half_so3([{"op": "verify-courant", "element": "m"}]))
     assert code == 1 and report["commands"][0]["verdict"] is False
@@ -665,6 +693,25 @@ def test_a_structure_element_without_a_preimage_is_rejected(op):
     assert code == 2 and "no preimage under J" in report["error"]
     report, code = run_document(_mc_document([], None) | {"commands": [dict(command, element="xi")]})
     assert code == 2 and "needs an element of degree 3, got degree 2" in report["error"]
+
+
+def test_a_series_failing_its_relation_is_rejected_with_its_first_nonzero_term():
+    # m1 = (x^2 + x^3) D (x) e1 is no cocycle, so the series fails its order-1
+    # relation 2 delta(m1) = 0; the first group of the residual has two monomials
+    doc = _mc_document(["m1"])
+    doc["elements"]["m1"] = {"type": "roth", "terms": ["(x^2 + x^3) * d(x) (x) e1"]}
+    report, code = run_document(doc)
+    assert code == 2
+    prefix = "input series fails its relation at order 1, first nonzero term "
+    assert prefix in report["error"]
+    cs = deform.make_standard_courant(1)
+    coeff, sym, ext = parse_roth_term(report["error"].split(prefix)[1], cs.module)
+    m1 = parse_roth(doc["elements"]["m1"]["terms"], cs.module)
+    terms = deform.mc_residuals(deform.DeformationSeries(cs, [m1]))[0].terms
+    assert (sym, ext) == min(terms)
+    [(exp, value)] = coeff.terms.items()
+    assert exp == min(terms[sym, ext].terms) and value == terms[sym, ext].terms[exp]
+    assert len(terms[sym, ext].terms) == 2
 
 
 def test_a_series_coefficient_of_another_degree_is_rejected():

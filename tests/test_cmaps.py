@@ -426,6 +426,20 @@ def test_tower_rejects_inconsistent_input():
         symbol_tower(broken)
 
 
+def test_tower_checks_the_swap_identity_at_every_position():
+    # C(e1, e2) = e3 = -C(e2, e1) alternates in the first two slots only:
+    # omega(e1, e2, e3) = 1, yet omega(e1, e3, e2) = 0
+    M, _ = so3_cochain()
+    zero = M.zero()
+    table = {(i, j): zero for i in range(3) for j in range(3)}
+    table[0, 1], table[1, 0] = M.basis(2), -M.basis(2)
+    c = Cochain.from_tables(M, 3, table)
+    assert not cmap_verify(c)[0]
+    with pytest.raises(ValueError, match=r"inconsistent at level 1 on generators \[\] and probes "
+                                         r"\['e1', 'e2', 'e3'\] at position 2"):
+        symbol_tower(c)
+
+
 @pytest.mark.parametrize("bad_levels", [(1,), (1, 2), (2,)])
 def test_tower_rejects_a_dual_level_with_a_constant_term(bad_levels):
     # D(eps) lies in eps*A for every derivation of Q[eps]; an antisymmetric

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,11 +39,13 @@ from courantalg import (
     verify_morphism,
 )
 from courantalg import deform
-from courantalg.deform import delta_block, enumerate_chain_basis, lie_algebra_center_dim, roth_internal_degrees
+from courantalg.deform import delta_block, enumerate_chain_basis, lie_algebra_center_dim, mc_residuals
 from courantalg.cmaps import cmap_verify, probe_elements
 from courantalg.poly import EXPONENT_LIMIT
+from courantalg.textforms import parse_roth_term
 
 from conftest import random_roth, so3_constants
+from differential_oracle import roth_internal_degrees
 
 RESULTS = Path(__file__).resolve().parent.parent / "docs" / "results"
 
@@ -354,7 +357,7 @@ def test_block_decomposition_needs_homogeneous_generator():
 
 def test_dual_number_der_factor_leaves_the_internal_degree_block():
     # epsd(eps) = eps, yet eps counts +1 and epsd -1: Theta = -D (x) f + e^f^g
-    # passes the degree-0 guard, but {Theta, .} maps eps out of block (0, 1)
+    # has internal degree 0, but {Theta, .} maps eps out of block (0, 1)
     D = Backend.dual()
     one, zero = Poly.one(D), Poly.zero(D)
     module = MetricModule(D, [[zero, one, zero], [one, zero, zero], [zero, zero, one]],
@@ -371,32 +374,56 @@ def test_dual_number_der_factor_leaves_the_internal_degree_block():
         cohomology_dims(cs, range(0, 2), [0, 1])
 
 
-def test_block_guard_reads_the_degrees_of_theta_once(monkeypatch):
+def test_block_guard_builds_the_q_table_once(monkeypatch):
     calls = []
 
-    def counting(theta):
-        calls.append(theta)
-        return real(theta)
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
 
-    real = deform.roth_internal_degrees
-    monkeypatch.setattr(deform, "roth_internal_degrees", counting)
+    real = deform._hamiltonian
+    monkeypatch.setattr(deform, "_hamiltonian", counting)
     cs = _standard_unchecked(1)
     for r, d in itertools.product(range(0, 3), range(-1, 2)):
         delta_block(cs, r, d)
         delta_squared_is_zero(cs, r, d)
     cohomology_dims(cs, range(0, 3), range(-1, 2))
-    assert calls == [cs.theta]
+    assert calls == [cs.theta._num]
 
 
 def test_dual_number_courant_structure_that_leaves_the_blocks_has_no_delta_squared_verdict():
-    # -D (x) f over the dual numbers is Courant, so Q^2 = 0, yet Q(eps) = eps f leaves its internal degree
+    # -D (x) f over the dual numbers is Courant, so Q^2 = 0, yet Q(eps) = eps f
+    # leaves its internal degree.  eps f = delta(eps) with eps in block (0, 1),
+    # so a table that cut blocks by internal degree would report the exact
+    # class eps f as H^{1,2} = 1: no block and no window has a verdict
     D = Backend.dual()
     one, zero = Poly.one(D), Poly.zero(D)
     module = MetricModule(D, [[zero, one], [one, zero]], names=("e", "f"), internal_degrees=(-1, 1))
     theta = RothElement(module, {((0,), (1,)): -one})
     cs = deform.CourantStructure.from_theta(theta, Connection.flat(module), check=True)
-    with pytest.raises(ModuleError, match=r"leaves the internal-degree block: \(\(1,\), \(\), \(1,\)\)"):
-        delta_squared_is_zero(cs, 0, 1)
+    message = r"differential leaves the internal-degree block: \(\(1,\), \(\), \(1,\)\)"
+    for r, d in itertools.product(range(0, 3), range(-2, 3)):
+        for check in (delta_block, delta_squared_is_zero):
+            with pytest.raises(ModuleError, match=message):
+                check(cs, r, d)
+    for r_range, d_range in [(range(0, 3), [2]), ([], []), (range(0, 3), [])]:
+        with pytest.raises(ModuleError, match=message):
+            cohomology_dims(cs, r_range, d_range)
+
+
+def test_a_generator_of_mixed_degree_has_no_blocks_though_its_internal_degree_is_0():
+    # Theta + x e1: every term has internal degree 0, yet {x e1, f1} = x has
+    # degree 0, not |f1| + 1, so Q leaves the bidegree of f1
+    cs = make_standard_courant(1)
+    x = Poly.var(cs.module.backend, 0)
+    mixed = cs.theta + RothElement(cs.module, {((), (0,)): x})
+    assert roth_internal_degrees(mixed) == {0}
+    fake = type(cs)(cs.module, cs.connection, cs.cochain, mixed)
+    leak = deform._q_table(fake)[2]
+    assert leak is not None and 2 * len(leak[1]) + len(leak[2]) not in (1, 2, 3)
+    for check in (delta_block, delta_squared_is_zero, lambda cs, r, d: cohomology_dims(cs, [r], [d])):
+        with pytest.raises(ModuleError, match="leaves the internal-degree block: %s" % re.escape(str(leak))):
+            check(fake, 1, 0)
 
 
 def test_delta_squared_needs_homogeneous_generator():
@@ -476,6 +503,38 @@ def test_mc_so3_self_deformation():
     obs, flag = mc_obstruction(series)
     assert obs.is_zero() and flag
     assert mc_extend(series, RothElement.zero(cs.module))
+
+
+def _named_term(message: str, module):
+    """The order and the term (coefficient, sym, ext) a series rejection names."""
+    order, text = re.fullmatch(r"input series fails its relations at order (\d+), first nonzero term (.*)",
+                               message).groups()
+    return int(order), parse_roth_term(text, module)
+
+
+def test_mc_rejection_names_the_first_nonzero_term_of_the_residual():
+    cs = make_standard_courant(1)
+    zero = RothElement.zero(cs.module)
+    rng = random.Random(11)
+    orders = []
+    for _ in range(6):
+        m1 = random_roth(rng, cs.module, 3, coeff_deg=3)
+        # m1 fails at order 1 unless it is a cocycle, and so does m1 at order 2 after a zero m_1
+        for series in (DeformationSeries(cs, [m1]), DeformationSeries(cs, [zero, m1])):
+            ok, bad = mc_series_valid(series)
+            if ok:
+                continue
+            with pytest.raises(ValueError) as err:
+                mc_extend(series, zero)
+            order, (coeff, sym, ext) = _named_term(str(err.value), cs.module)
+            assert order == bad
+            terms = mc_residuals(series)[order - 1].terms
+            assert (sym, ext) == min(terms)
+            [(exp, value)] = coeff.terms.items()
+            assert exp == min(terms[sym, ext].terms) and value == terms[sym, ext].terms[exp]
+            orders.append((order, len(terms[sym, ext].terms)))
+    assert {order for order, _ in orders} == {1, 2}
+    assert max(size for _, size in orders) > 1  # the named monomial is the least of several
 
 
 def test_mc_invalid_series_reported_with_order():

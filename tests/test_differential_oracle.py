@@ -187,8 +187,8 @@ SQUARES = {  # name: (structures, r window, d window, Courant)
 def test_delta_squared_witness_equals_the_two_step_oracle(name):
     build, rs, ds, courant = SQUARES[name]
     for cs in build():
-        _, _, keeps, squares, _ = deform._q_table(cs)
-        assert keeps and (not squares) == courant
+        _, _, leak, squares = deform._q_table(cs)
+        assert leak is None and (not squares) == courant
         witnesses = {(r, d): delta_squared_witness(cs, r, d) for r, d in itertools.product(rs, ds)}
         assert witnesses == {rd: oracle.delta_squared_witness(cs, *rd) for rd in witnesses}
         assert any(w is not None for w in witnesses.values()) == (not courant)
@@ -197,7 +197,7 @@ def test_delta_squared_witness_equals_the_two_step_oracle(name):
 def test_q_squared_table_equals_q_twice_on_every_monomial():
     cs = _broken_standard(2)
     module = cs.module
-    _, d_q, _, squares, _ = deform._q_table(cs)
+    _, d_q, _, squares = deform._q_table(cs)
     count = nonzero = 0
     for r, d in itertools.product(range(0, 5), range(-2, 3)):
         for exp, sym, ext in enumerate_chain_basis(module, r, d):

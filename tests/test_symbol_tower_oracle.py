@@ -2,7 +2,8 @@
 
 `symbol_tower` must pass or fail exactly where the oracle does, at the same
 level and with the same leading words, and the generator tuple and probes
-its message names must break the swap identity under the oracle.
+its message names must break the swap identity under the oracle at the
+position it names.
 """
 
 import ast
@@ -34,9 +35,11 @@ def _same_verdict(c: Cochain, depth: int) -> str | None:
         got = str(ex)
     assert (got if got is None else got.split(WITNESS)[0]) == expected
     if got is not None and WITNESS in got:
-        gens, probes = got.split(WITNESS)[1].split(" and probes ")
+        gens, rest = got.split(WITNESS)[1].split(" and probes ")
+        probes, position = rest.split(" at position ")
         by_repr = {repr(x): x for x in probe_elements(c.module, depth)}
-        assert not swap_holds(c, ast.literal_eval(gens), [by_repr[r] for r in ast.literal_eval(probes)])
+        args = [by_repr[r] for r in ast.literal_eval(probes)]
+        assert not swap_holds(c, ast.literal_eval(gens), args, int(position) - 1)
     return expected
 
 
@@ -62,6 +65,13 @@ def test_symbol_tower_matches_oracle_on_seeded_towers(kind):
             value = random_poly(rng, backend, 1)
         verdicts.append(_same_verdict(_mutant(image, rng, value), depth))
         verdicts.append(_same_verdict(_random_tower(rng, module, degree), depth))
+        if degree == 4 and depth == 0:
+            # on basis probes level 0 reads no level-1 entry, so a level-1 entry
+            # that is not alternating in its two slots fails at level 2 only
+            levels = {p: dict(t) for p, t in image.levels.items()}
+            table = levels.setdefault(1, {})
+            table[(0,), (0, 0)] = table.get(((0,), (0, 0)), Poly.zero(backend)) + value
+            verdicts.append(_same_verdict(Cochain(module, 4, levels), depth))
     failures = [v for v in verdicts if v is not None]
     assert len(failures) >= 10
     assert len({v.split(" at level ")[0] for v in failures}) >= (2 if kind == "dual" else 1)
