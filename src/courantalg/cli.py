@@ -218,7 +218,7 @@ class ProblemDocument:
 
     def _parse_module_element(self, coeffs) -> ModuleElement:
         if not isinstance(coeffs, list) or len(coeffs) != self.module.rank:
-            raise _fail("module element needs %d coefficients" % self.module.rank)
+            raise ValueError("module element needs %d coefficients" % self.module.rank)
         return ModuleElement(self.module, [_parse_poly(str(c), self.backend) for c in coeffs])
 
     def _parse_derivation(self, coeffs) -> Derivation:
@@ -237,7 +237,7 @@ class ProblemDocument:
         for piece in key.split(","):
             piece = piece.strip()
             if piece not in self.module.names:
-                raise _fail("unknown basis name %r" % piece)
+                raise ValueError("unknown basis name %r" % piece)
             idx.append(self.module.names.index(piece))
         return tuple(idx)
 
@@ -511,9 +511,9 @@ class CommandRunner:
         c = self.doc.lookup_cochain(name)
         degree = self._arg(cmd, "degree", c.degree, _is_int)
         if degree != c.degree:
-            raise _fail("element degree %d does not match requested %d" % (c.degree, degree))
+            raise _fail("element degree %d does not match requested %d" % (c.degree, degree), "commands")
         if degree not in (2, 3):
-            raise _fail("j-invert supports degrees 2 and 3")
+            raise _fail("j-invert supports degrees 2 and 3", "commands")
         # the peel leaves no remainder only when J(phi) = c; a table with no preimage is a rejected document
         phi = self.doc.preimage(name, c)
         self._bind(cmd, phi)

@@ -59,16 +59,18 @@ G the least common denominator of the gram, a level-p evaluation is over
 den * G^(L-p), L = degree // 2: each swap correction multiplies by one gram
 entry.  `Poly` is the boundary type,
 built only where a value leaves: `levels`, `omega`, `eval_level`,
-`__call__`, `symbol`, `scalar_part` and `module_part`.  A Poly keeps the
-same packed numerators over its own denominator, so where one enters (the
-constructor, `from_module_element`, `scale`, evaluation arguments) its
-numerators are summed as they are.
+`symbol` and `scalar_part`.  A Poly keeps the same packed numerators over
+its own denominator, so where one enters (the constructor, `scale`) its
+numerators are summed as they are.  A `ModuleElement` is a GroupedElement
+too, {a: {exp: int}} over its own denominator: module arguments are read
+off those numerators (`_expanded`, `insert`, `from_module_element`), and
+module values leave as them (`__call__`, `module_part`).
 """
 
 from __future__ import annotations
 
 import itertools
-from math import lcm
+from math import lcm, prod
 
 from .modules import MetricModule, ModuleElement, ModuleError, inner
 from .poly import (
@@ -79,10 +81,12 @@ from .poly import (
     Poly,
     _as_poly,
     _axpy,
+    _axpy_groups,
     _der_unit,
     _grouped_sum,
     _mul_add,
     _partial,
+    _poly_groups,
     _times_monomial,
     der_generator_var,
     generator_expansion,
@@ -94,27 +98,15 @@ from .rothstein import ModuleMap, RothElement, roth_bracket
 LevelTable = dict[tuple[tuple[int, ...], tuple[int, ...]], Poly]  # one level of the `levels` view
 
 
-def _q_terms(x: ModuleElement) -> tuple[dict, int]:
-    """x as its Q-terms {(packed exponent, basis index): int} over one denominator."""
-    nums, d = _grouped_sum([(1, c._den, {b: c._num}) for b, c in enumerate(x.coeffs) if c._num])
-    return {(e, b): k for b, v in nums.items() for e, k in v.items()}, d
-
-
-def _expanded(args) -> tuple[list, int]:
-    """Module arguments expanded by Q-linearity: one (margs, k) for each choice
-    of a Q-term k_i x^e_i e_b_i of every argument, margs the (e_i, b_i) and k
-    the product of the k_i, and the product of the arguments' denominators."""
-    cleared = [_q_terms(x) for x in args]
-    den = 1
-    for _, d in cleared:
-        den *= d
-    combos = []
-    for combo in itertools.product(*[terms.items() for terms, _ in cleared]):
-        k = 1
-        for _, q in combo:
-            k *= q
-        combos.append((tuple(m for m, _ in combo), k))
-    return combos, den
+def _expanded(nums) -> list:
+    """Module arguments, given by their numerators {b: {packed exponent: int}},
+    expanded by Q-linearity: one (margs, k) for each choice of a term
+    k_i x^e_i e_b_i of every argument, margs the (e_i, b_i) and k the
+    product of the k_i."""
+    combos = [((), 1)]
+    for num in nums:
+        combos = [(margs + ((e, b),), k * q) for margs, k in combos for b, v in num.items() for e, q in v.items()]
+    return combos
 
 
 class Cochain(GroupedElement):
@@ -132,8 +124,8 @@ class Cochain(GroupedElement):
             if any(len(gens) != p or len(args) != degree - 2 * p for gens, args in table):
                 raise ValueError("malformed tower key")
         self.degree = degree
-        self._set(module, *_grouped_sum([(1, v._den, {key: v._num}) for table in levels.values()
-                                         for key, v in table.items()]))
+        self._set(module, *_poly_groups(module.backend, [(key, v) for table in levels.values()
+                                                         for key, v in table.items()]))
 
     # -- constructors --------------------------------------------------
 
@@ -159,13 +151,12 @@ class Cochain(GroupedElement):
         """The form <x, .>: for x over d, entries over d * G."""
         module = x.module
         gram, G = module.numerators()[:2]
-        terms, d = _q_terms(x)
         num: dict = {}
-        for (e, a), k in terms.items():
+        for a, v in x._num.items():
             for b, g in enumerate(gram[a]):
                 if g:
-                    _mul_add(num.setdefault(((), (b,)), {}), {e: k}, g, module.backend)
-        return Cochain.from_numerators(module, 1, num, d * G)
+                    _mul_add(num.setdefault(((), (b,)), {}), v, g, module.backend)
+        return Cochain.from_numerators(module, 1, num, x._den * G)
 
     @staticmethod
     def from_tables(module: MetricModule, degree: int, value_table, symbol_table=None) -> "Cochain":
@@ -215,12 +206,6 @@ class Cochain(GroupedElement):
         super()._check(other)
         if self.degree != other.degree:
             raise ValueError("degree mismatch: %d vs %d" % (self.degree, other.degree))
-
-    def scale(self, a) -> "Cochain":
-        """Module action of the coefficient algebra (multiplies every level)."""
-        if not isinstance(a, Poly):
-            a = Poly.const(self.module.backend, a)
-        return _times(self, a._num, a._den)
 
     # -- evaluation --------------------------------------------------------
 
@@ -284,15 +269,15 @@ class Cochain(GroupedElement):
         p = len(gen_args)
         expansion = generator_expansion(backend, gen_args)
         lift = lcm(*[c._den for c in expansion.values()])
-        combos, d = _expanded(mod_args)
+        combos = _expanded([x._num for x in mod_args])
         out: dict = {}
         for gens, c in expansion.items():
             level: dict = {}
             for margs, k in combos:
                 _axpy(level, self._eval_mono(p, gens, margs, memo), k)
             _mul_add(out, c._num, level, backend, lift // c._den)
-        den = d * self._den * self.module.numerators()[1] ** (self.degree // 2 - p) * lift
-        return _as_poly(backend, out, den)
+        G = self.module.numerators()[1]
+        return _as_poly(backend, out, prod(x._den for x in mod_args) * self._den * G ** (self.degree // 2 - p) * lift)
 
     def omega(self, args) -> Poly:
         """The degree-r multilinear form <C(x_1..x_{r-1}), x_r>."""
@@ -300,28 +285,28 @@ class Cochain(GroupedElement):
 
     def _value_terms(self, margs, memo: dict) -> dict:
         """The raw map on r-1 (packed monomial, basis index) arguments, as
-        Q-terms over den * G^(degree // 2) * H: its level-0 values against
-        each basis element, read by `_eval_mono`, raised by the inverse gram."""
+        module numerators {a: {packed exponent: int}} over den * G^(degree // 2)
+        * H: its level-0 values against each basis element, read by
+        `_eval_mono`, raised by the inverse gram."""
         module = self.module
         return module.raise_terms({c: self._eval_mono(0, (), margs + ((0, c),), memo)
                                    for c in range(module.rank)})
 
     def __call__(self, *args: ModuleElement) -> ModuleElement:
-        """The raw multilinear map on r-1 module arguments.  Each argument is
-        expanded into its Q-terms once, and the map is Q-linear in each, so
-        the value sums `_value_terms` over the product of the expansions,
-        with one `_eval_mono` memo per call."""
+        """The raw multilinear map on r-1 module arguments.  The map is
+        Q-linear in each, so the value sums `_value_terms` over the product
+        of their terms (`_expanded`), with one `_eval_mono` memo per call."""
         if self.degree < 1:
             raise ValueError("degree-0 elements take no arguments")
         if len(args) != self.degree - 1:
             raise ValueError("expected %d arguments" % (self.degree - 1))
         module, memo = self.module, {}
         _, G, _, H = module.numerators()
-        combos, d = _expanded(args)
         out: dict = {}
-        for margs, k in combos:
-            _axpy(out, self._value_terms(margs, memo), k)
-        return module.element_of_terms(out, d * self._den * G ** (self.degree // 2) * H)
+        for margs, k in _expanded([x._num for x in args]):
+            _axpy_groups(out, self._value_terms(margs, memo), k)
+        den = prod(x._den for x in args) * self._den * G ** (self.degree // 2) * H
+        return ModuleElement.from_numerators(module, out, den)
 
     def scalar_part(self) -> Poly:
         if self.degree != 0:
@@ -331,7 +316,7 @@ class Cochain(GroupedElement):
     def module_part(self) -> ModuleElement:
         if self.degree != 1:
             raise ValueError("not a degree-1 element")
-        return self.module.element_of_terms(*_raised(self))
+        return ModuleElement.from_numerators(self.module, *_raised(self))
 
     def symbol(self, args) -> Derivation:
         """The symbol on r-2 module arguments: the Derivation whose values on
@@ -347,16 +332,9 @@ class Cochain(GroupedElement):
 
 
 def _raised(c: Cochain) -> tuple[dict, int]:
-    """The module part of a degree-1 cochain as Q-terms over one denominator."""
+    """The module part of a degree-1 cochain as numerators {a: {exp: int}} over one denominator."""
     vals = {args[0]: v for (_, args), v in c._num.items()}
     return c.module.raise_terms(vals), c._den * c.module.numerators()[3]
-
-
-def _times(c: Cochain, a: dict, d: int) -> Cochain:
-    """a C for the numerator sum a over d."""
-    backend = c.module.backend
-    num = {k: _mul_add({}, a, v, backend) for k, v in c._num.items()}
-    return Cochain.from_numerators(c.module, c.degree, num, c._den * d)
 
 
 def generator_slice(c: Cochain, j: int) -> Cochain:
@@ -379,7 +357,7 @@ def _bracket_scalar(c: Cochain, a: dict, d: int) -> Cochain:
     """[C, a] = sum_j (da/dg_j) [C, g_j] for the numerator sum a over d."""
     out = Cochain.zero(c.module, c.degree - 2)
     for j, shift in enumerate(c.module.backend.shifts):
-        out = out + _times(generator_slice(c, j), _partial(a, shift), d)
+        out = out + generator_slice(c, j)._times(_partial(a, shift), d)
     return out
 
 
@@ -389,11 +367,11 @@ def insert(c: Cochain, x: ModuleElement) -> Cochain:
         raise ValueError("insertion needs degree >= 2")
     if x.module != c.module:
         raise ModuleError("module mismatch")
-    return _insert_terms(c, *_q_terms(x))
+    return _insert_terms(c, x._num, x._den)
 
 
 def _insert_terms(c: Cochain, terms: dict, d: int) -> Cochain:
-    """i_x C in any degree for x with Q-terms {(packed exponent, a): int}
+    """i_x C in any degree for x with numerators {a: {packed exponent: int}}
     over d: the primitive of the complex, Q-linear in x.
 
     A term k e_a of x re-keys the stored entries whose first argument is a;
@@ -405,22 +383,23 @@ def _insert_terms(c: Cochain, terms: dict, d: int) -> Cochain:
     degree = c.degree - 1
     ngen = num_der_generators(module.backend)
     G = module.numerators()[1]
-    lift = G ** (c.degree // 2) if any(e for e, _ in terms) else 1
+    lift = G ** (c.degree // 2) if any(any(t) for t in terms.values()) else 1
     num: dict = {}
     memo: dict = {}
-    for (e, a), k in terms.items():
-        if not e:
-            for (gens, args), v in c._num.items():
-                if args and args[0] == a:
-                    _axpy(num.setdefault((gens, args[1:]), {}), v, k * lift)
-            continue
-        for p in range(degree // 2 + 1):
-            f = k * G ** p
-            for gens in itertools.combinations_with_replacement(range(ngen), p):
-                for bargs in itertools.product(range(module.rank), repeat=degree - 2 * p):
-                    v = c._eval_mono(p, gens, ((e, a),) + tuple((0, b) for b in bargs), memo)
-                    if v:
-                        _axpy(num.setdefault((gens, bargs), {}), v, f)
+    for a, t in terms.items():
+        for e, k in t.items():
+            if not e:
+                for (gens, args), v in c._num.items():
+                    if args and args[0] == a:
+                        _axpy(num.setdefault((gens, args[1:]), {}), v, k * lift)
+                continue
+            for p in range(degree // 2 + 1):
+                f = k * G ** p
+                for gens in itertools.combinations_with_replacement(range(ngen), p):
+                    for bargs in itertools.product(range(module.rank), repeat=degree - 2 * p):
+                        v = c._eval_mono(p, gens, ((e, a),) + tuple((0, b) for b in bargs), memo)
+                        if v:
+                            _axpy(num.setdefault((gens, bargs), {}), v, f)
     return Cochain.from_numerators(module, degree, num, d * c._den * lift)
 
 
@@ -572,7 +551,7 @@ def _by_insertion(op, a: Cochain, b: Cochain, n: int) -> Cochain:
     sign = -1 if b.degree % 2 else 1
     parts = []
     for k in range(a.module.rank):
-        e_k = {(0, k): 1}
+        e_k = {k: {0: 1}}
         for f, c in ((sign, op(_insert_terms(a, e_k, 1), b)), (1, op(a, _insert_terms(b, e_k, 1)))):
             parts.append((f, c._den, {((), (k,) + args): v for (gens, args), v in c._num.items() if not gens}))
     return _compose_from_slices(op, a, b, n, parts)
@@ -610,9 +589,9 @@ def cwedge(a: Cochain, b: Cochain) -> Cochain:
     if a.is_zero() or b.is_zero():
         return Cochain.zero(a.module, n)
     if r == 0:
-        return _times(b, a._num[(), ()], a._den)
+        return b._times(a._num[(), ()], a._den)
     if s == 0:
-        return _times(a, b._num[(), ()], b._den)
+        return a._times(b._num[(), ()], b._den)
     _check_degree_cap(n, "wedge")
     key = (a, b)
     hit = _WEDGE_CACHE.get(key)

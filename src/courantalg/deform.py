@@ -31,18 +31,16 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
-from .cmaps import Cochain, _q_terms, cbracket, cmap_verify, probe_elements
+from .cmaps import Cochain, _expanded, cbracket, cmap_verify, probe_elements
 from .modules import Connection, MetricModule, ModuleElement, ModuleError, inner
 from .poly import (
     Backend,
     Derivation,
     Memo,
     Poly,
-    _as_poly,
-    _axpy,
+    _axpy_groups,
     _divided,
     _mul_add,
     _partial,
@@ -186,11 +184,10 @@ def jacobi_identity_holds(m: Cochain, probes, *, memo: dict | None = None) -> tu
     m is Q-bilinear, so every value is assembled from a table of m on pairs
     of monomial elements (x^e1 e_a, x^e2 e_b), each entry the pair read
     `Cochain._value_terms` that `Cochain.__call__` sums, made at most once
-    per call.  Elements are compared as their Q-terms, which is exactly as
-    strict as comparing module elements.  The table holds int numerators
-    over one denominator and each probe is cleared of its own, so both sides
-    of an identity are numerators over the same denominator: they are
-    compared undivided.  memo is the `_eval_mono` memo, fresh unless the
+    per call.  Elements are compared as their numerators {a: {exp: int}}.
+    The table holds int numerators over one denominator and each probe
+    enters as its numerators, over its own, so both sides of an identity are
+    numerators over the same denominator: they are compared undivided.  memo is the `_eval_mono` memo, fresh unless the
     caller has read m already.  A failure names the first triple and the
     first nonzero Q-term of lhs - rhs, by basis element and then monomial
     (`_jacobi_witness`).
@@ -203,17 +200,15 @@ def jacobi_identity_holds(m: Cochain, probes, *, memo: dict | None = None) -> tu
 
     def bilinear(u: dict, v: dict, out: dict | None = None) -> dict:
         out = {} if out is None else out
-        for q1, c1 in u.items():
-            for q2, c2 in v.items():
-                value = table.get((q1, q2))
-                if value is None:
-                    value = table[(q1, q2)] = m._value_terms((q1, q2), memo)
-                _axpy(out, value, c1 * c2)
+        for margs, k in _expanded((u, v)):
+            value = table.get(margs)
+            if value is None:
+                value = table[margs] = m._value_terms(margs, memo)
+            _axpy_groups(out, value, k)
         return out
 
     probes = list(probes)
-    cleared = [_q_terms(x) for x in probes]  # (Q-terms, denominator) of each probe
-    terms = [t for t, _ in cleared]
+    terms = [x._num for x in probes]
     pairs = {(j, k): bilinear(terms[j], terms[k])
              for j, k in itertools.product(range(len(terms)), repeat=2)}
     for i, j, k in itertools.product(range(len(terms)), repeat=3):
@@ -222,9 +217,10 @@ def jacobi_identity_holds(m: Cochain, probes, *, memo: dict | None = None) -> tu
         if lhs != rhs:
             # a table value is over D = den * G * H, so each side is over D^2 times the probe denominators
             D = m._den * module.numerators()[1] * module.numerators()[3]
-            diff = _axpy(lhs, rhs, -1)
-            a, exp = min((b, e) for e, b in diff)  # packed exponents sort as exponent tuples do
-            value = Fraction(diff[exp, a], D * D * cleared[i][1] * cleared[j][1] * cleared[k][1])
+            diff = _axpy_groups(lhs, rhs, -1)
+            a = min(diff)
+            exp = min(diff[a])  # packed exponents sort as exponent tuples do
+            value = Fraction(diff[a][exp], D * D * probes[i]._den * probes[j]._den * probes[k]._den)
             return False, _jacobi_witness(probes[i], probes[j], probes[k], a, module.backend.unpack(exp), value)
     return True, None
 
@@ -286,27 +282,19 @@ def derived_bracket(cs: CourantStructure, x: ModuleElement, y: ModuleElement) ->
     return cs.cochain(x, y)
 
 
-def _components(w: ModuleElement) -> tuple[list, int]:
-    """The coefficients of w as int numerator sums over one denominator,
-    shared with w where it is theirs: read them, do not change them."""
-    den = lcm(*[c._den for c in w.coeffs])
-    return [c._num if c._den == den else {e: k * (den // c._den) for e, k in c._num.items()}
-            for c in w.coeffs], den
-
-
 def dorfman_bracket(module: MetricModule, n: int, u: ModuleElement, v: ModuleElement) -> ModuleElement:
     """Independent evaluator: [X + xi, Y + eta] = [X, Y] + L_X eta - i_Y d xi.
 
     Components: [X,Y]^i = X(Y^i) - Y(X^i); (L_X eta)_i = X(eta_i) +
     eta_j d_i X^j; (i_Y d xi)_i = Y^j (d_j xi_i - d_i xi_j).  Every term is
-    a u-coefficient times a v-coefficient, so the sums run on int numerators
-    over the product of the two denominators, over the nonzero coefficients
-    only; it reads no cochain.
+    a u-coefficient times a v-coefficient, so the sums run on the numerators
+    of u and v over the product of their denominators, over the nonzero
+    coefficients only; it reads no cochain.
     """
     backend = module.backend
     shifts = backend.shifts
-    U, du = _components(u)
-    V, dv = _components(v)
+    U = [u._num.get(a, {}) for a in range(2 * n)]
+    V = [v._num.get(a, {}) for a in range(2 * n)]
     X, xi, Y, eta = U[:n], U[n:], V[:n], V[n:]
     out: list = [{} for _ in range(2 * n)]
     vec, form = out[:n], out[n:]
@@ -326,7 +314,7 @@ def dorfman_bracket(module: MetricModule, n: int, u: ModuleElement, v: ModuleEle
                 add(vec[i], Y[j], X[i], s, -1)
                 add(form[i], Y[j], xi[i], s, -1)
                 add(form[i], Y[j], xi[j], shifts[i])
-    return ModuleElement(module, [_as_poly(backend, c, du * dv) for c in out])
+    return ModuleElement.from_numerators(module, dict(enumerate(out)), u._den * v._den)
 
 
 def verify_morphism(cs1: CourantStructure, cs2: CourantStructure,

@@ -1,4 +1,12 @@
-"""Free modules with strongly non-degenerate inner products, connections, curvature."""
+"""Free modules with strongly non-degenerate inner products, connections, curvature.
+
+A `ModuleElement` is a `poly.GroupedElement`, as a `RothElement` and a
+`Cochain` are: `_num` = {basis index: {packed exponent: int}} over one
+denominator, canonical.  `inner` and `raise_form` work on numerators: they
+contract those of the element with the int numerators of the gram and of
+its inverse (`MetricModule.numerators`), and a Poly is built only where a
+value leaves (`inner`, `coeffs`).
+"""
 
 from __future__ import annotations
 
@@ -9,11 +17,12 @@ from .linalg import unit_inverse
 from .poly import (
     Backend,
     Derivation,
+    GroupedElement,
     ModuleError,
     Poly,
     _as_poly,
-    _grouped_sum,
     _mul_add,
+    _poly_groups,
     num_der_generators,
 )
 
@@ -27,7 +36,7 @@ class MetricModule:
     the int numerators of the gram (`linalg.unit_inverse`); `gram_inv` is
     the Poly view of those inverse numerators.
     Optional per-basis internal degrees feed the graded cohomology blocks.
-    `inner` walks only the nonzero entries of each gram row, recorded once,
+    `inner` walks only the nonzero gram entries between nonzero coordinates,
     and `raise_form` only the nonzero inverse-gram entries, as int numerator
     sums over one denominator (`numerators`); every skipped product is zero.
     The reference connection of `reference_connection` is built on first
@@ -35,7 +44,7 @@ class MetricModule:
     """
 
     __slots__ = ("backend", "rank", "names", "gram", "gram_inv", "internal_degrees", "_basis",
-                 "_gram_rows", "_nums", "_hash", "_reference")
+                 "_nums", "_hash", "_reference")
 
     def __init__(self, backend: Backend, gram: list[list[Poly]], names=None, internal_degrees=None):
         rank = len(gram)
@@ -48,9 +57,8 @@ class MetricModule:
             for b in range(rank):
                 if gram[a][b] != gram[b][a]:
                     raise ModuleError("gram must be symmetric")
-        flat, G = _grouped_sum([(1, v._den, {(a, b): v._num}) for a, row in enumerate(gram)
-                                for b, v in enumerate(row)])
-        nums = [[flat[a, b] for b in range(rank)] for a in range(rank)]
+        flat, G = _poly_groups(backend, [((a, b), v) for a, row in enumerate(gram) for b, v in enumerate(row)])
+        nums = [[flat.get((a, b), {}) for b in range(rank)] for a in range(rank)]
         _, inv, H = unit_inverse([{b: v for b, v in enumerate(row) if v} for row in nums], G, backend)
         if inv is None:
             raise ModuleError("gram determinant must be a unit (invertible constant part)" if backend.is_dual
@@ -59,8 +67,6 @@ class MetricModule:
         self.rank = rank
         self.gram = tuple(tuple(row) for row in gram)
         self.gram_inv = tuple(tuple(_as_poly(backend, v, H) for v in row) for row in inv)
-        self._gram_rows = tuple(tuple((b, v) for b, v in enumerate(row) if not v.is_zero())
-                                for row in self.gram)
         self._nums = (nums, G, inv, H)
         if names is None:
             names = tuple("e%d" % (a + 1) for a in range(rank))
@@ -69,14 +75,11 @@ class MetricModule:
             internal_degrees = (0,) * rank
         self.internal_degrees = tuple(internal_degrees)
         self._hash = hash((backend, self.gram, self.names))
-        zero, one = Poly.zero(backend), Poly.one(backend)
-        self._basis = tuple(
-            ModuleElement(self, [one if b == a else zero for b in range(rank)]) for a in range(rank)
-        )
+        self._basis = tuple(ModuleElement.from_numerators(self, {a: {0: 1}}, 1) for a in range(rank))
         self._reference = None
 
     def zero(self) -> "ModuleElement":
-        return ModuleElement(self, [Poly.zero(self.backend)] * self.rank)
+        return ModuleElement.from_numerators(self, {}, 1)
 
     def basis(self, a: int) -> "ModuleElement":
         return self._basis[a]
@@ -85,18 +88,20 @@ class MetricModule:
         return list(self._basis)
 
     def inner(self, x: "ModuleElement", y: "ModuleElement") -> Poly:
+        """<x, y>: the numerators of x and y contracted with those of the gram,
+        over the product of the three denominators."""
         if x.module is not self and x.module != self:
             raise ModuleError("module mismatch")
         if y.module is not self and y.module != self:
             raise ModuleError("module mismatch")
-        out = Poly.zero(self.backend)
-        for xa, row in zip(x.coeffs, self._gram_rows):
-            if xa.is_zero():
-                continue
-            for b, g in row:
-                if not y.coeffs[b].is_zero():
-                    out = out + xa * g * y.coeffs[b]
-        return out
+        gram, G = self._nums[:2]
+        out: dict = {}
+        for a, xa in x._num.items():
+            row = gram[a]
+            for b, yb in y._num.items():
+                if row[b]:
+                    _mul_add(out, _mul_add({}, xa, row[b], self.backend), yb, self.backend)
+        return _as_poly(self.backend, out, x._den * G * y._den)
 
     def numerators(self) -> tuple[list, int, list, int]:
         """(gram, G, inv, H): gram[a][b] is G <e_a, e_b> and inv[a][b] is H
@@ -121,12 +126,12 @@ class MetricModule:
 
     def raise_form(self, values: list[Poly]) -> "ModuleElement":
         """The element v with <v, e_b> = values[b] for every basis index b."""
-        vals, d = _grouped_sum([(1, v._den, {b: v._num}) for b, v in enumerate(values)])
-        return self.element_of_terms(self.raise_terms(vals), d * self.numerators()[3])
+        vals, d = _poly_groups(self.backend, enumerate(values))
+        return ModuleElement.from_numerators(self, self.raise_terms(vals), d * self.numerators()[3])
 
     def raise_terms(self, vals: dict) -> dict:
-        """The Q-terms {(packed exponent, a): int} of the element v with <v, e_b>
-        = vals[b], for numerator sums vals[b] over d: over d * H."""
+        """The numerators {a: {packed exponent: int}} of the element v with
+        <v, e_b> = vals[b], for numerator sums vals[b] over d: over d * H."""
         inv = self.numerators()[2]
         out = {}
         for a in range(self.rank):
@@ -134,16 +139,9 @@ class MetricModule:
             for b, v in vals.items():
                 if inv[a][b]:
                     _mul_add(coeff, v, inv[a][b], self.backend)
-            for e, c in coeff.items():
-                out[e, a] = c
+            if coeff:
+                out[a] = coeff
         return out
-
-    def element_of_terms(self, terms: dict, den: int) -> "ModuleElement":
-        """The element with Q-terms {(packed exponent, a): int} over den."""
-        coeffs: list = [{} for _ in range(self.rank)]
-        for (e, a), c in terms.items():
-            coeffs[a][e] = c
-        return ModuleElement(self, [_as_poly(self.backend, v, den) for v in coeffs])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MetricModule):
@@ -161,52 +159,33 @@ class MetricModule:
         return "MetricModule(rank=%d over %r)" % (self.rank, self.backend)
 
 
-class ModuleElement:
-    """Element of E as a coefficient vector over the module basis."""
+class ModuleElement(GroupedElement):
+    """Element of E: `_num` = {basis index a: {packed exponent: int}} over
+    `_den`, canonical (module docstring); the coordinate on e_a is group a."""
 
-    __slots__ = ("module", "coeffs", "_hash")
+    __slots__ = ()
 
     def __init__(self, module: MetricModule, coeffs):
+        """The element sum_a coeffs[a] e_a, one Poly per basis element."""
         coeffs = tuple(coeffs)
         if len(coeffs) != module.rank:
             raise ModuleError("coefficient arity mismatch")
-        self.module = module
-        self.coeffs = coeffs
-        self._hash = None
+        self._set(module, *_poly_groups(module.backend, enumerate(coeffs)))
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+    @staticmethod
+    def from_numerators(module: MetricModule, num: dict, den: int) -> "ModuleElement":
+        """The element with coordinates {a: {packed exponent: int}} over den > 0,
+        made canonical; num is taken over, not copied."""
+        x = object.__new__(ModuleElement)
+        x._set(module, num, den)
+        return x
 
-    def __add__(self, other: "ModuleElement") -> "ModuleElement":
-        if self.module != other.module:
-            raise ModuleError("module mismatch")
-        return ModuleElement(self.module, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+    @property
+    def coeffs(self) -> tuple[Poly, ...]:
+        """The coordinates as Polys, one per basis element, built on every read."""
+        return tuple([self._poly(a) for a in range(self.module.rank)])
 
-    def __sub__(self, other: "ModuleElement") -> "ModuleElement":
-        if self.module != other.module:
-            raise ModuleError("module mismatch")
-        return ModuleElement(self.module, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "ModuleElement":
-        return ModuleElement(self.module, [-c for c in self.coeffs])
-
-    def scale(self, a) -> "ModuleElement":
-        if not isinstance(a, Poly):
-            a = Poly.const(self.module.backend, a)
-        return ModuleElement(self.module, [a * c for c in self.coeffs])
-
-    __rmul__ = scale
-    __mul__ = scale
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModuleElement):
-            return NotImplemented
-        return self.module == other.module and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.module, self.coeffs))
-        return self._hash
+    __rmul__ = __mul__ = GroupedElement.scale
 
     def __repr__(self) -> str:
         parts = []
@@ -246,15 +225,9 @@ class Connection:
             for v in row:
                 if v.module != module:
                     raise ModuleError("christoffel entries must live in the module")
-        if backend.is_dual:
-            for row in gamma:
-                for v in row:
-                    for c in v.coeffs:
-                        if c.constant_part():
-                            raise ModuleError(
-                                "dual-number connections need eps-multiple christoffels "
-                                "(forced by A-linearity in the derivation slot)"
-                            )
+        if backend.is_dual and any(0 in c for row in gamma for v in row for c in v._num.values()):
+            raise ModuleError("dual-number connections need eps-multiple christoffels "
+                              "(forced by A-linearity in the derivation slot)")
         self.module = module
         self.gamma = gamma
         self._hash = None

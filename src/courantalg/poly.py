@@ -20,9 +20,12 @@ Every value is stored as int numerators over one positive denominator with
 no common factor (FLINT's fmpq_poly layout, Hart, ICMS 2010), so equal
 values are stored equally.  A `Poly` is one numerator sum `_num` = {packed
 key: int} over `_den`, made by `_as_poly`; a `GroupedElement`, the base of
-`RothElement` and `Cochain`, groups such sums {group: {packed key: int}}
-over one `_den`, made by `_canonical`.  `_grouped_sum` adds either, a Poly
-being one group.
+`RothElement`, `Cochain` and `ModuleElement`, groups such sums {group:
+{packed key: int}} over one `_den`, made by `_canonical`.  `_grouped_sum`
+adds either, a Poly being one group.  A Poly's numerators enter another
+value only past `_require_backend`, which refuses a Poly over another
+backend (its packed keys name other variables); `_poly_groups` packs Polys
+into groups through it.
 
 Every derivation-like object is stored by its values on the algebra
 generators g_j, which are x_j over Q[x] and eps over the dual numbers: a
@@ -172,6 +175,14 @@ def _axpy(out: dict, v: dict, f: int = 1) -> dict:
     return out
 
 
+def _axpy_groups(out: dict, groups: dict, f: int = 1) -> dict:
+    """out += f groups for grouped sums, dropping the groups that cancel; returns out."""
+    for k, v in groups.items():
+        if not _axpy(out.setdefault(k, {}), v, f):
+            del out[k]
+    return out
+
+
 def _canonical(groups: dict, den: int) -> tuple[dict, int]:
     """Grouped numerators over den > 0 in the form both algebras store: no
     empty group, no zero entry (none is ever kept), gcd of all numerators and
@@ -196,10 +207,26 @@ def _grouped_sum(parts) -> tuple[dict, int]:
     den = lcm(*[d for _, d, _ in parts])
     out: dict = {}
     for f, d, groups in parts:
-        f *= den // d
-        for k, v in groups.items():
-            _axpy(out.setdefault(k, {}), v, f)
+        _axpy_groups(out, groups, f * (den // d))
     return out, den
+
+
+def _require_backend(backend: Backend, p: "Poly") -> "Poly":
+    """p, refused with BackendError unless it is over backend: the check a
+    Poly passes where its numerators enter a value or a product."""
+    if p.backend is not backend and p.backend != backend:
+        raise BackendError("backend mismatch: %r vs %r" % (backend, p.backend))
+    return p
+
+
+def _poly_groups(backend: Backend, items) -> tuple[dict, int]:
+    """The (group, Poly) pairs of items, each Poly over backend, as grouped
+    numerators over one denominator (not canonical); a zero Poly adds nothing."""
+    parts = []
+    for k, p in items:
+        if _require_backend(backend, p)._num:
+            parts.append((1, p._den, {k: p._num}))
+    return _grouped_sum(parts)
 
 
 def _field_error(backend: Backend, j: int, e: int) -> ModuleError:
@@ -393,13 +420,9 @@ class Poly:
 
     # -- arithmetic --------------------------------------------------
 
-    def _check(self, other: "Poly"):
-        if self.backend != other.backend:
-            raise BackendError("backend mismatch: %r vs %r" % (self.backend, other.backend))
-
     def _plus(self, other: "Poly", f: int) -> "Poly":
         """self + f other over the lcm of both denominators."""
-        self._check(other)
+        _require_backend(self.backend, other)
         if not other._num:
             return self
         if not self._num and f == 1:
@@ -424,7 +447,7 @@ class Poly:
                 return self.scale(other)
             if not isinstance(other, Poly):
                 return NotImplemented
-        self._check(other)
+        _require_backend(self.backend, other)
         if not self._num:
             return self
         if not other._num:
@@ -492,9 +515,9 @@ class Poly:
 class GroupedElement:
     """An immutable value over a module stored as grouped int numerators
     `_num` = {group: {packed key: int}} over one positive denominator `_den`,
-    canonical (`_canonical`).  The base of `RothElement` and `Cochain`: a
-    subclass with a grading builds its results in `_like` and shows the
-    grading to equality and the hash in `_grade`."""
+    canonical (`_canonical`).  The base of `RothElement`, `Cochain` and
+    `ModuleElement`: a subclass with a grading builds its results in `_like`
+    and shows the grading to equality and the hash in `_grade`."""
 
     __slots__ = ("module", "_num", "_den", "_hash")
 
@@ -521,6 +544,17 @@ class GroupedElement:
     def _check(self, other: "GroupedElement"):
         if self.module != other.module:
             raise ModuleError("module mismatch")
+
+    def _times(self, a: dict, d: int):
+        """a times the element for the numerator sum a over d: every group times a."""
+        backend = self.module.backend
+        return self._like({k: _mul_add({}, a, v, backend) for k, v in self._num.items()}, self._den * d)
+
+    def scale(self, a):
+        """a times the element, for a rational or a Poly over the module's backend."""
+        if not isinstance(a, Poly):
+            a = Poly.const(self.module.backend, a)
+        return self._times(_require_backend(self.module.backend, a)._num, a._den)
 
     def __add__(self, other):
         self._check(other)
@@ -611,7 +645,7 @@ class MultiDerivation:
             if len(gens) != arity:
                 raise ValueError("generator tuple arity mismatch")
             key = tuple(sorted(gens))
-            if not val.is_zero():
+            if _require_backend(backend, val)._num:
                 prev = clean.get(key)
                 if prev is not None and prev != val:
                     raise ValueError("inconsistent symmetric table")
@@ -681,7 +715,7 @@ class Derivation(MultiDerivation):
         for c in coeffs:
             if not isinstance(c, Poly):
                 c = Poly.const(backend, c)
-            values.append(_as_poly(backend, _mul_add({}, unit, c._num, backend), c._den))
+            values.append(_as_poly(backend, _mul_add({}, unit, _require_backend(backend, c)._num, backend), c._den))
         super().__init__(backend, 1, {(j,): v for j, v in enumerate(values)})
 
     @staticmethod

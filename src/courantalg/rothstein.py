@@ -31,8 +31,8 @@ result leaves through `RothElement.from_numerators`, which only cancels the
 common factor.  A monomial product is one int add (`poly._mul_add`, called
 by `_mul_into` once per pair of groups) and a derivative in x_j a shift, a
 mask and a subtraction.  Poly coefficients exist only at the boundary:
-the constructor sums the numerators of its Poly terms, and the `terms`
-view builds a Poly per group on read.
+the constructor sums the numerators of its Poly terms (`poly._poly_groups`),
+and the `terms` view builds a Poly per group on read.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .poly import (
     _grouped_sum,
     _mul_add,
     _partial,
+    _poly_groups,
     _variables,
     num_der_generators,
 )
@@ -118,13 +119,12 @@ class RothElement(GroupedElement):
     def __init__(self, module: MetricModule, terms: dict[TermKey, Poly]):
         """The element sum c * sym (x) ext over the given terms.  Over the dual
         numbers eps * D = 0, so a coefficient beside a Der factor reduces mod eps."""
-        dual = module.backend.is_dual
-        parts = []
-        for (sym, ext), c in terms.items():
-            if any(ext[i] >= ext[i + 1] for i in range(len(ext) - 1)):
-                raise ValueError("exterior part must be strictly increasing")
-            parts.append((1, c._den, {(tuple(sorted(sym)), ext): _eps_free(c._num) if dual and sym else c._num}))
-        self._set(module, *_grouped_sum(parts))
+        if any(ext[i] >= ext[i + 1] for _, ext in terms for i in range(len(ext) - 1)):
+            raise ValueError("exterior part must be strictly increasing")
+        num, den = _poly_groups(module.backend, [((tuple(sorted(sym)), ext), c) for (sym, ext), c in terms.items()])
+        if module.backend.is_dual:
+            num = {k: _eps_free(v) if k[0] else v for k, v in num.items()}
+        self._set(module, num, den)
 
     # -- constructors --------------------------------------------------
 
@@ -146,7 +146,7 @@ class RothElement(GroupedElement):
 
     @staticmethod
     def from_module_element(x: ModuleElement) -> "RothElement":
-        return RothElement(x.module, {((), (a,)): c for a, c in enumerate(x.coeffs)})
+        return RothElement.from_numerators(x.module, {((), (a,)): v for a, v in x._num.items()}, x._den)
 
     @staticmethod
     def from_derivation(module: MetricModule, d: Derivation) -> "RothElement":
@@ -191,7 +191,8 @@ class RothElement(GroupedElement):
         return self._poly(((), ()))
 
     def module_part(self) -> ModuleElement:
-        return ModuleElement(self.module, [self._poly(((), (a,))) for a in range(self.module.rank)])
+        return ModuleElement.from_numerators(
+            self.module, {ext[0]: v for (sym, ext), v in self._num.items() if not sym and len(ext) == 1}, self._den)
 
     # -- ring operations -------------------------------------------------
 

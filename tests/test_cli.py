@@ -625,6 +625,26 @@ def test_cmap_degrees_and_symbol_entries_are_checked(doc, words):
     assert code == 2 and words in report["error"], report
 
 
+@pytest.mark.parametrize("doc, error", [
+    pytest.param(so3_document([{"op": "j-invert", "element": "m", "degree": 2}]),
+                 "commands: element degree 3 does not match requested 2", id="j-invert-degree-mismatch"),
+    pytest.param(_so3(elements={"x": {"type": "module", "coeffs": ["1", "0", "0"]}},
+                      commands=[{"op": "j-invert", "element": "x"}]),
+                 "commands: j-invert supports degrees 2 and 3", id="j-invert-degree-1"),
+    pytest.param(_so3(elements={"x": {"type": "module", "coeffs": ["1", "0"]}}),
+                 "elements: element 'x': module element needs 3 coefficients", id="module-coefficients"),
+    pytest.param(_so3(elements=_cmap(2, {"e1": ["0", "1"]})),
+                 "elements: element 'm': module element needs 3 coefficients", id="cmap-value-coefficients"),
+    pytest.param(_so3(elements=_cmap(2, {"e9": ["0", "0", "1"]})),
+                 "elements: element 'm': unknown basis name 'e9'", id="cmap-basis-name"),
+    pytest.param(_so3(connection={"kind": "christoffel", "gamma": [[["0"]]]}),
+                 "connection: module element needs 3 coefficients", id="connection-coefficients"),
+])
+def test_every_rejection_names_its_position(doc, error):
+    report, code = run_document(doc)
+    assert code == 2 and report["error"] == error, report
+
+
 def test_a_dual_symbol_entry_is_the_coordinate_on_epsd():
     # the document gives a symbol by its coordinates: "3" over dualnum is
     # 3*epsd, whose value on eps, the level-1 entry, is 3*eps

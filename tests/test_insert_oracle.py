@@ -111,4 +111,4 @@ def test_bracket_with_a_basis_element_is_basis_insertion(name):
     for c in images:
         for k in range(module.rank):
             e_k = module.basis(k)
-            assert cbracket(c, Cochain.from_module_element(e_k)) == _insert_terms(c, {(0, k): 1}, 1)
+            assert cbracket(c, Cochain.from_module_element(e_k)) == _insert_terms(c, {k: {0: 1}}, 1)

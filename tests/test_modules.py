@@ -5,20 +5,31 @@ import pytest
 
 from courantalg import (
     Backend,
+    Cochain,
     Connection,
     Derivation,
     MetricModule,
     ModuleElement,
     ModuleError,
     Poly,
+    RothElement,
     bianchi_check,
     curvature,
     inner,
     metrize,
 )
 from courantalg.modules import Curvature, bianchi_residuals, lambda2_pair, raise_exterior
+from courantalg.poly import BackendError, GroupedElement, MultiDerivation
 
-from conftest import curved_connection, random_module_element, random_poly
+from conftest import (
+    curved_connection,
+    denominator_contexts,
+    fractional_element,
+    gram_denominator_contexts,
+    oracle_contexts,
+    random_module_element,
+    random_poly,
+)
 
 
 B1 = Backend.free(1, ("x",))
@@ -93,6 +104,111 @@ def test_sparse_contractions_equal_the_dense_sums(name):
         v = M.raise_form(values)
         assert v == dense_raise(values)
         assert all(M.inner(v, M.basis(b)) == values[b] for b in range(rank))
+
+
+def poly_loop_inner(module: MetricModule, x: ModuleElement, y: ModuleElement) -> Poly:
+    """The oracle for `MetricModule.inner`: sum x_a g_ab y_b as a Poly loop over
+    the coordinates and the nonzero gram entries, one Poly product per term."""
+    out = Poly.zero(module.backend)
+    for xa, row in zip(x.coeffs, module.gram):
+        if xa.is_zero():
+            continue
+        for g, yb in zip(row, y.coeffs):
+            if not g.is_zero() and not yb.is_zero():
+                out = out + xa * g * yb
+    return out
+
+
+def _inner_contexts():
+    for M, conn in oracle_contexts():
+        yield M, conn
+    for M, conn in denominator_contexts():
+        yield M, conn
+    for _, M, conn in gram_denominator_contexts():
+        yield M, conn
+
+
+def test_numerator_inner_equals_the_poly_loop_oracle():
+    rng = random.Random(29)
+    count = 0
+    for M, conn in _inner_contexts():
+        christoffels = [v for row in conn.gamma for v in row]
+        elements = christoffels + M.basis_elements() + [M.zero()] + [
+            fractional_element(rng, M, 2) for _ in range(4)]
+        for x in elements:
+            for y in elements:
+                assert M.inner(x, y) == poly_loop_inner(M, x, y)
+                count += 1
+    assert count > 1000
+
+
+def test_module_element_is_a_grouped_element_with_no_arithmetic_of_its_own():
+    assert issubclass(ModuleElement, GroupedElement)
+    for name in ("is_zero", "__add__", "__sub__", "__neg__", "__eq__", "__hash__"):
+        assert name not in vars(ModuleElement)
+
+
+def test_equal_elements_from_polys_and_numerators_are_equal_and_hash_equal():
+    B2 = Backend.free(2)
+    x, y = Poly.var(B2, 0), Poly.var(B2, 1)
+    M = MetricModule(B2, [[Poly.one(B2), Poly.zero(B2)], [Poly.zero(B2), Poly.one(B2)]])
+    # 1/2 x e1 + 1/3 y e2 from coefficients over 2 and 3, over 6 and 6, and as numerators over 6
+    a = ModuleElement(M, [x.scale(Fraction(1, 2)), y.scale(Fraction(1, 3))])
+    b = ModuleElement(M, [x.scale(Fraction(3, 6)) + y - y, (y.scale(4) - y.scale(2)).scale(Fraction(1, 6))])
+    kx, ky = B2.pack((1, 0)), B2.pack((0, 1))
+    c = ModuleElement.from_numerators(M, {0: {kx: 3}, 1: {ky: 2}}, 6)
+    d = ModuleElement.from_numerators(M, {0: {kx: 6}, 1: {ky: 4}}, 12)
+    assert a == b == c == d
+    assert len({hash(a), hash(b), hash(c), hash(d)}) == 1
+    assert (a._num, a._den) == (d._num, d._den) == ({0: {kx: 3}, 1: {ky: 2}}, 6)
+    assert a != ModuleElement(M, [x.scale(Fraction(1, 2)), y])
+    zero = ModuleElement(M, [Poly.zero(B2), x - x])
+    assert zero == M.zero() == a - c and hash(zero) == hash(M.zero()) and zero.is_zero()
+
+
+def test_coeffs_round_trip():
+    rng = random.Random(31)
+    for M, _ in _inner_contexts():
+        for _ in range(6):
+            x = fractional_element(rng, M, 2)
+            assert len(x.coeffs) == M.rank
+            assert ModuleElement(M, x.coeffs) == x
+            assert ModuleElement(M, x.coeffs).coeffs == x.coeffs
+            assert ModuleElement.from_numerators(M, dict(x._num), x._den).coeffs == x.coeffs
+            assert sum((M.basis(a).scale(c) for a, c in enumerate(x.coeffs)), M.zero()) == x
+
+
+def test_scale_by_a_poly_over_another_backend_raises():
+    M = hyperbolic2()
+    y = Poly.var(Backend.free(2), 1)
+    with pytest.raises(BackendError):
+        M.basis(0).scale(y)
+    with pytest.raises(BackendError):
+        y * M.basis(0)
+    assert M.basis(0).scale(X) == X * M.basis(0) == M.basis(0) * X
+    assert M.basis(1).scale(Fraction(2, 3)) == ModuleElement(M, [ZERO, Poly.const(B1, Fraction(2, 3))])
+
+
+def _foreign_constructors():
+    """(name, build) for each constructor that packs Poly numerators, fed x
+    over Q[x] where its values live over Q[x, y]."""
+    B2 = Backend.free(2)
+    one2, zero2 = Poly.one(B2), Poly.zero(B2)
+    M = MetricModule(B2, [[one2, zero2], [zero2, one2]])
+    yield "RothElement", lambda: RothElement(M, {((), (0,)): X})
+    yield "Cochain", lambda: Cochain(M, 1, {0: {((), (0,)): X}})
+    yield "Derivation", lambda: Derivation(B2, (X, 0))
+    yield "MetricModule", lambda: MetricModule(B2, [[ONE]])
+    yield "MultiDerivation", lambda: MultiDerivation(B2, 2, {(0, 1): X})
+    yield "ModuleElement", lambda: ModuleElement(M, [X, zero2])
+    yield "ModuleElement-zero", lambda: ModuleElement(M, [ZERO, zero2])
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _foreign_constructors()])
+def test_constructors_reject_a_poly_over_another_backend(name):
+    # x over Q[x] packs to the key of y over Q[x, y]: without the check it would be read as y
+    with pytest.raises(BackendError):
+        dict(_foreign_constructors())[name]()
 
 
 def test_fullness_witness():
