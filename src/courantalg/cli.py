@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from .cmaps import (
     DEGREE_CAP,
@@ -682,7 +683,7 @@ def main(argv=None) -> int:
     ap.add_argument("--format", choices=("human", "json"), default="human")
     args = ap.parse_args(argv)
     try:
-        text = sys.stdin.read() if args.document == "-" else open(args.document).read()
+        text = sys.stdin.read() if args.document == "-" else Path(args.document).read_text()
         raw = json.loads(text)
     except (OSError, json.JSONDecodeError) as ex:
         print("cannot read document: %s" % ex, file=sys.stderr)

@@ -257,6 +257,7 @@ class Cochain(GroupedElement):
             raise ValueError("expected %d module arguments" % (self.degree - 2 * p))
         if len(gen_args) != p:
             raise ValueError("expected %d algebra arguments" % p)
+        self.module.require(*mod_args)
         return self._eval_sder(gen_args, mod_args, {})
 
     def _eval_sder(self, gen_args, mod_args, memo: dict) -> Poly:
@@ -301,6 +302,7 @@ class Cochain(GroupedElement):
         if len(args) != self.degree - 1:
             raise ValueError("expected %d arguments" % (self.degree - 1))
         module, memo = self.module, {}
+        module.require(*args)
         _, G, _, H = module.numerators()
         out: dict = {}
         for margs, k in _expanded([x._num for x in args]):
@@ -323,6 +325,7 @@ class Cochain(GroupedElement):
         the algebra generators are the level-1 values."""
         if self.degree < 2:
             raise ValueError("degree >= 2 required")
+        self.module.require(*args)
         backend = self.module.backend
         return Derivation.from_values(backend, [self.eval_level(1, (der_generator_var(backend, j),), tuple(args))
                                                 for j in range(num_der_generators(backend))])
@@ -365,8 +368,7 @@ def insert(c: Cochain, x: ModuleElement) -> Cochain:
     """i_x C: insertion into the first argument (degree >= 2 only)."""
     if c.degree < 2:
         raise ValueError("insertion needs degree >= 2")
-    if x.module != c.module:
-        raise ModuleError("module mismatch")
+    c.module.require(x)
     return _insert_terms(c, x._num, x._den)
 
 
@@ -492,8 +494,7 @@ def cbracket(a: Cochain, b: Cochain) -> Cochain:
     over the dual numbers) takes the insertion recursion
     `_recursive_bracket`, which is also the oracle of the transport.
     """
-    if a.module != b.module:
-        raise ModuleError("module mismatch")
+    a.module.require(b)
     r, s = a.degree, b.degree
     n = r + s - 2
     if a.is_zero() or b.is_zero():
@@ -582,8 +583,7 @@ def cwedge(a: Cochain, b: Cochain) -> Cochain:
     as `cbracket` is; an operand that is no J-image takes the insertion
     recursion `_recursive_wedge`.
     """
-    if a.module != b.module:
-        raise ModuleError("module mismatch")
+    a.module.require(b)
     r, s = a.degree, b.degree
     n = r + s
     if a.is_zero() or b.is_zero():
@@ -629,8 +629,7 @@ def cwedge_shuffle(a: Cochain, b: Cochain) -> Cochain:
     as in the recursive mode, so the two modes differing on any level-0
     entry is the cross-check.
     """
-    if a.module != b.module:
-        raise ModuleError("module mismatch")
+    a.module.require(b)
     r, s = a.degree, b.degree
     if r == 0 or s == 0 or a.is_zero() or b.is_zero():
         return cwedge(a, b)
@@ -812,8 +811,7 @@ def cmap_pushforward(c: Cochain, gmap: ModuleMap) -> Cochain:
     if not gmap.is_isometric():
         raise ModuleError("push forward requires an isometric module map")
     src, dst = gmap.source, gmap.target
-    if c.module != src:
-        raise ModuleError("module mismatch")
+    src.require(c)
     g = gmap.algebra_map
     ginv = g.inverse()
     pre_basis = [gmap.left_inverse(dst.basis(b)) for b in range(dst.rank)]

@@ -208,6 +208,7 @@ def jacobi_identity_holds(m: Cochain, probes, *, memo: dict | None = None) -> tu
         return out
 
     probes = list(probes)
+    module.require(*probes)
     terms = [x._num for x in probes]
     pairs = {(j, k): bilinear(terms[j], terms[k])
              for j, k in itertools.product(range(len(terms)), repeat=2)}

@@ -6,12 +6,20 @@ denominator, canonical.  `inner` and `raise_form` work on numerators: they
 contract those of the element with the int numerators of the gram and of
 its inverse (`MetricModule.numerators`), and a Poly is built only where a
 value leaves (`inner`, `coeffs`).
+
+A connection's Christoffel entries gamma[i][a] = nabla_i e_a are read as
+numerators too, through two routines.  The metric defect S_i(a, b) =
+<nabla_i e_a, e_b> + <e_a, nabla_i e_b> - D_i<e_a, e_b> (`_metric_defect`)
+vanishes exactly when `is_metric`, and `metrize` subtracts half of it,
+raised.  The skew raise (`_skew_raise`) turns a skew operator A into the
+bivector -(1/2) sum_a A(e_a) ^ e^a, e^a the dual basis, for `curvature`
+([nabla_i, nabla_j]) and `rothstein.ConnectionChange` (gamma - gamma').
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+from math import lcm
 
 from .linalg import unit_inverse
 from .poly import (
@@ -21,8 +29,14 @@ from .poly import (
     ModuleError,
     Poly,
     _as_poly,
+    _axpy,
+    _canonical,
+    _der_unit,
+    _grouped_sum,
     _mul_add,
+    _partial,
     _poly_groups,
+    _times_monomial,
     num_der_generators,
 )
 
@@ -35,7 +49,9 @@ class MetricModule:
     determinant and the inverse come from one Faddeev-LeVerrier pass over
     the int numerators of the gram (`linalg.unit_inverse`); `gram_inv` is
     the Poly view of those inverse numerators.
-    Optional per-basis internal degrees feed the graded cohomology blocks.
+    Each basis element has its own name and an internal degree (default 0),
+    which feeds the graded cohomology blocks; both enter equality and the
+    hash, so no memo hands a value over one module to another.
     `inner` walks only the nonzero gram entries between nonzero coordinates,
     and `raise_form` only the nonzero inverse-gram entries, as int numerator
     sums over one denominator (`numerators`); every skipped product is zero.
@@ -68,13 +84,11 @@ class MetricModule:
         self.gram = tuple(tuple(row) for row in gram)
         self.gram_inv = tuple(tuple(_as_poly(backend, v, H) for v in row) for row in inv)
         self._nums = (nums, G, inv, H)
-        if names is None:
-            names = tuple("e%d" % (a + 1) for a in range(rank))
-        self.names = tuple(names)
-        if internal_degrees is None:
-            internal_degrees = (0,) * rank
-        self.internal_degrees = tuple(internal_degrees)
-        self._hash = hash((backend, self.gram, self.names))
+        self.names = tuple("e%d" % (a + 1) for a in range(rank)) if names is None else tuple(names)
+        self.internal_degrees = (0,) * rank if internal_degrees is None else tuple(internal_degrees)
+        if len(set(self.names)) != rank or len(self.names) != rank or len(self.internal_degrees) != rank:
+            raise ModuleError("basis names must be %d distinct names, with one internal degree each" % rank)
+        self._hash = hash((backend, self.gram, self.names, self.internal_degrees))
         self._basis = tuple(ModuleElement.from_numerators(self, {a: {0: 1}}, 1) for a in range(rank))
         self._reference = None
 
@@ -90,10 +104,7 @@ class MetricModule:
     def inner(self, x: "ModuleElement", y: "ModuleElement") -> Poly:
         """<x, y>: the numerators of x and y contracted with those of the gram,
         over the product of the three denominators."""
-        if x.module is not self and x.module != self:
-            raise ModuleError("module mismatch")
-        if y.module is not self and y.module != self:
-            raise ModuleError("module mismatch")
+        self.require(x, y)
         gram, G = self._nums[:2]
         out: dict = {}
         for a, xa in x._num.items():
@@ -102,6 +113,13 @@ class MetricModule:
                 if row[b]:
                     _mul_add(out, _mul_add({}, xa, row[b], self.backend), yb, self.backend)
         return _as_poly(self.backend, out, x._den * G * y._den)
+
+    def require(self, *elements):
+        """Refuse with ModuleError an element over another module; identity
+        is tried first, so an element of this module costs one comparison."""
+        for x in elements:
+            if x.module is not self and x.module != self:
+                raise ModuleError("module mismatch")
 
     def numerators(self) -> tuple[list, int, list, int]:
         """(gram, G, inv, H): gram[a][b] is G <e_a, e_b> and inv[a][b] is H
@@ -150,6 +168,7 @@ class MetricModule:
             self.backend == other.backend
             and self.gram == other.gram
             and self.names == other.names
+            and self.internal_degrees == other.internal_degrees
         )
 
     def __hash__(self) -> int:
@@ -221,10 +240,7 @@ class Connection:
         gamma = tuple(tuple(row) for row in gamma)
         if len(gamma) != ngen or any(len(row) != module.rank for row in gamma):
             raise ModuleError("christoffel table shape mismatch")
-        for row in gamma:
-            for v in row:
-                if v.module != module:
-                    raise ModuleError("christoffel entries must live in the module")
+        module.require(*itertools.chain(*gamma))
         if backend.is_dual and any(0 in c for row in gamma for v in row for c in v._num.values()):
             raise ModuleError("dual-number connections need eps-multiple christoffels "
                               "(forced by A-linearity in the derivation slot)")
@@ -239,17 +255,24 @@ class Connection:
         ngen = num_der_generators(module.backend)
         return Connection(module, [[module.zero() for _ in range(module.rank)] for _ in range(ngen)])
 
+    def _nabla_terms(self, i: int, num: dict, den: int) -> tuple[dict, int]:
+        """nabla_i x = sum_a x_a gamma[i][a] + D_i(x_a) e_a for x with
+        numerators num over den: numerators {c: {packed exponent: int}} over
+        den times the lcm d of the denominators of row i."""
+        backend = self.module.backend
+        row = self.gamma[i]
+        d = lcm(*[g._den for g in row])
+        out: dict = {}
+        for a, xa in num.items():
+            g = row[a]
+            for c, gc in g._num.items():
+                _mul_add(out.setdefault(c, {}), xa, gc, backend, d // g._den)
+            _axpy(out.setdefault(a, {}), _der(backend, i, xa), d)
+        return out, den * d
+
     def nabla_gen(self, i: int, x: ModuleElement) -> ModuleElement:
         """Covariant derivative of x along the i-th derivation generator."""
-        module = self.module
-        d = Derivation.basis(module.backend, i)
-        out = module.zero()
-        for a, c in enumerate(x.coeffs):
-            if c.is_zero():
-                continue
-            out = out + self.gamma[i][a].scale(c)
-            out = out + d(c) * module.basis(a)
-        return out
+        return ModuleElement.from_numerators(self.module, *self._nabla_terms(i, x._num, x._den))
 
     def nabla(self, d: Derivation, x: ModuleElement) -> ModuleElement:
         module = self.module
@@ -260,17 +283,8 @@ class Connection:
         return out
 
     def is_metric(self) -> bool:
-        module = self.module
-        ngen = num_der_generators(module.backend)
-        for i in range(ngen):
-            d = Derivation.basis(module.backend, i)
-            for a in range(module.rank):
-                for b in range(a, module.rank):
-                    lhs = d(module.gram[a][b])
-                    rhs = inner(self.gamma[i][a], module.basis(b)) + inner(module.basis(a), self.gamma[i][b])
-                    if lhs != rhs:
-                        return False
-        return True
+        """Whether the metric defect vanishes along every generator."""
+        return not any(_metric_defect(self, i)[0] for i in range(len(self.gamma)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Connection):
@@ -283,30 +297,70 @@ class Connection:
         return self._hash
 
 
-def metrize(conn: Connection) -> Connection:
-    """Metric connection from an arbitrary one.
+def _der(backend: Backend, i: int, a: dict) -> dict:
+    """D_i on a numerator sum: the partial in g_i times D_i(g_i) (`_der_unit`)."""
+    part = _partial(a, backend.shifts[i])
+    unit = _der_unit(backend)
+    return _times_monomial(part, unit, backend) if unit else part
 
-    <nabla_D x, y> = (1/2)(<nablat_D x, y> - <x, nablat_D y> + D<x, y>)
-    on generator/basis probes, solved back through the inverse gram.
-    """
+
+def _metric_defect(conn: Connection, i: int) -> tuple[dict, int]:
+    """S_i(a, b) = <nabla_i e_a, e_b> + <e_a, nabla_i e_b> - D_i <e_a, e_b>
+    on the Christoffel and gram numerators, as {(a, b): {packed exponent:
+    int}} over one denominator, the zero entries left out."""
     module = conn.module
     backend = module.backend
-    half = Fraction(1, 2)
-    ngen = num_der_generators(backend)
+    gram, G = module.numerators()[:2]
+    row = conn.gamma[i]
+    d = lcm(*[g._den for g in row])
+    low: dict = {}  # (a, b) -> d G <gamma[i][a], e_b>
+    for a, g in enumerate(row):
+        for c, gc in g._num.items():
+            for b, w in enumerate(gram[c]):
+                if w:
+                    _mul_add(low.setdefault((a, b), {}), gc, w, backend, d // g._den)
+    out = {}
+    for a, b in itertools.product(range(module.rank), repeat=2):
+        s = _axpy(_axpy(dict(low.get((a, b), {})), low.get((b, a), {})), _der(backend, i, gram[a][b]), -d)
+        if s:
+            out[a, b] = s
+    return out, d * G
+
+
+def metrize(conn: Connection) -> Connection:
+    """The metric connection nabla - (1/2) S#, S the metric defect raised
+    through the inverse gram in its second slot:
+
+    <nabla'_D e_a, e_b> = (1/2)(<nabla_D e_a, e_b> - <e_a, nabla_D e_b> + D<e_a, e_b>).
+    """
+    module = conn.module
+    H = module.numerators()[3]
     gamma = []
-    for i in range(ngen):
-        d = Derivation.basis(backend, i)
-        row = []
-        for a in range(module.rank):
-            vals = []
-            ea = module.basis(a)
-            for b in range(module.rank):
-                eb = module.basis(b)
-                v = inner(conn.gamma[i][a], eb) - inner(ea, conn.gamma[i][b]) + d(module.gram[a][b])
-                vals.append(v.scale(half))
-            row.append(module.raise_form(vals))
-        gamma.append(row)
+    for i, row in enumerate(conn.gamma):
+        s, d = _metric_defect(conn, i)
+        fixed = []
+        for a, g in enumerate(row):
+            half_s = module.raise_terms({b: v for (a2, b), v in s.items() if a2 == a})  # over 2 d H: half of S#
+            fixed.append(ModuleElement.from_numerators(module, *_grouped_sum([(1, g._den, g._num), (-1, 2 * d * H, half_s)])))
+        gamma.append(fixed)
     return Connection(module, gamma)
+
+
+def _skew_raise(module: MetricModule, terms) -> tuple[dict, int]:
+    """The bivector -(1/2) sum_a A(e_a) ^ e^a of a skew operator A, e^a =
+    sum_b inv[a][b] e_b / H the dual basis; A(e_a) is the sum of f num / den
+    over the terms (f, a, num, den), num module numerators.  Returns
+    {(p, q) with p < q: {packed exponent: int}} over one denominator, canonical."""
+    backend = module.backend
+    inv, H = module.numerators()[2:]
+    op, d = _grouped_sum([(f, den, {(a, c): v for c, v in num.items()}) for f, a, num, den in terms])
+    out: dict = {}
+    for (a, c), v in op.items():
+        for b, w in enumerate(inv[a]):
+            if w and b != c:
+                key, f = ((c, b), -1) if c < b else ((b, c), 1)
+                _mul_add(out.setdefault(key, {}), v, w, backend, f)
+    return _canonical(out, 2 * d * H)
 
 
 class Curvature:
@@ -326,71 +380,22 @@ class Curvature:
         return {k: -v for k, v in self.table.get((j, i), {}).items()}
 
 
-def lambda2_pair(module: MetricModule, xi: dict[tuple[int, int], Poly], x: ModuleElement, y: ModuleElement) -> Poly:
-    """<xi, x ^ y> with the determinant pairing on the exterior square."""
-    out = Poly.zero(module.backend)
-    for (a, b), c in xi.items():
-        block = module.inner(module.basis(a), x) * module.inner(module.basis(b), y) \
-            - module.inner(module.basis(a), y) * module.inner(module.basis(b), x)
-        out = out + c * block
-    return out
-
-
-def raise_exterior(module: MetricModule, k: int, form) -> dict[tuple[int, ...], Poly]:
-    """The xi in Lambda^k E with <xi, e_I> = form[I] for increasing I.
-
-    form maps every k-tuple of basis indices to the value of an alternating
-    A-multilinear map; it is rejected unless each adjacent swap flips its
-    sign.  Raising happens slotwise through the inverse gram.
-    """
-    m = module.rank
-    ginv = module.gram_inv
-    for src, val in form.items():
-        for i in range(k - 1):
-            if form[src[:i] + (src[i + 1], src[i]) + src[i + 2:]] != -val:
-                raise ModuleError("form to raise is not alternating")
-    out: dict[tuple[int, ...], Poly] = {}
-    for target in itertools.combinations(range(m), k):
-        s = Poly.zero(module.backend)
-        for src in itertools.product(range(m), repeat=k):
-            val = form[src]
-            if val.is_zero():
-                continue
-            for b, a in zip(src, target):
-                val = val * ginv[b][a]
-            s = s + val
-        if not s.is_zero():
-            out[target] = s
-    return out
-
-
 def curvature(conn: Connection) -> Curvature:
-    """r(D, E) from the operator curvature, validated against the pairing."""
+    """r(D_i, D_j), i < j: the skew raise of [nabla_i, nabla_j], which sends
+    e_a to nabla_i gamma[j][a] - nabla_j gamma[i][a] because coordinate
+    generators commute.  A metric connection makes the operator skew."""
     if conn._curvature is not None:
         return conn._curvature
     if not conn.is_metric():
         raise ModuleError("curvature in bivector form needs a metric connection")
     module = conn.module
-    pairs = list(itertools.product(range(module.rank), repeat=2))
-    ngen = num_der_generators(module.backend)
     table = {}
-    for i in range(ngen):
-        for j in range(i + 1, ngen):
-            # coordinate generators commute, so no nabla_[D,E] term, and
-            # nabla_{D_j} e_a is the Christoffel entry gamma[j][a]
-            op = {}
-            for a in range(module.rank):
-                op[a] = conn.nabla_gen(i, conn.gamma[j][a]) - conn.nabla_gen(j, conn.gamma[i][a])
-            if all(v.is_zero() for v in op.values()):
-                continue  # r(D_i, D_j) = 0: nothing to raise or cross-check
-            pairing = {(a, b): inner(op[a], module.basis(b)) for a, b in pairs}
-            xi = raise_exterior(module, 2, pairing)
-            # dual computation: the pairing route must reproduce <R(.,.)x, y>
-            for (a, b), v in pairing.items():
-                if lambda2_pair(module, xi, module.basis(a), module.basis(b)) != v:
-                    raise ModuleError("curvature bivector fails the pairing cross-check")
-            if xi:
-                table[(i, j)] = xi
+    for i, j in itertools.combinations(range(len(conn.gamma)), 2):
+        xi, den = _skew_raise(module, [(f, a, *conn._nabla_terms(k, g._num, g._den))
+                                       for a in range(module.rank)
+                                       for f, k, g in ((1, i, conn.gamma[j][a]), (-1, j, conn.gamma[i][a]))])
+        if xi:
+            table[i, j] = {pq: _as_poly(module.backend, v, den) for pq, v in xi.items()}
     cur = Curvature(conn, table)
     conn._curvature = cur
     return cur

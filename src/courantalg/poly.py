@@ -542,8 +542,7 @@ class GroupedElement:
         return not self._num
 
     def _check(self, other: "GroupedElement"):
-        if self.module != other.module:
-            raise ModuleError("module mismatch")
+        self.module.require(other)
 
     def _times(self, a: dict, d: int):
         """a times the element for the numerator sum a over d: every group times a."""

@@ -45,15 +45,17 @@ from .modules import (
     MetricModule,
     ModuleElement,
     ModuleError,
+    _skew_raise,
     curvature,
     inner,
-    raise_exterior,
 )
 from .poly import (
     Backend,
     Derivation,
     GroupedElement,
     Poly,
+    _as_poly,
+    _der_unit,
     _grouped_sum,
     _mul_add,
     _partial,
@@ -280,13 +282,12 @@ def generators(module: MetricModule) -> list[tuple[int, int]]:
     return [(d, i) for d, n in enumerate(counts) for i in range(n)]
 
 
-def _table(found: list, has_dd: bool, entries: dict, d: int) -> list:
-    """The table (see `_generator_table`) of the brackets found, [(u, v,
-    [(ext, Poly)])], added to the entries {(v, u, ext): {packed exponent:
-    int}} over d of a table."""
-    entries, d = _grouped_sum([(1, d, entries)] + [(1, poly._den, {(v, u, ext): poly._num})
-                                                   for u, v, pairs in found for ext, poly in pairs
-                                                   if not poly.is_zero()])
+def _table(parts: list, has_dd: bool, entries: dict, d: int) -> list:
+    """The table (see `_generator_table`) of the entries {(v, u, ext):
+    {packed exponent: int}} over d of a table plus the parts (f, den,
+    {(v, u, ext): numerators}) of the brackets {u, v} found, summed as in
+    `poly._grouped_sum`."""
+    entries, d = _grouped_sum([(1, d, entries)] + parts)
     rows: dict = {}
     for (v, u, ext), terms in entries.items():
         rows.setdefault(v, {}).setdefault(u, []).append(((), ext, terms))
@@ -308,19 +309,17 @@ def _generator_table(conn: Connection) -> list:
     `_generators` slot.
     """
     module = conn.module
-    backend = module.backend
-    found = [((1, a), (1, b), [((), module.gram[a][b])])
-             for a in range(module.rank) for b in range(module.rank)]  # (u, v, [(ext, Poly)])
-    for i in range(num_der_generators(backend)):
-        for j in range(backend.nvars):
-            # {x_j, D_i} = D_i(x_j) = -{D_i, x_j}
-            c = Derivation.basis(backend, i)(Poly.var(backend, j))
-            found += [((0, j), (2, i), [((), c)]), ((2, i), (0, j), [((), -c)])]
-        for a, image in enumerate(conn.gamma[i]):
+    gram, G = module.numerators()[:2]
+    unit = {_der_unit(module.backend): 1}
+    parts = [(1, G, {((1, b), (1, a), ()): gram[a][b] for a in range(module.rank) for b in range(module.rank)})]
+    for i, row in enumerate(conn.gamma):
+        # {x_i, D_i} = D_i(x_i) = -{D_i, x_i}, and D_i(x_j) = 0 for j != i
+        parts += [(1, 1, {((2, i), (0, i), ()): unit}), (-1, 1, {((0, i), (2, i), ()): unit})]
+        for a, image in enumerate(row):
             # {e_a, D_i} = nabla_{D_i} e_a = -{D_i, e_a}
-            found += [((1, a), (2, i), [((b,), c) for b, c in enumerate(image.coeffs)]),
-                      ((2, i), (1, a), [((b,), -c) for b, c in enumerate(image.coeffs)])]
-    return _table(found, False, {}, 1)
+            parts += [(1, image._den, {((2, i), (1, a), (b,)): v for b, v in image._num.items()}),
+                      (-1, image._den, {((1, a), (2, i), (b,)): v for b, v in image._num.items()})]
+    return _table(parts, False, {}, 1)
 
 
 def _add_dd_rows(table: list, conn: Connection):
@@ -329,9 +328,9 @@ def _add_dd_rows(table: list, conn: Connection):
     `curvature`, when the connection is not metric."""
     cur = curvature(conn)
     ngen = num_der_generators(conn.module.backend)
-    found = [((2, i), (2, j), [(ab, -c) for ab, c in cur.pair(i, j).items()])
-             for i in range(ngen) for j in range(ngen)]
-    table[:] = _table(found, True, table[3], table[1])
+    parts = [(-1, c._den, {((2, j), (2, i), ab): c._num})
+             for i in range(ngen) for j in range(ngen) for ab, c in cur.pair(i, j).items()]
+    table[:] = _table(parts, True, table[3], table[1])
 
 
 def _hamiltonian(a: dict, d: int, conn: Connection, vs) -> tuple[dict, int]:
@@ -422,20 +421,19 @@ class ConnectionChange:
         module = source.module
         if not source.is_metric() or not target.is_metric():
             raise ModuleError("connection change needs two metric connections")
-        pairs = list(itertools.product(range(module.rank), repeat=2))
-        table = []
-        for i in range(num_der_generators(module.backend)):
-            diff = [source.gamma[i][a] - target.gamma[i][a] for a in range(module.rank)]
-            pairing = {(a, b): inner(diff[a], module.basis(b)) for a, b in pairs}
-            table.append(raise_exterior(module, 2, pairing))
+        backend = module.backend
+        table, parts = [], []
+        for i in range(num_der_generators(backend)):
+            xi, den = _skew_raise(module, [(f, a, g._num, g._den) for f, conn in ((1, source), (-1, target))
+                                           for a, g in enumerate(conn.gamma[i])])
+            table.append({pq: _as_poly(backend, v, den) for pq, v in xi.items()})
+            parts.append((1, den, {((2, i), ((), pq)): v for pq, v in xi.items()}))
         self.module = module
         self.source = source
         self.target = target
         self.t_table = table
         # t on the generators D_i, as int numerators over one denominator
-        images = [RothElement.from_lambda2(module, xi) for xi in table]
-        nums, d = _grouped_sum([(1, x._den, {((2, i), key): terms for key, terms in x._num.items()})
-                                for i, x in enumerate(images)])
+        nums, d = _grouped_sum(parts)
         values: dict = {}
         for (v, key), terms in nums.items():
             values.setdefault(v, {})[key] = terms

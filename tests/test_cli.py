@@ -1,5 +1,7 @@
+import io
 import itertools
 import json
+import runpy
 import time
 from pathlib import Path
 
@@ -737,3 +739,61 @@ def test_a_series_failing_its_relation_is_rejected_with_its_first_nonzero_term()
 def test_a_series_coefficient_of_another_degree_is_rejected():
     report, code = run_document(_mc_document(["xi"], "zero3"))
     assert code == 2 and "homogeneous of degree 3" in report["error"]
+
+
+def _graded_hyperbolic(degrees):
+    """Q[x]^2 with basis e, f, the hyperbolic gram and the given internal
+    degrees: m = {e^f, -D (x) f} as a structure, whose cohomology window is
+    graded only when deg e + deg f = 0."""
+    return {
+        "schema": SCHEMA,
+        "backend": {"kind": "freepoly", "vars": ["x"]},
+        "module": {"basis": ["e", "f"], "gram": [["0", "1"], ["1", "0"]], "internal_degrees": degrees},
+        "connection": {"kind": "flat"},
+        "elements": {"a": {"type": "roth", "terms": ["1 * 1 (x) e^f"]},
+                     "b": {"type": "roth", "terms": ["-1 * d(x) (x) f"]}},
+        "commands": [{"op": "bracket", "lhs": "a", "rhs": "b", "name": "m"},
+                     {"op": "cohomology", "element": "m", "r": [0, 2], "d": [-1, 1]}],
+    }
+
+
+def test_a_report_does_not_depend_on_an_earlier_document_with_other_internal_degrees():
+    # the bracket memo is keyed by the module, which now includes its internal degrees
+    fresh = "cohomology: differential leaves the internal-degree block: ((0,), (), (1,))"
+    report, code = run_document(_graded_hyperbolic([-1, 1]))
+    assert code == 0, report
+    report, code = run_document(_graded_hyperbolic([0, 0]))
+    assert code == 2 and report["error"] == fresh
+
+
+def test_basis_names_must_be_distinct():
+    doc = _graded_hyperbolic([0, 0])
+    doc["module"]["basis"] = ["e", "e"]
+    report, code = run_document(doc)
+    assert code == 2 and report["error"].startswith("module: basis names must be 2 distinct names")
+
+
+@pytest.mark.parametrize("source", ["stdin", "malformed", "missing"])
+def test_main_rejects_an_unreadable_document(source, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "document.json"
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.StringIO("{"))
+        path = "-"
+    elif source == "malformed":
+        path.write_text('{"schema": ')
+    assert cli.main([str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot read document") and captured.out == ""
+
+
+def test_main_reads_a_document_from_stdin(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO((DOCUMENTS / "verify_courant_so3.json").read_text()))
+    assert cli.main(["-", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["courantalg", str(DOCUMENTS / "verify_courant_so3.json")])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("courantalg", run_name="__main__")
+    assert exit_.value.code == 0 and "overall: ok" in capsys.readouterr().out

@@ -28,6 +28,7 @@ from courantalg import (
     derived_bracket,
     dorfman_bracket,
     inner,
+    insert,
     make_quadratic_lie,
     make_standard_courant,
     mc_bruteforce_orders,
@@ -39,7 +40,13 @@ from courantalg import (
     verify_morphism,
 )
 from courantalg import deform
-from courantalg.deform import delta_block, enumerate_chain_basis, lie_algebra_center_dim, mc_residuals
+from courantalg.deform import (
+    delta_block,
+    enumerate_chain_basis,
+    jacobi_identity_holds,
+    lie_algebra_center_dim,
+    mc_residuals,
+)
 from courantalg.cmaps import cmap_verify, probe_elements
 from courantalg.poly import EXPONENT_LIMIT
 from courantalg.textforms import parse_roth_term
@@ -177,6 +184,36 @@ def test_derived_bracket_reproduces_table_and_leibniz():
         lhs = derived_bracket(std, u, v.scale(x))
         rhs = derived_bracket(std, u, v).scale(x) + v.scale(std.cochain.symbol((u,))(x))
         assert lhs == rhs  # Leibniz in the second argument through the anchor
+
+
+def _foreign_reads(cs, N):
+    """Every read of the structure's cochain on arguments from the module N."""
+    m, x, y = cs.cochain, N.basis(0), N.basis(1)
+    return {
+        "call": lambda: m(x, y),
+        "derived_bracket": lambda: derived_bracket(cs, x, y),
+        "bracket": lambda: cs.bracket(x, y),
+        "eval_level": lambda: m.eval_level(1, (Poly.var(N.backend, 0),), (x,)),
+        "omega": lambda: m.omega((x, y, x)),
+        "symbol": lambda: m.symbol((x,)),
+        "jacobi": lambda: jacobi_identity_holds(m, [x, y]),
+        "insert": lambda: insert(m, x),
+    }
+
+
+@pytest.mark.parametrize("read", ["bracket", "call", "derived_bracket", "eval_level", "insert", "jacobi", "omega",
+                                  "symbol"])
+def test_cochain_reads_refuse_arguments_from_another_module(read):
+    # N has the rank and backend of the standard module, so its numerators
+    # would index the same tables: each read must refuse them, as insert does
+    cs = make_standard_courant(1)
+    B = cs.module.backend
+    one, zero = Poly.one(B), Poly.zero(B)
+    N = MetricModule(B, [[one, zero], [zero, one]])
+    with pytest.raises(ModuleError, match="module mismatch"):
+        _foreign_reads(cs, N)[read]()
+    same = _foreign_reads(cs, cs.module)[read]
+    same()  # the structure's own module is read as before
 
 
 def test_morphism_conditions():

@@ -18,7 +18,7 @@ from courantalg import (
     inner,
     metrize,
 )
-from courantalg.modules import Curvature, bianchi_residuals, lambda2_pair, raise_exterior
+from courantalg.modules import Curvature, bianchi_residuals
 from courantalg.poly import BackendError, GroupedElement, MultiDerivation
 
 from conftest import (
@@ -30,6 +30,7 @@ from conftest import (
     random_module_element,
     random_poly,
 )
+from geometry_oracle import lambda2_pair, raise_exterior
 
 
 B1 = Backend.free(1, ("x",))
@@ -235,6 +236,27 @@ def test_gram_validation():
         MetricModule(B1, [[X]])  # determinant not a unit
     with pytest.raises(ModuleError):
         MetricModule(B1, [[ZERO]])
+
+
+@pytest.mark.parametrize("names, degrees", [
+    (("e", "e"), None),
+    (("e",), None),
+    (("e", "f", "g"), None),
+    (None, (0,)),
+    (None, (0, 1, 2)),
+])
+def test_each_basis_element_has_one_distinct_name_and_one_degree(names, degrees):
+    gram = hyperbolic2().gram
+    with pytest.raises(ModuleError):
+        MetricModule(B1, gram, names=names, internal_degrees=degrees)
+    assert MetricModule(B1, gram, names=("e", "f"), internal_degrees=(-1, 1)).names == ("e", "f")
+
+
+def test_modules_differing_only_in_internal_degrees_are_unequal():
+    gram = hyperbolic2().gram
+    graded = MetricModule(B1, gram, internal_degrees=(-1, 1))
+    assert graded != MetricModule(B1, gram) and hash(graded) != hash(MetricModule(B1, gram))
+    assert graded == MetricModule(B1, gram, internal_degrees=(-1, 1))
 
 
 def test_inverse_gram_exact():
